@@ -15,7 +15,7 @@ from .errors import (CageKitError, CageValidationError, FieldMismatchError,
                      InvalidPointError, MustValidateError, NotInvertibleError,
                      ReducibleModulusError, SchemaError, ShapeError,
                      SingularNodeError)
-from .field import FieldDescriptor, FieldElement, ext_inverse, normalize
+from .field import FieldDescriptor, FieldElement
 from .inscribe import (LambdaMatrix, TangentSubspace, chart_of,
                        inscribe_with_tangent, make_tangent,
                        node_differentials, propagate_tangents,

@@ -51,18 +51,23 @@ class NodeSelection:
         return tuple(index) in set(self.indices)
 
 
+def _selection(kind: str, d: int, n: int, max_norm: int,
+               expected: int) -> NodeSelection:
+    picked = tuple(i for i in all_indices(d, n) if norm(i) <= max_norm)
+    if len(picked) != expected:
+        raise RuntimeError(f"{kind} selection has {len(picked)} indices, "
+                           f"expected {expected}")
+    return NodeSelection(kind, picked)
+
+
 def simplicial_indices(d: int, n: int) -> NodeSelection:
     """Indices of norm <= d+n-1; exactly C(d+n-1, n) of them."""
-    picked = tuple(i for i in all_indices(d, n) if norm(i) <= d + n - 1)
-    assert len(picked) == comb(d + n - 1, n)
-    return NodeSelection("simplicial", picked)
+    return _selection("simplicial", d, n, d + n - 1, comb(d + n - 1, n))
 
 
 def supra_simplicial_indices(d: int, n: int) -> NodeSelection:
     """Indices of norm <= d+n; exactly C(d+n, n) - n of them."""
-    picked = tuple(i for i in all_indices(d, n) if norm(i) <= d + n)
-    assert len(picked) == comb(d + n, n) - n
-    return NodeSelection("supra-simplicial", picked)
+    return _selection("supra-simplicial", d, n, d + n, comb(d + n, n) - n)
 
 
 @dataclass(frozen=True)
@@ -112,8 +117,7 @@ class Cage:
     """
 
     __slots__ = ("field", "groups", "n", "d", "attempts",
-                 "_report", "_nodes", "_node_by_index", "_group_polys",
-                 "_group_grads")
+                 "_report", "_nodes", "_node_by_index", "_group_polys")
 
     def __init__(self, field: FieldDescriptor,
                  groups: Sequence[Sequence[LinearForm]],
@@ -141,7 +145,6 @@ class Cage:
         self._nodes = None
         self._node_by_index = None
         self._group_polys = {}
-        self._group_grads = {}
 
     # -- validation and node access -------------------------------------
 
@@ -229,14 +232,6 @@ class Cage:
 
     def group_polynomials(self) -> tuple[HomogPoly, ...]:
         return tuple(self.group_polynomial(j) for j in range(self.n))
-
-    def group_gradient(self, color: int) -> tuple[HomogPoly, ...]:
-        """Partial derivatives of group_polynomial(color), cached."""
-        if color not in self._group_grads:
-            poly = self.group_polynomial(color)
-            self._group_grads[color] = tuple(
-                poly.partial(i) for i in range(self.n + 1))
-        return self._group_grads[color]
 
     def pencil(self, lambdas: Sequence) -> HomogPoly:
         """The combination sum(lambda_j * group_polynomial(j))."""

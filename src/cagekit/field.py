@@ -21,11 +21,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def normalize(num: int, den: int) -> Fraction:
-    """Reduced rational with positive denominator.  Zero denominator raises."""
-    return Fraction(num, den)
-
-
 def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -368,6 +363,9 @@ class FieldElement:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a rational value equals its Fraction, so it must hash like one
+        if self.is_rational():
+            return hash(self.coeffs[0])
         return hash((self.field, self.coeffs))
 
     def __repr__(self):
@@ -385,12 +383,3 @@ class FieldElement:
                 parts.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
         return " + ".join(parts) if parts else "0"
 
-
-def ext_inverse(x, field: FieldDescriptor) -> FieldElement:
-    """Multiplicative inverse of x in Q[t]/(min_poly).
-
-    Runs the extended Euclidean algorithm on x's representative and the
-    modulus.  A nonzero x whose gcd with the modulus is not a unit proves the
-    modulus reducible and raises accordingly.
-    """
-    return field.coerce(x).inverse()

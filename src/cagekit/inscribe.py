@@ -14,6 +14,7 @@ linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Mapping, Sequence
 
 from .cage import Cage, Node
@@ -83,6 +84,15 @@ class LambdaMatrix:
     def polynomials(self) -> tuple[HomogPoly, ...]:
         return tuple(self.cage.pencil(row) for row in self.rows)
 
+    def values_at(self, point) -> Vector:
+        """Value of each pencil at a point, from the cage's factors: row r
+        gives sum over j of lambda_{r,j} * prod over i of L_{j,i}(point)."""
+        field = self.cage.field
+        products = [prod((form.evaluate(point) for form in forms),
+                         start=field.one()) for forms in self.cage.groups]
+        return tuple(sum((lam * f for lam, f in zip(row, products)),
+                         field.zero()) for row in self.rows)
+
     def row_span(self) -> SubspaceBasis:
         return SubspaceBasis(self.cage.n, self.rows)
 
@@ -94,17 +104,43 @@ def node_differentials(cage: Cage, node: Node) -> Matrix:
     """n x n matrix whose row j is the chart-local differential of the j-th
     group product at the node.
 
-    Invertible at every node of a valid cage: exactly one factor of each
-    product vanishes there, so row j is a nonzero multiple of that factor's
-    differential, and the n factors are transversal.
+    Exactly one factor L_{j,I_j} of product j vanishes at a node, so row j
+    is (prod over i != I_j of L_{j,i}(p)) times the coefficients of L_{j,I_j},
+    chart column dropped: a nonzero multiple of one factor's differential.
+    The n factors are transversal, so the matrix is invertible.  A point on
+    no single factor of some product is not a node and raises ValueError.
     """
     chart = chart_of(node)
+    one = cage.field.one()
     rows = []
-    for j in range(cage.n):
-        grads = cage.group_gradient(j)
-        full = [grads[i].evaluate(node.point) for i in range(cage.n + 1)]
-        rows.append([full[i] for i in range(cage.n + 1) if i != chart])
+    for j, forms in enumerate(cage.groups):
+        values = [form.evaluate(node.point) for form in forms]
+        hit = [i for i, v in enumerate(values) if v.is_zero()]
+        if len(hit) != 1:
+            raise ValueError(f"{len(hit)} hyperplanes of color {j + 1} "
+                             f"vanish at {node.index}, expected one")
+        cofactor = prod(values[:hit[0]] + values[hit[0] + 1:], start=one)
+        coeffs = forms[hit[0]].coeffs
+        rows.append([cofactor * c for i, c in enumerate(coeffs) if i != chart])
     return Matrix(cage.field, rows)
+
+
+def chart_jacobian(variety: LambdaMatrix, node: Node) -> Matrix:
+    """s x n chart-local Jacobian of the variety's pencils at a node: the
+    lambda rows times the node differentials.
+
+    Its rank is the rank of the full s x (n+1) Jacobian, so full rank s
+    certifies smoothness at the node.  Every group product F_j vanishes at
+    the node p, as validation certifies through the incidence check (and
+    node_differentials checks again: it returns only when one factor of
+    each product vanishes).  Euler's identity sum_i p_i dF_j/dx_i(p) =
+    d F_j(p) = 0 and p[chart] = 1, the canonical point's trailing 1, then
+    make the chart column of the full Jacobian equal to -sum over
+    i != chart of p_i times column i, so dropping it loses no rank.
+    """
+    diff = node_differentials(variety.cage, node)
+    return Matrix(variety.cage.field, [diff.transpose().matvec(row)
+                                       for row in variety.rows])
 
 
 def inscribe_with_tangent(cage: Cage, node: Node,
@@ -127,9 +163,7 @@ def inscribe_with_tangent(cage: Cage, node: Node,
     if tangent.dim == 0:
         rows = Matrix.identity(cage.field, n).entries
         return LambdaMatrix(cage, rows)
-    constraints = Matrix(cage.field, [
-        [_dot(cage.field, diff.row(j), v) for j in range(n)]
-        for v in tangent.basis])
+    constraints = Matrix(cage.field, [diff.matvec(v) for v in tangent.basis])
     kernel = kernel_basis(constraints)
     if kernel.dim != s:
         raise SingularNodeError(
@@ -142,19 +176,20 @@ def tangent_at_node(variety: LambdaMatrix, cage, node: Node = None
     """Tangent space of the inscribed variety at any node of its cage.
 
     The cage argument may be omitted (it is carried by the variety), so both
-    tangent_at_node(v, q) and tangent_at_node(v, c, q) work.  The chart-local
-    Jacobian at the node is the lambda rows times the node differentials; it
-    must have full rank s, matching smoothness of the variety at every node.
+    tangent_at_node(v, q) and tangent_at_node(v, c, q) work; a cage other
+    than the variety's raises ValueError.  The tangent space is the kernel
+    of the chart-local Jacobian, which must have full rank s, matching
+    smoothness of the variety at the node.
     """
     if node is None:
-        cage, node = variety.cage, cage
-    diff = node_differentials(cage, node)
-    jac = Matrix(cage.field, [diff.transpose().matvec(row)
-                              for row in variety.rows])
-    if rank(jac) != variety.s:
+        node = cage
+    elif cage is not variety.cage:
+        raise ValueError("cage differs from the variety's cage")
+    jac = chart_jacobian(variety, node)
+    kernel = kernel_basis(jac)
+    if jac.cols - kernel.dim != variety.s:
         raise SingularNodeError(
             f"variety is singular at node {node.index}")
-    kernel = kernel_basis(jac)
     return TangentSubspace(node, chart_of(node), kernel.vectors)
 
 
@@ -196,10 +231,3 @@ def transport_tangent(tangent: TangentSubspace, g: Matrix,
         new_basis.append(tuple(local))
     return TangentSubspace(image_node, new_chart, tuple(new_basis))
 
-
-def _dot(field, u, v):
-    acc = field.zero()
-    for a, b in zip(u, v):
-        if not a.is_zero() and not b.is_zero():
-            acc = acc + a * b
-    return acc

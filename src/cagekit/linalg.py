@@ -157,8 +157,8 @@ def kernel_basis(matrix: Matrix) -> SubspaceBasis:
                 vec[pc] = -coeff
         basis.append(tuple(vec))
     for vec in basis:
-        image = matrix.matvec(vec)
-        assert all(e.is_zero() for e in image), "kernel vector check failed"
+        if not all(e.is_zero() for e in matrix.matvec(vec)):
+            raise RuntimeError("kernel vector check failed")
     return SubspaceBasis(matrix.cols, tuple(basis))
 
 

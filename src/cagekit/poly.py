@@ -185,14 +185,9 @@ class HomogPoly:
         pt = [self.field.coerce(x) for x in point]
         if all(x.is_zero() for x in pt):
             raise InvalidPointError("all-zero tuple is not a projective point")
-        powers = _coordinate_powers(self.field, pt, self.degree)
+        values = monomial_values(self.field, pt, self.terms, self.degree)
         acc = self.field.zero()
-        one = self.field.one()
-        for exp, coeff in self.terms.items():
-            val = one
-            for i, e in enumerate(exp):
-                if e:
-                    val = val * powers[i][e]
+        for coeff, val in zip(self.terms.values(), values):
             acc = acc + coeff * val
         return acc
 
@@ -223,15 +218,26 @@ class HomogPoly:
                 f"{len(self.terms)} terms)")
 
 
-def _coordinate_powers(field, point, max_exp):
-    powers = []
+def monomial_values(field: FieldDescriptor, point: Sequence[FieldElement],
+                    monomials: Iterable[Monomial],
+                    degree: int) -> list[FieldElement]:
+    """Values at the point of exponent tuples whose entries are at most
+    `degree`, in the order given."""
     one = field.one()
+    powers = []
     for x in point:
         col = [one]
-        for _ in range(max_exp):
+        for _ in range(degree):
             col.append(col[-1] * x)
         powers.append(col)
-    return powers
+    values = []
+    for exp in monomials:
+        val = one
+        for i, e in enumerate(exp):
+            if e:
+                val = val * powers[i][e]
+        values.append(val)
+    return values
 
 
 def product_of_linear_forms(forms: Sequence[LinearForm]) -> HomogPoly:

@@ -26,6 +26,11 @@ def _expect(cond: bool, path: str, message: str):
         raise SchemaError(path, message)
 
 
+def _is_int(x) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _fraction_from(text: Any, path: str) -> Fraction:
     _expect(isinstance(text, str), path, "scalar must be a string")
     try:
@@ -176,9 +181,9 @@ def poly_from_json(field: FieldDescriptor, obj, path: str = "$") -> HomogPoly:
     _expect(isinstance(obj, dict), path, "polynomial must be an object")
     nv = obj.get("vars")
     degree = obj.get("degree")
-    _expect(isinstance(nv, int) and nv >= 1, f"{path}.vars",
+    _expect(_is_int(nv) and nv >= 1, f"{path}.vars",
             "vars must be a positive integer")
-    _expect(isinstance(degree, int) and degree >= 0, f"{path}.degree",
+    _expect(_is_int(degree) and degree >= 0, f"{path}.degree",
             "degree must be a nonnegative integer")
     terms = {}
     for i, term in enumerate(obj.get("terms", [])):
@@ -186,7 +191,7 @@ def poly_from_json(field: FieldDescriptor, obj, path: str = "$") -> HomogPoly:
         _expect(isinstance(term, dict) and "exp" in term and "coeff" in term,
                 tpath, "term needs exp and coeff")
         exp = term["exp"]
-        _expect(isinstance(exp, list) and all(isinstance(e, int) for e in exp),
+        _expect(isinstance(exp, list) and all(_is_int(e) for e in exp),
                 f"{tpath}.exp", "exp must be an integer list")
         terms[tuple(exp)] = scalar_from_json(field, term["coeff"],
                                              f"{tpath}.coeff")

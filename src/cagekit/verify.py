@@ -16,10 +16,10 @@ from .cage import (Cage, Node, NodeSelection, all_indices, canonical_point,
                    simplicial_indices, supra_simplicial_indices)
 from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
-from .inscribe import LambdaMatrix
+from .inscribe import LambdaMatrix, chart_jacobian
 from .linalg import (Matrix, SubspaceBasis, in_span, kernel_basis, rank,
                      span_equal)
-from .poly import HomogPoly, LinearForm, monomial_basis, _coordinate_powers
+from .poly import HomogPoly, LinearForm, monomial_basis, monomial_values
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -90,20 +90,8 @@ def evaluation_matrix(points, degree: int, field: FieldDescriptor = None,
         if any(len(p) != nv for p in pts):
             raise ShapeError("points have inconsistent arity")
     basis = monomial_basis(degree, nv)
-    rows = []
-    one = field.one()
-    for pt in pts:
-        powers = _coordinate_powers(field, pt, degree)
-        row = []
-        for exp in basis:
-            val = one
-            for i, e in enumerate(exp):
-                if e:
-                    val = val * powers[i][e]
-            row.append(val)
-        rows.append(row)
-    matrix = Matrix(field, rows) if rows else Matrix(field, [])
-    return EvalMatrix(matrix, degree, indices)
+    rows = [monomial_values(field, pt, basis, degree) for pt in pts]
+    return EvalMatrix(Matrix(field, rows), degree, indices)
 
 
 def _separating_form(field: FieldDescriptor,
@@ -389,38 +377,26 @@ def cayley_bacharach_pair(field: FieldDescriptor,
 def smoothness_check(variety: LambdaMatrix,
                      cage: Optional[Cage] = None) -> VerificationReport:
     """The inscribed variety passes through every node smoothly: each
-    defining pencil vanishes on all nodes and the full Jacobian has rank
-    exactly s everywhere on the node set."""
-    if cage is None:
-        cage = variety.cage
+    defining pencil vanishes on all nodes and the Jacobian has rank exactly
+    s everywhere on the node set.  A cage other than the variety's raises
+    ValueError."""
+    if cage is not None and cage is not variety.cage:
+        raise ValueError("cage differs from the variety's cage")
+    cage = variety.cage
     cage.validate()
     if rank(Matrix(cage.field, variety.rows)) != variety.s:
         raise ValueError("lambda rows are linearly dependent")
-    polys = variety.polynomials()
-    vanish = True
+    values = [variety.values_at(node.point) for node in cage.nodes()]
     vanish_witness = None
-    for poly in polys:
-        for node in cage.nodes():
-            if not poly.evaluate(node.point).is_zero():
-                vanish = False
-                vanish_witness = poly
-                break
-        if not vanish:
+    for r, row in enumerate(variety.rows):
+        if any(not v[r].is_zero() for v in values):
+            vanish_witness = cage.pencil(row)
             break
-    checks = [CheckResult("pencils-vanish-on-nodes", vanish,
+    checks = [CheckResult("pencils-vanish-on-nodes", vanish_witness is None,
                           {"s": variety.s, "node-count": len(cage.nodes())},
                           vanish_witness)]
-    grads = [[cage.group_gradient(j)[i] for i in range(cage.n + 1)]
-             for j in range(cage.n)]
-    bad_nodes = []
-    for node in cage.nodes():
-        grad_rows = [[g.evaluate(node.point) for g in grads[j]]
-                     for j in range(cage.n)]
-        gm = Matrix(cage.field, grad_rows)
-        jac = Matrix(cage.field, [gm.transpose().matvec(row)
-                                  for row in variety.rows])
-        if rank(jac) != variety.s:
-            bad_nodes.append(node.index)
+    bad_nodes = [node.index for node in cage.nodes()
+                 if rank(chart_jacobian(variety, node)) != variety.s]
     checks.append(CheckResult(
         "jacobian-rank-at-nodes", not bad_nodes,
         {"expected-rank": variety.s, "singular-nodes": bad_nodes}))

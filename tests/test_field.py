@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from cagekit import (FieldDescriptor, FieldMismatchError, NotInvertibleError,
-                     ReducibleModulusError, ext_inverse, normalize)
+                     ReducibleModulusError)
 
 
 Q = FieldDescriptor.rationals()
@@ -17,54 +17,26 @@ GAUSS = FieldDescriptor.extension([1, 0, 1], label="Q(i)",
                                   conjugation=[0, -1])
 
 
-def test_normalize_reduces():
-    assert normalize(2, 4) == Fraction(1, 2)
-
-
-def test_normalize_sign():
-    assert normalize(-3, -6) == Fraction(1, 2)
-    assert normalize(3, -6) == Fraction(-1, 2)
-
-
-def test_normalize_zero():
-    v = normalize(0, 5)
-    assert v == 0 and v.denominator == 1
-
-
-def test_normalize_idempotent():
-    rng = random.Random(11)
-    for _ in range(50):
-        num = rng.randint(-40, 40)
-        den = rng.randint(1, 40)
-        v = normalize(num, den)
-        assert normalize(v.numerator, v.denominator) == v
-
-
-def test_normalize_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        normalize(1, 0)
-
-
 def test_ext_inverse_generator_sqrt2():
     t = SQRT2.generator()
-    assert ext_inverse(t, SQRT2) == SQRT2.element([0, Fraction(1, 2)])
+    assert t.inverse() == SQRT2.element([0, Fraction(1, 2)])
 
 
 def test_ext_inverse_identity():
     for field in (Q, SQRT2, GAUSS):
-        assert ext_inverse(field.one(), field) == field.one()
+        assert field.one().inverse() == field.one()
 
 
 def test_ext_inverse_one_plus_i():
     t = GAUSS.generator()
-    inv = ext_inverse(1 + t, GAUSS)
+    inv = (1 + t).inverse()
     assert inv == GAUSS.element([Fraction(1, 2), Fraction(-1, 2)])
     assert (1 + t) * inv == GAUSS.one()
 
 
 def test_ext_inverse_zero():
     with pytest.raises(NotInvertibleError):
-        ext_inverse(SQRT2.zero(), SQRT2)
+        SQRT2.zero().inverse()
 
 
 def test_reducible_modulus_detected():
@@ -122,7 +94,7 @@ def test_inverse_roundtrip_500():
                            for _ in range(3)])
         if x.is_zero():
             continue
-        assert x * ext_inverse(x, field) == one
+        assert x * x.inverse() == one
         count += 1
 
 
@@ -145,6 +117,19 @@ def test_field_mismatch():
         SQRT2.generator() + GAUSS.generator()
     # equality degrades to False instead of raising
     assert (SQRT2.one() == GAUSS.one()) is False
+
+
+def test_hash_agrees_with_equality_on_rationals():
+    # an element equal to an int or Fraction must hash like it
+    assert Q.one() == 1
+    assert len({Q.one(), 1}) == 1
+    assert len({SQRT2.one(), 1}) == 1
+    half = SQRT2.from_rational(Fraction(1, 2))
+    assert {Fraction(1, 2): "half"}[half] == "half"
+    assert {Fraction(1, 2): "half"}[Q.from_rational(Fraction(1, 2))] == "half"
+    # irrational elements still hash by field and coefficients
+    t = SQRT2.generator()
+    assert len({t, SQRT2.element([0, 1])}) == 1
 
 
 def test_conjugation_involution_and_homomorphism():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cagekit.cage import Node, axis_cage, canonical_point, random_cage
+from cagekit.demos import build_demo
 from cagekit.errors import ShapeError, SingularNodeError
 from cagekit.field import FieldDescriptor
 from cagekit.inscribe import (
@@ -20,6 +21,8 @@ from cagekit.inscribe import (
     transport_tangent,
 )
 from cagekit.linalg import Matrix, SubspaceBasis, rank, span_equal
+from cagekit.poly import jacobian_at
+from cagekit.verify import smoothness_check
 
 F = FieldDescriptor.rationals()
 
@@ -117,6 +120,40 @@ def test_node_differentials_invertible_everywhere():
         cage = random_cage(seed, d, n)
         for node in cage.nodes():
             assert rank(node_differentials(cage, node)) == n
+
+
+def test_node_differentials_match_expanded_jacobian():
+    # the factored rows equal the gradients of the expanded group products
+    # with the chart column removed
+    cages = [random_cage(seed, d, n) for seed, d, n in
+             [(50, 2, 2), (51, 4, 2), (52, 2, 3), (53, 3, 3), (54, 2, 4)]]
+    cages.append(build_demo("fermat-cubic-surface").cage)
+    for cage in cages:
+        polys = cage.group_polynomials()
+        for node in cage.nodes():
+            chart = chart_of(node)
+            full = jacobian_at(polys, node.point)
+            expected = tuple(tuple(e for i, e in enumerate(row) if i != chart)
+                             for row in full.entries)
+            assert node_differentials(cage, node).entries == expected
+
+
+def test_node_differentials_reject_points_off_the_cage():
+    cage = unit_square()
+    inside = Node((1, 1), coerced(((Fraction(1, 2), Fraction(1, 2), 1),))[0])
+    with pytest.raises(ValueError):
+        node_differentials(cage, inside)
+
+
+def test_foreign_cage_rejected():
+    cage = unit_square()
+    variety = LambdaMatrix(cage, coerced(((2, -1),)))
+    assert smoothness_check(variety, cage).passed
+    other = unit_square()
+    with pytest.raises(ValueError):
+        smoothness_check(variety, other)
+    with pytest.raises(ValueError):
+        tangent_at_node(variety, other, other.node((1, 1)))
 
 
 # -- inscription -----------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from cagekit import linalg
 from cagekit import (FieldDescriptor, Matrix, ShapeError, SubspaceBasis,
                      in_span, invert, kernel_basis, rank, solve, span_equal)
 
@@ -91,6 +92,20 @@ def test_kernel_vectors_annihilate():
         assert basis.dim + rank(m) == m.cols
         for v in basis.vectors:
             assert all(e.is_zero() for e in m.matvec(v))
+
+
+def test_kernel_self_check_raises_on_a_wrong_row(monkeypatch):
+    # the exact M v = 0 check guards the elimination, also under python -O
+    real = linalg._rref
+
+    def wrong(matrix):
+        rows, pivots = real(matrix)
+        rows[0] = [e + 1 for e in rows[0]]
+        return rows, pivots
+
+    monkeypatch.setattr(linalg, "_rref", wrong)
+    with pytest.raises(RuntimeError):
+        kernel_basis(unit_square_eval())
 
 
 def test_in_span_zero_vector():

@@ -177,6 +177,19 @@ def test_poly_schema_errors():
                            "terms": [{"exp": [1, 0, 0], "coeff": "1"}]})
 
 
+def test_poly_rejects_booleans():
+    # JSON true loads as bool, which Python counts as an int
+    term = json.loads('{"exp": [true, 1, 0], "coeff": "1"}')
+    with pytest.raises(SchemaError) as exc:
+        poly_from_json(F, {"vars": 3, "degree": 2, "terms": [term]})
+    assert exc.value.path == "$.terms[0].exp"
+    for key in ("vars", "degree"):
+        obj = {"vars": 2, "degree": 1, "terms": [], key: True}
+        with pytest.raises(SchemaError) as exc:
+            poly_from_json(F, obj)
+        assert exc.value.path == f"$.{key}"
+
+
 # -- varieties and tangents -------------------------------------------------------
 
 
