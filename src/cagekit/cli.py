@@ -226,6 +226,10 @@ def _cmd_demo(args) -> int:
     return 0 if report.passed else 1
 
 
+# sample-grid buffers one CSV line per point before writing
+MAX_GRID_POINTS = 64 ** 3
+
+
 def _cmd_sample_grid(args) -> int:
     variety = ser.variety_from_json(_load_json(args.variety))
     cage = variety.cage
@@ -241,6 +245,9 @@ def _cmd_sample_grid(args) -> int:
         raise SchemaError("--box", "expected six numbers") from None
     if args.resolution < 2:
         raise SchemaError("--resolution", "need at least two samples per axis")
+    if args.resolution ** 3 > MAX_GRID_POINTS:
+        raise SchemaError("--resolution", f"{args.resolution}^3 points exceed "
+                          f"the limit of {MAX_GRID_POINTS}")
     polys = variety.polynomials()
     field = cage.field
     axes = []
@@ -360,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX", "ZMIN", "ZMAX"),
                    help="axis-aligned sampling box, six numbers")
     p.add_argument("--resolution", type=int, required=True,
-                   help="samples per axis")
+                   help="samples per axis; the cube of it may not "
+                        f"exceed {MAX_GRID_POINTS} points")
     add_common(p)
     p.set_defaults(handler=_cmd_sample_grid)
 

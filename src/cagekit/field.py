@@ -96,7 +96,8 @@ class FieldDescriptor:
     (len = degree + 1, leading coefficient 1, degree >= 2).  An optional
     conjugation vector gives the image of t under a distinguished field
     automorphism as a coefficient vector, used by demos that need to decide
-    which points are fixed by complex conjugation.
+    which points are fixed by complex conjugation.  Descriptors are equal
+    when kind, modulus and conjugation agree; the label is only a name.
     """
 
     __slots__ = ("kind", "min_poly", "label", "conjugation", "_reduction")
@@ -197,10 +198,11 @@ class FieldDescriptor:
     def __eq__(self, other):
         if not isinstance(other, FieldDescriptor):
             return NotImplemented
-        return self.kind == other.kind and self.min_poly == other.min_poly
+        return (self.kind == other.kind and self.min_poly == other.min_poly
+                and self.conjugation == other.conjugation)
 
     def __hash__(self):
-        return hash((self.kind, self.min_poly))
+        return hash((self.kind, self.min_poly, self.conjugation))
 
     def __repr__(self):
         return f"FieldDescriptor({self.label})"
@@ -356,11 +358,16 @@ class FieldElement:
         return acc
 
     def __eq__(self, other):
+        # rational values compare by value, also across fields, so that
+        # equality stays transitive through int and Fraction
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
+            return self.is_rational() and self.coeffs[0] == other
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        if self.field == other.field:
+            return self.coeffs == other.coeffs
+        return (self.is_rational() and other.is_rational()
+                and self.coeffs[0] == other.coeffs[0])
 
     def __hash__(self):
         # a rational value equals its Fraction, so it must hash like one

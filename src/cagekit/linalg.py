@@ -4,6 +4,12 @@ Gaussian elimination with the first nonzero entry in column order as pivot,
 so every result (rank, kernel basis, solutions) is deterministic.  Kernel
 bases come out of the reduced echelon form in the standard free-column
 convention, which makes them canonical for a fixed input matrix.
+
+Ranks over Q are first tried modulo the prime p = 2^31 - 1.  The image of a
+rational matrix mod p has rank at most its rank over Q, so a full rank mod p
+is a certificate: the rank over Q is then min(rows, cols).  Any other
+outcome (a rank below full, a denominator divisible by p, an extension
+field) falls back to exact elimination over the field itself.
 """
 
 from __future__ import annotations
@@ -135,7 +141,60 @@ def _rref(matrix: Matrix):
     return rows, pivots
 
 
+PRIME = 2 ** 31 - 1
+
+
+def _full_rank_mod_p(matrix: Matrix) -> Optional[int]:
+    """min(rows, cols) if the matrix has full rank modulo PRIME, else None.
+
+    Declines (None) for extension fields and for an entry whose denominator
+    PRIME divides.  Elimination stops once the columns left cannot supply
+    the missing pivots.
+    """
+    if matrix.field.degree != 1:
+        return None
+    try:
+        rows = [[e.coeffs[0].numerator * pow(e.coeffs[0].denominator, -1,
+                                             PRIME) % PRIME for e in row]
+                for row in matrix.entries]
+    except ValueError:          # no inverse: PRIME divides a denominator
+        return None
+    target = min(matrix.rows, matrix.cols)
+    found = 0
+    # each pass eliminates the leading column and drops it from every row
+    for col in range(matrix.cols):
+        if found == target or found + matrix.cols - col < target:
+            break
+        hit = next((i for i, r in enumerate(rows) if r[0]), None)
+        if hit is None:
+            rows = [r[1:] for r in rows]
+            continue
+        pivot = rows.pop(hit)
+        inv, tail = pow(pivot[0], -1, PRIME), pivot[1:]
+        rest = []
+        for r in rows:
+            f = r[0] * inv % PRIME
+            rest.append([(a - f * b) % PRIME for a, b in zip(r[1:], tail)]
+                        if f else r[1:])
+        rows = rest
+        found += 1
+    return target if found == target else None
+
+
 def rank(matrix: Matrix) -> int:
+    """Rank over the matrix's field.
+
+    Over Q the rank mod PRIME is tried first.  Every entry is p-integral
+    (its denominator is prime to p), so reduction mod p is a ring
+    homomorphism on the entries and maps each minor to the same minor of
+    the reduced matrix.  An r x r minor that is nonzero mod p is therefore
+    nonzero over Q, and the rank over Q is at least the rank mod p.  No
+    rank exceeds min(rows, cols), so a full rank mod p is the rank over Q.
+    Otherwise the rank comes from exact elimination.
+    """
+    certified = _full_rank_mod_p(matrix)
+    if certified is not None:
+        return certified
     _, pivots = _rref(matrix)
     return len(pivots)
 

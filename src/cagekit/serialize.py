@@ -138,6 +138,8 @@ def cage_from_json(obj, path: str = "$") -> Cage:
         groups.append(forms)
     n = obj.get("n", len(groups))
     d = obj.get("d", len(groups[0]))
+    _expect(_is_int(n), f"{path}.n", "n must be an integer")
+    _expect(_is_int(d), f"{path}.d", "d must be an integer")
     _expect(n == len(groups), f"{path}.n",
             f"n={n} but {len(groups)} groups present")
     _expect(all(d == len(g) for g in groups), f"{path}.d",

@@ -171,11 +171,25 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
     kernel has dimension n, the kernel coincides with the span of the group
     products, and every kernel element vanishes on all d^n nodes, not just
     the selected ones.
+
+    Three certified facts prove all four.  Validation computes each node as
+    an exactly checked kernel vector of the n forms its index names, so the
+    node lies on one factor of every group product, and every group product
+    vanishes on all d^n nodes.  Hence the span of the products lies in the
+    kernel of the supra evaluation matrix.  If that matrix has rank |supra|
+    and columns - |supra| = n, the kernel has dimension n; if the n product
+    coefficient vectors have rank n, the span has dimension n too.  A
+    subspace of equal dimension is the whole space, so kernel and span
+    coincide and the kernel vanishes on all nodes.  When any of the three
+    facts fails, the exact path computes the kernel and finds witnesses.
     """
     cage.validate()
     supra = supra_simplicial_indices(cage.d, cage.n)
     pts = cage.nodes_for(supra)
     ev = evaluation_matrix(pts, cage.d, indices=supra.indices)
+    certified = _supra_from_ranks(cage, ev)
+    if certified is not None:
+        return VerificationReport(cage.summary(), certified)
     kernel = kernel_basis(ev.matrix)
     r = ev.matrix.cols - kernel.dim
     checks = [CheckResult(
@@ -212,6 +226,25 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
         "kernel-vanishes-on-all-nodes", all_vanish,
         {"node-count": len(cage.nodes())}, bad))
     return VerificationReport(cage.summary(), tuple(checks))
+
+
+def _supra_from_ranks(cage: Cage, ev: EvalMatrix):
+    """The four interpolation checks, all passed, from the three facts in
+    verify_supra_interpolation's docstring; None if one of them fails."""
+    size, cols, n = ev.matrix.rows, ev.matrix.cols, cage.n
+    if (cols - size != n or rank(ev.matrix) != size
+            or rank(Matrix(cage.field, group_span(cage).vectors)) != n):
+        return None
+    return (
+        CheckResult("supra-evaluation-rank", True,
+                    {"rank": size, "selection-size": size, "columns": cols}),
+        CheckResult("kernel-dimension", True,
+                    {"kernel-dim": n, "expected": n}),
+        CheckResult("kernel-equals-group-span", True,
+                    {"kernel-dim": n, "group-span-dim": n}),
+        CheckResult("kernel-vanishes-on-all-nodes", True,
+                    {"node-count": len(cage.nodes())}),
+    )
 
 
 def _simplicial_rank(cage: Cage):

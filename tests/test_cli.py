@@ -10,7 +10,7 @@ import pytest
 
 import cagekit
 from cagekit.cage import axis_cage
-from cagekit.cli import main
+from cagekit.cli import MAX_GRID_POINTS, main
 from cagekit.field import FieldDescriptor
 from cagekit.serialize import cage_to_json, configuration_to_json
 from cagekit.viete import Configuration
@@ -264,6 +264,21 @@ def test_sample_grid_guards(tmp_path, square_cage, capsys):
                  "--box", "0", "1", "0", "1", "0", "1",
                  "--resolution", "3"]) == 2
     capsys.readouterr()
+    # a grid too large to buffer is refused before any sample is taken
+    cube = axis_cage(F, [(0, 0, 0), (1, 1, 1)])
+    cube_path = tmp_path / "cube.json"
+    cube_path.write_text(json.dumps(cage_to_json(cube)))
+    curve = tmp_path / "curve.json"
+    assert main(["inscribe", "--cage", str(cube_path), "--node", "1,1,1",
+                 "--tangent", "1,2,3", "-o", str(curve)]) == 0
+    resolution = round(MAX_GRID_POINTS ** (1 / 3)) + 1
+    assert resolution ** 3 > MAX_GRID_POINTS
+    out = tmp_path / "grid.csv"
+    assert main(["sample-grid", "--variety", str(curve),
+                 "--box", "0", "1", "0", "1", "0", "1",
+                 "--resolution", str(resolution), "-o", str(out)]) == 2
+    assert "--resolution" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- entry points -------------------------------------------------------------

@@ -115,8 +115,10 @@ def test_division():
 def test_field_mismatch():
     with pytest.raises(FieldMismatchError):
         SQRT2.generator() + GAUSS.generator()
-    # equality degrades to False instead of raising
-    assert (SQRT2.one() == GAUSS.one()) is False
+    # equality degrades to False instead of raising, except for rational
+    # values, which compare by value across fields
+    assert (SQRT2.generator() == GAUSS.generator()) is False
+    assert (SQRT2.one() == GAUSS.one()) is True
 
 
 def test_hash_agrees_with_equality_on_rationals():
@@ -130,6 +132,20 @@ def test_hash_agrees_with_equality_on_rationals():
     # irrational elements still hash by field and coefficients
     t = SQRT2.generator()
     assert len({t, SQRT2.element([0, 1])}) == 1
+
+
+def test_equality_is_transitive_across_fields():
+    # Q.one() == 1 == SQRT2.one(), so Q.one() == SQRT2.one() as well, and a
+    # set's size does not depend on the insertion order
+    assert Q.one() == SQRT2.one() and SQRT2.one() == Q.one()
+    assert len({1, Q.one(), SQRT2.one()}) == 1
+    assert len({Q.one(), SQRT2.one(), 1}) == 1
+    assert Q.from_rational(Fraction(1, 2)) != SQRT2.one()
+    assert SQRT2.generator() != GAUSS.generator()
+    with pytest.raises(FieldMismatchError):
+        Q.one() + SQRT2.one()
+    with pytest.raises(FieldMismatchError):
+        Q.one() * SQRT2.one()
 
 
 def test_conjugation_involution_and_homomorphism():
@@ -166,10 +182,21 @@ def test_coerce_rejects_foreign_elements():
 
 
 def test_descriptor_equality_ignores_label():
-    other = FieldDescriptor.extension([-2, 0, 1], label="renamed")
+    other = FieldDescriptor.extension([-2, 0, 1], label="renamed",
+                                      conjugation=[0, -1])
     assert other == SQRT2
     assert hash(other) == hash(SQRT2)
     assert Q != SQRT2
+    # the conjugation is part of the field's identity
+    plain = FieldDescriptor.extension([-2, 0, 1], label="Q(sqrt2)")
+    flipped = FieldDescriptor.extension([1, 0, 1], conjugation=[0, 1])
+    assert plain != SQRT2 and flipped != GAUSS
+    assert FieldDescriptor.extension([1, 0, 1]) != GAUSS
+    with pytest.raises(FieldMismatchError):
+        plain.generator() + SQRT2.generator()
+    with pytest.raises(FieldMismatchError):
+        SQRT2.coerce(plain.generator())
+    assert plain.generator() != SQRT2.generator()
 
 
 def test_modulus_shape_errors():

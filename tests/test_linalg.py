@@ -108,6 +108,53 @@ def test_kernel_self_check_raises_on_a_wrong_row(monkeypatch):
         kernel_basis(unit_square_eval())
 
 
+def random_rational_matrix(rng, rows, cols, deficiency=0):
+    # rank at most min(rows, cols) - deficiency: the last rows are random
+    # rational combinations of the others
+    free = max(min(rows, cols) - deficiency, 0)
+    raw = [[Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+            for _ in range(cols)] for _ in range(free)]
+    while len(raw) < rows:
+        weights = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                   for _ in range(free)]
+        raw.append([sum((w * r[j] for w, r in zip(weights, raw)),
+                        Fraction(0)) for j in range(cols)])
+    rng.shuffle(raw)
+    return Matrix(Q, raw)
+
+
+def test_modular_rank_matches_exact_elimination():
+    rng = random.Random(53)
+    shapes = [(4, 9), (9, 4), (7, 7), (1, 6), (6, 1), (12, 15), (15, 12)]
+    for rows, cols in shapes:
+        for deficiency in (0, 1, 3):
+            for _ in range(4):
+                m = random_rational_matrix(rng, rows, cols, deficiency)
+                exact = len(linalg._rref(m)[1])
+                assert rank(m) == exact
+                assert rank(m.transpose()) == exact
+                certified = linalg._full_rank_mod_p(m)
+                if deficiency:
+                    assert certified is None
+                else:
+                    assert certified == exact == min(rows, cols)
+
+
+def test_modular_rank_falls_back_on_the_prime():
+    p = linalg.PRIME
+    assert p == 2 ** 31 - 1
+    # entries that vanish mod p, or whose denominator p divides
+    assert rank(Matrix(Q, [[p]])) == 1
+    assert rank(Matrix(Q, [[1, 0], [0, p]])) == 2
+    assert rank(Matrix(Q, [[Fraction(1, p)]])) == 1
+    assert rank(Matrix(Q, [[p, 2 * p], [1, 2]])) == 1
+    assert linalg._full_rank_mod_p(Matrix(Q, [[1, 0], [0, p]])) is None
+    assert linalg._full_rank_mod_p(Matrix(Q, [[Fraction(1, p)]])) is None
+    # shapes with nothing to eliminate
+    assert rank(Matrix(Q, [])) == 0
+    assert rank(Matrix(Q, [[], []])) == 0
+
+
 def test_in_span_zero_vector():
     basis = SubspaceBasis(2, ((Q.one(), Q.zero()),))
     assert in_span([0, 0], basis)

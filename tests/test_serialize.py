@@ -188,6 +188,14 @@ def test_poly_rejects_booleans():
         with pytest.raises(SchemaError) as exc:
             poly_from_json(F, obj)
         assert exc.value.path == f"$.{key}"
+    # the same for a cage's n and d, where True == 1 would match one group
+    # holding one form
+    for key in ("n", "d"):
+        obj = {"kind": "cage", "field": {"kind": "rationals"},
+               "groups": [[["1", "0"]]], key: True}
+        with pytest.raises(SchemaError) as exc:
+            cage_from_json(obj)
+        assert exc.value.path == f"$.{key}"
 
 
 # -- varieties and tangents -------------------------------------------------------

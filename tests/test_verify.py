@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from cagekit import (FieldDescriptor, LambdaMatrix, LinearForm, Matrix,
-                     ShapeError, axis_cage, cayley_bacharach_check,
+from cagekit import linalg, verify
+from cagekit import (FieldDescriptor, HomogPoly, LambdaMatrix, LinearForm,
+                     Matrix, ShapeError, axis_cage, cayley_bacharach_check,
                      cayley_bacharach_pair, complete_intersection_span_check,
                      evaluation_matrix, fubini_slice_check, group_span,
                      hilbert_function, hilbert_table,
@@ -16,6 +17,7 @@ from cagekit import (FieldDescriptor, LambdaMatrix, LinearForm, Matrix,
                      supra_simplicial_indices, transversal_points,
                      verify_degree_minimality, verify_simplicial_rigidity,
                      verify_supra_interpolation)
+from cagekit.serialize import report_to_json
 
 
 Q = FieldDescriptor.rationals()
@@ -146,6 +148,30 @@ def test_supra_interpolation_plane_three_by_three():
     assert check_by_name(report,
                          "supra-evaluation-rank").details["selection-size"] == 8
     assert check_by_name(report, "kernel-dimension").details["kernel-dim"] == 2
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_supra_certificate_matches_exact_path(monkeypatch, n, d):
+    # the three-fact certificate, the same with exact ranks, and the exact
+    # kernel path give identical reports
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certified path must not reach this")
+
+    for seed in (11, 12):
+        cage = random_cage(100 * n + 10 * d + seed, d, n)
+        with monkeypatch.context() as m:
+            for name in ("kernel_basis", "span_equal", "in_span"):
+                m.setattr(verify, name, forbidden)
+            m.setattr(HomogPoly, "evaluate", forbidden)
+            certified = report_to_json(verify_supra_interpolation(cage))
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_full_rank_mod_p", lambda matrix: None)
+            exact_ranks = report_to_json(verify_supra_interpolation(cage))
+        with monkeypatch.context() as m:
+            m.setattr(verify, "_supra_from_ranks", lambda cage, ev: None)
+            exact = report_to_json(verify_supra_interpolation(cage))
+        assert certified["pass"]
+        assert certified == exact_ranks == exact
 
 
 def test_rigidity_smallest_case():
