@@ -272,11 +272,8 @@ class Cage:
                 forms.append(LinearForm(self.field, [
                     coeffs[k] - coeffs[drop] * scale * cut[k] for k in keep]))
             new_groups.append(forms)
-        sliced = Cage(self.field, new_groups)
-        report = sliced.validate()
-        if not report.valid:
-            raise CageValidationError("slice failed validation", report)
-        return sliced
+        return validated(Cage(self.field, new_groups),
+                         "slice failed validation")
 
     def transform(self, g: Matrix) -> "Cage":
         """Apply a projective change of coordinates to every hyperplane."""
@@ -295,12 +292,8 @@ class Cage:
                               self.field.zero()) for col in cols]
                 forms.append(LinearForm(self.field, coeffs))
             new_groups.append(forms)
-        out = Cage(self.field, new_groups)
-        report = out.validate()
-        if not report.valid:
-            raise CageValidationError("transformed cage failed validation",
-                                      report)
-        return out
+        return validated(Cage(self.field, new_groups),
+                         "transformed cage failed validation")
 
     def summary(self) -> dict:
         return {"n": self.n, "d": self.d, "field": self.field.label,
@@ -311,6 +304,15 @@ class Cage:
 
 
 # -- constructors ------------------------------------------------------------
+
+def validated(cage: Cage, message: str) -> Cage:
+    """The cage itself once validate() passes; otherwise CageValidationError
+    with the message and the failed report."""
+    report = cage.validate()
+    if not report.valid:
+        raise CageValidationError(message, report)
+    return cage
+
 
 def axis_cage(field: FieldDescriptor, points: Sequence[Sequence]) -> Cage:
     """Axis-aligned cage through a grid of affine points.
@@ -341,11 +343,7 @@ def axis_cage(field: FieldDescriptor, points: Sequence[Sequence]) -> Cage:
             coeffs[n] = -values[j][i]
             forms.append(LinearForm(field, coeffs))
         groups.append(forms)
-    cage = Cage(field, groups)
-    report = cage.validate()
-    if not report.valid:
-        raise CageValidationError("axis cage failed validation", report)
-    return cage
+    return validated(Cage(field, groups), "axis cage failed validation")
 
 
 def random_cage(seed: int, d: int, n: int,

@@ -152,7 +152,14 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+# past stabilization a table entry costs no rank; only this bounds the table
+MAX_HILBERT_DEGREE = 1024
+
+
 def _cmd_hilbert(args) -> int:
+    if not 0 <= args.max_k <= MAX_HILBERT_DEGREE:
+        raise SchemaError("--max-k", f"degree {args.max_k} outside "
+                          f"[0, {MAX_HILBERT_DEGREE}]")
     cage = _validated_cage(args.cage)
     if args.selection == "all":
         points = cage.nodes()
@@ -322,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="Hilbert function table of node sets")
     p.add_argument("--cage", required=True)
-    p.add_argument("--max-k", type=int, required=True)
+    p.add_argument("--max-k", type=int, required=True,
+                   help="largest degree of the table, from 0 to "
+                        f"{MAX_HILBERT_DEGREE}")
     p.add_argument("--selection", choices=("all", "simplicial", "supra"),
                    default="all")
     add_common(p)
@@ -380,16 +389,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except CageKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CageKitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

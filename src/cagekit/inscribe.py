@@ -84,15 +84,6 @@ class LambdaMatrix:
     def polynomials(self) -> tuple[HomogPoly, ...]:
         return tuple(self.cage.pencil(row) for row in self.rows)
 
-    def values_at(self, point) -> Vector:
-        """Value of each pencil at a point, from the cage's factors: row r
-        gives sum over j of lambda_{r,j} * prod over i of L_{j,i}(point)."""
-        field = self.cage.field
-        products = [prod((form.evaluate(point) for form in forms),
-                         start=field.one()) for forms in self.cage.groups]
-        return tuple(sum((lam * f for lam, f in zip(row, products)),
-                         field.zero()) for row in self.rows)
-
     def row_span(self) -> SubspaceBasis:
         return SubspaceBasis(self.cage.n, self.rows)
 

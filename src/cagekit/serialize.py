@@ -234,6 +234,7 @@ def variety_from_json(obj, path: str = "$") -> LambdaMatrix:
         rows.append(tuple(scalar_from_json(cage.field, c, f"{rpath}[{k}]")
                           for k, c in enumerate(row)))
     s = obj.get("s", len(rows))
+    _expect(_is_int(s), f"{path}.s", "s must be an integer")
     _expect(s == len(rows), f"{path}.s",
             f"s={s} but {len(rows)} rows present")
     return LambdaMatrix(cage, tuple(rows))

@@ -41,9 +41,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def merged_with(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(self.subject, self.checks + other.checks)
-
 
 # -- evaluation matrices and Hilbert functions -------------------------------
 
@@ -94,6 +91,17 @@ def evaluation_matrix(points, degree: int, field: FieldDescriptor = None,
     return EvalMatrix(Matrix(field, rows), degree, indices)
 
 
+def _distinct_points(points, field: Optional[FieldDescriptor]):
+    """Canonical coordinates of a point list and their field; duplicates,
+    projectively equal representatives included, raise ValueError."""
+    raw = _point_tuples(points)
+    field = _infer_field(raw, field) if raw else field
+    pts = [canonical_point(tuple(field.coerce(c) for c in p)) for p in raw]
+    if len(set(pts)) != len(pts):
+        raise ValueError("duplicate points in Hilbert function input")
+    return pts, field
+
+
 def _separating_form(field: FieldDescriptor,
                      points: Sequence[tuple[FieldElement, ...]]):
     """A linear form vanishing at none of the points.
@@ -124,11 +132,7 @@ def hilbert_table(points, k_max: int,
     explicitly, which makes the shortcut a certificate rather than an
     assumption.
     """
-    raw = _point_tuples(points)
-    field = _infer_field(raw, field) if raw else field
-    pts = [canonical_point(tuple(field.coerce(c) for c in p)) for p in raw]
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate points in Hilbert function input")
+    pts, field = _distinct_points(points, field)
     count = len(pts)
     values = []
     stabilized = False
@@ -148,10 +152,17 @@ def hilbert_table(points, k_max: int,
 
 
 def hilbert_function(points, k: int, field: FieldDescriptor = None) -> int:
-    """Rank of the degree-k evaluation matrix of a duplicate-free point set."""
+    """Rank of the degree-k evaluation matrix of a duplicate-free point set.
+
+    One value is one rank; hilbert_table gives whole tables and certifies
+    degrees past stabilization without computing their ranks.
+    """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    return hilbert_table(points, k, field=field)[k]
+    pts, field = _distinct_points(points, field)
+    if not pts:
+        return 0
+    return rank(evaluation_matrix(pts, k, field=field).matrix)
 
 
 # -- interpolation and rigidity ----------------------------------------------
@@ -247,39 +258,37 @@ def _supra_from_ranks(cage: Cage, ev: EvalMatrix):
     )
 
 
-def _simplicial_rank(cage: Cage):
+def _simplicial_checks(cage: Cage) -> tuple[CheckResult, ...]:
+    """The minimality check and the two rigidity checks, in that order, from
+    one evaluation matrix of the simplicial nodes in degree d-1 and its
+    rank."""
     simp = simplicial_indices(cage.d, cage.n)
-    pts = cage.nodes_for(simp)
-    ev = evaluation_matrix(pts, cage.d - 1, indices=simp.indices)
-    return simp, ev, rank(ev.matrix)
+    ev = evaluation_matrix(cage.nodes_for(simp), cage.d - 1,
+                           indices=simp.indices)
+    r, cols = rank(ev.matrix), ev.matrix.cols
+    square = len(simp) == cols
+    return (
+        CheckResult("simplicial-lower-degree-kernel-trivial", r == cols,
+                    {"rank": r, "columns": cols,
+                     "selection-size": len(simp)}),
+        CheckResult("simplicial-matrix-square", square,
+                    {"selection-size": len(simp), "columns": cols}),
+        CheckResult("simplicial-matrix-invertible", square and r == cols,
+                    {"rank": r, "size": cols}),
+    )
 
 
 def verify_degree_minimality(cage: Cage) -> VerificationReport:
     """No nonzero form of degree d-1 passes through the simplicial nodes."""
     cage.validate()
-    simp, ev, r = _simplicial_rank(cage)
-    trivial = r == ev.matrix.cols
-    return VerificationReport(cage.summary(), (CheckResult(
-        "simplicial-lower-degree-kernel-trivial", trivial,
-        {"rank": r, "columns": ev.matrix.cols,
-         "selection-size": len(simp)}),))
+    return VerificationReport(cage.summary(), _simplicial_checks(cage)[:1])
 
 
 def verify_simplicial_rigidity(cage: Cage) -> VerificationReport:
     """The simplicial nodes of a size-(k+1) cage rigidly pin degree-k forms:
     the square evaluation matrix in degree k = d-1 is invertible."""
     cage.validate()
-    simp, ev, r = _simplicial_rank(cage)
-    square = len(simp) == ev.matrix.cols
-    checks = (
-        CheckResult("simplicial-matrix-square", square,
-                     {"selection-size": len(simp),
-                      "columns": ev.matrix.cols}),
-        CheckResult("simplicial-matrix-invertible",
-                     square and r == ev.matrix.cols,
-                     {"rank": r, "size": ev.matrix.cols}),
-    )
-    return VerificationReport(cage.summary(), checks)
+    return VerificationReport(cage.summary(), _simplicial_checks(cage)[1:])
 
 
 # -- slicing and Cayley-Bacharach --------------------------------------------
@@ -316,13 +325,27 @@ def fubini_slice_check(cage: Cage,
         {"k-max": k_max, "mismatches": mismatches}),))
 
 
-def _partition_indices(cage: Cage, partition):
+def _split(partition, points: dict, what: str):
+    """The two parts of a bipartition of the points' keys, as point lists."""
     part1 = tuple(tuple(i) for i in partition[0])
     part2 = tuple(tuple(i) for i in partition[1])
-    everything = set(all_indices(cage.d, cage.n))
-    if set(part1) | set(part2) != everything or set(part1) & set(part2):
-        raise ValueError("partition must split the index grid exactly")
-    return part1, part2
+    if set(part1) | set(part2) != set(points) or set(part1) & set(part2):
+        raise ValueError(f"partition must split the {what} exactly")
+    return [points[i] for i in part1], [points[i] for i in part2]
+
+
+def _cayley_bacharach(points: dict, partition, k: int, socle: int,
+                      what: str, field: FieldDescriptor):
+    """Both sides of the splitting identity for a bipartition X = X1 + X2
+    of the points: h_X(k) - h_X1(k) and |X2| - h_X2(socle-k), with the
+    part sizes."""
+    if not 0 <= k <= socle:
+        raise ValueError(f"degree {k} outside [0, {socle}]")
+    x1, x2 = _split(partition, points, what)
+    h_x = hilbert_function(list(points.values()), k, field=field)
+    h_x1 = hilbert_function(x1, k, field=field)
+    h_x2 = hilbert_function(x2, socle - k, field=field)
+    return h_x - h_x1, len(x2) - h_x2, [len(x1), len(x2)]
 
 
 def cayley_bacharach_check(cage: Cage, partition, k: int) -> VerificationReport:
@@ -337,20 +360,12 @@ def cayley_bacharach_check(cage: Cage, partition, k: int) -> VerificationReport:
     if cage.n != 2:
         raise ValueError("this identity is implemented for plane cages only")
     socle = 2 * cage.d - 3
-    if not 0 <= k <= socle:
-        raise ValueError(f"degree {k} outside [0, {socle}]")
-    part1, part2 = _partition_indices(cage, partition)
-    x1 = [cage.node(i) for i in part1]
-    x2 = [cage.node(i) for i in part2]
-    h_x = hilbert_function(cage.nodes(), k)
-    h_x1 = hilbert_function(x1, k) if x1 else 0
-    h_x2 = hilbert_function(x2, socle - k) if x2 else 0
-    lhs = h_x - h_x1
-    rhs = len(x2) - h_x2
+    nodes = {nd.index: nd for nd in cage.nodes()}
+    lhs, rhs, split = _cayley_bacharach(nodes, partition, k, socle,
+                                        "index grid", cage.field)
     return VerificationReport(cage.summary(), (CheckResult(
         "cayley-bacharach", lhs == rhs,
-        {"k": k, "socle": socle, "lhs": lhs, "rhs": rhs,
-         "split": [len(x1), len(x2)]}),))
+        {"k": k, "socle": socle, "lhs": lhs, "rhs": rhs, "split": split}),))
 
 
 def transversal_points(field: FieldDescriptor, lines_a: Sequence[LinearForm],
@@ -381,24 +396,17 @@ def cayley_bacharach_pair(field: FieldDescriptor,
                           lines_b: Sequence[LinearForm],
                           partition, k: int) -> VerificationReport:
     """The same splitting identity on a complete intersection of two line
-    products of degrees d and e, socle degree d+e-3."""
+    products of degrees d and e, socle degree d+e-3.
+
+    cayley_bacharach_check shares the core rather than calling this: a
+    plane cage's nodes are already the validated intersections of its two
+    colors, and transversal_points would recompute them with d^2 kernels.
+    """
     d, e = len(lines_a), len(lines_b)
     socle = d + e - 3
-    if not 0 <= k <= socle:
-        raise ValueError(f"degree {k} outside [0, {socle}]")
     points = transversal_points(field, lines_a, lines_b)
-    part1 = [tuple(p) for p in partition[0]]
-    part2 = [tuple(p) for p in partition[1]]
-    if set(part1) | set(part2) != set(points) or set(part1) & set(part2):
-        raise ValueError("partition must split the intersection grid exactly")
-    x = list(points.values())
-    x1 = [points[p] for p in part1]
-    x2 = [points[p] for p in part2]
-    h_x = hilbert_function(x, k, field=field)
-    h_x1 = hilbert_function(x1, k, field=field) if x1 else 0
-    h_x2 = hilbert_function(x2, socle - k, field=field) if x2 else 0
-    lhs = h_x - h_x1
-    rhs = len(x2) - h_x2
+    lhs, rhs, _ = _cayley_bacharach(points, partition, k, socle,
+                                    "intersection grid", field)
     return VerificationReport(
         {"d": d, "e": e, "field": field.label},
         (CheckResult("cayley-bacharach-pair", lhs == rhs,
@@ -412,28 +420,29 @@ def smoothness_check(variety: LambdaMatrix,
     """The inscribed variety passes through every node smoothly: each
     defining pencil vanishes on all nodes and the Jacobian has rank exactly
     s everywhere on the node set.  A cage other than the variety's raises
-    ValueError."""
+    ValueError.
+
+    Vanishing needs no evaluation: nodes exist only after validation has
+    checked exactly that each node lies on the factor of every group product
+    its index names, so every group product, and every pencil combining
+    them, vanishes at every node.
+    """
     if cage is not None and cage is not variety.cage:
         raise ValueError("cage differs from the variety's cage")
     cage = variety.cage
     cage.validate()
     if rank(Matrix(cage.field, variety.rows)) != variety.s:
         raise ValueError("lambda rows are linearly dependent")
-    values = [variety.values_at(node.point) for node in cage.nodes()]
-    vanish_witness = None
-    for r, row in enumerate(variety.rows):
-        if any(not v[r].is_zero() for v in values):
-            vanish_witness = cage.pencil(row)
-            break
-    checks = [CheckResult("pencils-vanish-on-nodes", vanish_witness is None,
-                          {"s": variety.s, "node-count": len(cage.nodes())},
-                          vanish_witness)]
-    bad_nodes = [node.index for node in cage.nodes()
+    nodes = cage.nodes()
+    bad_nodes = [node.index for node in nodes
                  if rank(chart_jacobian(variety, node)) != variety.s]
-    checks.append(CheckResult(
-        "jacobian-rank-at-nodes", not bad_nodes,
-        {"expected-rank": variety.s, "singular-nodes": bad_nodes}))
-    return VerificationReport(cage.summary(), tuple(checks))
+    return VerificationReport(cage.summary(), (
+        CheckResult("pencils-vanish-on-nodes", True,
+                    {"s": variety.s, "node-count": len(nodes)}),
+        CheckResult("jacobian-rank-at-nodes", not bad_nodes,
+                    {"expected-rank": variety.s,
+                     "singular-nodes": bad_nodes}),
+    ))
 
 
 def complete_intersection_span_check(polys: Sequence[HomogPoly],
@@ -522,7 +531,8 @@ DEFAULT_SUITE = ("validation", "interpolation", "minimality")
 
 def run_suite(cage: Cage, checks: Sequence[str] = DEFAULT_SUITE
               ) -> VerificationReport:
-    """Run the named cage-level checks and merge their reports.
+    """Run the named cage-level checks and collect their results in order;
+    minimality and rigidity share one simplicial rank.
 
     "fubini" is opt-in: its Hilbert tables grow with the node count and the
     default suite stays fast on large cages.  A cage that fails validation
@@ -536,24 +546,22 @@ def run_suite(cage: Cage, checks: Sequence[str] = DEFAULT_SUITE
             {"node-count": gate.node_count,
              "failures": [f"{f.kind} at {f.index}" for f in gate.failures],
              "skipped": [c for c in checks if c != "validation"]}),))
-    report = VerificationReport(cage.summary(), ())
+    simplicial = None
+    out = []
     for name in checks:
         if name == "validation":
-            v = cage.validate()
-            report = report.merged_with(VerificationReport(
-                cage.summary(), (CheckResult(
-                    "validation", v.valid,
-                    {"node-count": v.node_count,
-                     "failures": [f"{f.kind} at {f.index}"
-                                  for f in v.failures]}),)))
+            out.append(CheckResult("validation", True,
+                                   {"node-count": gate.node_count,
+                                    "failures": []}))
         elif name == "interpolation":
-            report = report.merged_with(verify_supra_interpolation(cage))
-        elif name == "minimality":
-            report = report.merged_with(verify_degree_minimality(cage))
-        elif name == "rigidity":
-            report = report.merged_with(verify_simplicial_rigidity(cage))
+            out.extend(verify_supra_interpolation(cage).checks)
+        elif name in ("minimality", "rigidity"):
+            if simplicial is None:
+                simplicial = _simplicial_checks(cage)
+            out.extend(simplicial[:1] if name == "minimality"
+                       else simplicial[1:])
         elif name == "fubini":
-            report = report.merged_with(fubini_slice_check(cage))
+            out.extend(fubini_slice_check(cage).checks)
         else:
             raise ValueError(f"unknown check {name!r}")
-    return report
+    return VerificationReport(cage.summary(), tuple(out))

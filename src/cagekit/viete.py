@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cage import Cage, CageValidationError
+from .cage import Cage, validated
 from .field import FieldDescriptor, FieldElement
 from .poly import LinearForm
 
@@ -111,12 +111,8 @@ def coefficient_cage(config: Configuration) -> Cage:
     for j in range(config.n):
         groups.append([root_hyperplane(config.field, v, config.n)
                        for v in config.coordinate_values(j)])
-    cage = Cage(config.field, groups)
-    report = cage.validate()
-    if not report.valid:
-        raise CageValidationError(
-            "coefficient cage failed validation", report)
-    return cage
+    return validated(Cage(config.field, groups),
+                     "coefficient cage failed validation")
 
 
 def node_matches_roots(cage: Cage, config: Configuration,

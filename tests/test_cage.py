@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from cagekit import (Cage, FieldDescriptor, LinearForm, Matrix,
-                     MustValidateError, ShapeError, all_indices, axis_cage,
-                     canonical_point, norm, random_cage, simplicial_indices,
-                     supra_simplicial_indices)
+from cagekit import (Cage, CageValidationError, FieldDescriptor, LinearForm,
+                     Matrix, MustValidateError, ShapeError, all_indices,
+                     axis_cage, canonical_point, norm, random_cage,
+                     simplicial_indices, supra_simplicial_indices)
+from cagekit.cage import validated
 
 
 Q = FieldDescriptor.rationals()
@@ -198,6 +199,18 @@ def test_transform_singular_rejected():
         cage.transform(Matrix(Q, [[1, 0, 0], [2, 0, 0], [0, 0, 1]]))
     with pytest.raises(ShapeError):
         cage.transform(Matrix.identity(Q, 2))
+
+
+def test_validated_raises_with_the_report():
+    cage = unit_square()
+    assert validated(cage, "unused") is cage
+    bad = Cage(Q, [[line(1, 0, 0), line(1, 0, 0)],
+                   [line(0, 1, 0), line(0, 1, -1)]])
+    with pytest.raises(CageValidationError,
+                       match="^probe failed validation$") as exc:
+        validated(bad, "probe failed validation")
+    assert exc.value.report is bad.validate()
+    assert exc.value.report.failures
 
 
 def test_random_cage_deterministic():

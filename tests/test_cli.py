@@ -10,7 +10,7 @@ import pytest
 
 import cagekit
 from cagekit.cage import axis_cage
-from cagekit.cli import MAX_GRID_POINTS, main
+from cagekit.cli import MAX_GRID_POINTS, MAX_HILBERT_DEGREE, main
 from cagekit.field import FieldDescriptor
 from cagekit.serialize import cage_to_json, configuration_to_json
 from cagekit.viete import Configuration
@@ -128,6 +128,21 @@ def test_hilbert_table(tmp_path):
     code, blob = run(tmp_path, "hilbert", "--cage", str(cage_path),
                      "--max-k", "3", "--selection", "simplicial")
     assert code == 0 and blob["points"] == 6
+
+
+def test_hilbert_degree_bounds(tmp_path, square_cage, capsys):
+    out = tmp_path / "table.json"
+    for bad in ("-3", str(MAX_HILBERT_DEGREE + 1)):
+        assert main(["hilbert", "--cage", square_cage, "--max-k", bad,
+                     "-o", str(out)]) == 2
+        assert "--max-k" in capsys.readouterr().err
+        assert not out.exists()
+    # the largest admissible table is mostly certified tail
+    code, blob = run(tmp_path, "hilbert", "--cage", square_cage,
+                     "--max-k", str(MAX_HILBERT_DEGREE))
+    assert code == 0
+    assert blob["h"][:3] == [1, 3, 4] and len(blob["h"]) == \
+        MAX_HILBERT_DEGREE + 1 and blob["h"][-1] == 4
 
 
 # -- inscription ------------------------------------------------------------------

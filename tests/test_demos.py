@@ -1,9 +1,11 @@
 """The bundled demos must certify every claim they make."""
 
+import dataclasses
 import json
 
 import pytest
 
+from cagekit import demos
 from cagekit.demos import (
     DEMO_NAMES,
     build_demo,
@@ -55,6 +57,32 @@ def test_cube_elliptic_extras():
                   if c.name == "eighth-vertex-automatic")
     assert eighth.details["kernel-dim"] == 3
     assert eighth.details["missing"] == [(2, 2, 2)]
+
+
+def test_span_proof_reuses_the_documented_lambda(monkeypatch):
+    # a target equal to its pencil is in the group span by construction;
+    # only a failed equality runs the full span check
+    calls = []
+    original = demos.complete_intersection_span_check
+
+    def counted(polys, cage):
+        calls.append(polys)
+        return original(polys, cage)
+
+    monkeypatch.setattr(demos, "complete_intersection_span_check", counted)
+    assert run_demo("fermat-conic").passed and calls == []
+
+    def wrong_lambda():
+        spec = demos.demo_fermat_conic()
+        label, target, lam = spec.targets[0]
+        return dataclasses.replace(
+            spec, targets=((label, target, (lam[0], lam[1] * 2)),))
+
+    monkeypatch.setitem(demos.DEMO_BUILDERS, "fermat-conic", wrong_lambda)
+    checks = {c.name: c for c in run_demo("fermat-conic").checks}
+    assert len(calls) == 1
+    assert not checks["target-fermat-conic-from-documented-lambda"].passed
+    assert checks["target-fermat-conic-in-group-span"].passed
 
 
 def test_demo_specs_expose_cages():

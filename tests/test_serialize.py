@@ -196,6 +196,15 @@ def test_poly_rejects_booleans():
         with pytest.raises(SchemaError) as exc:
             cage_from_json(obj)
         assert exc.value.path == f"$.{key}"
+    # and a variety's s, where True and 1.0 both equal a count of one row
+    cage = axis_cage(F, [(0, 0), (1, 1)])
+    node = cage.node((1, 1))
+    blob = rebuilt(variety_to_json(
+        inscribe_with_tangent(cage, node, make_tangent(node, [(1, 2)]))))
+    for s in (True, 1.0):
+        with pytest.raises(SchemaError) as exc:
+            variety_from_json(dict(blob, s=s))
+        assert exc.value.path == "$.s"
 
 
 # -- varieties and tangents -------------------------------------------------------

@@ -12,7 +12,8 @@ from cagekit import (FieldDescriptor, HomogPoly, LambdaMatrix, LinearForm,
                      cayley_bacharach_pair, complete_intersection_span_check,
                      evaluation_matrix, fubini_slice_check, group_span,
                      hilbert_function, hilbert_table,
-                     independence_counterexample, random_cage, rank,
+                     independence_counterexample, inscribe_with_tangent,
+                     make_tangent, random_cage, rank,
                      run_suite, simplicial_indices, smoothness_check,
                      supra_simplicial_indices, transversal_points,
                      verify_degree_minimality, verify_simplicial_rigidity,
@@ -126,6 +127,20 @@ def test_hilbert_duplicate_points_rejected():
 def test_hilbert_negative_degree():
     with pytest.raises(ValueError):
         hilbert_function(unit_square().nodes(), -1)
+
+
+def test_hilbert_function_is_one_table_entry():
+    # one rank per value; the table certifies its stabilized tail instead
+    rng = random.Random(71)
+    for d, n in ((2, 2), (3, 2), (2, 3), (4, 2)):
+        nodes = list(random_cage(rng.randrange(10 ** 6), d, n).nodes())
+        subset = rng.sample(nodes, rng.randint(1, len(nodes)))
+        k_max = len(subset) + 1
+        table = hilbert_table(subset, k_max)
+        assert [hilbert_function(subset, k) for k in range(k_max + 1)] \
+            == list(table)
+    assert hilbert_function([], 3) == 0
+    assert hilbert_function([], 3, field=Q) == 0
 
 
 # -- main interpolation and rigidity checks ------------------------------------
@@ -280,6 +295,23 @@ def test_cayley_bacharach_range_and_shape_errors():
         cayley_bacharach_check(solid, solid_part, 0)
 
 
+def test_cayley_bacharach_pair_matches_cage_check():
+    # the cage check shares the pair's core on the cage's own nodes
+    rng = random.Random(73)
+    for d in (2, 3, 4, 3):
+        cage = random_cage(rng.randrange(10 ** 6), d, 2)
+        indices = [nd.index for nd in cage.nodes()]
+        chosen = set(rng.sample(indices, rng.randint(0, len(indices))))
+        part = ([i for i in indices if i in chosen],
+                [i for i in indices if i not in chosen])
+        for k in range(2 * d - 2):
+            c = cayley_bacharach_check(cage, part, k).checks[0].details
+            p = cayley_bacharach_pair(Q, *cage.groups, part, k).checks[0]
+            assert p.passed
+            assert (p.details["lhs"], p.details["rhs"], p.details["socle"]) \
+                == (c["lhs"], c["rhs"], c["socle"])
+
+
 def test_cayley_bacharach_pair_mixed_degrees():
     lines_a = [LinearForm(Q, [1, 0, 0]), LinearForm(Q, [1, 0, -1])]
     lines_b = [LinearForm(Q, [0, 1, 0]), LinearForm(Q, [0, 1, -1]),
@@ -327,6 +359,32 @@ def test_smoothness_dependent_rows_rejected():
         smoothness_check(variety)
 
 
+def test_smoothness_vanishing_matches_evaluation():
+    # the check reads vanishing off validation; the oracle evaluates every
+    # expanded pencil at every node
+    rng = random.Random(79)
+    varieties = []
+    for d, n in ((2, 2), (3, 2), (2, 3), (3, 3)):
+        cage = random_cage(rng.randrange(10 ** 6), d, n)
+        node = rng.choice(cage.nodes())
+        dim = rng.randint(1, n - 1)
+        while True:
+            vecs = [[rng.randint(-3, 3) for _ in range(n)]
+                    for _ in range(dim)]
+            if rank(Matrix(Q, vecs)) == dim:
+                break
+        varieties.append(
+            inscribe_with_tangent(cage, node, make_tangent(node, vecs)))
+        row = [Q.from_rational(rng.randint(1, 5)) for _ in range(n)]
+        varieties.append(LambdaMatrix(cage, [row]))
+    for variety in varieties:
+        for poly in variety.polynomials():
+            for node in variety.cage.nodes():
+                assert poly.evaluate(node.point).is_zero()
+        report = smoothness_check(variety)
+        assert check_by_name(report, "pencils-vanish-on-nodes").passed
+
+
 def test_span_check_accepts_group_sum():
     cage = unit_square()
     target = cage.group_polynomial(0) + cage.group_polynomial(1)
@@ -371,6 +429,27 @@ def test_run_suite_default_and_full():
                             "rigidity", "fubini"))
     assert full.passed
     assert len(full.checks) > len(run_suite(cage).checks)
+
+
+def test_run_suite_shares_one_simplicial_rank(monkeypatch):
+    cage = random_cage(83, 3, 2)
+    minimality = verify_degree_minimality(cage).checks
+    rigidity = verify_simplicial_rigidity(cage).checks
+    calls = []
+    original = verify.evaluation_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "evaluation_matrix", counted)
+    report = run_suite(cage, ("minimality", "rigidity"))
+    assert calls == [cage.d - 1]
+    assert report.checks == minimality + rigidity
+    calls.clear()
+    report = run_suite(cage, ("rigidity", "validation", "minimality"))
+    assert calls == [cage.d - 1]
+    assert report.checks[:2] == rigidity and report.checks[3:] == minimality
 
 
 def test_run_suite_unknown_check():
