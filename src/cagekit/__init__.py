@@ -22,8 +22,8 @@ from .inscribe import (LambdaMatrix, TangentSubspace, chart_of,
                        tangent_at_node, transport_tangent)
 from .linalg import (Matrix, SubspaceBasis, in_span, invert, kernel_basis,
                      rank, solve, span_equal)
-from .poly import (HomogPoly, LinearForm, dehomogenize, homogenize,
-                   jacobian_at, monomial_basis, product_of_linear_forms)
+from .poly import (HomogPoly, LinearForm, monomial_basis,
+                   product_of_linear_forms)
 from .verify import (CheckResult, EvalMatrix, VerificationReport,
                      cayley_bacharach_check, cayley_bacharach_pair,
                      complete_intersection_span_check, evaluation_matrix,

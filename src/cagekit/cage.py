@@ -27,6 +27,9 @@ from .poly import HomogPoly, LinearForm, product_of_linear_forms
 
 Index = tuple[int, ...]
 
+# validation costs one n x (n+1) kernel per node, so the node count is bounded
+MAX_NODES = 4096
+
 
 def norm(index: Index) -> int:
     return sum(index)
@@ -35,6 +38,18 @@ def norm(index: Index) -> int:
 def all_indices(d: int, n: int) -> tuple[Index, ...]:
     """Every multi-index in [1,d]^n, lexicographic."""
     return tuple(itertools.product(range(1, d + 1), repeat=n))
+
+
+def _check_size(d: int, n: int) -> None:
+    """Raise ShapeError when max(d, 2)^n exceeds MAX_NODES, so a huge n is
+    refused for d = 1 too; the loop stops past the limit, before any huge
+    power is formed."""
+    count = 1
+    for _ in range(n):
+        count *= max(d, 2)
+        if count > MAX_NODES:
+            raise ShapeError(f"a cage with d={d}, n={n} exceeds the limit "
+                             f"of {MAX_NODES} nodes (max(d, 2)^n)")
 
 
 @dataclass(frozen=True)
@@ -129,6 +144,7 @@ class Cage:
         d = len(groups[0])
         if any(len(g) != d for g in groups):
             raise ShapeError("all color groups must have the same size")
+        _check_size(d, n)
         for g in groups:
             for form in g:
                 if form.field != field:
@@ -153,6 +169,10 @@ class Cage:
 
         The report lists one failure per offending index tuple; nodes become
         available only after a fully clean run.
+
+        The incidence loop evaluates only the n(d-1) forms that do not
+        index a node: the node is a kernel vector of the n forms that do,
+        and kernel_basis has already checked that they vanish there.
         """
         if self._report is not None:
             return self._report
@@ -180,8 +200,8 @@ class Cage:
         for node in nodes:
             for j in range(self.n):
                 for i, form in enumerate(self.groups[j], start=1):
-                    value = form.evaluate(node.point)
-                    if value.is_zero() != (i == node.index[j]):
+                    if (i != node.index[j]
+                            and form.evaluate(node.point).is_zero()):
                         failures.append(ValidationFailure(
                             "incidence", node.index,
                             f"color {j + 1} hyperplane {i}: "
@@ -193,9 +213,6 @@ class Cage:
             self._nodes = tuple(nodes)
             self._node_by_index = {nd.index: nd for nd in nodes}
         return report
-
-    def is_validated(self) -> bool:
-        return self._report is not None and self._report.valid
 
     def _require_valid(self):
         if self._report is None:
@@ -283,15 +300,9 @@ class Cage:
             ginv = invert(g)
         except ValueError:
             raise ValueError("transform matrix is singular") from None
-        cols = ginv.transpose().entries
-        new_groups = []
-        for g_forms in self.groups:
-            forms = []
-            for form in g_forms:
-                coeffs = [sum((c * e for c, e in zip(form.coeffs, col)),
-                              self.field.zero()) for col in cols]
-                forms.append(LinearForm(self.field, coeffs))
-            new_groups.append(forms)
+        dual = ginv.transpose()         # forms move by the inverse transpose
+        new_groups = [[LinearForm(self.field, dual.matvec(form.coeffs))
+                       for form in g_forms] for g_forms in self.groups]
         return validated(Cage(self.field, new_groups),
                          "transformed cage failed validation")
 
@@ -355,6 +366,7 @@ def random_cage(seed: int, d: int, n: int,
     records how many attempts were used.  The same seed always yields the
     same cage.
     """
+    _check_size(d, n)
     if field is None:
         field = FieldDescriptor.rationals()
     rng = random.Random(seed)

@@ -14,6 +14,8 @@ Exit status: 0 when every requested check passes, 1 when some check fails,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 import time
@@ -42,18 +44,16 @@ def _load_json(path: str):
                           f"malformed JSON: {exc.msg}") from exc
 
 
-def _write_output(args, payload: str):
+def _output(args):
+    """The -o file opened for writing, or stdout, which stays open."""
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-            if not payload.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(payload)
+        return open(args.output, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _emit_json(args, obj) -> None:
-    _write_output(args, json.dumps(obj, indent=2))
+    with _output(args) as out:
+        out.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _load_cage(path: str) -> Cage:
@@ -233,7 +233,7 @@ def _cmd_demo(args) -> int:
     return 0 if report.passed else 1
 
 
-# sample-grid buffers one CSV line per point before writing
+# sample-grid streams its rows; this bounds its run time, not its memory
 MAX_GRID_POINTS = 64 ** 3
 
 
@@ -263,24 +263,22 @@ def _cmd_sample_grid(args) -> int:
         step = (hi - lo) / (args.resolution - 1)
         axes.append([lo + step * i for i in range(args.resolution)])
     one = field.one()
-    lines = ["x,y,z,value"]
-    for x in axes[0]:
-        for y in axes[1]:
-            for z in axes[2]:
-                point = [field.from_rational(x), field.from_rational(y),
-                         field.from_rational(z), one]
-                if len(polys) == 1:
-                    value = polys[0].evaluate(point).as_fraction()
-                else:
-                    acc = Fraction(0)
-                    for p in polys:
-                        v = p.evaluate(point).as_fraction()
-                        acc += v * v
-                    value = acc
-                # decimal rendering below is the only non-exact step
-                lines.append(f"{float(x)!r},{float(y)!r},{float(z)!r},"
-                             f"{float(value)!r}")
-    _write_output(args, "\n".join(lines))
+    with _output(args) as out:
+        out.write("x,y,z,value\n")
+        for x, y, z in itertools.product(*axes):
+            point = [field.from_rational(x), field.from_rational(y),
+                     field.from_rational(z), one]
+            if len(polys) == 1:
+                value = polys[0].evaluate(point).as_fraction()
+            else:
+                acc = Fraction(0)
+                for p in polys:
+                    v = p.evaluate(point).as_fraction()
+                    acc += v * v
+                value = acc
+            # decimal rendering below is the only non-exact step
+            out.write(f"{float(x)!r},{float(y)!r},{float(z)!r},"
+                      f"{float(value)!r}\n")
     return 0
 
 

@@ -122,9 +122,9 @@ def chart_jacobian(variety: LambdaMatrix, node: Node) -> Matrix:
 
     Its rank is the rank of the full s x (n+1) Jacobian, so full rank s
     certifies smoothness at the node.  Every group product F_j vanishes at
-    the node p, as validation certifies through the incidence check (and
-    node_differentials checks again: it returns only when one factor of
-    each product vanishes).  Euler's identity sum_i p_i dF_j/dx_i(p) =
+    the node p, as validation certifies: p is a checked kernel vector of
+    the n forms its index names (and node_differentials checks again: it
+    returns only when one factor of each product vanishes).  Euler's identity sum_i p_i dF_j/dx_i(p) =
     d F_j(p) = 0 and p[chart] = 1, the canonical point's trailing 1, then
     make the chart column of the full Jacobian equal to -sum over
     i != chart of p_i times column i, so dropping it loses no rank.
@@ -162,20 +162,12 @@ def inscribe_with_tangent(cage: Cage, node: Node,
     return LambdaMatrix(cage, kernel.vectors)
 
 
-def tangent_at_node(variety: LambdaMatrix, cage, node: Node = None
-                    ) -> TangentSubspace:
+def tangent_at_node(variety: LambdaMatrix, node: Node) -> TangentSubspace:
     """Tangent space of the inscribed variety at any node of its cage.
 
-    The cage argument may be omitted (it is carried by the variety), so both
-    tangent_at_node(v, q) and tangent_at_node(v, c, q) work; a cage other
-    than the variety's raises ValueError.  The tangent space is the kernel
-    of the chart-local Jacobian, which must have full rank s, matching
-    smoothness of the variety at the node.
+    The tangent space is the kernel of the chart-local Jacobian, which must
+    have full rank s, matching smoothness of the variety at the node.
     """
-    if node is None:
-        node = cage
-    elif cage is not variety.cage:
-        raise ValueError("cage differs from the variety's cage")
     jac = chart_jacobian(variety, node)
     kernel = kernel_basis(jac)
     if jac.cols - kernel.dim != variety.s:

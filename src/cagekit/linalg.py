@@ -47,12 +47,6 @@ class Matrix:
         return cls(field, [[one if i == j else zero for j in range(n)]
                            for i in range(n)])
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field,
                       [[self.entries[i][j] for i in range(self.rows)]
@@ -70,14 +64,6 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ShapeError("matmul: inner dimensions differ")
-        cols = other.transpose().entries
-        return Matrix(self.field,
-                      [[_dot(self.field, r, c) for c in cols]
-                       for r in self.entries])
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -88,14 +74,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field.label})"
-
-
-def _dot(field, u, v):
-    acc = field.zero()
-    for a, b in zip(u, v):
-        if not a.is_zero() and not b.is_zero():
-            acc = acc + a * b
-    return acc
 
 
 @dataclass(frozen=True)

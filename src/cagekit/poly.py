@@ -14,7 +14,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidPointError, ShapeError
 from .field import FieldDescriptor, FieldElement
-from .linalg import Matrix
 
 Monomial = tuple[int, ...]
 
@@ -191,22 +190,6 @@ class HomogPoly:
             acc = acc + coeff * val
         return acc
 
-    def partial(self, var: int) -> "HomogPoly":
-        """Formal partial derivative in variable `var`, degree drops by one."""
-        if not 0 <= var < self.num_vars:
-            raise ShapeError(f"no variable {var}")
-        if self.degree == 0:
-            raise ValueError("cannot differentiate a constant below degree 0")
-        terms: dict[Monomial, FieldElement] = {}
-        for exp, coeff in self.terms.items():
-            e = exp[var]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[var] = e - 1
-            terms[tuple(new)] = coeff * e
-        return HomogPoly(self.field, self.num_vars, self.degree - 1, terms)
-
     def __eq__(self, other):
         if not isinstance(other, HomogPoly):
             return NotImplemented
@@ -254,58 +237,3 @@ def product_of_linear_forms(forms: Sequence[LinearForm]) -> HomogPoly:
         result = result * f.to_poly()
     return result
 
-
-def jacobian_at(polys: Sequence[HomogPoly],
-                point: Sequence[FieldElement]) -> Matrix:
-    """Rows are gradients of the given polynomials at the point."""
-    if not polys:
-        raise ValueError("jacobian of an empty system")
-    field = polys[0].field
-    rows = []
-    for p in polys:
-        rows.append([p.partial(i).evaluate(point) if p.degree >= 1
-                     else field.zero()
-                     for i in range(p.num_vars)])
-    return Matrix(field, rows)
-
-
-def homogenize(field: FieldDescriptor, num_affine_vars: int, degree: int,
-               affine_terms: Mapping[tuple[int, ...], object]) -> HomogPoly:
-    """Lift an affine polynomial to a homogeneous one of the given degree.
-
-    Affine exponent tuples have num_affine_vars entries; the homogenizing
-    variable is appended last and absorbs the degree deficit.  A term of
-    degree above `degree` is an error.
-    """
-    terms: dict[Monomial, FieldElement] = {}
-    for exp, coeff in affine_terms.items():
-        exp = tuple(exp)
-        if len(exp) != num_affine_vars:
-            raise ShapeError("affine exponent arity mismatch")
-        total = sum(exp)
-        if total > degree:
-            raise ValueError(
-                f"affine term of degree {total} exceeds target degree {degree}")
-        full = exp + (degree - total,)
-        c = field.coerce(coeff)
-        if full in terms:
-            terms[full] = terms[full] + c
-        else:
-            terms[full] = c
-    return HomogPoly(field, num_affine_vars + 1, degree, terms)
-
-
-def dehomogenize(poly: HomogPoly, chart: int | None = None):
-    """Set one variable to 1 (default the last); returns an affine term map."""
-    if chart is None:
-        chart = poly.num_vars - 1
-    if not 0 <= chart < poly.num_vars:
-        raise ShapeError(f"no variable {chart}")
-    out: dict[tuple[int, ...], FieldElement] = {}
-    for exp, coeff in poly.terms.items():
-        affine = exp[:chart] + exp[chart + 1:]
-        if affine in out:
-            out[affine] = out[affine] + coeff
-        else:
-            out[affine] = coeff
-    return {e: c for e, c in out.items() if not c.is_zero()}

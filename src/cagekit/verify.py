@@ -46,11 +46,9 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class EvalMatrix:
-    """Evaluation of all degree-`degree` monomials at a fixed point list."""
+    """Evaluation of all monomials of one degree at a fixed point list."""
 
     matrix: Matrix
-    degree: int
-    indices: Optional[tuple] = None
 
 
 def _point_tuples(points) -> list[tuple[FieldElement, ...]]:
@@ -71,8 +69,8 @@ def _infer_field(pts, field) -> FieldDescriptor:
     raise ValueError("pass field= when points carry no field elements")
 
 
-def evaluation_matrix(points, degree: int, field: FieldDescriptor = None,
-                      indices=None) -> EvalMatrix:
+def evaluation_matrix(points, degree: int,
+                      field: FieldDescriptor = None) -> EvalMatrix:
     """Rows indexed by points, columns by monomial_basis(degree, arity).
 
     The field is read off the points themselves; the keyword exists for
@@ -88,7 +86,7 @@ def evaluation_matrix(points, degree: int, field: FieldDescriptor = None,
             raise ShapeError("points have inconsistent arity")
     basis = monomial_basis(degree, nv)
     rows = [monomial_values(field, pt, basis, degree) for pt in pts]
-    return EvalMatrix(Matrix(field, rows), degree, indices)
+    return EvalMatrix(Matrix(field, rows))
 
 
 def _distinct_points(points, field: Optional[FieldDescriptor]):
@@ -183,21 +181,27 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
     products, and every kernel element vanishes on all d^n nodes, not just
     the selected ones.
 
-    Three certified facts prove all four.  Validation computes each node as
-    an exactly checked kernel vector of the n forms its index names, so the
-    node lies on one factor of every group product, and every group product
-    vanishes on all d^n nodes.  Hence the span of the products lies in the
-    kernel of the supra evaluation matrix.  If that matrix has rank |supra|
-    and columns - |supra| = n, the kernel has dimension n; if the n product
-    coefficient vectors have rank n, the span has dimension n too.  A
-    subspace of equal dimension is the whole space, so kernel and span
-    coincide and the kernel vanishes on all nodes.  When any of the three
-    facts fails, the exact path computes the kernel and finds witnesses.
+    One certified rank proves all four on a validated cage.  Validation
+    computes each node as an exactly checked kernel vector of the n forms
+    its index names, so the node lies on one factor of every group product,
+    and every group product vanishes on all d^n nodes.  Hence the span of
+    the products lies in the kernel of the supra evaluation matrix.  That
+    matrix has C(d+n, n) columns and |supra| = C(d+n, n) - n rows, which
+    supra_simplicial_indices checks; so if its rank is |supra|, the kernel
+    has dimension n.  The n products are independent on every valid cage:
+    if sum lambda_j F_j = 0 with lambda_k != 0, then F_k vanishes on the
+    line where L_{j,1} = 0 for all j != k, so some factor L_{k,i} contains
+    that line, and the tuple with i in position k and 1 elsewhere meets in
+    more than a point, which validation rules out.  So the span has
+    dimension n too.  A subspace of equal dimension is the whole space, so
+    kernel and span coincide and the kernel vanishes on all nodes.  When
+    the rank falls short, the exact path computes the kernel and finds
+    witnesses.
     """
     cage.validate()
     supra = supra_simplicial_indices(cage.d, cage.n)
     pts = cage.nodes_for(supra)
-    ev = evaluation_matrix(pts, cage.d, indices=supra.indices)
+    ev = evaluation_matrix(pts, cage.d)
     certified = _supra_from_ranks(cage, ev)
     if certified is not None:
         return VerificationReport(cage.summary(), certified)
@@ -240,11 +244,11 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
 
 
 def _supra_from_ranks(cage: Cage, ev: EvalMatrix):
-    """The four interpolation checks, all passed, from the three facts in
-    verify_supra_interpolation's docstring; None if one of them fails."""
+    """The four interpolation checks, all passed, from the full row rank of
+    the supra evaluation matrix and the argument in
+    verify_supra_interpolation's docstring; None if the rank falls short."""
     size, cols, n = ev.matrix.rows, ev.matrix.cols, cage.n
-    if (cols - size != n or rank(ev.matrix) != size
-            or rank(Matrix(cage.field, group_span(cage).vectors)) != n):
+    if rank(ev.matrix) != size:
         return None
     return (
         CheckResult("supra-evaluation-rank", True,
@@ -263,8 +267,7 @@ def _simplicial_checks(cage: Cage) -> tuple[CheckResult, ...]:
     one evaluation matrix of the simplicial nodes in degree d-1 and its
     rank."""
     simp = simplicial_indices(cage.d, cage.n)
-    ev = evaluation_matrix(cage.nodes_for(simp), cage.d - 1,
-                           indices=simp.indices)
+    ev = evaluation_matrix(cage.nodes_for(simp), cage.d - 1)
     r, cols = rank(ev.matrix), ev.matrix.cols
     square = len(simp) == cols
     return (

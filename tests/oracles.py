@@ -135,3 +135,34 @@ def elementary_symmetric(values, k):
             term = term * v
         total = total + term
     return total
+
+
+def gradient(terms, point):
+    """Gradient at the point of sum(c * x^e) over an exponent-tuple ->
+    coefficient map, by the power rule; generic in the value type."""
+    grad = []
+    for var in range(len(point)):
+        acc = 0
+        for exp, c in terms.items():
+            if exp[var] == 0:
+                continue
+            term = c * exp[var]
+            for i, (x, e) in enumerate(zip(point, exp)):
+                term = term * x ** (e - 1 if i == var else e)
+            acc = acc + term
+        grad.append(acc)
+    return grad
+
+
+def grid_hilbert(d, n, k):
+    """The t^k coefficient of (1 - t^d)^n / (1 - t)^(n+1), on ints: the
+    Hilbert function of a complete intersection of n forms of degree d in
+    P^n, such as the d^n nodes of a cage."""
+    series = [1] + [0] * k
+    for _ in range(n):              # times (1 - t^d)
+        series = [c - (series[i - d] if i >= d else 0)
+                  for i, c in enumerate(series)]
+    for _ in range(n + 1):          # divided by (1 - t): partial sums
+        for i in range(1, k + 1):
+            series[i] += series[i - 1]
+    return series[k]

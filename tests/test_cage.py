@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from cagekit import (Cage, CageValidationError, FieldDescriptor, LinearForm,
-                     Matrix, MustValidateError, ShapeError, all_indices,
-                     axis_cage, canonical_point, norm, random_cage,
-                     simplicial_indices, supra_simplicial_indices)
+                     Matrix, MustValidateError, SchemaError, ShapeError,
+                     all_indices, axis_cage, canonical_point, norm,
+                     random_cage, simplicial_indices,
+                     supra_simplicial_indices)
 from cagekit.cage import validated
 
 
@@ -116,9 +117,13 @@ def test_group_polynomial_unit_square():
 
 
 def test_group_polynomials_independent():
-    from cagekit import rank
-    for seed in (1, 2, 3):
-        cage = random_cage(seed, 3, 2)
+    # validation implies independence (verify_supra_interpolation's
+    # docstring); the rank cross-checks that argument
+    from cagekit import build_demo, rank
+    cages = [random_cage(seed, d, n) for seed in (1, 2, 3)
+             for d, n in ((3, 2), (2, 3), (3, 3), (2, 4))]
+    cages.append(build_demo("fermat-cubic-surface").cage)
+    for cage in cages:
         vectors = [cage.group_polynomial(j).coefficient_vector()
                    for j in range(cage.n)]
         assert rank(Matrix(cage.field, vectors)) == cage.n
@@ -224,7 +229,7 @@ def test_random_cage_seeds_all_valid():
     attempts = []
     for seed in range(100):
         cage = random_cage(seed, 3, 3)
-        assert cage.is_validated()
+        assert cage.validate().valid
         assert len(cage.nodes()) == 27
         attempts.append(cage.attempts)
     assert max(attempts) >= 1
@@ -246,6 +251,25 @@ def test_cage_shape_errors():
         Cage(Q, [[line(1, 0, 0)], [line(0, 1, 0), line(0, 1, -1)]])
     with pytest.raises(ShapeError):
         Cage(Q, [[LinearForm(Q, [1, 0])], [LinearForm(Q, [0, 1])]])
+
+
+def test_cage_size_is_capped():
+    # max(d, 2)^n above MAX_NODES is refused before sampling or validation,
+    # d = 1 with a huge n included
+    from cagekit.cage import MAX_NODES, _check_size
+    from cagekit.serialize import cage_from_json
+    _check_size(2, 12)
+    _check_size(MAX_NODES, 1)
+    for d, n in ((40, 5), (MAX_NODES + 1, 1), (1, 13), (1, 10 ** 9)):
+        with pytest.raises(ShapeError, match=str(MAX_NODES)):
+            random_cage(1, d, n)
+    wide = [[line(1, -i) for i in range(MAX_NODES + 1)]]
+    with pytest.raises(ShapeError, match=str(MAX_NODES)):
+        Cage(Q, wide)
+    with pytest.raises(SchemaError, match=str(MAX_NODES)):
+        cage_from_json({"kind": "cage", "field": {"kind": "rationals"},
+                        "groups": [[["1", str(-i)]
+                                    for i in range(MAX_NODES + 1)]]})
 
 
 def test_summary():

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import cagekit
-from cagekit.cage import axis_cage
+from cagekit.cage import MAX_NODES, axis_cage
 from cagekit.cli import MAX_GRID_POINTS, MAX_HILBERT_DEGREE, main
 from cagekit.field import FieldDescriptor
 from cagekit.serialize import cage_to_json, configuration_to_json
@@ -80,6 +81,17 @@ def test_gen_random_is_deterministic(tmp_path):
 def test_gen_random_needs_its_flags(tmp_path, capsys):
     assert main(["gen", "--kind", "random", "--d", "2", "--n", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_random_refuses_oversized_cages(capsys):
+    # 40^5 nodes: refused at once with one line naming the limit
+    started = time.monotonic()
+    assert main(["gen", "--kind", "random", "--seed", "1", "--d", "40",
+                 "--n", "5"]) == 2
+    assert time.monotonic() - started < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(MAX_NODES) in err
 
 
 def test_gen_axis_and_viete(tmp_path, cube_config):
@@ -270,6 +282,38 @@ def test_sample_grid_csv(tmp_path, cube_config):
                  "--resolution", "1", "-o", str(tmp_path / "junk.csv")]) == 2
 
 
+SAMPLED_ROWS = {
+    # x-dependent only on this box; the two-row curve sums squared values
+    "curve": ("52.0", "0.8125"),
+    "surface": ("-10.0", "1.25"),
+}
+
+
+def test_sample_grid_text_is_pinned(tmp_path, cube_config, capsys):
+    # the same bytes on stdout and through -o, for one and two pencils
+    cage_path = tmp_path / "cube.json"
+    assert main(["gen", "--kind", "axis", "--points", cube_config,
+                 "-o", str(cage_path)]) == 0
+    for name, node, tangent in (("curve", "1,1,1", "1,2,3"),
+                                ("surface", "1,2,1", "1,2,3;0,1,-1")):
+        variety_path = tmp_path / f"{name}.json"
+        assert main(["inscribe", "--cage", str(cage_path), "--node", node,
+                     "--tangent", tangent, "-o", str(variety_path)]) == 0
+        low, high = SAMPLED_ROWS[name]
+        expected = "x,y,z,value\n" + "".join(
+            f"{x},{y},{z},{value}\n" for x, value in (("-1.0", low),
+                                                      ("0.5", high))
+            for y in ("2.0", "3.0") for z in ("4.0", "5.0"))
+        argv = ["sample-grid", "--variety", str(variety_path), "--box",
+                "-1", "1/2", "2", "3", "4", "5", "--resolution", "2"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / f"{name}.csv"
+        assert main(argv + ["-o", str(out)]) == 0
+        assert out.read_text() == expected
+
+
 def test_sample_grid_guards(tmp_path, square_cage, capsys):
     flat_variety = tmp_path / "flat.json"
     code = main(["inscribe", "--cage", square_cage, "--node", "1,1",
@@ -279,7 +323,7 @@ def test_sample_grid_guards(tmp_path, square_cage, capsys):
                  "--box", "0", "1", "0", "1", "0", "1",
                  "--resolution", "3"]) == 2
     capsys.readouterr()
-    # a grid too large to buffer is refused before any sample is taken
+    # a grid above the point limit is refused before any sample is taken
     cube = axis_cage(F, [(0, 0, 0), (1, 1, 1)])
     cube_path = tmp_path / "cube.json"
     cube_path.write_text(json.dumps(cage_to_json(cube)))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from cagekit.cage import Node, axis_cage, canonical_point, random_cage
 from cagekit.demos import build_demo
 from cagekit.errors import ShapeError, SingularNodeError
@@ -21,7 +22,6 @@ from cagekit.inscribe import (
     transport_tangent,
 )
 from cagekit.linalg import Matrix, SubspaceBasis, rank, span_equal
-from cagekit.poly import jacobian_at
 from cagekit.verify import smoothness_check
 
 F = FieldDescriptor.rationals()
@@ -112,7 +112,7 @@ def test_node_differentials_single_vanishing_factor():
                 form = cage.groups[j][vanishing[0]]
                 expected = tuple(scalar * form.coeffs[i]
                                  for i in range(n + 1) if i != chart)
-                assert tuple(diff.row(j)) == expected
+                assert diff.entries[j] == expected
 
 
 def test_node_differentials_invertible_everywhere():
@@ -132,9 +132,9 @@ def test_node_differentials_match_expanded_jacobian():
         polys = cage.group_polynomials()
         for node in cage.nodes():
             chart = chart_of(node)
-            full = jacobian_at(polys, node.point)
-            expected = tuple(tuple(e for i, e in enumerate(row) if i != chart)
-                             for row in full.entries)
+            grads = [oracles.gradient(p.terms, node.point) for p in polys]
+            expected = tuple(tuple(e for i, e in enumerate(g) if i != chart)
+                             for g in grads)
             assert node_differentials(cage, node).entries == expected
 
 
@@ -152,8 +152,6 @@ def test_foreign_cage_rejected():
     other = unit_square()
     with pytest.raises(ValueError):
         smoothness_check(variety, other)
-    with pytest.raises(ValueError):
-        tangent_at_node(variety, other, other.node((1, 1)))
 
 
 # -- inscription -----------------------------------------------------------
@@ -242,8 +240,6 @@ def test_tangent_at_node_documented_slope():
     tau = tangent_at_node(variety, cage.node((2, 2)))
     assert span_equal(SubspaceBasis(2, tau.basis),
                       SubspaceBasis(2, coerced(((1, 2),))))
-    spelled = tangent_at_node(variety, cage, cage.node((2, 2)))
-    assert spelled.basis == tau.basis
 
 
 def test_tangent_at_node_roundtrip():

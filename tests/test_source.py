@@ -1,6 +1,8 @@
 """Properties of the package source as a whole."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import cagekit
@@ -16,3 +18,18 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_readme_public_surface_is_exported():
+    # every name README lists as public is exported, so a deleted name
+    # cannot linger in the documentation
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("The public surface is exported")
+    names = re.findall(r"`([^`]+)`", readme[start:readme.index("\n\n", start)])
+    assert len(names) > 20
+    for name in names:
+        if name.startswith("cagekit."):
+            importlib.import_module(name)
+    missing = [name for name in names if not name.startswith("cagekit.")
+               and name not in cagekit.__all__]
+    assert missing == []

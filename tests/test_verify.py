@@ -143,6 +143,17 @@ def test_hilbert_function_is_one_table_entry():
     assert hilbert_function([], 3, field=Q) == 0
 
 
+@pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (3, 2), (3, 3)])
+def test_hilbert_table_of_all_nodes_matches_grid_series(d, n):
+    # the d^n nodes are a complete intersection of n degree-d forms; one
+    # degree past stabilization exercises the certified tail
+    k_max = n * (d - 1) + 1
+    for seed in (1, 2):
+        cage = random_cage(700 + 10 * d + n + seed, d, n)
+        assert hilbert_table(cage.nodes(), k_max) == tuple(
+            oracles.grid_hilbert(d, n, k) for k in range(k_max + 1))
+
+
 # -- main interpolation and rigidity checks ------------------------------------
 
 
@@ -167,7 +178,7 @@ def test_supra_interpolation_plane_three_by_three():
 
 @pytest.mark.parametrize("n, d", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_supra_certificate_matches_exact_path(monkeypatch, n, d):
-    # the three-fact certificate, the same with exact ranks, and the exact
+    # the one-rank certificate, the same with an exact rank, and the exact
     # kernel path give identical reports
     def forbidden(*args, **kwargs):
         raise AssertionError("the certified path must not reach this")
