@@ -8,7 +8,7 @@ cagekit/1 schema; reports carry a wall-clock field unless --no-timestamp is
 given, which keeps byte-identical reruns possible.
 
 Exit status: 0 when every requested check passes, 1 when some check fails,
-2 for usage, schema, or input errors.
+2 for usage, schema, or input errors, 3 when an internal self-check fails.
 """
 
 from __future__ import annotations
@@ -393,6 +393,10 @@ def main(argv=None) -> int:
     except (CageKitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a self-check of the program failed, not its input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ _CUBIC_CONJ = _fr(["5/3", "5/6", "-7/6", "1/3", "1/6", "1/6"])
 
 def _certify(name: str, condition: bool):
     if not condition:
-        raise AssertionError(f"frozen demo data failed its check: {name}")
+        raise RuntimeError(f"frozen demo data failed its check: {name}")
 
 
 def quartic_roots_field() -> tuple[FieldDescriptor, FieldElement, FieldElement]:

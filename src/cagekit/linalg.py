@@ -5,11 +5,14 @@ so every result (rank, kernel basis, solutions) is deterministic.  Kernel
 bases come out of the reduced echelon form in the standard free-column
 convention, which makes them canonical for a fixed input matrix.
 
-Ranks over Q are first tried modulo the prime p = 2^31 - 1.  The image of a
-rational matrix mod p has rank at most its rank over Q, so a full rank mod p
-is a certificate: the rank over Q is then min(rows, cols).  Any other
-outcome (a rank below full, a denominator divisible by p, an extension
-field) falls back to exact elimination over the field itself.
+One modular core, modular_pivots, eliminates a rational matrix modulo the
+prime p = 2^31 - 1 and returns its pivot rows: their number is the rank mod
+p, a lower bound for the rank over Q, and the rows themselves are linearly
+independent over Q.  It declines over extension fields and when p divides a
+denominator.  rank takes a rank mod p equal to min(rows, cols) as proof of
+the rank over Q; any other outcome falls back to exact elimination over the
+field itself.  verify.hilbert_table pairs the same core with an upper bound
+to prove rank-deficient ranks.
 """
 
 from __future__ import annotations
@@ -122,57 +125,60 @@ def _rref(matrix: Matrix):
 PRIME = 2 ** 31 - 1
 
 
-def _full_rank_mod_p(matrix: Matrix) -> Optional[int]:
-    """min(rows, cols) if the matrix has full rank modulo PRIME, else None.
+def modular_pivots(field: FieldDescriptor,
+                   rows: Sequence[Sequence[FieldElement]]
+                   ) -> Optional[list[int]]:
+    """Indices of the rows that Gaussian elimination mod PRIME picks as
+    pivots, in the order picked; None when it declines.
 
-    Declines (None) for extension fields and for an entry whose denominator
-    PRIME divides.  Elimination stops once the columns left cannot supply
-    the missing pivots.
+    Their number is the rank mod PRIME, and those rows are linearly
+    independent mod PRIME.  It declines over an extension field, and when
+    PRIME divides the denominator of some entry; otherwise every entry is
+    p-integral, and reduction mod PRIME is a ring homomorphism on them.
     """
-    if matrix.field.degree != 1:
+    if field.degree != 1:
         return None
     try:
-        rows = [[e.coeffs[0].numerator * pow(e.coeffs[0].denominator, -1,
-                                             PRIME) % PRIME for e in row]
-                for row in matrix.entries]
+        live = [(i, [e.coeffs[0].numerator
+                     * pow(e.coeffs[0].denominator, -1, PRIME) % PRIME
+                     for e in row])
+                for i, row in enumerate(rows)]
     except ValueError:          # no inverse: PRIME divides a denominator
         return None
-    target = min(matrix.rows, matrix.cols)
-    found = 0
+    pivots = []
     # each pass eliminates the leading column and drops it from every row
-    for col in range(matrix.cols):
-        if found == target or found + matrix.cols - col < target:
-            break
-        hit = next((i for i, r in enumerate(rows) if r[0]), None)
+    while live and live[0][1]:
+        hit = next((i for i, (_, r) in enumerate(live) if r[0]), None)
         if hit is None:
-            rows = [r[1:] for r in rows]
+            live = [(i, r[1:]) for i, r in live]
             continue
-        pivot = rows.pop(hit)
+        index, pivot = live.pop(hit)
         inv, tail = pow(pivot[0], -1, PRIME), pivot[1:]
         rest = []
-        for r in rows:
+        for i, r in live:
             f = r[0] * inv % PRIME
-            rest.append([(a - f * b) % PRIME for a, b in zip(r[1:], tail)]
-                        if f else r[1:])
-        rows = rest
-        found += 1
-    return target if found == target else None
+            rest.append((i, [(a - f * b) % PRIME for a, b in zip(r[1:], tail)]
+                         if f else r[1:]))
+        live = rest
+        pivots.append(index)
+    return pivots
 
 
 def rank(matrix: Matrix) -> int:
     """Rank over the matrix's field.
 
-    Over Q the rank mod PRIME is tried first.  Every entry is p-integral
-    (its denominator is prime to p), so reduction mod p is a ring
-    homomorphism on the entries and maps each minor to the same minor of
-    the reduced matrix.  An r x r minor that is nonzero mod p is therefore
-    nonzero over Q, and the rank over Q is at least the rank mod p.  No
-    rank exceeds min(rows, cols), so a full rank mod p is the rank over Q.
-    Otherwise the rank comes from exact elimination.
+    Over Q the rank mod PRIME is computed first, by modular_pivots.  Every
+    entry is then p-integral, so reduction mod p is a ring homomorphism on
+    the entries and maps each minor to the same minor of the reduced
+    matrix.  An r x r minor that is nonzero mod p is therefore nonzero over
+    Q, and the rank over Q is at least the rank mod p.  No rank exceeds
+    min(rows, cols), so a rank mod p equal to min(rows, cols) is the rank
+    over Q.  Otherwise the rank comes from exact elimination.
     """
-    certified = _full_rank_mod_p(matrix)
-    if certified is not None:
-        return certified
+    pivots = modular_pivots(matrix.field, matrix.entries)
+    full = min(matrix.rows, matrix.cols)
+    if pivots is not None and len(pivots) == full:
+        return full
     _, pivots = _rref(matrix)
     return len(pivots)
 

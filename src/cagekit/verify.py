@@ -17,8 +17,8 @@ from .cage import (Cage, Node, NodeSelection, all_indices, canonical_point,
 from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix, chart_jacobian
-from .linalg import (Matrix, SubspaceBasis, in_span, kernel_basis, rank,
-                     span_equal)
+from .linalg import (Matrix, SubspaceBasis, in_span, kernel_basis,
+                     modular_pivots, rank, span_equal)
 from .poly import HomogPoly, LinearForm, monomial_basis, monomial_values
 
 
@@ -122,31 +122,88 @@ def hilbert_table(points, k_max: int,
                   field: FieldDescriptor = None) -> tuple[int, ...]:
     """Hilbert function values h(0..k_max) of a finite reduced point set.
 
-    Ranks are computed directly until the function reaches the point count.
-    From there on the value stays put: scaling the degree-k0 columns by
-    powers of a linear form that vanishes at no point embeds the stabilized
-    evaluation matrix into every higher degree, so the rank cannot drop, and
-    it cannot exceed the point count.  The separating form is constructed
-    explicitly, which makes the shortcut a certificate rather than an
-    assumption.
+    Each degree k is certified until the value reaches the point count.
+    Write E_k for the degree-k evaluation matrix, with C(k+n, n) columns,
+    and I_k for its kernel over Q: the degree-k forms that vanish on the
+    points.  Over Q the table keeps an exact basis of I_{k-1} and forms
+    K_k, whose rows are the coefficient vectors of x_v * g for every basis
+    form g and every variable x_v.  Each such product vanishes on the
+    points, so the rows of K_k lie in I_k, and with ranks mod
+    p = linalg.PRIME as in linalg.rank,
+
+        rank_p(E_k) <= rank_Q(E_k) = cols - dim I_k <= cols - rank_p(K_k).
+
+    A rank mod p equal to min(rows, cols) needs no upper bound, as in
+    linalg.rank; at full column rank I_k = 0.  Otherwise, when the two
+    bounds meet, the rank is proved.  The rows of K_k that are
+    pivots mod p are then independent over Q, and there are dim I_k of
+    them, so they are a basis of I_k for the next degree.  When the bounds
+    differ (I_{k-1} = 0 included), the exact kernel of E_k gives the rank
+    and a fresh basis.  Over an extension field, or when p divides a
+    denominator, the degree takes linalg.rank instead.
+
+    From the point count on the value stays put: scaling the degree-k0
+    columns by powers of a linear form that vanishes at no point embeds the
+    stabilized evaluation matrix into every higher degree, so the rank
+    cannot drop, and it cannot exceed the point count.  The separating form
+    is constructed explicitly, which makes the shortcut a certificate rather
+    than an assumption.
     """
     pts, field = _distinct_points(points, field)
     count = len(pts)
     values = []
-    stabilized = False
+    ideal = ()          # basis of I_{k-1}; None when not known
     for k in range(k_max + 1):
-        if stabilized:
+        if count == 0 or values and values[-1] == count:
             values.append(count)
             continue
-        if count == 0:
-            values.append(0)
-            continue
-        r = rank(evaluation_matrix(pts, k, field=field).matrix)
+        matrix = evaluation_matrix(pts, k, field=field).matrix
+        r, ideal = _rank_and_kernel(matrix, ideal, k, len(pts[0]))
         values.append(r)
         if r == count:
             _separating_form(field, pts)
-            stabilized = True
     return tuple(values)
+
+
+def _rank_and_kernel(matrix: Matrix, ideal, k: int, nv: int):
+    """The rank of the degree-k evaluation matrix in nv variables and a
+    basis of its kernel (None when not known), from a basis of the
+    degree-(k-1) kernel or None, by the bounds in hilbert_table's
+    docstring."""
+    field, cols = matrix.field, matrix.cols
+    lower = modular_pivots(field, matrix.entries)
+    if lower is None:
+        return rank(matrix), None
+    r = len(lower)
+    if r == cols:
+        return r, ()
+    if r == matrix.rows:
+        return r, None
+    if ideal:
+        products = _variable_multiples(field, ideal, k, nv)
+        kept = modular_pivots(field, products)
+        if kept is not None and r + len(kept) == cols:
+            return r, tuple(products[i] for i in kept)
+    kernel = kernel_basis(matrix)
+    return cols - kernel.dim, kernel.vectors
+
+
+def _variable_multiples(field: FieldDescriptor, forms, k: int, nv: int):
+    """Coefficient vectors in degree k of x_v * g, for each coefficient
+    vector g of a degree-(k-1) form in forms and each variable x_v."""
+    position = {m: i for i, m in enumerate(monomial_basis(k, nv))}
+    shifts = [[position[m[:v] + (m[v] + 1,) + m[v + 1:]]
+               for m in monomial_basis(k - 1, nv)] for v in range(nv)]
+    zero = field.zero()
+    out = []
+    for g in forms:
+        support = [(j, c) for j, c in enumerate(g) if not c.is_zero()]
+        for shift in shifts:
+            row = [zero] * len(position)
+            for j, c in support:
+                row[shift[j]] = c
+            out.append(row)
+    return out
 
 
 def hilbert_function(points, k: int, field: FieldDescriptor = None) -> int:

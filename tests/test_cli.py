@@ -10,9 +10,12 @@ from pathlib import Path
 import pytest
 
 import cagekit
+from cagekit import cage as cage_mod
+from cagekit import demos, linalg, verify
 from cagekit.cage import MAX_NODES, axis_cage
 from cagekit.cli import MAX_GRID_POINTS, MAX_HILBERT_DEGREE, main
 from cagekit.field import FieldDescriptor
+from cagekit.poly import LinearForm
 from cagekit.serialize import cage_to_json, configuration_to_json
 from cagekit.viete import Configuration
 
@@ -251,6 +254,51 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys):
     assert "malformed JSON" in err
     assert main(["validate", "--cage", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+def assert_internal_error(capsys, argv, message):
+    # a failed self-check exits 3 with one stderr line and no traceback
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"internal error: {message}\n"
+    assert captured.out == ""
+
+
+def test_kernel_self_check_exits_3(square_cage, monkeypatch, capsys):
+    real = linalg._rref
+
+    def wrong(matrix):
+        rows, pivots = real(matrix)
+        rows[0] = [e + 1 for e in rows[0]]
+        return rows, pivots
+    monkeypatch.setattr(linalg, "_rref", wrong)
+    assert_internal_error(capsys, ["validate", "--cage", square_cage],
+                          "kernel vector check failed")
+
+
+def test_separating_form_exhaustion_exits_3(square_cage, monkeypatch, capsys):
+    class Vanishing(LinearForm):
+        def evaluate(self, point):
+            return self.field.zero()
+    monkeypatch.setattr(verify, "LinearForm", Vanishing)
+    assert_internal_error(
+        capsys, ["hilbert", "--cage", square_cage, "--max-k", "3"],
+        "separating form scan exhausted its provable bound")
+
+
+def test_selection_count_check_exits_3(square_cage, monkeypatch, capsys):
+    monkeypatch.setattr(cage_mod, "comb", lambda a, b: 0)
+    assert_internal_error(
+        capsys, ["hilbert", "--cage", square_cage, "--max-k", "3",
+                 "--selection", "supra"],
+        "supra-simplicial selection has 4 indices, expected -2")
+
+
+def test_demo_certification_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(demos, "_CUBIC_OMEGA", [1, 0, 0, 0, 0, 0])
+    assert_internal_error(
+        capsys, ["demo", "fermat-cubic-surface", "--no-timestamp"],
+        "frozen demo data failed its check: omega^2 + omega + 1 = 0")
 
 
 # -- grid sampling ----------------------------------------------------------------------

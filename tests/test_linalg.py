@@ -123,6 +123,22 @@ def random_rational_matrix(rng, rows, cols, deficiency=0):
     return Matrix(Q, raw)
 
 
+def exact_pivot_rows(matrix):
+    # the modular core's pivot rule (first row, in the current order, that
+    # is nonzero in the leading column) run over Q; returns original indices
+    live = list(enumerate(frac_entries(matrix)))
+    picked = []
+    for col in range(matrix.cols):
+        hit = next((k for k, (_, r) in enumerate(live) if r[col]), None)
+        if hit is None:
+            continue
+        index, pivot = live.pop(hit)
+        live = [(i, [a - r[col] / pivot[col] * b for a, b in zip(r, pivot)])
+                for i, r in live]
+        picked.append(index)
+    return picked
+
+
 def test_modular_rank_matches_exact_elimination():
     rng = random.Random(53)
     shapes = [(4, 9), (9, 4), (7, 7), (1, 6), (6, 1), (12, 15), (15, 12)]
@@ -133,11 +149,11 @@ def test_modular_rank_matches_exact_elimination():
                 exact = len(linalg._rref(m)[1])
                 assert rank(m) == exact
                 assert rank(m.transpose()) == exact
-                certified = linalg._full_rank_mod_p(m)
-                if deficiency:
-                    assert certified is None
-                else:
-                    assert certified == exact == min(rows, cols)
+                pivots = linalg.modular_pivots(Q, m.entries)
+                assert len(pivots) == exact
+                assert pivots == exact_pivot_rows(m)
+                chosen = [frac_entries(m)[i] for i in pivots]
+                assert oracles.rank(chosen) == exact
 
 
 def test_modular_rank_falls_back_on_the_prime():
@@ -148,11 +164,18 @@ def test_modular_rank_falls_back_on_the_prime():
     assert rank(Matrix(Q, [[1, 0], [0, p]])) == 2
     assert rank(Matrix(Q, [[Fraction(1, p)]])) == 1
     assert rank(Matrix(Q, [[p, 2 * p], [1, 2]])) == 1
-    assert linalg._full_rank_mod_p(Matrix(Q, [[1, 0], [0, p]])) is None
-    assert linalg._full_rank_mod_p(Matrix(Q, [[Fraction(1, p)]])) is None
+    assert linalg.modular_pivots(Q, Matrix(Q, [[1, 0], [0, p]]).entries) \
+        == [0]
+    assert linalg.modular_pivots(
+        Q, Matrix(Q, [[Fraction(1, p)]]).entries) is None
+    # an extension field declines at once
+    sqrt2 = FieldDescriptor.extension([-2, 0, 1])
+    assert linalg.modular_pivots(sqrt2, Matrix.identity(sqrt2, 2).entries) \
+        is None
     # shapes with nothing to eliminate
     assert rank(Matrix(Q, [])) == 0
     assert rank(Matrix(Q, [[], []])) == 0
+    assert linalg.modular_pivots(Q, []) == []
 
 
 def test_in_span_zero_vector():

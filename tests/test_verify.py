@@ -18,6 +18,7 @@ from cagekit import (FieldDescriptor, HomogPoly, LambdaMatrix, LinearForm,
                      supra_simplicial_indices, transversal_points,
                      verify_degree_minimality, verify_simplicial_rigidity,
                      verify_supra_interpolation)
+from cagekit.demos import build_demo
 from cagekit.serialize import report_to_json
 
 
@@ -154,6 +155,111 @@ def test_hilbert_table_of_all_nodes_matches_grid_series(d, n):
             oracles.grid_hilbert(d, n, k) for k in range(k_max + 1))
 
 
+def exact_table(points, k_max):
+    return tuple(len(linalg._rref(evaluation_matrix(points, k).matrix)[1])
+                 for k in range(k_max + 1))
+
+
+def node_sets(cage, rng, full=True):
+    # the full grid, every first-color slice and a random subset
+    nodes = list(cage.nodes())
+    if full:
+        yield nodes
+    for s in range(1, cage.d + 1):
+        yield [nd for nd in nodes if nd.index[0] == s]
+    yield rng.sample(nodes, rng.randint(len(nodes) // 2, len(nodes) - 1))
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (2, 5), (3, 3), (2, 6)])
+def test_hilbert_table_matches_exact_ranks(n, d):
+    # every certified degree, up to one past stabilization, against exact
+    # elimination of the evaluation matrix; the exact ranks of the (3,3)
+    # and (2,6) full grids take seconds, and their tables are checked
+    # against the grid series in test_full_grid_table_runs_one_exact_kernel
+    rng = random.Random(100 * n + d)
+    cage = random_cage(rng.randrange(10 ** 6), d, n)
+    for points in node_sets(cage, rng, full=d ** n <= 25):
+        table = hilbert_table(points, len(points))
+        k_max = table.index(len(points)) + 1
+        assert table[:k_max + 1] == exact_table(points, k_max)
+
+
+def test_hilbert_table_without_the_modular_core(monkeypatch):
+    # a declining modular core sends every degree to linalg.rank's exact
+    # elimination, and the tables stay the same
+    rng = random.Random(29)
+    cases = []
+    for n, d in ((2, 3), (2, 4), (3, 2)):
+        cage = random_cage(rng.randrange(10 ** 6), d, n)
+        for points in node_sets(cage, rng):
+            cases.append((points, hilbert_table(points, n * (d - 1) + 1)))
+    monkeypatch.setattr(linalg, "modular_pivots", lambda field, rows: None)
+    monkeypatch.setattr(verify, "modular_pivots", lambda field, rows: None)
+    for points, table in cases:
+        assert hilbert_table(points, len(table) - 1) == table
+
+
+def test_hilbert_table_takes_the_exact_path_on_the_prime(monkeypatch):
+    # a coordinate whose denominator is the prime makes every degree from 1
+    # on decline mod p; linalg.rank's exact elimination gives the table
+    p = linalg.PRIME
+    pts = [(Fraction(a, p), Fraction(b), Fraction(1))
+           for a in range(3) for b in range(3)] + [(Fraction(5, p), 7, 1)]
+    calls = []
+    real = linalg._rref
+
+    def counted(matrix):
+        calls.append(matrix.rows)
+        return real(matrix)
+    monkeypatch.setattr(linalg, "_rref", counted)
+    table = hilbert_table(pts, 5, field=Q)
+    assert table == tuple(oracles.hilbert(pts, k) for k in range(6))
+    assert len(calls) == table.index(len(pts))
+
+
+def test_hilbert_table_when_points_collide_mod_p():
+    # a 3x3 grid whose first coordinates are 0, p, 2p is three collinear
+    # points mod p: every lower bound falls short, and the exact kernel
+    # gives each degree
+    p = linalg.PRIME
+    pts = [(Fraction(i * p), Fraction(j), Fraction(1))
+           for i in range(3) for j in range(3)]
+    table = hilbert_table(pts, 5, field=Q)
+    assert table == tuple(oracles.hilbert(pts, k) for k in range(6))
+    assert table == (1, 3, 6, 8, 9, 9)
+
+
+def test_hilbert_table_over_an_extension_field_is_unchanged():
+    # every degree takes linalg.rank's exact elimination over the field
+    cage = build_demo("fermat-cubic-surface").cage
+    supra = cage.nodes_for(supra_simplicial_indices(cage.d, cage.n))
+    assert hilbert_table(supra, 5, field=cage.field) == (1, 4, 10, 17, 17, 17)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (2, 5), (3, 3), (2, 6)])
+def test_full_grid_table_runs_one_exact_kernel(monkeypatch, n, d):
+    # the first rank-deficient degree, d, has no basis below to build on;
+    # every later degree is proved by the two modular bounds, so an exact
+    # fallback would show as a second elimination
+    cage = random_cage(300 + 10 * n + d, d, n)
+    kernels, eliminations = [], []
+    real_kernel, real_rref = verify.kernel_basis, linalg._rref
+
+    def kernel(matrix):
+        kernels.append(matrix.rows)
+        return real_kernel(matrix)
+
+    def rref(matrix):
+        eliminations.append(matrix.rows)
+        return real_rref(matrix)
+    monkeypatch.setattr(verify, "kernel_basis", kernel)
+    monkeypatch.setattr(linalg, "_rref", rref)
+    k_max = n * (d - 1) + 1
+    assert hilbert_table(cage.nodes(), k_max) == tuple(
+        oracles.grid_hilbert(d, n, k) for k in range(k_max + 1))
+    assert len(kernels) == len(eliminations) == 1
+
+
 # -- main interpolation and rigidity checks ------------------------------------
 
 
@@ -191,7 +297,7 @@ def test_supra_certificate_matches_exact_path(monkeypatch, n, d):
             m.setattr(HomogPoly, "evaluate", forbidden)
             certified = report_to_json(verify_supra_interpolation(cage))
         with monkeypatch.context() as m:
-            m.setattr(linalg, "_full_rank_mod_p", lambda matrix: None)
+            m.setattr(linalg, "modular_pivots", lambda field, rows: None)
             exact_ranks = report_to_json(verify_supra_interpolation(cage))
         with monkeypatch.context() as m:
             m.setattr(verify, "_supra_from_ranks", lambda cage, ev: None)
