@@ -83,12 +83,8 @@ def _parse_tangent_vectors(text: str):
         chunk = chunk.strip()
         if not chunk:
             continue
-        try:
-            vectors.append([Fraction(p) for p in chunk.split(",")])
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(
-                "--tangent", f"bad vector {chunk!r}; expected "
-                "comma-separated rationals, vectors joined by ';'") from None
+        vectors.append([ser.parse_rational(p, "--tangent")
+                        for p in chunk.split(",")])
     return vectors
 
 
@@ -246,10 +242,7 @@ def _cmd_sample_grid(args) -> int:
     if cage.field.kind != "rationals":
         raise SchemaError(args.variety,
                           "grid sampling needs rational coefficients")
-    try:
-        bounds = [Fraction(b) for b in args.box]
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError("--box", "expected six numbers") from None
+    bounds = [ser.parse_rational(b, "--box") for b in args.box]
     if args.resolution < 2:
         raise SchemaError("--resolution", "need at least two samples per axis")
     if args.resolution ** 3 > MAX_GRID_POINTS:

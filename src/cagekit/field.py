@@ -98,9 +98,19 @@ class FieldDescriptor:
     automorphism as a coefficient vector, used by demos that need to decide
     which points are fixed by complex conjugation.  Descriptors are equal
     when kind, modulus and conjugation agree; the label is only a name.
+
+    Reducibility contract: m need not be irreducible.  When it factors,
+    Q[t]/(m) is not a field, and an answer that depends on the factor
+    raises ReducibleModulusError when inversion meets a zero divisor.  An
+    answer that holds in every factor alike is returned without that
+    error: linalg.rank certifies a full rank at every root of m modulo a
+    split prime, which is a full rank in every factor however m factors.
+    The descriptor caches its reduction rows, the powers of the conjugate
+    of t, and the split prime that linalg finds for it.
     """
 
-    __slots__ = ("kind", "min_poly", "label", "conjugation", "_reduction")
+    __slots__ = ("kind", "min_poly", "label", "conjugation", "_reduction",
+                 "_sigma_powers", "_split")
 
     def __init__(self, kind: str, min_poly=None, label: str = "",
                  conjugation=None):
@@ -128,6 +138,8 @@ class FieldDescriptor:
         self.kind = kind
         self.label = label or ("Q" if kind == "rationals" else "Q[t]/(m)")
         self._reduction = None
+        self._sigma_powers = None
+        self._split = None          # set by linalg on first use
 
     @classmethod
     def rationals(cls) -> "FieldDescriptor":
@@ -159,6 +171,17 @@ class FieldDescriptor:
                 rows.append(tuple(nxt))
             self._reduction = tuple(rows)
         return self._reduction
+
+    def _conjugation_rows(self):
+        # row k = coefficient vector of sigma(t)^k, so sigma is linear:
+        # sigma(sum c_k t^k) = sum c_k sigma(t)^k
+        if self._sigma_powers is None:
+            sigma = FieldElement(self, self.conjugation)
+            rows = [self.one()]
+            for _ in range(self.degree - 1):
+                rows.append(rows[-1] * sigma)
+            self._sigma_powers = tuple(r.coeffs for r in rows)
+        return self._sigma_powers
 
     # element constructors
 
@@ -350,12 +373,13 @@ class FieldElement:
         if self.field.conjugation is None:
             raise ValueError(
                 f"{self.field.label} carries no conjugation data")
-        sigma_t = self.field.element(self.field.conjugation)
-        # Horner evaluation of the coefficient polynomial at sigma(t)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * sigma_t + c
-        return acc
+        out = [_ZERO] * self.field.degree
+        for c, row in zip(self.coeffs, self.field._conjugation_rows()):
+            if c:
+                for j, x in enumerate(row):
+                    if x:
+                        out[j] += c * x
+        return FieldElement(self.field, tuple(out))
 
     def __eq__(self, other):
         # rational values compare by value, also across fields, so that

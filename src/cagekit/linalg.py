@@ -5,20 +5,53 @@ so every result (rank, kernel basis, solutions) is deterministic.  Kernel
 bases come out of the reduced echelon form in the standard free-column
 convention, which makes them canonical for a fixed input matrix.
 
-One modular core, modular_pivots, eliminates a rational matrix modulo the
-prime p = 2^31 - 1 and returns its pivot rows: their number is the rank mod
-p, a lower bound for the rank over Q, and the rows themselves are linearly
-independent over Q.  It declines over extension fields and when p divides a
-denominator.  rank takes a rank mod p equal to min(rows, cols) as proof of
-the rank over Q; any other outcome falls back to exact elimination over the
-field itself.  verify.hilbert_table pairs the same core with an upper bound
-to prove rank-deficient ranks.
+Full ranks are certified from residues modulo a prime.  A residue map sends
+each p-integral element (every coefficient's denominator prime to p) to
+F_p.  Over Q there is one, reduction modulo PRIME = 2^31 - 1.  Over
+Q[t]/(m) the descriptor gets, once, the first prime p <= PRIME, scanning
+down through at most SPLIT_SCAN primes, at which every coefficient of m is
+p-integral and m mod p divides x^p - x: then m mod p is squarefree and
+splits into deg m distinct linear factors.  Each root r of m mod p, found
+by Cantor-Zassenhaus splitting, gives the map c_0 + c_1 t + ... to
+c_0 + c_1 r + ... mod p.  When the scan finds no prime, every rank over
+that field is exact.
+
+Why a full rank at every root is a proof.  The p-integral elements form a
+ring, Z_(p)[t]/(m) since m is monic and p-integral, and each residue map is
+a ring homomorphism from it onto F_p: the
+composite of Z_(p)[t]/(m) -> F_p[t]/(m mod p) and t -> r, well defined
+since m(r) = 0 mod p.  A minor of a p-integral matrix is a polynomial in
+its entries, so it maps to the same minor of the residue matrix, and a
+minor that is nonzero at a root is nonzero before reduction.  Over Q that
+already proves the rank is at least the rank mod p.  Over Q[t]/(m), write
+m = m_1 ... m_s with monic irreducible m_i over Q; by Gauss's lemma each
+m_i is p-integral, and since m mod p is squarefree the m_i are distinct, so
+Q[t]/(m) is the product of the fields Q[t]/(m_i).  Each root r of m mod p
+is a root of exactly one m_i mod p, and the map at r factors through
+Q[t]/(m_i): a minor nonzero at r is nonzero in that factor.  Every m_i mod
+p divides the split m mod p, so every factor owns a root.  Hence a rank
+mod p equal to min(rows, cols) at every root is that full rank in every
+factor, however m factors; for irreducible m it is the rank over the field.
+Every other outcome, p dividing a denominator included, falls back to
+exact elimination over the field itself, where a reducible modulus still
+surfaces as ReducibleModulusError, as FieldDescriptor promises.
+
+One modular core, residue_pivots, eliminates the residues of a matrix at
+every residue map of its field and returns the pivot rows at the map that
+gives the fewest.  Their number is a lower bound for the rank in every
+factor, and the rows are linearly independent in the factor of that map's
+root: over Q, or for irreducible m, over the field.  modular_pivots applies
+it to a matrix of field elements; verify applies it to monomials evaluated
+at the residues of points, so that a certified rank builds no exact
+evaluation matrix.  rank takes full rank at every map as proof and
+otherwise eliminates exactly.  verify.hilbert_table pairs the core with an
+upper bound over Q to prove rank-deficient ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
@@ -123,28 +156,62 @@ def _rref(matrix: Matrix):
 
 
 PRIME = 2 ** 31 - 1
+SPLIT_SCAN = 200        # primes an extension modulus may try before declining
+
+
+def residue_pivots(field: FieldDescriptor,
+                   residue_rows: Callable[[Callable[[FieldElement], int]],
+                                          Sequence[Sequence[int]]]
+                   ) -> Optional[list[int]]:
+    """Indices of the rows that Gaussian elimination mod p picks as pivots,
+    in the order picked, at the residue map of the field that gives the
+    fewest; None when it declines.
+
+    residue_rows(reduce) builds the integer rows to eliminate, where reduce
+    maps a field element to its residue; entries need only be congruent mod
+    p.  It declines when the field has no split prime, and when p divides
+    the denominator of an element it reduces.  The module docstring proves
+    what the pivots certify.
+    """
+    p, roots = _residue_maps(field)
+    fewest = None
+    for powers in roots:
+        try:
+            rows = residue_rows(_reducer(p, powers))
+        except ValueError:      # no inverse: p divides a denominator
+            return None
+        pivots = _pivots_mod(rows, p)
+        if fewest is None or len(pivots) < len(fewest):
+            fewest = pivots
+    return fewest
 
 
 def modular_pivots(field: FieldDescriptor,
                    rows: Sequence[Sequence[FieldElement]]
                    ) -> Optional[list[int]]:
-    """Indices of the rows that Gaussian elimination mod PRIME picks as
-    pivots, in the order picked; None when it declines.
+    """residue_pivots of a matrix given by its rows of field elements."""
+    return residue_pivots(
+        field, lambda reduce: [[reduce(e) for e in row] for row in rows])
 
-    Their number is the rank mod PRIME, and those rows are linearly
-    independent mod PRIME.  It declines over an extension field, and when
-    PRIME divides the denominator of some entry; otherwise every entry is
-    p-integral, and reduction mod PRIME is a ring homomorphism on them.
-    """
-    if field.degree != 1:
-        return None
-    try:
-        live = [(i, [e.coeffs[0].numerator
-                     * pow(e.coeffs[0].denominator, -1, PRIME) % PRIME
-                     for e in row])
-                for i, row in enumerate(rows)]
-    except ValueError:          # no inverse: PRIME divides a denominator
-        return None
+
+def _reducer(p: int, powers: tuple[int, ...]):
+    """The residue map sending t^k to powers[k] mod p."""
+    if len(powers) == 1:        # over Q
+        return lambda e: (e.coeffs[0].numerator
+                          * pow(e.coeffs[0].denominator, -1, p) % p)
+
+    def reduce(e: FieldElement) -> int:
+        acc = 0
+        for c, w in zip(e.coeffs, powers):
+            if c:
+                acc += c.numerator * w * pow(c.denominator, -1, p)
+        return acc % p
+    return reduce
+
+
+def _pivots_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
+    """Pivot row indices of Gaussian elimination over F_p."""
+    live = [(i, [x % p for x in row]) for i, row in enumerate(rows)]
     pivots = []
     # each pass eliminates the leading column and drops it from every row
     while live and live[0][1]:
@@ -153,27 +220,155 @@ def modular_pivots(field: FieldDescriptor,
             live = [(i, r[1:]) for i, r in live]
             continue
         index, pivot = live.pop(hit)
-        inv, tail = pow(pivot[0], -1, PRIME), pivot[1:]
+        inv, tail = pow(pivot[0], -1, p), pivot[1:]
         rest = []
         for i, r in live:
-            f = r[0] * inv % PRIME
-            rest.append((i, [(a - f * b) % PRIME for a, b in zip(r[1:], tail)]
+            f = r[0] * inv % p
+            rest.append((i, [(a - f * b) % p for a, b in zip(r[1:], tail)]
                          if f else r[1:]))
         live = rest
         pivots.append(index)
     return pivots
 
 
+def _residue_maps(field: FieldDescriptor):
+    """The prime p and, for each residue map, the residues of
+    1, t, ..., t^(degree-1); no maps when the scan finds no prime."""
+    if field.degree == 1:
+        return PRIME, ((1,),)
+    if field._split is None:
+        field._split = _split_prime(field.min_poly)
+    return field._split
+
+
+def _split_prime(min_poly) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The first prime p <= PRIME, among SPLIT_SCAN, at which the monic
+    min_poly is p-integral and divides x^p - x mod p, with the powers of
+    its roots; (PRIME, ()) when there is none."""
+    n = len(min_poly) - 1
+    p, tried = PRIME, 0
+    while tried < SPLIT_SCAN:
+        if _is_prime(p):
+            tried += 1
+            if all(c.denominator % p for c in min_poly):
+                m = [c.numerator * pow(c.denominator, -1, p) % p
+                     for c in min_poly]
+                if _poly_powmod([0, 1], p, m, p) == [0, 1]:
+                    return p, tuple(tuple(pow(r, k, p) for k in range(n))
+                                    for r in sorted(_split_roots(m, p)))
+        p -= 2
+    return PRIME, ()
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3215031751."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# -- polynomials over F_p: int lists low to high, no trailing zeros ---------
+
+def _poly_divmod(a: list[int], b: list[int], p: int):
+    """Quotient and remainder of a by a nonzero b over F_p."""
+    r = list(a)
+    n = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(r) - n, 0)
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = r[k + n] % p * inv % p
+        if c:
+            q[k] = c
+            for j, bj in enumerate(b):
+                r[k + j] -= c * bj
+    return _poly_trim(q), _poly_trim([x % p for x in r[:n]])
+
+
+def _poly_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_powmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """base^e mod m over F_p, left to right: a linear base costs little."""
+    result, base = [1], _poly_divmod(base, m, p)[1]
+    for bit in bin(e)[2:]:
+        result = _poly_mulmod(result, result, m, p)
+        if bit == "1":
+            result = _poly_mulmod(result, base, m, p)
+    return result
+
+
+def _poly_mulmod(a: list[int], b: list[int], m: list[int], p: int):
+    if not a or not b:
+        return []
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_divmod(prod, m, p)[1]
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over F_p of a nonzero a and b."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _split_roots(f: list[int], p: int) -> list[int]:
+    """Roots of a monic f that is a product of distinct linear factors over
+    F_p, p odd, by Cantor-Zassenhaus equal-degree splitting.
+
+    For each shift a, the gcd of f and (x + a)^((p-1)/2) - 1 collects the
+    roots r with r + a a nonzero square.  Two distinct roots r, s are
+    separated by some a in F_p, since the Legendre symbols of (a + r)(a + s)
+    sum to -1 over a, so the scan over a stops within p steps; in practice
+    it stops within a few.
+    """
+    if len(f) == 2:
+        return [-f[0] % p]
+    for a in range(p):
+        h = _poly_powmod([a, 1], (p - 1) // 2, f, p) or [0]
+        h[0] = (h[0] - 1) % p
+        g = _poly_gcd(f, _poly_trim(h), p)
+        if 1 < len(g) < len(f):
+            return (_split_roots(g, p)
+                    + _split_roots(_poly_divmod(f, g, p)[0], p))
+    raise RuntimeError("root splitting exhausted F_p")
+
+
 def rank(matrix: Matrix) -> int:
     """Rank over the matrix's field.
 
-    Over Q the rank mod PRIME is computed first, by modular_pivots.  Every
-    entry is then p-integral, so reduction mod p is a ring homomorphism on
-    the entries and maps each minor to the same minor of the reduced
-    matrix.  An r x r minor that is nonzero mod p is therefore nonzero over
-    Q, and the rank over Q is at least the rank mod p.  No rank exceeds
-    min(rows, cols), so a rank mod p equal to min(rows, cols) is the rank
-    over Q.  Otherwise the rank comes from exact elimination.
+    The residues of the entries are eliminated first, by modular_pivots, at
+    every residue map of the field: one over Q, one per root of m modulo a
+    split prime over Q[t]/(m).  A rank mod p equal to min(rows, cols) at
+    every map is the rank, by the argument in the module docstring: each
+    map is a ring homomorphism on the p-integral entries, so a minor
+    nonzero at a map is nonzero in the factor of Q[t]/(m) that map belongs
+    to, every factor has a map, and no rank exceeds min(rows, cols).
+    Otherwise, or when a map declines, the rank comes from exact
+    elimination, so a rank that drops at one root is never claimed full.
     """
     pivots = modular_pivots(matrix.field, matrix.entries)
     full = min(matrix.rows, matrix.cols)

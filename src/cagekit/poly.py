@@ -184,7 +184,8 @@ class HomogPoly:
         pt = [self.field.coerce(x) for x in point]
         if all(x.is_zero() for x in pt):
             raise InvalidPointError("all-zero tuple is not a projective point")
-        values = monomial_values(self.field, pt, self.terms, self.degree)
+        values = monomial_values(self.field.one(), pt, self.terms,
+                                 self.degree)
         acc = self.field.zero()
         for coeff, val in zip(self.terms.values(), values):
             acc = acc + coeff * val
@@ -201,12 +202,16 @@ class HomogPoly:
                 f"{len(self.terms)} terms)")
 
 
-def monomial_values(field: FieldDescriptor, point: Sequence[FieldElement],
-                    monomials: Iterable[Monomial],
-                    degree: int) -> list[FieldElement]:
+def monomial_values(one, point: Sequence, monomials: Iterable[Monomial],
+                    degree: int) -> list:
     """Values at the point of exponent tuples whose entries are at most
-    `degree`, in the order given."""
-    one = field.one()
+    `degree`, in the order given, as products starting from `one`.
+
+    The loop is generic in the value type: field elements with
+    one = field.one(), or the integer residues of a point's coordinates
+    with one = 1, whose products are congruent mod p to the residues of
+    the values.
+    """
     powers = []
     for x in point:
         col = [one]

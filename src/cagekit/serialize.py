@@ -7,11 +7,12 @@ All readers validate shape and report failures with a JSON-path location.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any
 
 from .cage import Cage, Node
-from .errors import SchemaError
+from .errors import ReducibleModulusError, SchemaError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix, TangentSubspace
 from .poly import HomogPoly, LinearForm
@@ -31,12 +32,29 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _fraction_from(text: Any, path: str) -> Fraction:
+# Fraction("1e999999999") would compute 10**999999999.  A plain digit
+# string is already bounded, since int() refuses more than 4300 digits; the
+# same bound on the exponent keeps an exponent literal to that size.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
+def parse_rational(text: Any, path: str) -> Fraction:
+    """A rational literal as Fraction accepts it ("p/q", "p", decimal,
+    exponent), with the exponent bounded; any other input raises
+    SchemaError at `path`, a JSON path or an option name."""
     _expect(isinstance(text, str), path, "scalar must be a string")
+    exponent = _EXPONENT.search(text)
+    if exponent is not None:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        _expect(len(digits) <= len(str(MAX_EXPONENT))
+                and int(digits or "0") <= MAX_EXPONENT, path,
+                f"exponent of {text[:40]!r} exceeds {MAX_EXPONENT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(path, f"bad rational literal {text!r}") from exc
+        raise SchemaError(path, f"bad rational literal {text[:40]!r}") \
+            from exc
 
 
 # -- scalars -----------------------------------------------------------------
@@ -50,12 +68,12 @@ def scalar_to_json(x: FieldElement):
 def scalar_from_json(field: FieldDescriptor, obj, path: str = "$"
                      ) -> FieldElement:
     if field.kind == "rationals":
-        return field.from_rational(_fraction_from(obj, path))
+        return field.from_rational(parse_rational(obj, path))
     _expect(isinstance(obj, list), path,
             "extension scalar must be a coefficient list")
     _expect(len(obj) == field.degree, path,
             f"expected {field.degree} coefficients, got {len(obj)}")
-    return field.element([_fraction_from(c, f"{path}[{i}]")
+    return field.element([parse_rational(c, f"{path}[{i}]")
                           for i, c in enumerate(obj)])
 
 
@@ -82,14 +100,14 @@ def field_from_json(obj, path: str = "$.field") -> FieldDescriptor:
     mp = obj.get("min_poly")
     _expect(isinstance(mp, list) and len(mp) >= 3, f"{path}.min_poly",
             "extension needs a min_poly list of degree >= 2")
-    min_poly = [_fraction_from(c, f"{path}.min_poly[{i}]")
+    min_poly = [parse_rational(c, f"{path}.min_poly[{i}]")
                 for i, c in enumerate(mp)]
     conj = obj.get("conjugation")
     conjugation = None
     if conj is not None:
         _expect(isinstance(conj, list), f"{path}.conjugation",
                 "conjugation must be a list")
-        conjugation = [_fraction_from(c, f"{path}.conjugation[{i}]")
+        conjugation = [parse_rational(c, f"{path}.conjugation[{i}]")
                        for i, c in enumerate(conj)]
     try:
         return FieldDescriptor.extension(
@@ -129,10 +147,10 @@ def cage_from_json(obj, path: str = "$") -> Cage:
             fpath = f"{gpath}[{i}]"
             _expect(isinstance(coeffs, list), fpath,
                     "form must be a coefficient list")
+            values = [scalar_from_json(field, c, f"{fpath}[{k}]")
+                      for k, c in enumerate(coeffs)]
             try:
-                forms.append(LinearForm(field, [
-                    scalar_from_json(field, c, f"{fpath}[{k}]")
-                    for k, c in enumerate(coeffs)]))
+                forms.append(LinearForm(field, values))
             except ValueError as exc:
                 raise SchemaError(fpath, str(exc)) from exc
         groups.append(forms)
@@ -187,8 +205,11 @@ def poly_from_json(field: FieldDescriptor, obj, path: str = "$") -> HomogPoly:
             "vars must be a positive integer")
     _expect(_is_int(degree) and degree >= 0, f"{path}.degree",
             "degree must be a nonnegative integer")
+    terms_obj = obj.get("terms", [])
+    _expect(isinstance(terms_obj, list), f"{path}.terms",
+            "terms must be a list")
     terms = {}
-    for i, term in enumerate(obj.get("terms", [])):
+    for i, term in enumerate(terms_obj):
         tpath = f"{path}.terms[{i}]"
         _expect(isinstance(term, dict) and "exp" in term and "coeff" in term,
                 tpath, "term needs exp and coeff")
@@ -221,7 +242,10 @@ def variety_from_json(obj, path: str = "$") -> LambdaMatrix:
     _expect(obj.get("kind") == "variety", f"{path}.kind",
             "expected kind 'variety'")
     cage = cage_from_json(obj.get("cage"), f"{path}.cage")
-    report = cage.validate()
+    try:
+        report = cage.validate()
+    except ReducibleModulusError as exc:
+        raise SchemaError(f"{path}.cage.field", str(exc)) from exc
     _expect(report.valid, f"{path}.cage", "embedded cage fails validation")
     rows_obj = obj.get("lambda")
     _expect(isinstance(rows_obj, list) and rows_obj, f"{path}.lambda",

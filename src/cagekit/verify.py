@@ -18,7 +18,7 @@ from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix, chart_jacobian
 from .linalg import (Matrix, SubspaceBasis, in_span, kernel_basis,
-                     modular_pivots, rank, span_equal)
+                     modular_pivots, rank, residue_pivots, span_equal)
 from .poly import HomogPoly, LinearForm, monomial_basis, monomial_values
 
 
@@ -85,8 +85,32 @@ def evaluation_matrix(points, degree: int,
         if any(len(p) != nv for p in pts):
             raise ShapeError("points have inconsistent arity")
     basis = monomial_basis(degree, nv)
-    rows = [monomial_values(field, pt, basis, degree) for pt in pts]
+    one = field.one()
+    rows = [monomial_values(one, pt, basis, degree) for pt in pts]
     return EvalMatrix(Matrix(field, rows))
+
+
+def _evaluation_pivots(points, degree: int, field: FieldDescriptor):
+    """linalg.residue_pivots of the degree-k evaluation matrix of a
+    nonempty point list, from monomials evaluated at the residues of the
+    points; the exact matrix is never built."""
+    pts = _point_tuples(points)
+    basis = monomial_basis(degree, len(pts[0]))
+    return residue_pivots(field, lambda reduce: [
+        monomial_values(1, [reduce(c) for c in pt], basis, degree)
+        for pt in pts])
+
+
+def _evaluation_rank(points, degree: int, field: FieldDescriptor) -> int:
+    """Rank of the degree-k evaluation matrix of a nonempty point list: a
+    full rank at every residue map is the rank, as in linalg.rank, and any
+    other outcome takes linalg.rank of the exact matrix."""
+    pts = _point_tuples(points)
+    pivots = _evaluation_pivots(pts, degree, field)
+    full = min(len(pts), len(monomial_basis(degree, len(pts[0]))))
+    if pivots is not None and len(pivots) == full:
+        return full
+    return rank(evaluation_matrix(pts, degree, field=field).matrix)
 
 
 def _distinct_points(points, field: Optional[FieldDescriptor]):
@@ -133,6 +157,10 @@ def hilbert_table(points, k_max: int,
 
         rank_p(E_k) <= rank_Q(E_k) = cols - dim I_k <= cols - rank_p(K_k).
 
+    rank_p(E_k) comes from monomials evaluated at the residues of the
+    points, so the exact E_k is built only for a degree that needs its
+    kernel.
+
     A rank mod p equal to min(rows, cols) needs no upper bound, as in
     linalg.rank; at full column rank I_k = 0.  Otherwise, when the two
     bounds meet, the rank is proved.  The rows of K_k that are
@@ -157,34 +185,33 @@ def hilbert_table(points, k_max: int,
         if count == 0 or values and values[-1] == count:
             values.append(count)
             continue
-        matrix = evaluation_matrix(pts, k, field=field).matrix
-        r, ideal = _rank_and_kernel(matrix, ideal, k, len(pts[0]))
+        r, ideal = _rank_and_kernel(pts, field, ideal, k)
         values.append(r)
         if r == count:
             _separating_form(field, pts)
     return tuple(values)
 
 
-def _rank_and_kernel(matrix: Matrix, ideal, k: int, nv: int):
-    """The rank of the degree-k evaluation matrix in nv variables and a
-    basis of its kernel (None when not known), from a basis of the
-    degree-(k-1) kernel or None, by the bounds in hilbert_table's
-    docstring."""
-    field, cols = matrix.field, matrix.cols
-    lower = modular_pivots(field, matrix.entries)
+def _rank_and_kernel(pts, field: FieldDescriptor, ideal, k: int):
+    """The rank of the degree-k evaluation matrix of the points and a basis
+    of its kernel (None when not known), from a basis of the degree-(k-1)
+    kernel or None, by the bounds in hilbert_table's docstring."""
+    nv = len(pts[0])
+    cols = len(monomial_basis(k, nv))
+    lower = _evaluation_pivots(pts, k, field) if field.degree == 1 else None
     if lower is None:
-        return rank(matrix), None
+        return rank(evaluation_matrix(pts, k, field=field).matrix), None
     r = len(lower)
     if r == cols:
         return r, ()
-    if r == matrix.rows:
+    if r == len(pts):
         return r, None
     if ideal:
         products = _variable_multiples(field, ideal, k, nv)
         kept = modular_pivots(field, products)
         if kept is not None and r + len(kept) == cols:
             return r, tuple(products[i] for i in kept)
-    kernel = kernel_basis(matrix)
+    kernel = kernel_basis(evaluation_matrix(pts, k, field=field).matrix)
     return cols - kernel.dim, kernel.vectors
 
 
@@ -217,7 +244,7 @@ def hilbert_function(points, k: int, field: FieldDescriptor = None) -> int:
     pts, field = _distinct_points(points, field)
     if not pts:
         return 0
-    return rank(evaluation_matrix(pts, k, field=field).matrix)
+    return _evaluation_rank(pts, k, field)
 
 
 # -- interpolation and rigidity ----------------------------------------------
@@ -258,10 +285,10 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
     cage.validate()
     supra = supra_simplicial_indices(cage.d, cage.n)
     pts = cage.nodes_for(supra)
+    if _evaluation_rank(pts, cage.d, cage.field) == len(supra):
+        return VerificationReport(cage.summary(),
+                                  _supra_passed(cage, len(supra)))
     ev = evaluation_matrix(pts, cage.d)
-    certified = _supra_from_ranks(cage, ev)
-    if certified is not None:
-        return VerificationReport(cage.summary(), certified)
     kernel = kernel_basis(ev.matrix)
     r = ev.matrix.cols - kernel.dim
     checks = [CheckResult(
@@ -300,13 +327,11 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
     return VerificationReport(cage.summary(), tuple(checks))
 
 
-def _supra_from_ranks(cage: Cage, ev: EvalMatrix):
-    """The four interpolation checks, all passed, from the full row rank of
-    the supra evaluation matrix and the argument in
-    verify_supra_interpolation's docstring; None if the rank falls short."""
-    size, cols, n = ev.matrix.rows, ev.matrix.cols, cage.n
-    if rank(ev.matrix) != size:
-        return None
+def _supra_passed(cage: Cage, size: int):
+    """The four interpolation checks, all passed, which the full row rank
+    size of the supra evaluation matrix proves by the argument in
+    verify_supra_interpolation's docstring."""
+    n, cols = cage.n, len(monomial_basis(cage.d, cage.n + 1))
     return (
         CheckResult("supra-evaluation-rank", True,
                     {"rank": size, "selection-size": size, "columns": cols}),
@@ -324,8 +349,8 @@ def _simplicial_checks(cage: Cage) -> tuple[CheckResult, ...]:
     one evaluation matrix of the simplicial nodes in degree d-1 and its
     rank."""
     simp = simplicial_indices(cage.d, cage.n)
-    ev = evaluation_matrix(cage.nodes_for(simp), cage.d - 1)
-    r, cols = rank(ev.matrix), ev.matrix.cols
+    r = _evaluation_rank(cage.nodes_for(simp), cage.d - 1, cage.field)
+    cols = len(monomial_basis(cage.d - 1, cage.n + 1))
     square = len(simp) == cols
     return (
         CheckResult("simplicial-lower-degree-kernel-trivial", r == cols,

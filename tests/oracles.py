@@ -90,6 +90,17 @@ def poly_mod_mul(a, b, modulus):
     return prod
 
 
+def horner(coeffs, x, modulus):
+    """The polynomial with the given coefficients, low to high, evaluated
+    at x in Q[t]/(modulus) by Horner's rule; x and the result are
+    coefficient lists of length deg(modulus)."""
+    acc = [Fraction(0)] * (len(modulus) - 1)
+    for c in reversed(coeffs):
+        acc = poly_mod_mul(acc, x, modulus)
+        acc[0] += Fraction(c)
+    return acc
+
+
 def monomial_exponents(degree, nvars):
     """All exponent tuples of the given total degree, as a set."""
     out = set()

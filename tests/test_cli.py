@@ -187,6 +187,24 @@ def test_inscribe_rejects_bad_index(square_cage, capsys):
     capsys.readouterr()
 
 
+def test_exponent_literals_exit_2_quickly(tmp_path, square_cage, capsys):
+    # a 12-byte scalar whose Fraction would be 10**999999999
+    doc = cage_to_json(axis_cage(F, [(0, 0), (1, 1)]))
+    doc["groups"][0][1][2] = "1e999999999"
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    for argv, where in (
+            (["validate", "--cage", str(huge)], "$.groups[0][1][2]"),
+            (["inscribe", "--cage", square_cage, "--node", "1,1",
+              "--tangent", "1e999999999,2"], "--tangent"),
+            (["propagate", "--cage", square_cage, "--node", "1,1",
+              "--tangent", "1,2;3,1e10000000"], "--tangent")):
+        started = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - started < 1
+        assert f"error: {where}: exponent" in capsys.readouterr().err
+
+
 def test_propagate(tmp_path, square_cage):
     code, blob = run(tmp_path, "propagate", "--cage", square_cage,
                      "--node", "1,1", "--tangent", "1,2")
@@ -385,6 +403,16 @@ def test_sample_grid_guards(tmp_path, square_cage, capsys):
                  "--box", "0", "1", "0", "1", "0", "1",
                  "--resolution", str(resolution), "-o", str(out)]) == 2
     assert "--resolution" in capsys.readouterr().err
+    assert not out.exists()
+    # box bounds go through the same bounded literal parser as cage files
+    assert main(["sample-grid", "--variety", str(curve),
+                 "--box", "0", "1e999999999", "0", "1", "0", "1",
+                 "--resolution", "2", "-o", str(out)]) == 2
+    assert "error: --box: exponent" in capsys.readouterr().err
+    assert main(["sample-grid", "--variety", str(curve),
+                 "--box", "0", "one", "0", "1", "0", "1",
+                 "--resolution", "2", "-o", str(out)]) == 2
+    assert "error: --box: bad rational literal" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from cagekit import demos
 from cagekit import (FieldDescriptor, FieldMismatchError, NotInvertibleError,
                      ReducibleModulusError)
 
@@ -157,6 +158,21 @@ def test_conjugation_involution_and_homomorphism():
             assert a.conjugate().conjugate() == a
             assert (a * b).conjugate() == a.conjugate() * b.conjugate()
             assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+
+
+@pytest.mark.parametrize("builder", [demos.quartic_roots_field,
+                                     demos.cubic_roots_field])
+def test_conjugate_is_horner_at_the_conjugate_of_t(builder):
+    # conjugation is a linear map on coefficient vectors; the oracle
+    # evaluates the coefficient polynomial at sigma(t) by Horner's rule
+    field = builder()[0]
+    rng = random.Random(field.degree)
+    for _ in range(6):
+        x = field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                           if rng.random() < 0.8 else 0
+                           for _ in range(field.degree)])
+        assert list(x.conjugate().coeffs) == oracles.horner(
+            x.coeffs, field.conjugation, field.min_poly)
 
 
 def test_conjugation_fixes_rationals():

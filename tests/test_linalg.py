@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from cagekit import linalg
-from cagekit import (FieldDescriptor, Matrix, ShapeError, SubspaceBasis,
-                     in_span, invert, kernel_basis, rank, solve, span_equal)
+from cagekit import demos, linalg
+from cagekit import (FieldDescriptor, Matrix, ReducibleModulusError,
+                     ShapeError, SubspaceBasis, in_span, invert,
+                     kernel_basis, rank, solve, span_equal)
 
 
 Q = FieldDescriptor.rationals()
@@ -168,14 +169,109 @@ def test_modular_rank_falls_back_on_the_prime():
         == [0]
     assert linalg.modular_pivots(
         Q, Matrix(Q, [[Fraction(1, p)]]).entries) is None
-    # an extension field declines at once
+    # an extension field reduces at the roots of its modulus mod a split
+    # prime, and declines when that prime divides a denominator
     sqrt2 = FieldDescriptor.extension([-2, 0, 1])
     assert linalg.modular_pivots(sqrt2, Matrix.identity(sqrt2, 2).entries) \
-        is None
+        == [0, 1]
+    q, _ = linalg._residue_maps(sqrt2)
+    assert linalg.modular_pivots(
+        sqrt2, [[sqrt2.element([0, Fraction(1, q)])]]) is None
     # shapes with nothing to eliminate
     assert rank(Matrix(Q, [])) == 0
     assert rank(Matrix(Q, [[], []])) == 0
     assert linalg.modular_pivots(Q, []) == []
+
+
+SPLIT_FIELDS = {
+    "Q(sqrt2)": FieldDescriptor.extension([-2, 0, 1]),
+    "Q(i)": FieldDescriptor.extension([1, 0, 1]),
+    "Q(theta,i)": demos.quartic_roots_field()[0],
+    "Q(omega,cbrt3)": demos.cubic_roots_field()[0],
+}
+
+
+def random_field_matrix(rng, field, rows, cols, deficiency=0):
+    # the last rows are combinations of the others with weights in the
+    # field, so the rank drops over the field but not coefficientwise
+    def element():
+        return field.element([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                              if rng.random() < 0.8 else 0
+                              for _ in range(field.degree)])
+
+    free = min(rows, cols) - deficiency
+    raw = [[element() for _ in range(cols)] for _ in range(free)]
+    while len(raw) < rows:
+        weights = [element() for _ in range(free)]
+        raw.append([sum((w * r[j] for w, r in zip(weights, raw)),
+                        field.zero()) for j in range(cols)])
+    rng.shuffle(raw)
+    return Matrix(field, raw)
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_FIELDS))
+def test_split_prime_rank_matches_exact_elimination(name):
+    field = SPLIT_FIELDS[name]
+    p, roots = linalg._residue_maps(field)
+    assert len(roots) == field.degree and p <= linalg.PRIME
+    rng = random.Random(name)
+    for rows, cols, deficiency in ((3, 4, 0), (4, 3, 0), (4, 4, 0),
+                                   (4, 4, 1), (3, 5, 2), (5, 3, 1)):
+        m = random_field_matrix(rng, field, rows, cols, deficiency)
+        exact = len(linalg._rref(m)[1])
+        assert exact == min(rows, cols) - deficiency
+        pivots = linalg.modular_pivots(field, m.entries)
+        # a lower bound at every root, and the certificate when full
+        assert len(pivots) <= exact
+        assert len(pivots) == exact or deficiency
+        assert rank(m) == exact
+
+
+def test_rank_drop_at_one_root_takes_the_exact_path(monkeypatch):
+    field = SPLIT_FIELDS["Q(theta,i)"]
+    p, roots = linalg._residue_maps(field)
+    # t - r vanishes at the root r mod p and nowhere else, and is a unit
+    r = roots[0][1]
+    unit = field.generator() - r
+    assert linalg.modular_pivots(field, [[unit]]) == []
+    calls = []
+    real = linalg._rref
+    monkeypatch.setattr(linalg, "_rref",
+                        lambda m: calls.append(m) or real(m))
+    assert rank(Matrix(field, [[unit]])) == 1
+    assert len(calls) == 1
+
+
+def test_reducible_modulus_rank_is_certified_only_in_every_factor():
+    # Q[t]/(t^2 - 1) is Q x Q, with the roots t = 1 and t = -1
+    split = FieldDescriptor.extension([-1, 0, 1])
+    t = split.generator()
+    # t - 1 is zero in the first factor: the exact path meets the zero
+    # divisor and the reducibility surfaces
+    with pytest.raises(ReducibleModulusError):
+        rank(Matrix(split, [[t - 1]]))
+    # full rank in both factors is the rank, though elimination over the
+    # ring would invert t - 1 first
+    both = Matrix(split, [[t - 1, t + 1]])
+    assert linalg.modular_pivots(split, both.entries) == [0]
+    assert rank(both) == 1
+    with pytest.raises(ReducibleModulusError):
+        linalg._rref(both)
+
+
+def test_exhausted_prime_scan_takes_the_exact_path(monkeypatch):
+    # x^2 + 1 has no root mod 2^31 - 1, which is 3 mod 4
+    monkeypatch.setattr(linalg, "SPLIT_SCAN", 1)
+    gauss = FieldDescriptor.extension([1, 0, 1])
+    assert linalg._residue_maps(gauss) == (linalg.PRIME, ())
+    m = Matrix.identity(gauss, 3)
+    assert linalg.modular_pivots(gauss, m.entries) is None
+    calls = []
+    real = linalg._rref
+    monkeypatch.setattr(linalg, "_rref",
+                        lambda m: calls.append(m) or real(m))
+    assert rank(m) == 3
+    assert len(calls) == 1
 
 
 def test_in_span_zero_vector():

@@ -1,6 +1,7 @@
 """JSON round trips for every exchangeable object, plus schema diagnostics."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,24 @@ def test_scalar_errors_carry_paths():
     with pytest.raises(SchemaError) as err:
         scalar_from_json(SQRT2, ["1", "oops"], path="$.x")
     assert err.value.path == "$.x[1]"
+
+
+def test_exponent_literals_are_bounded():
+    # Fraction alone would compute 10**999999999 and never return
+    for text in ("1e999999999", "1e10000000", "-2.5E-4301", "1e0_0_9_9_9_9",
+                 "1e+" + "9" * 20):
+        started = time.perf_counter()
+        with pytest.raises(SchemaError) as err:
+            scalar_from_json(F, text, path="$.x")
+        assert err.value.path == "$.x" and "exponent" in str(err.value)
+        assert time.perf_counter() - started < 0.1
+    with pytest.raises(SchemaError) as err:
+        scalar_from_json(SQRT2, ["0", "1e999999999"], path="$.x")
+    assert err.value.path == "$.x[1]"
+    # the bound itself, and every other literal Fraction reads, still pass
+    assert scalar_from_json(F, "1e4300").as_fraction() == 10 ** 4300
+    assert scalar_from_json(F, "-1.5e-3").as_fraction() == Fraction(-3, 2000)
+    assert scalar_from_json(F, " 2/3 ").as_fraction() == Fraction(2, 3)
 
 
 def test_field_round_trip():

@@ -284,26 +284,49 @@ def test_supra_interpolation_plane_three_by_three():
 
 @pytest.mark.parametrize("n, d", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_supra_certificate_matches_exact_path(monkeypatch, n, d):
-    # the one-rank certificate, the same with an exact rank, and the exact
-    # kernel path give identical reports
+    # the one-rank certificate from the nodes' residues, the same with an
+    # exact rank, and the exact kernel path give identical reports
     def forbidden(*args, **kwargs):
         raise AssertionError("the certified path must not reach this")
 
     for seed in (11, 12):
         cage = random_cage(100 * n + 10 * d + seed, d, n)
         with monkeypatch.context() as m:
-            for name in ("kernel_basis", "span_equal", "in_span"):
+            for name in ("kernel_basis", "span_equal", "in_span",
+                         "evaluation_matrix"):
                 m.setattr(verify, name, forbidden)
             m.setattr(HomogPoly, "evaluate", forbidden)
             certified = report_to_json(verify_supra_interpolation(cage))
         with monkeypatch.context() as m:
+            m.setattr(verify, "_evaluation_pivots", lambda *args: None)
             m.setattr(linalg, "modular_pivots", lambda field, rows: None)
             exact_ranks = report_to_json(verify_supra_interpolation(cage))
         with monkeypatch.context() as m:
-            m.setattr(verify, "_supra_from_ranks", lambda cage, ev: None)
+            m.setattr(verify, "_evaluation_rank", lambda *args: -1)
             exact = report_to_json(verify_supra_interpolation(cage))
         assert certified["pass"]
         assert certified == exact_ranks == exact
+
+
+def test_number_field_supra_report_without_residues(monkeypatch):
+    # the residue certificate at the six roots of the degree-6 modulus and
+    # exact elimination over Q(omega, cbrt3) give the same report
+    cage = build_demo("fermat-cubic-surface").cage
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certified path must not reach this")
+
+    with monkeypatch.context() as m:
+        for name in ("kernel_basis", "evaluation_matrix"):
+            m.setattr(verify, name, forbidden)
+        m.setattr(linalg, "_rref", forbidden)
+        certified = report_to_json(verify_supra_interpolation(cage))
+    with monkeypatch.context() as m:
+        for module in (linalg, verify):
+            m.setattr(module, "residue_pivots", lambda field, rows: None)
+        exact = report_to_json(verify_supra_interpolation(cage))
+    assert certified["pass"]
+    assert certified == exact
 
 
 def test_rigidity_smallest_case():
@@ -553,13 +576,13 @@ def test_run_suite_shares_one_simplicial_rank(monkeypatch):
     minimality = verify_degree_minimality(cage).checks
     rigidity = verify_simplicial_rigidity(cage).checks
     calls = []
-    original = verify.evaluation_matrix
+    original = verify._evaluation_rank
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "evaluation_matrix", counted)
+    monkeypatch.setattr(verify, "_evaluation_rank", counted)
     report = run_suite(cage, ("minimality", "rigidity"))
     assert calls == [cage.d - 1]
     assert report.checks == minimality + rigidity
