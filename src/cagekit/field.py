@@ -105,12 +105,12 @@ class FieldDescriptor:
     answer that holds in every factor alike is returned without that
     error: linalg.rank certifies a full rank at every root of m modulo a
     split prime, which is a full rank in every factor however m factors.
-    The descriptor caches its reduction rows, the powers of the conjugate
-    of t, and the split prime that linalg finds for it.
+    The descriptor caches its reduction rows and the powers of the
+    conjugate of t.
     """
 
     __slots__ = ("kind", "min_poly", "label", "conjugation", "_reduction",
-                 "_sigma_powers", "_split")
+                 "_sigma_powers")
 
     def __init__(self, kind: str, min_poly=None, label: str = "",
                  conjugation=None):
@@ -139,7 +139,6 @@ class FieldDescriptor:
         self.label = label or ("Q" if kind == "rationals" else "Q[t]/(m)")
         self._reduction = None
         self._sigma_powers = None
-        self._split = None          # set by linalg on first use
 
     @classmethod
     def rationals(cls) -> "FieldDescriptor":

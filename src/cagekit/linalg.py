@@ -8,7 +8,7 @@ convention, which makes them canonical for a fixed input matrix.
 Full ranks are certified from residues modulo a prime.  A residue map sends
 each p-integral element (every coefficient's denominator prime to p) to
 F_p.  Over Q there is one, reduction modulo PRIME = 2^31 - 1.  Over
-Q[t]/(m) the descriptor gets, once, the first prime p <= PRIME, scanning
+Q[t]/(m) the modulus gets, once, the first prime p <= PRIME, scanning
 down through at most SPLIT_SCAN primes, at which every coefficient of m is
 p-integral and m mod p divides x^p - x: then m mod p is squarefree and
 splits into deg m distinct linear factors.  Each root r of m mod p, found
@@ -157,6 +157,7 @@ def _rref(matrix: Matrix):
 
 PRIME = 2 ** 31 - 1
 SPLIT_SCAN = 200        # primes an extension modulus may try before declining
+_SPLITS: dict = {}      # min_poly -> _split_prime(min_poly)
 
 
 def residue_pivots(field: FieldDescriptor,
@@ -196,10 +197,6 @@ def modular_pivots(field: FieldDescriptor,
 
 def _reducer(p: int, powers: tuple[int, ...]):
     """The residue map sending t^k to powers[k] mod p."""
-    if len(powers) == 1:        # over Q
-        return lambda e: (e.coeffs[0].numerator
-                          * pow(e.coeffs[0].denominator, -1, p) % p)
-
     def reduce(e: FieldElement) -> int:
         acc = 0
         for c, w in zip(e.coeffs, powers):
@@ -236,9 +233,9 @@ def _residue_maps(field: FieldDescriptor):
     1, t, ..., t^(degree-1); no maps when the scan finds no prime."""
     if field.degree == 1:
         return PRIME, ((1,),)
-    if field._split is None:
-        field._split = _split_prime(field.min_poly)
-    return field._split
+    if field.min_poly not in _SPLITS:
+        _SPLITS[field.min_poly] = _split_prime(field.min_poly)
+    return _SPLITS[field.min_poly]
 
 
 def _split_prime(min_poly) -> tuple[int, tuple[tuple[int, ...], ...]]:

@@ -115,8 +115,11 @@ def _evaluation_rank(points, degree: int, field: FieldDescriptor) -> int:
 
 def _distinct_points(points, field: Optional[FieldDescriptor]):
     """Canonical coordinates of a point list and their field; duplicates,
-    projectively equal representatives included, raise ValueError."""
+    projectively equal representatives included, raise ValueError, and
+    points of differing arity raise ShapeError."""
     raw = _point_tuples(points)
+    if any(len(p) != len(raw[0]) for p in raw):
+        raise ShapeError("points have inconsistent arity")
     field = _infer_field(raw, field) if raw else field
     pts = [canonical_point(tuple(field.coerce(c) for c in p)) for p in raw]
     if len(set(pts)) != len(pts):
@@ -168,7 +171,7 @@ def hilbert_table(points, k_max: int,
     them, so they are a basis of I_k for the next degree.  When the bounds
     differ (I_{k-1} = 0 included), the exact kernel of E_k gives the rank
     and a fresh basis.  Over an extension field, or when p divides a
-    denominator, the degree takes linalg.rank instead.
+    denominator, the degree takes its rank as hilbert_function does.
 
     From the point count on the value stays put: scaling the degree-k0
     columns by powers of a linear form that vanishes at no point embeds the
@@ -200,7 +203,7 @@ def _rank_and_kernel(pts, field: FieldDescriptor, ideal, k: int):
     cols = len(monomial_basis(k, nv))
     lower = _evaluation_pivots(pts, k, field) if field.degree == 1 else None
     if lower is None:
-        return rank(evaluation_matrix(pts, k, field=field).matrix), None
+        return _evaluation_rank(pts, k, field), None
     r = len(lower)
     if r == cols:
         return r, ()

@@ -262,6 +262,7 @@ def test_reducible_modulus_rank_is_certified_only_in_every_factor():
 def test_exhausted_prime_scan_takes_the_exact_path(monkeypatch):
     # x^2 + 1 has no root mod 2^31 - 1, which is 3 mod 4
     monkeypatch.setattr(linalg, "SPLIT_SCAN", 1)
+    monkeypatch.setattr(linalg, "_SPLITS", {})
     gauss = FieldDescriptor.extension([1, 0, 1])
     assert linalg._residue_maps(gauss) == (linalg.PRIME, ())
     m = Matrix.identity(gauss, 3)

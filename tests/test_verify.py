@@ -125,6 +125,17 @@ def test_hilbert_duplicate_points_rejected():
         hilbert_table([(0, 0, 1), (0, 0, 2)], 2, field=Q)
 
 
+def test_hilbert_ragged_points_rejected():
+    # a longer later point, then a shorter one, as evaluation_matrix rejects
+    for pts in ([(1, 0, 0), (0, 1, 0, 7)], [(1, 0, 0), (0, 1)]):
+        with pytest.raises(ShapeError):
+            hilbert_function(pts, 1, field=Q)
+        with pytest.raises(ShapeError):
+            hilbert_table(pts, 2, field=Q)
+        with pytest.raises(ShapeError):
+            evaluation_matrix(pts, 1, field=Q)
+
+
 def test_hilbert_negative_degree():
     with pytest.raises(ValueError):
         hilbert_function(unit_square().nodes(), -1)
