@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Optional, Sequence
 
 from .errors import CageValidationError, MustValidateError, ShapeError
@@ -27,7 +27,8 @@ from .poly import HomogPoly, LinearForm, product_of_linear_forms
 
 Index = tuple[int, ...]
 
-# validation costs one n x (n+1) kernel per node, so the node count is bounded
+# validation costs one (n-1) x (n+1) kernel per line of d nodes, d^(n-1) in
+# all, plus work per node, so the node count is bounded
 MAX_NODES = 4096
 
 
@@ -111,6 +112,22 @@ class ValidationReport:
     failures: tuple[ValidationFailure, ...]
 
 
+def _integral(vector: Sequence[FieldElement]) -> tuple[int, ...]:
+    """A vector over Q times the lcm of its denominators, as ints."""
+    values = [e.coeffs[0] for e in vector]
+    scale = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (scale // x.denominator) for x in values)
+
+
+def _dot(form: Sequence, vector: Sequence):
+    """sum(form[k] * vector[k]), skipping zero terms; ints or FieldElements."""
+    acc = 0
+    for c, x in zip(form, vector):
+        if c and x:
+            acc = acc + c * x
+    return acc
+
+
 def canonical_point(vector: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     """Scale a nonzero vector so its last nonzero coordinate becomes 1."""
     last = None
@@ -168,44 +185,85 @@ class Cage:
         """Certify transversality, distinctness, and incidence exactness.
 
         The report lists one failure per offending index tuple; nodes become
-        available only after a fully clean run.
+        available only after a fully clean run.  Degenerate tuples and
+        coincident nodes come first, in lexicographic index order, then
+        incidence failures in node order.
 
-        The incidence loop evaluates only the n(d-1) forms that do not
-        index a node: the node is a kernel vector of the n forms that do,
-        and kernel_basis has already checked that they vanish there.
+        Nodes are found one line at a time.  The d nodes (i_1, ..., i_(n-1),
+        *) lie on the kernel of their first n-1 forms, so one kernel_basis
+        per line, d^(n-1) in all, serves d nodes; for n = 1 the line is all
+        of P^1 and its basis is the identity.  Let the line's kernel have
+        dimension k and let l be a last-color form.  The tuple's kernel is
+        the part of the line's kernel where l vanishes, of dimension k - 1
+        when l is nonzero on some basis vector and k otherwise; anything but
+        1 is a degenerate tuple.  When k = 2 with basis u, v and l is
+        nonzero on the line, the node is l(v) u - l(u) v: it is nonzero
+        since u and v are independent and l(u), l(v) are not both zero, and
+        l vanishes there by construction.  Any other form f takes the value
+        l(v) f(u) - l(u) f(v) at the node, so evaluating the n*d forms at u
+        and v once per line leaves two products per form per node.  The
+        forms indexing the node need no test: kernel_basis has checked that
+        the first n-1 vanish on the line.  Zero tests do not change when a
+        vector is scaled, so over Q every form and every basis vector is
+        scaled to an integer vector and the work runs on ints; over
+        Q[t]/(m) the same code runs on field elements.  Each point is
+        canonicalized once, and a point seen before is reported as a
+        coincident node.
         """
         if self._report is not None:
             return self._report
+        field, n, d = self.field, self.n, self.d
+        rational = field.kind == "rationals"
+        scaled = _integral if rational else tuple
+        forms = [[scaled(form.coeffs) for form in group]
+                 for group in self.groups]
+        if n == 1:
+            # no forms cut the line, and a Matrix has at least one row
+            one, zero = (1, 0) if rational else (field.one(), field.zero())
+            line_basis = ((one, zero), (zero, one))
         failures: list[ValidationFailure] = []
+        incidence: list[ValidationFailure] = []
         nodes: list[Node] = []
         seen: dict[tuple, Index] = {}
-        for index in all_indices(self.d, self.n):
-            rows = [self.groups[j][index[j] - 1].coeffs for j in range(self.n)]
-            kernel = kernel_basis(Matrix(self.field, rows))
-            if kernel.dim != 1:
-                failures.append(ValidationFailure(
-                    "degenerate-tuple", index,
-                    f"hyperplane tuple meets in a {kernel.dim}-dimensional "
-                    "solution space, expected a single point"))
-                continue
-            point = canonical_point(kernel.vectors[0])
-            if point in seen:
-                failures.append(ValidationFailure(
-                    "coincident-nodes", index,
-                    f"node coincides with node {seen[point]}"))
-                continue
-            seen[point] = index
-            nodes.append(Node(index, point))
-        # no node may lie on a hyperplane it does not index
-        for node in nodes:
-            for j in range(self.n):
-                for i, form in enumerate(self.groups[j], start=1):
-                    if (i != node.index[j]
-                            and form.evaluate(node.point).is_zero()):
-                        failures.append(ValidationFailure(
-                            "incidence", node.index,
-                            f"color {j + 1} hyperplane {i}: "
-                            f"vanishing pattern violated"))
+        for head in all_indices(d, n - 1):
+            if n > 1:
+                rows = [self.groups[j][head[j] - 1].coeffs
+                        for j in range(n - 1)]
+                line_basis = tuple(scaled(v) for v in
+                                   kernel_basis(Matrix(field, rows)).vectors)
+            # values[j][k]: form k of color j at each line basis vector
+            values = [[[_dot(f, b) for b in line_basis] for f in group]
+                      for group in forms]
+            for i, on_line in enumerate(values[-1], start=1):
+                index = head + (i,)
+                dim = len(line_basis) - (1 if any(on_line) else 0)
+                if dim != 1:
+                    failures.append(ValidationFailure(
+                        "degenerate-tuple", index,
+                        f"hyperplane tuple meets in a {dim}-dimensional "
+                        "solution space, expected a single point"))
+                    continue
+                (u, v), (lu, lv) = line_basis, on_line
+                vector = [lv * x - lu * y for x, y in zip(u, v)]
+                point = canonical_point(
+                    [field.from_rational(x) for x in vector]
+                    if rational else vector)
+                if point in seen:
+                    failures.append(ValidationFailure(
+                        "coincident-nodes", index,
+                        f"node coincides with node {seen[point]}"))
+                    continue
+                seen[point] = index
+                nodes.append(Node(index, point))
+                # no node may lie on a hyperplane it does not index
+                for j, group in enumerate(values):
+                    for k, (fu, fv) in enumerate(group, start=1):
+                        if k != index[j] and lv * fu == lu * fv:
+                            incidence.append(ValidationFailure(
+                                "incidence", index,
+                                f"color {j + 1} hyperplane {k}: "
+                                f"vanishing pattern violated"))
+        failures += incidence
         valid = not failures
         report = ValidationReport(valid, len(nodes), tuple(failures))
         self._report = report

@@ -7,7 +7,8 @@ and frozen before the corresponding package code was tested against them.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 
 def rref(rows):
@@ -177,3 +178,47 @@ def grid_hilbert(d, n, k):
         for i in range(1, k + 1):
             series[i] += series[i - 1]
     return series[k]
+
+
+def validate_per_node(groups, kernel, canonical):
+    """Cage validation one node at a time: the kernel of each node's n
+    forms, a canonical point per node, then every form at every node.
+
+    groups holds n lists of d coefficient vectors; kernel(rows) returns a
+    kernel basis of the rows and canonical(vector) a normalized point, so
+    the values may be Fractions or any field elements that compare equal
+    to 0 when zero.  Returns the failures as (kind, index, detail) triples
+    in report order and the nodes as (index, point) pairs.
+    """
+    n, d = len(groups), len(groups[0])
+    failures, nodes, seen = [], [], {}
+    for index in product(range(1, d + 1), repeat=n):
+        rows = [groups[j][index[j] - 1] for j in range(n)]
+        basis = kernel(rows)
+        if len(basis) != 1:
+            failures.append((
+                "degenerate-tuple", index,
+                f"hyperplane tuple meets in a {len(basis)}-dimensional "
+                "solution space, expected a single point"))
+            continue
+        point = canonical(basis[0])
+        if point in seen:
+            failures.append(("coincident-nodes", index,
+                             f"node coincides with node {seen[point]}"))
+            continue
+        seen[point] = index
+        nodes.append((index, point))
+    for index, point in nodes:
+        for j in range(n):
+            for i, form in enumerate(groups[j], start=1):
+                if i == index[j]:
+                    continue
+                value = 0
+                for c, x in zip(form, point):
+                    value = value + c * x
+                if value == 0:
+                    failures.append((
+                        "incidence", index,
+                        f"color {j + 1} hyperplane {i}: "
+                        f"vanishing pattern violated"))
+    return failures, nodes

@@ -1,18 +1,25 @@
 """Cage construction, validation, node combinatorics, slicing, transform."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from cagekit import (Cage, CageValidationError, FieldDescriptor, LinearForm,
                      Matrix, MustValidateError, SchemaError, ShapeError,
                      all_indices, axis_cage, canonical_point, norm,
                      random_cage, simplicial_indices,
                      supra_simplicial_indices)
+from cagekit import cage as cage_module
 from cagekit.cage import validated
+from cagekit.errors import ReducibleModulusError
+from cagekit.linalg import kernel_basis
 
 
 Q = FieldDescriptor.rationals()
+SQRT2 = FieldDescriptor.extension([-2, 0, 1], label="Q(sqrt 2)")
+SPLIT = FieldDescriptor.extension([-1, 0, 1], label="Q[t]/(t^2-1)")
 
 
 def unit_square():
@@ -288,3 +295,155 @@ def test_node_lookup_unknown_index():
     cage = unit_square()
     with pytest.raises(KeyError):
         cage.node((3, 1))
+
+
+# -- validation along lines against the per-node oracle ----------------------
+
+def candidate(rng, field, n, d):
+    """An unvalidated cage with coefficients in [-2, 2] (plus [-1, 1] * t
+    over an extension); about one form in six repeats an earlier one, of
+    the same color or another, so every failure kind occurs."""
+    earlier = []
+    groups = []
+    for _ in range(n):
+        forms = []
+        for _ in range(d):
+            if earlier and rng.random() < 0.15:
+                coeffs = rng.choice(earlier)
+            else:
+                coeffs = [0] * (n + 1)
+                while not any(coeffs):
+                    coeffs = [field.element(
+                        [rng.randint(-2, 2)]
+                        + [rng.randint(-1, 1)] * (field.degree - 1))
+                        for _ in range(n + 1)]
+            earlier.append(coeffs)
+            forms.append(LinearForm(field, coeffs))
+        groups.append(forms)
+    return Cage(field, groups)
+
+
+def outcome(validate):
+    """The report and nodes as plain data, or the reducible-modulus error."""
+    try:
+        return validate()
+    except ReducibleModulusError as exc:
+        return ("ReducibleModulusError", str(exc))
+
+
+def line_outcome(cage):
+    report = cage.validate()
+    failures = [(f.kind, f.index, f.detail) for f in report.failures]
+    nodes = [(nd.index, nd.point) for nd in cage.nodes()] if report.valid \
+        else None
+    return report.valid, report.node_count, failures, nodes
+
+
+def node_outcome(cage):
+    field = cage.field
+    failures, nodes = oracles.validate_per_node(
+        [[form.coeffs for form in group] for group in cage.groups],
+        lambda rows: kernel_basis(Matrix(field, rows)).vectors,
+        canonical_point)
+    return not failures, len(nodes), failures, nodes if not failures else None
+
+
+@pytest.mark.parametrize("field, per_shape", [(Q, 3), (SQRT2, 1), (SPLIT, 3)],
+                         ids=["Q", "Q(sqrt 2)", "Q[t]/(t^2-1)"])
+def test_validation_matches_per_node_oracle(field, per_shape):
+    # the whole report (kinds, indices, details, order) and every node point
+    # agree with validation one node at a time, for n = 1..4 and d = 1..4;
+    # over Q[t]/(t^2 - 1) both raise ReducibleModulusError on the same cages
+    seen = {"valid": 0, "raised": 0}
+    for n in range(1, 5):
+        for d in range(1, 5):
+            for k in range(per_shape):
+                rng = random.Random(1000 * n + 100 * d + k)
+                cage = candidate(rng, field, n, d)
+                got = outcome(lambda: line_outcome(cage))
+                assert got == outcome(lambda: node_outcome(cage)), (n, d, k)
+                if got[0] == "ReducibleModulusError":
+                    seen["raised"] += 1
+                    continue
+                seen["valid"] += got[0]
+                for kind, _, _ in got[2]:
+                    seen[kind] = seen.get(kind, 0) + 1
+    assert seen["valid"] and seen["degenerate-tuple"]
+    assert seen["coincident-nodes"] and seen["incidence"]
+    assert bool(seen["raised"]) == (field is SPLIT)
+
+
+def test_validation_takes_one_kernel_per_line(monkeypatch):
+    # d^(n-1) kernels, one per line of d nodes, and no form evaluation
+    counts = {"kernel": 0, "evaluate": 0}
+
+    def counting_kernel(matrix):
+        counts["kernel"] += 1
+        return kernel_basis(matrix)
+
+    def counting_evaluate(form, point):
+        counts["evaluate"] += 1
+        return evaluate(form, point)
+
+    evaluate = LinearForm.evaluate
+    monkeypatch.setattr(cage_module, "kernel_basis", counting_kernel)
+    monkeypatch.setattr(LinearForm, "evaluate", counting_evaluate)
+    for n, d in ((2, 3), (3, 4), (4, 2), (2, 1)):
+        fresh = Cage(Q, random_cage(7, d, n).groups)
+        counts.update(kernel=0, evaluate=0)
+        assert fresh.validate().valid
+        assert counts == {"kernel": d ** (n - 1), "evaluate": 0}
+
+
+@pytest.mark.parametrize("field", [Q, SQRT2], ids=["Q", "Q(sqrt 2)"])
+def test_validation_on_the_projective_line(field):
+    # n = 1: the line is all of P^1, and the form (a, b) has the node (b, -a)
+    t = field.generator() if field is SQRT2 else field.from_rational(3)
+    cage = Cage(field, [[LinearForm(field, [1, -1]),
+                         LinearForm(field, [1, -t]),
+                         LinearForm(field, [2, -1])]])
+    assert cage.validate() == cage_module.ValidationReport(True, 3, ())
+    assert [nd.point for nd in cage.nodes()] == [
+        (field.one(), field.one()), (t, field.one()),
+        (field.from_rational(Fraction(1, 2)), field.one())]
+    twice = Cage(field, [[LinearForm(field, [1, -t]),
+                          LinearForm(field, [2, -2 * t])]])
+    assert twice.validate().failures == (
+        cage_module.ValidationFailure(
+            "coincident-nodes", (2,), "node coincides with node (1,)"),
+        cage_module.ValidationFailure(
+            "incidence", (1,), "color 1 hyperplane 2: vanishing pattern "
+            "violated"))
+
+
+@pytest.mark.parametrize("field", [Q, SQRT2], ids=["Q", "Q(sqrt 2)"])
+def test_validation_with_one_form_per_color(field):
+    # d = 1: one node and no incidence to test
+    t = field.generator() if field is SQRT2 else field.from_rational(3)
+    forms = [[1, 0, 0, -1], [0, 1, 0, -t], [1, 1, 1, 0]]
+    cage = Cage(field, [[LinearForm(field, f)] for f in forms])
+    assert cage.validate() == cage_module.ValidationReport(True, 1, ())
+    (node,) = cage.nodes()
+    assert node.index == (1, 1, 1)
+    assert node.point == canonical_point(
+        [field.one(), t, -1 - t, field.one()])
+
+
+def test_last_form_containing_the_line_is_degenerate():
+    # x = y = 0 is a line; x + y contains it, and a form proportional to x
+    # leaves a plane for the first two colors to meet in
+    cage = Cage(Q, [[line(1, 0, 0, 0), line(2, 0, 0, 0)],
+                    [line(0, 1, 0, 0), line(1, 0, 0, 0)],
+                    [line(1, 1, 0, 0), line(0, 0, 1, 0)]])
+    failures = {f.index: f for f in cage.validate().failures
+                if f.kind == "degenerate-tuple"}
+    assert failures[(1, 1, 1)].detail == (
+        "hyperplane tuple meets in a 2-dimensional solution space, "
+        "expected a single point")
+    assert (1, 1, 2) not in failures
+    assert failures[(1, 2, 1)].detail.startswith(
+        "hyperplane tuple meets in a 2-dimensional")
+    assert failures[(1, 2, 2)].detail.startswith(
+        "hyperplane tuple meets in a 2-dimensional")
+    assert failures[(2, 2, 1)].detail.startswith(
+        "hyperplane tuple meets in a 2-dimensional")
