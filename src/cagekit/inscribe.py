@@ -95,43 +95,33 @@ def node_differentials(cage: Cage, node: Node) -> Matrix:
     """n x n matrix whose row j is the chart-local differential of the j-th
     group product at the node.
 
-    Exactly one factor L_{j,I_j} of product j vanishes at a node, so row j
-    is (prod over i != I_j of L_{j,i}(p)) times the coefficients of L_{j,I_j},
-    chart column dropped: a nonzero multiple of one factor's differential.
-    The n factors are transversal, so the matrix is invertible.  A point on
-    no single factor of some product is not a node and raises ValueError.
+    At the node p with index I the factor L_{j,I_j} of product j vanishes,
+    so the product rule leaves one term: row j is c_j times the
+    coefficients of L_{j,I_j}, chart column dropped, where c_j is the
+    product of L_{j,i}(p) over i != I_j.  Only those d - 1 cofactor forms
+    are evaluated.  The matrix is invertible by validation: its incidence
+    check puts p on no factor its index does not name, so every c_j is
+    nonzero, and its degenerate-tuple check gives the n forms L_{j,I_j}
+    rank n, so their kernel is spanned by p.  A chart-local kernel vector
+    lifted with a zero chart entry would lie in that kernel, which p[chart]
+    = 1 rules out.  A Node that is not the cage's node at its index raises
+    ValueError.
     """
+    try:
+        on_cage = cage.node(node.index) == node
+    except KeyError:
+        on_cage = False
+    if not on_cage:
+        raise ValueError(f"point is not the cage's node {node.index}")
     chart = chart_of(node)
-    one = cage.field.one()
     rows = []
-    for j, forms in enumerate(cage.groups):
-        values = [form.evaluate(node.point) for form in forms]
-        hit = [i for i, v in enumerate(values) if v.is_zero()]
-        if len(hit) != 1:
-            raise ValueError(f"{len(hit)} hyperplanes of color {j + 1} "
-                             f"vanish at {node.index}, expected one")
-        cofactor = prod(values[:hit[0]] + values[hit[0] + 1:], start=one)
-        coeffs = forms[hit[0]].coeffs
-        rows.append([cofactor * c for i, c in enumerate(coeffs) if i != chart])
+    for forms, hit in zip(cage.groups, node.index):
+        others = forms[:hit - 1] + forms[hit:]
+        cofactor = prod((f.evaluate(node.point) for f in others),
+                        start=cage.field.one())
+        rows.append([cofactor * c for i, c in enumerate(forms[hit - 1].coeffs)
+                     if i != chart])
     return Matrix(cage.field, rows)
-
-
-def chart_jacobian(variety: LambdaMatrix, node: Node) -> Matrix:
-    """s x n chart-local Jacobian of the variety's pencils at a node: the
-    lambda rows times the node differentials.
-
-    Its rank is the rank of the full s x (n+1) Jacobian, so full rank s
-    certifies smoothness at the node.  Every group product F_j vanishes at
-    the node p, as validation certifies: p is a checked kernel vector of
-    the n forms its index names (and node_differentials checks again: it
-    returns only when one factor of each product vanishes).  Euler's identity sum_i p_i dF_j/dx_i(p) =
-    d F_j(p) = 0 and p[chart] = 1, the canonical point's trailing 1, then
-    make the chart column of the full Jacobian equal to -sum over
-    i != chart of p_i times column i, so dropping it loses no rank.
-    """
-    diff = node_differentials(variety.cage, node)
-    return Matrix(variety.cage.field, [diff.transpose().matvec(row)
-                                       for row in variety.rows])
 
 
 def inscribe_with_tangent(cage: Cage, node: Node,
@@ -165,10 +155,19 @@ def inscribe_with_tangent(cage: Cage, node: Node,
 def tangent_at_node(variety: LambdaMatrix, node: Node) -> TangentSubspace:
     """Tangent space of the inscribed variety at any node of its cage.
 
-    The tangent space is the kernel of the chart-local Jacobian, which must
-    have full rank s, matching smoothness of the variety at the node.
+    The tangent space is the kernel of the s x n chart-local Jacobian, the
+    lambda rows times the node differentials, which must have full rank s,
+    matching smoothness of the variety at the node.  Its rank is the rank
+    of the full s x (n+1) Jacobian.  Every group product F_j vanishes at the
+    node p, as validation certifies.  Euler's identity sum_i p_i
+    dF_j/dx_i(p) = d F_j(p) = 0 and p[chart] = 1, the canonical point's
+    trailing 1, then make the chart column of the full Jacobian equal to
+    -sum over i != chart of p_i times column i, so dropping it loses no
+    rank.
     """
-    jac = chart_jacobian(variety, node)
+    diff = node_differentials(variety.cage, node)
+    jac = Matrix(variety.cage.field, [diff.transpose().matvec(row)
+                                      for row in variety.rows])
     kernel = kernel_basis(jac)
     if jac.cols - kernel.dim != variety.s:
         raise SingularNodeError(

@@ -1,6 +1,7 @@
 """The bundled demos must certify every claim they make."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -37,6 +38,26 @@ def test_demo_certifies_itself(name):
     assert report.checks[0].name == "validation"
     assert report.subject["demo"] == name
     json.dumps(report_to_json(report))
+
+
+# sha256 of json.dumps(report_to_json(run_demo(name))): a change to any
+# report, its check names, details or key order, shows here
+REPORT_DIGESTS = {
+    "fermat-conic":
+        "282726b34f3cf4756fa1b4306157e2bc50649d3c9479db2c74f41f94db4281fe",
+    "k3-quartic":
+        "a95453c376631474f5ddfd040f92fdc2387743cebc33a41017dac71590db6ebd",
+    "fermat-cubic-surface":
+        "18aabd6cd89caa9e921dea5e4a95c5a7ae7d28e1ecdc61bcef36f20d161da5b0",
+    "cube-elliptic":
+        "9658b95ab373e8fd2d48b6eea1c2e302391bc0e0357d42f068e7ab650557ddd5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_demo_report_is_unchanged(name):
+    text = json.dumps(report_to_json(run_demo(name)))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[name]
 
 
 def test_k3_quartic_extras():

@@ -145,6 +145,16 @@ def test_node_differentials_reject_points_off_the_cage():
         node_differentials(cage, inside)
 
 
+def test_node_differentials_reject_indices_off_the_grid():
+    # a cage node's point under an index the cage does not have, or under
+    # another node's index
+    cage = unit_square()
+    point = cage.node((1, 1)).point
+    for index in ((3, 1), (0, 1), (1, 1, 1), (1,), (1, 2)):
+        with pytest.raises(ValueError):
+            node_differentials(cage, Node(index, point))
+
+
 def test_foreign_cage_rejected():
     cage = unit_square()
     variety = LambdaMatrix(cage, coerced(((2, -1),)))

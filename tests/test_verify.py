@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from cagekit import linalg, verify
+from cagekit import inscribe, linalg, verify
 from cagekit import (FieldDescriptor, HomogPoly, LambdaMatrix, LinearForm,
                      Matrix, ShapeError, axis_cage, cayley_bacharach_check,
                      cayley_bacharach_pair, complete_intersection_span_check,
@@ -137,8 +137,9 @@ def test_hilbert_ragged_points_rejected():
 
 
 def test_hilbert_negative_degree():
-    with pytest.raises(ValueError):
-        hilbert_function(unit_square().nodes(), -1)
+    for call in (hilbert_function, hilbert_table):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            call(unit_square().nodes(), -1)
 
 
 def test_hilbert_function_is_one_table_entry():
@@ -508,6 +509,76 @@ def test_smoothness_dependent_rows_rejected():
                                   [Q.from_rational(2), Q.from_rational(2)]])
     with pytest.raises(ValueError):
         smoothness_check(variety)
+
+
+def test_smoothness_rejects_rows_of_the_wrong_length():
+    variety = LambdaMatrix(unit_square(), [[Q.one(), Q.from_rational(2),
+                                            Q.from_rational(3)]])
+    with pytest.raises(ShapeError):
+        smoothness_check(variety)
+
+
+def test_smoothness_proof_matches_node_jacobian_ranks():
+    # the check rests rank s at every node on validation and rank(lambda);
+    # the removed computation, lambda times the node differentials, agrees
+    rng = random.Random(83)
+    cages = [random_cage(rng.randrange(10 ** 6), d, n)
+             for d, n in ((2, 2), (3, 2), (2, 3), (3, 3), (4, 2))]
+    cages.append(build_demo("fermat-cubic-surface").cage)
+    for cage in cages:
+        n, field = cage.n, cage.field
+        varieties = []
+        for _ in range(2):
+            node = rng.choice(cage.nodes())
+            dim = rng.randint(1, n - 1)
+            while True:
+                vecs = [[rng.randint(-3, 3) for _ in range(n)]
+                        for _ in range(dim)]
+                if rank(Matrix(Q, vecs)) == dim:
+                    break
+            varieties.append(
+                inscribe_with_tangent(cage, node, make_tangent(node, vecs)))
+        for s in range(1, n + 1):
+            while True:
+                rows = [[field.from_rational(rng.randint(-4, 4))
+                         for _ in range(n)] for _ in range(s)]
+                if rank(Matrix(field, rows)) == s:
+                    break
+            varieties.append(LambdaMatrix(cage, rows))
+        for variety in varieties:
+            report = smoothness_check(variety)
+            assert report.passed
+            assert check_by_name(report, "jacobian-rank-at-nodes").details == {
+                "expected-rank": variety.s, "singular-nodes": []}
+            for node in cage.nodes():
+                diff = inscribe.node_differentials(cage, node)
+                jac = Matrix(field, [diff.transpose().matvec(row)
+                                     for row in variety.rows])
+                assert rank(jac) == variety.s
+
+
+def test_smoothness_does_no_work_per_node(monkeypatch):
+    # one elimination, the rank of lambda, and nothing evaluated at a node
+    cage = random_cage(89, 3, 3)
+    variety = LambdaMatrix(cage, [[Q.one(), Q.from_rational(2), Q.zero()],
+                                  [Q.zero(), Q.one(), Q.from_rational(-1)]])
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(inscribe, "node_differentials",
+                        counted("node_differentials",
+                                inscribe.node_differentials))
+    for name in ("rank", "kernel_basis"):
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    for cls in (HomogPoly, LinearForm):
+        monkeypatch.setattr(cls, "evaluate", counted("evaluate", cls.evaluate))
+    assert smoothness_check(variety).passed
+    assert calls == ["rank"]
 
 
 def test_smoothness_vanishing_matches_evaluation():
