@@ -17,12 +17,12 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import CageValidationError, MustValidateError, ShapeError
 from .field import FieldDescriptor, FieldElement
-from .linalg import Matrix, invert, kernel_basis
+from .linalg import Matrix, dot, integral_vector, invert, kernel_basis
 from .poly import HomogPoly, LinearForm, product_of_linear_forms
 
 Index = tuple[int, ...]
@@ -112,22 +112,6 @@ class ValidationReport:
     failures: tuple[ValidationFailure, ...]
 
 
-def _integral(vector: Sequence[FieldElement]) -> tuple[int, ...]:
-    """A vector over Q times the lcm of its denominators, as ints."""
-    values = [e.coeffs[0] for e in vector]
-    scale = lcm(*(x.denominator for x in values))
-    return tuple(x.numerator * (scale // x.denominator) for x in values)
-
-
-def _dot(form: Sequence, vector: Sequence):
-    """sum(form[k] * vector[k]), skipping zero terms; ints or FieldElements."""
-    acc = 0
-    for c, x in zip(form, vector):
-        if c and x:
-            acc = acc + c * x
-    return acc
-
-
 def canonical_point(vector: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     """Scale a nonzero vector so its last nonzero coordinate becomes 1."""
     last = None
@@ -214,7 +198,7 @@ class Cage:
             return self._report
         field, n, d = self.field, self.n, self.d
         rational = field.kind == "rationals"
-        scaled = _integral if rational else tuple
+        scaled = integral_vector if rational else tuple
         forms = [[scaled(form.coeffs) for form in group]
                  for group in self.groups]
         if n == 1:
@@ -232,7 +216,7 @@ class Cage:
                 line_basis = tuple(scaled(v) for v in
                                    kernel_basis(Matrix(field, rows)).vectors)
             # values[j][k]: form k of color j at each line basis vector
-            values = [[[_dot(f, b) for b in line_basis] for f in group]
+            values = [[[dot(f, b) for b in line_basis] for f in group]
                       for group in forms]
             for i, on_line in enumerate(values[-1], start=1):
                 index = head + (i,)

@@ -1,9 +1,44 @@
 """Dense exact linear algebra over a FieldDescriptor.
 
-Gaussian elimination with the first nonzero entry in column order as pivot,
-so every result (rank, kernel basis, solutions) is deterministic.  Kernel
-bases come out of the reduced echelon form in the standard free-column
-convention, which makes them canonical for a fixed input matrix.
+Gauss-Jordan elimination with the first nonzero entry in column order as
+pivot, so every result (rank, kernel basis, solutions) is deterministic.
+Kernel bases come out of the reduced echelon form in the standard
+free-column convention, which makes them canonical for a fixed input matrix.
+
+Over Q the elimination runs on ints.  integral_vector scales each row by
+the lcm of its denominators, which changes neither the row space nor which
+entries are zero.  _fraction_free then runs fraction-free Gauss-Jordan
+elimination (Bareiss 1968, in the Gauss-Jordan form of Nakos, Turner and
+Williams 1997) with the same pivot rule.  A step with pivot entry piv in
+column c replaces every other row by (piv * row - row[c] * pivot_row) //
+prev, where prev is the previous step's pivot entry, 1 at the start.  Over
+Q[t]/(m), _gauss_jordan eliminates field elements, normalizing each pivot
+row, so a reducible modulus surfaces at an inversion.
+
+Why the integer core is exact and gives the same RREF.  Let A be the
+scaled matrix with its rows in their final order, let R and C be the first
+k pivot rows and columns, and D_k = det A[R,C], with D_0 = 1.  After k
+steps the field elimination holds A[i,:] - A[i,C] A[R,C]^-1 A[R,:] in a
+non-pivot row i, and row m of A[R,C]^-1 A[R,:] in the pivot row of column
+c_m.  By induction the integer core holds D_k times the same rows.  Let
+x = D_(k-1) x' be a row and q = D_(k-1) q' the next pivot row, with
+entry q'[c] in the pivot column c.  The step gives (piv x - x[c] q) /
+D_(k-1) = D_(k-1) q'[c] (x' - x'[c] q' / q'[c]), and the pivot row stays
+D_(k-1) q'[c] (q' / q'[c]).  Both are D_k times the field elimination's
+row, because q'[c] is an entry of the Schur complement, D_k / D_(k-1).
+As D_k is nonzero, both eliminations see the same zeros, so they pick the
+same pivots and swap the same rows.  The integer rows are minors of A:
+entry j of the non-pivot row i is det A[R+i, C+j] by the Schur complement
+formula, and entry j of the pivot row of c_m is det A[R,C] with column
+c_m replaced by column j, by Cramer's rule.  So every // divides exactly
+(Sylvester's identity), and every entry is a minor of order at most k + 1,
+which the Hadamard bound limits to the product of its rows' euclidean
+norms.  At the end the non-pivot rows are zero and the pivot rows hold D
+times the RREF, where D = det A[R,C] is the pivot entry of every pivot
+row; dividing by D gives the field elimination's RREF entry for entry.
+Callers build kernel vectors, solutions and inverses on the ints and
+divide by D only where they return field elements; kernel_basis checks
+M v = 0 against the scaled rows on ints.
 
 Full ranks are certified from residues modulo a prime.  A residue map sends
 each p-integral element (every coefficient's denominator prime to p) to
@@ -51,6 +86,8 @@ upper bound over Q to prove rank-deficient ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import ShapeError
@@ -124,35 +161,104 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
+def integral_vector(vector: Sequence[FieldElement]) -> list[int]:
+    """A vector over Q times the lcm of its denominators, as ints."""
+    values = [e.coeffs[0] for e in vector]
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def dot(row: Sequence, vector: Sequence):
+    """sum(row[k] * vector[k]), skipping zero terms; ints or FieldElements."""
+    acc = 0
+    for c, x in zip(row, vector):
+        if c and x:
+            acc = acc + c * x
+    return acc
+
+
+def _scaled_rows(matrix: Matrix) -> list[list]:
+    """The rows the elimination works on: integral_vector of each row over
+    Q, the entries themselves over Q[t]/(m)."""
+    if matrix.field.kind == "rationals":
+        return [integral_vector(row) for row in matrix.entries]
+    return [list(row) for row in matrix.entries]
+
+
 def _rref(matrix: Matrix):
-    """Reduced row echelon form.  Returns (rows as lists, pivot column list)."""
-    rows = [list(r) for r in matrix.entries]
+    """The pivot rows of D times the reduced row echelon form, and the pivot
+    columns.  D, the pivot entry of every pivot row, is an int over Q, where
+    the rows are ints, and 1 over Q[t]/(m).  The module docstring proves
+    that both cores give the same RREF."""
+    rows = _scaled_rows(matrix)
+    if matrix.field.kind == "rationals":
+        return _fraction_free(rows)
+    return _gauss_jordan(rows)
+
+
+def _fraction_free(rows: list[list[int]]):
+    """Fraction-free Gauss-Jordan elimination of integer rows: the pivot
+    rows, which hold D times the RREF, and the pivot columns."""
     pivots: list[int] = []
-    pivot_row = 0
-    for col in range(matrix.cols):
-        hit = None
-        for r in range(pivot_row, len(rows)):
-            if not rows[r][col].is_zero():
-                hit = r
-                break
+    prev, r = 1, 0
+    for col in range(len(rows[0]) if rows else 0):
+        hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if hit is None:
             continue
-        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        inv = rows[pivot_row][col].inverse()
-        rows[pivot_row] = [inv * e for e in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r == pivot_row:
+        rows[r], rows[hit] = rows[hit], rows[r]
+        pivot_row = rows[r]
+        piv = pivot_row[col]
+        for i, row in enumerate(rows):
+            if i == r:
                 continue
-            factor = rows[r][col]
-            if factor.is_zero():
-                continue
-            prow = rows[pivot_row]
-            rows[r] = [e - factor * p for e, p in zip(rows[r], prow)]
+            f = row[col]
+            if f:
+                rows[i] = [(piv * a - f * b) // prev
+                           for a, b in zip(row, pivot_row)]
+            elif piv != prev:
+                rows[i] = [piv * a // prev for a in row]
         pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
+        prev, r = piv, r + 1
+        if r == len(rows):
             break
-    return rows, pivots
+    return rows[:r], pivots
+
+
+def _gauss_jordan(rows: list[list[FieldElement]]):
+    """Gauss-Jordan elimination over a field, normalizing each pivot row:
+    the pivot rows of the RREF and the pivot columns."""
+    pivots: list[int] = []
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        hit = next((i for i in range(r, len(rows))
+                    if not rows[i][col].is_zero()), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = pivot_row = [inv * e for e in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and not f.is_zero():
+                rows[i] = [e - f * p for e, p in zip(row, pivot_row)]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _lead(rows: list[list], pivots: list[int]):
+    """D for the rows of _rref: their shared pivot entry, 1 without one."""
+    return rows[0][pivots[0]] if pivots else 1
+
+
+def _divided(field: FieldDescriptor, values: Sequence, lead) -> list:
+    """values / lead as field elements, for rows that _rref scaled by lead:
+    Fractions over Q, the values themselves over Q[t]/(m), where lead is 1."""
+    if field.kind == "rationals":
+        return [FieldElement(field, (Fraction(x, lead),)) for x in values]
+    return [field.coerce(x) for x in values]
 
 
 PRIME = 2 ** 31 - 1
@@ -376,25 +482,30 @@ def rank(matrix: Matrix) -> int:
 
 
 def kernel_basis(matrix: Matrix) -> SubspaceBasis:
-    """Canonical basis of the right kernel, one vector per free column."""
+    """Canonical basis of the right kernel, one vector per free column.
+
+    The vector of free column f is 1 at f and minus the RREF's column f at
+    the pivot columns.  It is built as D times that from the rows _rref
+    returns, checked to vanish on every row the elimination started from
+    (the scaled integer rows over Q), and divided by D only on the way out.
+    """
     rows, pivots = _rref(matrix)
-    field = matrix.field
-    zero, one = field.zero(), field.one()
+    lead = _lead(rows, pivots)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
     basis = []
-    for f in free_cols:
-        vec = [zero] * matrix.cols
-        vec[f] = one
-        for r, pc in enumerate(pivots):
-            coeff = rows[r][f]
-            if not coeff.is_zero():
-                vec[pc] = -coeff
-        basis.append(tuple(vec))
-    for vec in basis:
-        if not all(e.is_zero() for e in matrix.matvec(vec)):
-            raise RuntimeError("kernel vector check failed")
-    return SubspaceBasis(matrix.cols, tuple(basis))
+    for f in range(matrix.cols):
+        if f in pivot_set:
+            continue
+        vec = [0] * matrix.cols
+        vec[f] = lead
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[f]
+        basis.append(vec)
+    scaled = _scaled_rows(matrix)
+    if any(dot(row, vec) for vec in basis for row in scaled):
+        raise RuntimeError("kernel vector check failed")
+    return SubspaceBasis(matrix.cols, tuple(
+        tuple(_divided(matrix.field, vec, lead)) for vec in basis))
 
 
 def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> Optional[Vector]:
@@ -405,19 +516,17 @@ def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> Optional[Vector]:
     if len(rhs) != matrix.rows:
         raise ShapeError(f"solve: {matrix.rows} rows vs {len(rhs)} rhs entries")
     field = matrix.field
-    rhs = [field.coerce(e) for e in rhs]
-    augmented = Matrix(field, [list(r) + [b]
-                               for r, b in zip(matrix.entries, rhs)]
-                       if matrix.rows else [])
     if matrix.rows == 0:
         return tuple([field.zero()] * matrix.cols)
+    augmented = Matrix(field, [list(r) + [b]
+                               for r, b in zip(matrix.entries, rhs)])
     rows, pivots = _rref(augmented)
     if pivots and pivots[-1] == matrix.cols:
         return None
-    solution = [field.zero()] * matrix.cols
-    for r, pc in enumerate(pivots):
-        solution[pc] = rows[r][matrix.cols]
-    return tuple(solution)
+    solution = [0] * matrix.cols
+    for row, pc in zip(rows, pivots):
+        solution[pc] = row[matrix.cols]
+    return tuple(_divided(field, solution, _lead(rows, pivots)))
 
 
 def invert(matrix: Matrix) -> Matrix:
@@ -432,7 +541,8 @@ def invert(matrix: Matrix) -> Matrix:
     rows, pivots = _rref(augmented)
     if len(pivots) < n or any(p >= n for p in pivots):
         raise ValueError("singular matrix")
-    return Matrix(field, [row[n:] for row in rows[:n]])
+    lead = _lead(rows, pivots)
+    return Matrix(field, [_divided(field, row[n:], lead) for row in rows])
 
 
 def in_span(vector: Sequence[FieldElement], basis: SubspaceBasis) -> bool:

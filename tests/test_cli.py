@@ -294,6 +294,19 @@ def test_kernel_self_check_exits_3(square_cage, monkeypatch, capsys):
                           "kernel vector check failed")
 
 
+def test_integer_core_self_check_exits_3(square_cage, monkeypatch, capsys):
+    # a wrong row from the integer core over Q fails the check on ints
+    real = linalg._fraction_free
+
+    def wrong(rows):
+        rows, pivots = real(rows)
+        rows[0] = [e + 1 for e in rows[0]]
+        return rows, pivots
+    monkeypatch.setattr(linalg, "_fraction_free", wrong)
+    assert_internal_error(capsys, ["verify", "--cage", square_cage],
+                          "kernel vector check failed")
+
+
 def test_separating_form_exhaustion_exits_3(square_cage, monkeypatch, capsys):
     class Vanishing(LinearForm):
         def evaluate(self, point):

@@ -5,6 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+try:
+    from hypothesis import given, strategies as st
+except ImportError:         # the property test skips itself
+    given = None
+
 import oracles
 from cagekit import demos, linalg
 from cagekit import (FieldDescriptor, Matrix, ReducibleModulusError,
@@ -273,6 +278,176 @@ def test_exhausted_prime_scan_takes_the_exact_path(monkeypatch):
                         lambda m: calls.append(m) or real(m))
     assert rank(m) == 3
     assert len(calls) == 1
+
+
+# -- the integer core against the field-generic elimination -----------------
+
+
+def field_rref(matrix):
+    # the elimination linalg runs over Q[t]/(m), here on a Q matrix
+    return linalg._gauss_jordan([list(r) for r in matrix.entries])
+
+
+def field_kernel(matrix):
+    rows, pivots = field_rref(matrix)
+    basis = []
+    for f in range(matrix.cols):
+        if f not in pivots:
+            vec = [Q.zero()] * matrix.cols
+            vec[f] = Q.one()
+            for row, pc in zip(rows, pivots):
+                vec[pc] = -row[f]
+            basis.append(tuple(vec))
+    return tuple(basis)
+
+
+def field_solve(matrix, rhs):
+    rows, pivots = field_rref(
+        Matrix(Q, [list(r) + [b] for r, b in zip(matrix.entries, rhs)]))
+    if pivots and pivots[-1] == matrix.cols:
+        return None
+    solution = [Q.zero()] * matrix.cols
+    for row, pc in zip(rows, pivots):
+        solution[pc] = row[matrix.cols]
+    return tuple(solution)
+
+
+def field_invert(matrix):
+    n = matrix.rows
+    rows, pivots = field_rref(Matrix(Q, [
+        list(r) + [int(i == j) for j in range(n)]
+        for i, r in enumerate(matrix.entries)]))
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return Matrix(Q, [row[n:] for row in rows])
+
+
+def integer_rref(matrix):
+    # the integer core's rows divided by D, as Fractions
+    rows, pivots = linalg._rref(matrix)
+    lead = linalg._lead(rows, pivots)
+    return [[Fraction(x, lead) for x in row] for row in rows], pivots
+
+
+def with_zero_lines(rng, matrix):
+    # one zero row and one zero column at random positions
+    raw = [list(r) for r in frac_entries(matrix)]
+    col = rng.randint(0, matrix.cols)
+    raw = [r[:col] + [0] + r[col:] for r in raw]
+    raw.insert(rng.randint(0, len(raw)), [0] * (matrix.cols + 1))
+    return Matrix(Q, raw)
+
+
+def cross_check_cases():
+    rng = random.Random(71)
+    shapes = [(1, 6), (4, 9), (6, 11), (9, 4), (11, 6), (7, 7), (8, 8)]
+    for rows, cols in shapes:
+        for deficiency in (0, 1, 3):
+            for _ in range(3):
+                m = random_rational_matrix(rng, rows, cols, deficiency)
+                yield rng, m
+                yield rng, with_zero_lines(rng, m)
+
+
+def assert_matches_field_elimination(rng, m):
+    # returns the numbers of inconsistent systems and singular inverses met
+    inconsistent = singular = 0
+    rows, pivots = field_rref(m)
+    assert integer_rref(m) == (
+        [[e.as_fraction() for e in row] for row in rows], pivots)
+    assert rank(m) == len(pivots)
+    assert kernel_basis(m).vectors == field_kernel(m)
+    x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+         for _ in range(m.cols)]
+    consistent = [sum((a * b for a, b in zip(row, x)), Fraction(0))
+                  for row in frac_entries(m)]
+    assert solve(m, consistent) == field_solve(m, consistent)
+    assert solve(m, consistent) is not None
+    columns = SubspaceBasis(m.rows, tuple(zip(*m.entries)))
+    assert in_span(consistent, columns)
+    for _ in range(2):
+        rhs = [rng.randint(-9, 9) for _ in range(m.rows)]
+        expected = field_solve(m, rhs)
+        assert solve(m, rhs) == expected
+        assert in_span(rhs, columns) == (expected is not None)
+        inconsistent += expected is None
+    if m.rows == m.cols:
+        try:
+            expected = field_invert(m)
+        except ValueError:
+            with pytest.raises(ValueError):
+                invert(m)
+            singular += 1
+        else:
+            assert invert(m) == expected
+    return inconsistent, singular
+
+
+def test_integer_core_matches_field_elimination():
+    met = [assert_matches_field_elimination(rng, m)
+           for rng, m in cross_check_cases()]
+    assert all(sum(counts) for counts in zip(*met))
+
+
+def test_integer_core_pivot_entry_is_the_determinant():
+    # on an integer matrix D is a minor of it: for a square nonsingular
+    # one, the determinant up to the sign of the row swaps
+    rng = random.Random(83)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(10):
+            raw = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            det = oracles.det(raw)
+            rows, pivots = linalg._rref(Matrix(Q, raw))
+            if det:
+                assert abs(linalg._lead(rows, pivots)) == abs(det)
+            else:
+                assert len(pivots) < n
+
+
+def test_q_takes_only_the_integer_core(monkeypatch):
+    def forbidden(rows):
+        raise AssertionError("Q must not reach the field elimination")
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", forbidden)
+    m = Matrix(Q, [[1, Fraction(1, 2), 0], [2, 1, Fraction(-1, 3)]])
+    assert rank(m) == 2 and kernel_basis(m).dim == 1
+    assert solve(m, [1, 1]) is not None
+    assert invert(Matrix(Q, [[0, 2], [Fraction(1, 3), 1]])) == Matrix(
+        Q, [[Fraction(-3, 2), 3], [Fraction(1, 2), 0]])
+
+
+if given is not None:
+    ENTRY = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-20, max_value=20,
+                                   max_denominator=6))
+
+    @given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+        st.lists(ENTRY, min_size=cols, max_size=cols),
+        min_size=1, max_size=6)))
+    def test_integer_core_property(raw):
+        m = Matrix(Q, raw)
+        rref, pivots = oracles.rref(raw)
+        assert integer_rref(m) == (rref[:len(pivots)], pivots)
+        assert [list(v) for v in kernel_basis(m).vectors] == \
+            oracles.kernel(raw)
+else:
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_integer_core_property():
+        pass
+
+
+def test_integer_core_self_check_raises_on_a_wrong_row(monkeypatch):
+    # M v = 0 is checked on ints against the scaled rows
+    real = linalg._fraction_free
+
+    def wrong(rows):
+        rows, pivots = real(rows)
+        rows[0] = [e + 1 for e in rows[0]]
+        return rows, pivots
+
+    monkeypatch.setattr(linalg, "_fraction_free", wrong)
+    with pytest.raises(RuntimeError, match="kernel vector check failed"):
+        kernel_basis(unit_square_eval())
 
 
 def test_in_span_zero_vector():
