@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm, prod
 from typing import Optional, Sequence
 
 from .errors import CageValidationError, MustValidateError, ShapeError
@@ -133,7 +133,8 @@ class Cage:
     """
 
     __slots__ = ("field", "groups", "n", "d", "attempts",
-                 "_report", "_nodes", "_node_by_index", "_group_polys")
+                 "_report", "_nodes", "_node_by_index", "_group_polys",
+                 "_lines", "_cofactors")
 
     def __init__(self, field: FieldDescriptor,
                  groups: Sequence[Sequence[LinearForm]],
@@ -162,6 +163,8 @@ class Cage:
         self._nodes = None
         self._node_by_index = None
         self._group_polys = {}
+        self._lines = None
+        self._cofactors = None
 
     # -- validation and node access -------------------------------------
 
@@ -192,7 +195,8 @@ class Cage:
         scaled to an integer vector and the work runs on ints; over
         Q[t]/(m) the same code runs on field elements.  Each point is
         canonicalized once, and a point seen before is reported as a
-        coincident node.
+        coincident node.  A valid cage keeps each line's basis and form
+        values, from which _node_cofactors reads the nodes' cofactors.
         """
         if self._report is not None:
             return self._report
@@ -208,6 +212,7 @@ class Cage:
         failures: list[ValidationFailure] = []
         incidence: list[ValidationFailure] = []
         nodes: list[Node] = []
+        lines = []
         seen: dict[tuple, Index] = {}
         for head in all_indices(d, n - 1):
             if n > 1:
@@ -218,6 +223,7 @@ class Cage:
             # values[j][k]: form k of color j at each line basis vector
             values = [[[dot(f, b) for b in line_basis] for f in group]
                       for group in forms]
+            lines.append((head, line_basis, values))
             for i, on_line in enumerate(values[-1], start=1):
                 index = head + (i,)
                 dim = len(line_basis) - (1 if any(on_line) else 0)
@@ -254,7 +260,55 @@ class Cage:
         if valid:
             self._nodes = tuple(nodes)
             self._node_by_index = {nd.index: nd for nd in nodes}
+            self._lines = lines
         return report
+
+    def _node_cofactors(self) -> dict[Index, tuple[FieldElement, ...]]:
+        """Node index -> its n cofactors c_j, the product of L_{j,k}(p)
+        over k != I_j at the node p with index I, computed as
+        inscribe.node_differentials derives them.
+
+        The table is built for every node on the first call, from the line
+        bases and form values that validate() kept, which are then dropped:
+        integer products and one Fraction per node and color over Q, field
+        products and one inverse per node over Q[t]/(m).  validate() does
+        not build it, as the checks that visit no node never ask for it.
+        """
+        self._require_valid()
+        if self._cofactors is None:
+            field, d = self.field, self.d
+            rational = field.kind == "rationals"
+            if rational:
+                scales = [[lcm(*(c.coeffs[0].denominator for c in f.coeffs))
+                           for f in group] for group in self.groups]
+                totals = [prod(group) for group in scales]
+            one = 1 if rational else field.one()
+            table = {}
+            for head, (u, v), values in self._lines:
+                for i, (lu, lv) in enumerate(values[-1], start=1):
+                    index = head + (i,)
+                    w_c = next(x for x in (lv * a - lu * b for a, b in
+                                           zip(reversed(u), reversed(v)))
+                               if x)
+                    w_pow = w_c ** (d - 1)
+                    if not rational:
+                        inv = w_pow.inverse()
+                    cofactors = []
+                    for j, group in enumerate(values):
+                        hit = index[j]
+                        num = prod((lv * fu - lu * fv for k, (fu, fv)
+                                    in enumerate(group, start=1) if k != hit),
+                                   start=one)
+                        if rational:
+                            den = w_pow * totals[j] // scales[j][hit - 1]
+                            cofactors.append(
+                                FieldElement(field, (Fraction(num, den),)))
+                        else:
+                            cofactors.append(num * inv)
+                    table[index] = tuple(cofactors)
+            self._cofactors = table
+            self._lines = None
+        return self._cofactors
 
     def _require_valid(self):
         if self._report is None:
@@ -399,6 +453,26 @@ def axis_cage(field: FieldDescriptor, points: Sequence[Sequence]) -> Cage:
     return validated(Cage(field, groups), "axis cage failed validation")
 
 
+def _has_proportional_pair(vectors: Sequence[Sequence[int]]) -> bool:
+    """Whether two of the nonzero integer vectors are proportional.
+
+    Such a pair of forms fails validation wherever they sit: in one color
+    they are one hyperplane, so the tuples through either give coincident
+    nodes or are degenerate; in two colors every tuple holding both has
+    rank below n and is degenerate.
+    """
+    seen = set()
+    for v in vectors:
+        g = gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        key = tuple(x // g for x in v)
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
+
+
 def random_cage(seed: int, d: int, n: int,
                 field: Optional[FieldDescriptor] = None,
                 max_attempts: int = 200) -> Cage:
@@ -406,24 +480,25 @@ def random_cage(seed: int, d: int, n: int,
 
     Resamples whole candidates until validation passes; the accepted cage
     records how many attempts were used.  The same seed always yields the
-    same cage.
+    same cage.  A candidate with two proportional forms would fail
+    validation, so it is rejected without running it.
     """
     _check_size(d, n)
     if field is None:
         field = FieldDescriptor.rationals()
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
-        groups = []
-        for _ in range(n):
-            forms = []
-            for _ in range(d):
-                while True:
-                    coeffs = [Fraction(rng.randint(-9, 9))
-                              for _ in range(n + 1)]
-                    if any(coeffs):
-                        break
-                forms.append(LinearForm(field, coeffs))
-            groups.append(forms)
+        drawn = []
+        for _ in range(n * d):
+            while True:
+                coeffs = [rng.randint(-9, 9) for _ in range(n + 1)]
+                if any(coeffs):
+                    break
+            drawn.append(coeffs)
+        if _has_proportional_pair(drawn):
+            continue
+        groups = [[LinearForm(field, c) for c in drawn[j * d:(j + 1) * d]]
+                  for j in range(n)]
         cage = Cage(field, groups, attempts=attempt)
         if cage.validate().valid:
             return cage

@@ -14,7 +14,6 @@ linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Mapping, Sequence
 
 from .cage import Cage, Node
@@ -98,14 +97,21 @@ def node_differentials(cage: Cage, node: Node) -> Matrix:
     At the node p with index I the factor L_{j,I_j} of product j vanishes,
     so the product rule leaves one term: row j is c_j times the
     coefficients of L_{j,I_j}, chart column dropped, where c_j is the
-    product of L_{j,i}(p) over i != I_j.  Only those d - 1 cofactor forms
-    are evaluated.  The matrix is invertible by validation: its incidence
-    check puts p on no factor its index does not name, so every c_j is
-    nonzero, and its degenerate-tuple check gives the n forms L_{j,I_j}
-    rank n, so their kernel is spanned by p.  A chart-local kernel vector
-    lifted with a zero chart entry would lie in that kernel, which p[chart]
-    = 1 rules out.  A Node that is not the cage's node at its index raises
-    ValueError.
+    product of L_{j,i}(p) over i != I_j.  The cofactors c_j come from the
+    cage's table (Cage._node_cofactors), built once per cage from the
+    values validation computed along each line of nodes: there the node is
+    w = l(v) u - l(u) v for the line basis u, v and the last-color form l,
+    p = w / w_c with w_c the chart entry of w, and a form L that
+    validation scaled by s (integral_vector over Q, s = 1 over Q[t]/(m))
+    takes the value L(p) = (l(v) (s L)(u) - l(u) (s L)(v)) / (s w_c).  So
+    c_j = prod_{i != I_j} (l(v) (s L_{j,i})(u) - l(u) (s L_{j,i})(v)) /
+    (w_c^(d-1) prod_{i != I_j} s_{j,i}), and no form is evaluated at p.
+    The matrix is invertible by validation: its incidence check puts p on
+    no factor its index does not name, so every c_j is nonzero, and its
+    degenerate-tuple check gives the n forms L_{j,I_j} rank n, so their
+    kernel is spanned by p.  A chart-local kernel vector lifted with a zero
+    chart entry would lie in that kernel, which p[chart] = 1 rules out.  A
+    Node that is not the cage's node at its index raises ValueError.
     """
     try:
         on_cage = cage.node(node.index) == node
@@ -114,14 +120,10 @@ def node_differentials(cage: Cage, node: Node) -> Matrix:
     if not on_cage:
         raise ValueError(f"point is not the cage's node {node.index}")
     chart = chart_of(node)
-    rows = []
-    for forms, hit in zip(cage.groups, node.index):
-        others = forms[:hit - 1] + forms[hit:]
-        cofactor = prod((f.evaluate(node.point) for f in others),
-                        start=cage.field.one())
-        rows.append([cofactor * c for i, c in enumerate(forms[hit - 1].coeffs)
-                     if i != chart])
-    return Matrix(cage.field, rows)
+    cofactors = cage._node_cofactors()[node.index]
+    return Matrix(cage.field, [
+        [c * a for i, a in enumerate(forms[hit - 1].coeffs) if i != chart]
+        for forms, hit, c in zip(cage.groups, node.index, cofactors)])
 
 
 def inscribe_with_tangent(cage: Cage, node: Node,
@@ -165,9 +167,16 @@ def tangent_at_node(variety: LambdaMatrix, node: Node) -> TangentSubspace:
     -sum over i != chart of p_i times column i, so dropping it loses no
     rank.
     """
-    diff = node_differentials(variety.cage, node)
-    jac = Matrix(variety.cage.field, [diff.transpose().matvec(row)
-                                      for row in variety.rows])
+    field = variety.cage.field
+    diff = node_differentials(variety.cage, node).entries
+    rows = []
+    for lams in variety.rows:
+        acc = [field.zero()] * len(diff)
+        for lam, drow in zip(lams, diff):
+            if not lam.is_zero():
+                acc = [a + lam * e for a, e in zip(acc, drow)]
+        rows.append(acc)
+    jac = Matrix(field, rows)
     kernel = kernel_basis(jac)
     if jac.cols - kernel.dim != variety.s:
         raise SingularNodeError(

@@ -97,9 +97,13 @@ Vector = tuple[FieldElement, ...]
 
 
 class Matrix:
-    """Immutable dense matrix; entries all live in the same field."""
+    """Immutable dense matrix; entries all live in the same field.
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    The rows the elimination works on (_scaled_rows) are kept once built,
+    so kernel_basis checks its vectors against the rows _rref started from.
+    """
+
+    __slots__ = ("field", "rows", "cols", "entries", "_scaled")
 
     def __init__(self, field: FieldDescriptor, entries):
         rows = tuple(tuple(field.coerce(e) for e in row) for row in entries)
@@ -113,6 +117,7 @@ class Matrix:
         self.rows = len(rows)
         self.cols = width
         self.entries = rows
+        self._scaled = None
 
     @classmethod
     def identity(cls, field: FieldDescriptor, n: int) -> "Matrix":
@@ -177,12 +182,16 @@ def dot(row: Sequence, vector: Sequence):
     return acc
 
 
-def _scaled_rows(matrix: Matrix) -> list[list]:
+def _scaled_rows(matrix: Matrix) -> tuple:
     """The rows the elimination works on: integral_vector of each row over
-    Q, the entries themselves over Q[t]/(m)."""
-    if matrix.field.kind == "rationals":
-        return [integral_vector(row) for row in matrix.entries]
-    return [list(row) for row in matrix.entries]
+    Q, the entries themselves over Q[t]/(m).  Built once per matrix."""
+    if matrix._scaled is None:
+        if matrix.field.kind == "rationals":
+            matrix._scaled = tuple(integral_vector(row)
+                                   for row in matrix.entries)
+        else:
+            matrix._scaled = matrix.entries
+    return matrix._scaled
 
 
 def _rref(matrix: Matrix):
@@ -190,7 +199,8 @@ def _rref(matrix: Matrix):
     columns.  D, the pivot entry of every pivot row, is an int over Q, where
     the rows are ints, and 1 over Q[t]/(m).  The module docstring proves
     that both cores give the same RREF."""
-    rows = _scaled_rows(matrix)
+    # the cores replace and reorder rows, never a row's entries
+    rows = list(_scaled_rows(matrix))
     if matrix.field.kind == "rationals":
         return _fraction_free(rows)
     return _gauss_jordan(rows)

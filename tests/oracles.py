@@ -222,3 +222,28 @@ def validate_per_node(groups, kernel, canonical):
                         f"color {j + 1} hyperplane {i}: "
                         f"vanishing pattern violated"))
     return failures, nodes
+
+
+def canonical_node(groups, index):
+    """The node with the given index over plain Fractions: the kernel
+    vector of its n forms, scaled so that its last nonzero entry is 1."""
+    (vector,) = kernel([groups[j][i - 1] for j, i in enumerate(index)])
+    last = next(x for x in reversed(vector) if x != 0)
+    return [x / last for x in vector]
+
+
+def cofactors(groups, index, point):
+    """For each color j, the product of the values at the point of the
+    forms of color j other than form index[j]: 1 when the color has one
+    form.  Forms are coefficient vectors; generic in the value type."""
+    out = []
+    for forms, hit in zip(groups, index):
+        product_ = 1
+        for i, form in enumerate(forms, start=1):
+            if i != hit:
+                value = 0
+                for c, x in zip(form, point):
+                    value = value + c * x
+                product_ = product_ * value
+        out.append(product_)
+    return out

@@ -242,6 +242,43 @@ def test_random_cage_seeds_all_valid():
     assert max(attempts) >= 1
 
 
+def test_random_cage_skips_only_candidates_validation_rejects(monkeypatch):
+    # a candidate with two proportional forms is rejected unvalidated;
+    # validating it anyway rejects it too, so neither the cage nor the
+    # attempt count changes
+    shapes = [(seed, d, n) for d, n in ((6, 1), (8, 2))
+              for seed in range(1, 21)]
+    fast = [random_cage(*shape) for shape in shapes]
+    flagged, valid = [], []
+    real_pair, real_validate = cage_module._has_proportional_pair, \
+        Cage.validate
+
+    def pair(vectors):
+        flagged.append(real_pair(vectors))
+        return False
+
+    def validate(self):
+        report = real_validate(self)
+        valid.append(report.valid)
+        return report
+    monkeypatch.setattr(cage_module, "_has_proportional_pair", pair)
+    monkeypatch.setattr(Cage, "validate", validate)
+    for shape, cage in zip(shapes, fast):
+        slow = random_cage(*shape)
+        assert slow.groups == cage.groups
+        assert slow.attempts == cage.attempts
+    assert len(flagged) == len(valid) and sum(flagged) >= 10
+    assert not any(f and v for f, v in zip(flagged, valid))
+
+
+def test_proportional_pairs():
+    assert cage_module._has_proportional_pair([[1, 2, 0], [0, 1, 1],
+                                               [-2, -4, 0]])
+    assert cage_module._has_proportional_pair([[0, 3], [0, -1]])
+    assert not cage_module._has_proportional_pair([[1, 2, 0], [2, 1, 0],
+                                                   [1, -2, 0]])
+
+
 def test_canonical_point():
     p = canonical_point((Q.from_rational(2), Q.from_rational(4),
                          Q.from_rational(2)))

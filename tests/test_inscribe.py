@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from cagekit.cage import Node, axis_cage, canonical_point, random_cage
+from cagekit.cage import Cage, Node, axis_cage, canonical_point, random_cage
 from cagekit.demos import build_demo
 from cagekit.errors import ShapeError, SingularNodeError
 from cagekit.field import FieldDescriptor
@@ -22,9 +22,11 @@ from cagekit.inscribe import (
     transport_tangent,
 )
 from cagekit.linalg import Matrix, SubspaceBasis, rank, span_equal
-from cagekit.verify import smoothness_check
+from cagekit.poly import HomogPoly, LinearForm
+from cagekit.verify import run_suite, smoothness_check
 
 F = FieldDescriptor.rationals()
+SQRT2 = FieldDescriptor.extension([-2, 0, 1], label="Q(sqrt 2)")
 
 
 def unit_square():
@@ -136,6 +138,108 @@ def test_node_differentials_match_expanded_jacobian():
             expected = tuple(tuple(e for i, e in enumerate(g) if i != chart)
                              for g in grads)
             assert node_differentials(cage, node).entries == expected
+
+
+def assert_cofactor_table_matches_the_oracle(cage):
+    # every node's cofactors, against products of Fraction dot products at
+    # the oracle's own canonical node
+    groups = [[[c.as_fraction() for c in form.coeffs] for form in group]
+              for group in cage.groups]
+    table = cage._node_cofactors()
+    assert sorted(table) == [node.index for node in cage.nodes()]
+    for node in cage.nodes():
+        point = oracles.canonical_node(groups, node.index)
+        assert [x.as_fraction() for x in node.point] == point
+        assert list(table[node.index]) == oracles.cofactors(
+            groups, node.index, point)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cofactor_table_matches_the_oracle_over_q(n):
+    # d = 1 has one node, whose cofactors are the empty product 1
+    for d in range(1, 6):
+        cage = random_cage(600 + 10 * n + d, d, n)
+        assert_cofactor_table_matches_the_oracle(cage)
+        if d == 1:
+            assert cage._node_cofactors()[(1,) * n] == (F.one(),) * n
+
+
+@pytest.mark.parametrize("seed, d, n", [(61, 3, 2), (62, 2, 3), (63, 4, 2)])
+def test_cofactor_table_scales_back_forms_with_denominators(seed, d, n):
+    # validation scales each form by the lcm of its denominators; the
+    # table divides those scales back out
+    base = random_cage(seed, d, n)
+    groups = [[LinearForm(F, [c * Fraction(1, 2 + (7 * j + 3 * i) % 5)
+                              for c in form.coeffs])
+               for i, form in enumerate(group)]
+              for j, group in enumerate(base.groups)]
+    cage = Cage(F, groups)
+    assert cage.validate().valid
+    assert any(c.as_fraction().denominator > 1
+               for group in groups for form in group for c in form.coeffs)
+    assert_cofactor_table_matches_the_oracle(cage)
+    assert cage._node_cofactors() != base._node_cofactors()
+
+
+def random_sqrt2_cage(seed, d, n):
+    # coefficients a + b t with t^2 = 2, redrawn until the cage is valid
+    rng = random.Random(seed)
+    while True:
+        cage = Cage(SQRT2, [[LinearForm(SQRT2, [
+            SQRT2.element([rng.randint(-3, 3), rng.randint(-2, 2)])
+            for _ in range(n + 1)]) for _ in range(d)] for _ in range(n)])
+        if cage.validate().valid:
+            return cage
+
+
+@pytest.mark.parametrize("cage", [
+    lambda: build_demo("fermat-conic").cage,
+    lambda: build_demo("fermat-cubic-surface").cage,
+    lambda: random_sqrt2_cage(71, 1, 2),
+    lambda: random_sqrt2_cage(72, 3, 2),
+    lambda: random_sqrt2_cage(73, 2, 3),
+    lambda: random_sqrt2_cage(74, 4, 1),
+], ids=["fermat-conic", "fermat-cubic-surface", "sqrt2-1-2", "sqrt2-3-2",
+        "sqrt2-2-3", "sqrt2-4-1"])
+def test_cofactor_table_matches_the_oracle_over_number_fields(cage):
+    # at the demo cages' nodes w_c^(d-1) is 1 or -1, its own inverse; the
+    # random cages' nodes exercise the inverse
+    cage = cage()
+    groups = [[form.coeffs for form in group] for group in cage.groups]
+    table = cage._node_cofactors()
+    assert sorted(table) == [node.index for node in cage.nodes()]
+    for node in cage.nodes():
+        expected = oracles.cofactors(groups, node.index, node.point)
+        assert list(table[node.index]) == expected
+    assert cage.d == 1 or any(not c.is_rational()
+                              for row in table.values() for c in row)
+
+
+def test_cofactor_table_is_built_only_when_a_node_is_visited():
+    cage = random_cage(64, 3, 3)
+    report = run_suite(cage, ("validation", "interpolation", "minimality",
+                              "rigidity"))
+    assert report.passed
+    assert cage._cofactors is None and cage._lines is not None
+    node_differentials(cage, cage.node((1, 2, 3)))
+    assert cage._cofactors is not None and cage._lines is None
+
+
+def test_inscription_evaluates_no_form(monkeypatch):
+    # the cofactor table is the one place node values come from
+    cages = [random_cage(65, 3, 3), build_demo("fermat-cubic-surface").cage]
+
+    def refuse(self, point):
+        raise AssertionError("a form was evaluated")
+    monkeypatch.setattr(LinearForm, "evaluate", refuse)
+    monkeypatch.setattr(HomogPoly, "evaluate", refuse)
+    for cage in cages:
+        node = cage.node((1, 2, 3))
+        tangent = make_tangent(node, [(1, 0, 2)])
+        variety = inscribe_with_tangent(cage, node, tangent)
+        assert tangent_at_node(variety, cage.node((3, 1, 2))).dim == 1
+        forced = propagate_tangents(cage, node, tangent)
+        assert len(forced) == 27
 
 
 def test_node_differentials_reject_points_off_the_cage():

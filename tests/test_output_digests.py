@@ -4,7 +4,11 @@ Each digest is the sha256 of a command's standard output, or of the JSON of
 a report, on seeded random cages over Q.  These paths reach exact
 elimination at rank-deficient degrees (Hilbert tables of the full grid, the
 fubini slices, Cayley-Bacharach and the counterexample's kernels), so a
-change to any rank, kernel basis or report shows here.
+change to any rank, kernel basis or report shows here.  The inscription
+pins cover every node's differentials: `propagate` reads a tangent at each
+node, on random cages over Q and on a number-field demo cage.  The
+random_cage pins cover the cages and attempt counts of fifty seeds per
+shape.
 """
 
 import hashlib
@@ -15,7 +19,9 @@ import pytest
 
 from cagekit import cayley_bacharach_check, random_cage
 from cagekit.cli import main
-from cagekit.serialize import cage_to_json, report_to_json
+from cagekit.demos import build_demo
+from cagekit.inscribe import make_tangent, propagate_tangents
+from cagekit.serialize import cage_to_json, report_to_json, tangent_to_json
 
 # (n, d) -> random_cage seed
 CAGES = {(2, 5): 205, (3, 3): 303}
@@ -36,6 +42,37 @@ COUNTEREXAMPLE_DIGEST = (
 
 CAYLEY_BACHARACH_DIGEST = (
     "8c7c38af7bec66c686d1102db739b13c84ded3f17b5e387e1d8d38feb739c3fd")
+
+
+# (n, d) -> random_cage seed, --node, --tangent
+INSCRIPTIONS = {(2, 5): (205, "2,3", "1,-2"),
+                (3, 3): (303, "1,2,3", "1,0,2;0,1,-1"),
+                (4, 2): (402, "2,1,2,1", "1,2,-1,3")}
+
+INSCRIPTION_DIGESTS = {
+    ("inscribe", 2, 5):
+        "8f2f1650b26513099b558bc23d165c928c9a03681163f21d46b3842997aeb5d1",
+    ("propagate", 2, 5):
+        "dfb71218037bed27eeb46ce336016b7f846607a3a543d7c6f94feeff486a60f2",
+    ("inscribe", 3, 3):
+        "82d54059ca6a8db3ab1307d3f94ac99f082119314249397ae2a7ce3a03417ec9",
+    ("propagate", 3, 3):
+        "d44a0210ed9e0a95816d569f126c6ffeae705c832816db515b5d3da84987fe5f",
+    ("inscribe", 4, 2):
+        "ce1e6543e93e921e8273819e6bcb92c6b8b72aa7c0a2181b918b97fdf779d677",
+    ("propagate", 4, 2):
+        "e662ffb483438c0db8187981563203d77c2642fb5dd5e52f2a420706c8e9dc86",
+}
+
+FERMAT_CUBIC_TANGENTS_DIGEST = (
+    "199282394567a64b6e443c6d061f1a2637bc4f4a6ef35c454adfa25b18f19ea8")
+
+# (n, d) -> digest of [attempts, cage_to_json] for seeds 1..50
+RANDOM_CAGE_DIGESTS = {
+    (2, 3): "9b6a6e9b4f0b74a4afd4fb13567047be0ad568572c4a0b42e2a3ce34bc6c0e0f",
+    (3, 3): "581a05b200e7ede1f352ad2325ed656e9c69775cf97ffc2d886965c0d2e44d50",
+    (2, 5): "ec843a70ff1acfae7ec26fd926f2b725d6d8186471c84b86df0a33a6b5bfec8e",
+}
 
 
 def sha256(text):
@@ -75,3 +112,31 @@ def test_cayley_bacharach_reports_are_unchanged():
     reports = [report_to_json(cayley_bacharach_check(cage, part, k))
                for k in range(2 * cage.d - 2)]
     assert sha256(json.dumps(reports)) == CAYLEY_BACHARACH_DIGEST
+
+
+@pytest.mark.parametrize("command, n, d", sorted(INSCRIPTION_DIGESTS))
+def test_inscription_output_is_unchanged(tmp_path, capsys, command, n, d):
+    seed, node, tangent = INSCRIPTIONS[n, d]
+    path = tmp_path / "cage.json"
+    path.write_text(json.dumps(cage_to_json(random_cage(seed, d, n))))
+    argv = [command, "--cage", str(path), "--node", node,
+            "--tangent", tangent]
+    assert cli_digest(capsys, argv) == INSCRIPTION_DIGESTS[command, n, d]
+
+
+def test_number_field_tangents_are_unchanged():
+    cage = build_demo("fermat-cubic-surface").cage
+    node = cage.node((1, 2, 3))
+    forced = propagate_tangents(
+        cage, node, make_tangent(node, [(1, 0, 1), (0, 1, 2)]))
+    tangents = [tangent_to_json(forced[i]) for i in sorted(forced)]
+    assert sha256(json.dumps(tangents)) == FERMAT_CUBIC_TANGENTS_DIGEST
+
+
+@pytest.mark.parametrize("n, d", sorted(RANDOM_CAGE_DIGESTS))
+def test_random_cages_are_unchanged(n, d):
+    docs = []
+    for seed in range(1, 51):
+        cage = random_cage(seed, d, n)
+        docs.append([cage.attempts, cage_to_json(cage)])
+    assert sha256(json.dumps(docs)) == RANDOM_CAGE_DIGESTS[n, d]
