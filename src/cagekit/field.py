@@ -218,6 +218,9 @@ class FieldDescriptor:
         return self.from_rational(value)
 
     def __eq__(self, other):
+        # operands almost always share one descriptor object
+        if self is other:
+            return True
         if not isinstance(other, FieldDescriptor):
             return NotImplemented
         return (self.kind == other.kind and self.min_poly == other.min_poly

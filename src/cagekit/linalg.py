@@ -40,6 +40,21 @@ Callers build kernel vectors, solutions and inverses on the ints and
 divide by D only where they return field elements; kernel_basis checks
 M v = 0 against the scaled rows on ints.
 
+Over Q the integer rows are also the entry points: _pivots_mod(rows,
+PRIME) for a lower bound on the rank, _integer_rank for the rank and
+_integer_kernel for D times the canonical kernel basis, checked on the
+rows it started from.  rank and kernel_basis over Q run them on the scaled
+rows of a Matrix; verify runs them on rows it builds as ints, and
+Cage.validate on its integer forms.  Scaling a row by a nonzero rational
+changes neither the rank nor the kernel, so any integer multiple of each
+row will do.  A point set enters as primitive integer vectors (gcd 1,
+last nonzero entry positive), the unique representative of each rational
+projective point, so equal points are equal vectors.  Scaling a point by
+lambda != 0 multiplies its row of degree-k monomial values by lambda^k,
+which again changes neither the rank nor the kernel of the evaluation
+matrix, and every value is an int.  With no denominator left, reduction
+mod p never declines.
+
 Full ranks are certified from residues modulo a prime.  A residue map sends
 each p-integral element (every coefficient's denominator prime to p) to
 F_p.  Over Q there is one, reduction modulo PRIME = 2^31 - 1.  Over
@@ -76,18 +91,20 @@ every residue map of its field and returns the pivot rows at the map that
 gives the fewest.  Their number is a lower bound for the rank in every
 factor, and the rows are linearly independent in the factor of that map's
 root: over Q, or for irreducible m, over the field.  modular_pivots applies
-it to a matrix of field elements; verify applies it to monomials evaluated
-at the residues of points, so that a certified rank builds no exact
-evaluation matrix.  rank takes full rank at every map as proof and
-otherwise eliminates exactly.  verify.hilbert_table pairs the core with an
-upper bound over Q to prove rank-deficient ranks.
+it to a matrix of field elements, which rank does over Q[t]/(m); verify
+applies it there to monomials evaluated at the residues of points, so that
+a certified rank builds no exact evaluation matrix.  rank takes full rank
+at every map as proof and otherwise eliminates exactly.  Over Q the rows
+are integers already and _pivots_mod eliminates them directly;
+verify.hilbert_table pairs that lower bound with an upper bound to prove
+rank-deficient ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import ShapeError
@@ -171,6 +188,18 @@ def integral_vector(vector: Sequence[FieldElement]) -> list[int]:
     values = [e.coeffs[0] for e in vector]
     scale = lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values]
+
+
+def primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """The primitive multiple of a nonzero integer vector: gcd 1 and last
+    nonzero entry positive, the same for all its nonzero rational
+    multiples."""
+    g = gcd(*ints)
+    if not g:
+        raise ValueError("zero vector has no projective normalization")
+    if next(x for x in reversed(ints) if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def dot(row: Sequence, vector: Sequence):
@@ -473,16 +502,18 @@ def _split_roots(f: list[int], p: int) -> list[int]:
 def rank(matrix: Matrix) -> int:
     """Rank over the matrix's field.
 
-    The residues of the entries are eliminated first, by modular_pivots, at
-    every residue map of the field: one over Q, one per root of m modulo a
-    split prime over Q[t]/(m).  A rank mod p equal to min(rows, cols) at
-    every map is the rank, by the argument in the module docstring: each
-    map is a ring homomorphism on the p-integral entries, so a minor
-    nonzero at a map is nonzero in the factor of Q[t]/(m) that map belongs
-    to, every factor has a map, and no rank exceeds min(rows, cols).
+    Over Q this is _integer_rank of the scaled rows.  Over Q[t]/(m) the
+    residues of the entries are eliminated first, by modular_pivots, at
+    every root of m modulo a split prime.  A rank mod p equal to
+    min(rows, cols) at every root is the rank, by the argument in the module
+    docstring: each map is a ring homomorphism on the p-integral entries, so
+    a minor nonzero at a map is nonzero in the factor of Q[t]/(m) that map
+    belongs to, every factor has a map, and no rank exceeds min(rows, cols).
     Otherwise, or when a map declines, the rank comes from exact
     elimination, so a rank that drops at one root is never claimed full.
     """
+    if matrix.field.kind == "rationals":
+        return _integer_rank(_scaled_rows(matrix))
     pivots = modular_pivots(matrix.field, matrix.entries)
     full = min(matrix.rows, matrix.cols)
     if pivots is not None and len(pivots) == full:
@@ -491,31 +522,56 @@ def rank(matrix: Matrix) -> int:
     return len(pivots)
 
 
+def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of integer rows: their rank mod PRIME when that is
+    min(rows, cols), which no denominator can prevent, else the number of
+    pivots of _fraction_free."""
+    full = min(len(rows), len(rows[0]) if rows else 0)
+    if len(_pivots_mod(rows, PRIME)) == full:
+        return full
+    return len(_fraction_free(list(rows))[1])
+
+
 def kernel_basis(matrix: Matrix) -> SubspaceBasis:
     """Canonical basis of the right kernel, one vector per free column.
 
     The vector of free column f is 1 at f and minus the RREF's column f at
-    the pivot columns.  It is built as D times that from the rows _rref
-    returns, checked to vanish on every row the elimination started from
-    (the scaled integer rows over Q), and divided by D only on the way out.
+    the pivot columns.  _kernel_vectors builds D times that from the rows
+    _rref returns and checks it against the rows the elimination started
+    from (the scaled integer rows over Q); it is divided by D only on the
+    way out.
     """
-    rows, pivots = _rref(matrix)
-    lead = _lead(rows, pivots)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(matrix.cols):
-        if f in pivot_set:
-            continue
-        vec = [0] * matrix.cols
-        vec[f] = lead
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[f]
-        basis.append(vec)
-    scaled = _scaled_rows(matrix)
-    if any(dot(row, vec) for vec in basis for row in scaled):
-        raise RuntimeError("kernel vector check failed")
+    basis, lead = _kernel_vectors(_scaled_rows(matrix), *_rref(matrix),
+                                  matrix.cols)
     return SubspaceBasis(matrix.cols, tuple(
         tuple(_divided(matrix.field, vec, lead)) for vec in basis))
+
+
+def _integer_kernel(rows: Sequence[Sequence[int]],
+                    cols: int) -> list[list[int]]:
+    """kernel_basis of integer rows with cols columns, left as integer
+    vectors: D times the canonical basis, checked against the rows."""
+    return _kernel_vectors(rows, *_fraction_free(list(rows)), cols)[0]
+
+
+def _kernel_vectors(rows, reduced, pivots: list[int], cols: int):
+    """D times the canonical kernel vectors, from the pivot rows and
+    columns that _rref or _fraction_free gave for rows, and D.  Raises
+    RuntimeError unless every vector vanishes on every row of rows."""
+    lead = _lead(reduced, pivots)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        vec = [0] * cols
+        vec[f] = lead
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[f]
+        basis.append(vec)
+    if any(dot(row, vec) for vec in basis for row in rows):
+        raise RuntimeError("kernel vector check failed")
+    return basis, lead
 
 
 def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> Optional[Vector]:

@@ -9,7 +9,6 @@ recomputed from the cage alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cage import (Cage, Node, NodeSelection, all_indices, canonical_point,
@@ -17,8 +16,10 @@ from .cage import (Cage, Node, NodeSelection, all_indices, canonical_point,
 from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix
-from .linalg import (Matrix, SubspaceBasis, in_span, kernel_basis,
-                     modular_pivots, rank, residue_pivots, span_equal)
+from .linalg import (PRIME, Matrix, SubspaceBasis, _integer_kernel,
+                     _integer_rank, _pivots_mod, dot, in_span,
+                     integral_vector, kernel_basis, primitive, rank,
+                     residue_pivots, span_equal)
 from .poly import HomogPoly, LinearForm, monomial_basis, monomial_values
 
 
@@ -92,8 +93,8 @@ def evaluation_matrix(points, degree: int,
 
 def _evaluation_pivots(points, degree: int, field: FieldDescriptor):
     """linalg.residue_pivots of the degree-k evaluation matrix of a
-    nonempty point list, from monomials evaluated at the residues of the
-    points; the exact matrix is never built."""
+    nonempty point list over Q[t]/(m), from monomials evaluated at the
+    residues of the points; the exact matrix is never built."""
     pts = _point_tuples(points)
     basis = monomial_basis(degree, len(pts[0]))
     return residue_pivots(field, lambda reduce: [
@@ -101,47 +102,73 @@ def _evaluation_pivots(points, degree: int, field: FieldDescriptor):
         for pt in pts])
 
 
+def _integer_rows(points, degree: int) -> list[list[int]]:
+    """The degree-k evaluation rows of primitive integer points: by the
+    scaling argument in the linalg docstring, each is a nonzero rational
+    multiple of the point's row, with the same rank and kernel."""
+    basis = monomial_basis(degree, len(points[0]))
+    return [monomial_values(1, pt, basis, degree) for pt in points]
+
+
 def _evaluation_rank(points, degree: int, field: FieldDescriptor) -> int:
-    """Rank of the degree-k evaluation matrix of a nonempty point list: a
-    full rank at every residue map is the rank, as in linalg.rank, and any
-    other outcome takes linalg.rank of the exact matrix."""
-    pts = _point_tuples(points)
-    pivots = _evaluation_pivots(pts, degree, field)
-    full = min(len(pts), len(monomial_basis(degree, len(pts[0]))))
+    """Rank of the degree-k evaluation matrix of a nonempty point list,
+    given as _coordinates gives it: linalg._integer_rank of the integer
+    rows over Q.  Over Q[t]/(m) a full rank at every residue map is the
+    rank, as in linalg.rank, and any other outcome takes linalg.rank of the
+    exact matrix."""
+    if field.kind == "rationals":
+        return _integer_rank(_integer_rows(points, degree))
+    pivots = _evaluation_pivots(points, degree, field)
+    full = min(len(points), len(monomial_basis(degree, len(points[0]))))
     if pivots is not None and len(pivots) == full:
         return full
-    return rank(evaluation_matrix(pts, degree, field=field).matrix)
+    return rank(evaluation_matrix(points, degree, field=field).matrix)
+
+
+def _coordinates(points, field: FieldDescriptor):
+    """The points as the rank path takes them: over Q the primitive
+    integer vector of each, over Q[t]/(m) their coordinates."""
+    pts = _point_tuples(points)
+    if field.kind != "rationals":
+        return pts
+    return [primitive(integral_vector(p)) for p in pts]
 
 
 def _distinct_points(points, field: Optional[FieldDescriptor]):
-    """Canonical coordinates of a point list and their field; duplicates,
-    projectively equal representatives included, raise ValueError, and
-    points of differing arity raise ShapeError."""
+    """_coordinates of a point list, canonical over Q[t]/(m), and their
+    field; duplicates, projectively equal representatives included, raise
+    ValueError, and points of differing arity raise ShapeError."""
     raw = _point_tuples(points)
     if any(len(p) != len(raw[0]) for p in raw):
         raise ShapeError("points have inconsistent arity")
-    field = _infer_field(raw, field) if raw else field
-    pts = [canonical_point(tuple(field.coerce(c) for c in p)) for p in raw]
+    if not raw:
+        return [], field
+    field = _infer_field(raw, field)
+    pts = [tuple(field.coerce(c) for c in p) for p in raw]
+    if field.kind == "rationals":
+        pts = [primitive(integral_vector(p)) for p in pts]
+    else:
+        pts = [canonical_point(p) for p in pts]
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points in Hilbert function input")
     return pts, field
 
 
-def _separating_form(field: FieldDescriptor,
-                     points: Sequence[tuple[FieldElement, ...]]):
-    """A linear form vanishing at none of the points.
+def _separating_form(field: FieldDescriptor, points: Sequence[tuple]):
+    """A linear form vanishing at none of the points, given as _coordinates
+    gives them.
 
     Tries coefficient vectors (1, t, t^2, ...) for t = 0, 1, 2, ...; each
     point rules out at most arity-1 values of t, so the scan terminates
-    within (arity-1) * len(points) + 1 steps.
+    within (arity-1) * len(points) + 1 steps.  Over Q the test is an
+    integer dot product, and only the form returned is built.
     """
     nv = len(points[0])
     bound = (nv - 1) * len(points) + 1
     for t in range(bound):
-        coeffs = [field.from_rational(Fraction(t) ** i) for i in range(nv)]
-        form = LinearForm(field, coeffs)
-        if all(not form.evaluate(p).is_zero() for p in points):
-            return form
+        coeffs = [t ** i for i in range(nv)]
+        if all(dot(coeffs, p) for p in points):
+            return LinearForm(field, coeffs)
     raise RuntimeError("separating form scan exhausted its provable bound")
 
 
@@ -149,29 +176,33 @@ def hilbert_table(points, k_max: int,
                   field: FieldDescriptor = None) -> tuple[int, ...]:
     """Hilbert function values h(0..k_max) of a finite reduced point set.
 
+    Over Q every point enters once, as its primitive integer vector: gcd 1
+    and last nonzero entry positive, the unique representative of its
+    projective point, so duplicates are equal vectors.  Scaling a point by
+    lambda != 0 multiplies its row of degree-k monomial values by
+    lambda^k, which changes neither the rank nor the kernel of an
+    evaluation matrix, so every matrix below is one of ints and no
+    denominator is left for p to divide.
+
     Each degree k is certified until the value reaches the point count.
     Write E_k for the degree-k evaluation matrix, with C(k+n, n) columns,
     and I_k for its kernel over Q: the degree-k forms that vanish on the
-    points.  Over Q the table keeps an exact basis of I_{k-1} and forms
-    K_k, whose rows are the coefficient vectors of x_v * g for every basis
-    form g and every variable x_v.  Each such product vanishes on the
+    points.  Over Q the table keeps an exact integer basis of I_{k-1} and
+    forms K_k, whose rows are the coefficient vectors of x_v * g for every
+    basis form g and every variable x_v.  Each such product vanishes on the
     points, so the rows of K_k lie in I_k, and with ranks mod
     p = linalg.PRIME as in linalg.rank,
 
         rank_p(E_k) <= rank_Q(E_k) = cols - dim I_k <= cols - rank_p(K_k).
-
-    rank_p(E_k) comes from monomials evaluated at the residues of the
-    points, so the exact E_k is built only for a degree that needs its
-    kernel.
 
     A rank mod p equal to min(rows, cols) needs no upper bound, as in
     linalg.rank; at full column rank I_k = 0.  Otherwise, when the two
     bounds meet, the rank is proved.  The rows of K_k that are
     pivots mod p are then independent over Q, and there are dim I_k of
     them, so they are a basis of I_k for the next degree.  When the bounds
-    differ (I_{k-1} = 0 included), the exact kernel of E_k gives the rank
-    and a fresh basis.  Over an extension field, or when p divides a
-    denominator, the degree takes its rank as hilbert_function does.
+    differ (I_{k-1} = 0 included), the exact integer kernel of E_k gives
+    the rank and a fresh basis.  Over an extension field each degree takes
+    its rank as hilbert_function does.
 
     From the point count on the value stays put: scaling the degree-k0
     columns by powers of a linear form that vanishes at no point embeds the
@@ -185,53 +216,55 @@ def hilbert_table(points, k_max: int,
     pts, field = _distinct_points(points, field)
     count = len(pts)
     values = []
-    ideal = ()          # basis of I_{k-1}; None when not known
+    ideal = ()          # integer basis of I_{k-1} over Q; None when not known
     for k in range(k_max + 1):
         if count == 0 or values and values[-1] == count:
             values.append(count)
             continue
-        r, ideal = _rank_and_kernel(pts, field, ideal, k)
+        if field.kind == "rationals":
+            r, ideal = _rank_and_kernel(pts, ideal, k)
+        else:
+            r = _evaluation_rank(pts, k, field)
         values.append(r)
         if r == count:
             _separating_form(field, pts)
     return tuple(values)
 
 
-def _rank_and_kernel(pts, field: FieldDescriptor, ideal, k: int):
-    """The rank of the degree-k evaluation matrix of the points and a basis
-    of its kernel (None when not known), from a basis of the degree-(k-1)
-    kernel or None, by the bounds in hilbert_table's docstring."""
+def _rank_and_kernel(pts, ideal, k: int):
+    """The rank of the degree-k evaluation matrix of primitive integer
+    points and an integer basis of its kernel (None when not known), given
+    such a basis of the degree-(k-1) kernel or None, by the bounds in
+    hilbert_table's docstring."""
     nv = len(pts[0])
-    cols = len(monomial_basis(k, nv))
-    lower = _evaluation_pivots(pts, k, field) if field.degree == 1 else None
-    if lower is None:
-        return _evaluation_rank(pts, k, field), None
-    r = len(lower)
+    rows = _integer_rows(pts, k)
+    cols = len(rows[0])
+    r = len(_pivots_mod(rows, PRIME))
     if r == cols:
         return r, ()
     if r == len(pts):
         return r, None
     if ideal:
-        products = _variable_multiples(field, ideal, k, nv)
-        kept = modular_pivots(field, products)
-        if kept is not None and r + len(kept) == cols:
+        products = _variable_multiples(ideal, k, nv)
+        kept = _pivots_mod(products, PRIME)
+        if r + len(kept) == cols:
             return r, tuple(products[i] for i in kept)
-    kernel = kernel_basis(evaluation_matrix(pts, k, field=field).matrix)
-    return cols - kernel.dim, kernel.vectors
+    kernel = _integer_kernel(rows, cols)
+    return cols - len(kernel), kernel
 
 
-def _variable_multiples(field: FieldDescriptor, forms, k: int, nv: int):
-    """Coefficient vectors in degree k of x_v * g, for each coefficient
-    vector g of a degree-(k-1) form in forms and each variable x_v."""
+def _variable_multiples(forms, k: int, nv: int) -> list[list[int]]:
+    """Coefficient vectors in degree k of x_v * g, for each integer
+    coefficient vector g of a degree-(k-1) form in forms and each variable
+    x_v."""
     position = {m: i for i, m in enumerate(monomial_basis(k, nv))}
     shifts = [[position[m[:v] + (m[v] + 1,) + m[v + 1:]]
                for m in monomial_basis(k - 1, nv)] for v in range(nv)]
-    zero = field.zero()
     out = []
     for g in forms:
-        support = [(j, c) for j, c in enumerate(g) if not c.is_zero()]
+        support = [(j, c) for j, c in enumerate(g) if c]
         for shift in shifts:
-            row = [zero] * len(position)
+            row = [0] * len(position)
             for j, c in support:
                 row[shift[j]] = c
             out.append(row)
@@ -290,7 +323,8 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
     cage.validate()
     supra = supra_simplicial_indices(cage.d, cage.n)
     pts = cage.nodes_for(supra)
-    if _evaluation_rank(pts, cage.d, cage.field) == len(supra):
+    if _evaluation_rank(_coordinates(pts, cage.field), cage.d,
+                        cage.field) == len(supra):
         return VerificationReport(cage.summary(),
                                   _supra_passed(cage, len(supra)))
     ev = evaluation_matrix(pts, cage.d)
@@ -354,7 +388,8 @@ def _simplicial_checks(cage: Cage) -> tuple[CheckResult, ...]:
     one evaluation matrix of the simplicial nodes in degree d-1 and its
     rank."""
     simp = simplicial_indices(cage.d, cage.n)
-    r = _evaluation_rank(cage.nodes_for(simp), cage.d - 1, cage.field)
+    r = _evaluation_rank(_coordinates(cage.nodes_for(simp), cage.field),
+                         cage.d - 1, cage.field)
     cols = len(monomial_basis(cage.d - 1, cage.n + 1))
     square = len(simp) == cols
     return (

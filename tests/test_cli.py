@@ -283,15 +283,36 @@ def assert_internal_error(capsys, argv, message):
 
 
 def test_kernel_self_check_exits_3(square_cage, monkeypatch, capsys):
-    real = linalg._rref
+    # validation's line kernels come from the integer core over Q
+    real = linalg._fraction_free
 
-    def wrong(matrix):
-        rows, pivots = real(matrix)
+    def wrong(rows):
+        rows, pivots = real(rows)
         rows[0] = [e + 1 for e in rows[0]]
         return rows, pivots
-    monkeypatch.setattr(linalg, "_rref", wrong)
+    monkeypatch.setattr(linalg, "_fraction_free", wrong)
     assert_internal_error(capsys, ["validate", "--cage", square_cage],
                           "kernel vector check failed")
+
+
+def test_hilbert_kernel_self_check_exits_3(tmp_path, monkeypatch, capsys):
+    # a wrong row only in the wider eliminations, the Hilbert tables' exact
+    # kernels, passes validation and fails the slice check's tables: the
+    # nine nodes of a 3x3 grid have rank 8 in degree 3
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(cage_to_json(
+        axis_cage(F, [(0, 0), (1, 2), (2, 1)]))))
+    real = linalg._fraction_free
+
+    def wrong(rows):
+        rows, pivots = real(rows)
+        if rows and len(rows[0]) > 3:
+            rows[0] = [e + 1 for e in rows[0]]
+        return rows, pivots
+    monkeypatch.setattr(linalg, "_fraction_free", wrong)
+    assert_internal_error(
+        capsys, ["verify", "--cage", str(path), "--checks", "all"],
+        "kernel vector check failed")
 
 
 def test_integer_core_self_check_exits_3(square_cage, monkeypatch, capsys):
@@ -308,10 +329,8 @@ def test_integer_core_self_check_exits_3(square_cage, monkeypatch, capsys):
 
 
 def test_separating_form_exhaustion_exits_3(square_cage, monkeypatch, capsys):
-    class Vanishing(LinearForm):
-        def evaluate(self, point):
-            return self.field.zero()
-    monkeypatch.setattr(verify, "LinearForm", Vanishing)
+    # every candidate form vanishes: the scan tests integer dot products
+    monkeypatch.setattr(verify, "dot", lambda row, vector: 0)
     assert_internal_error(
         capsys, ["hilbert", "--cage", square_cage, "--max-k", "3"],
         "separating form scan exhausted its provable bound")

@@ -215,6 +215,24 @@ def test_descriptor_equality_ignores_label():
     assert plain.generator() != SQRT2.generator()
 
 
+def test_equal_descriptors_that_are_distinct_objects():
+    # equality tests identity first; equal descriptors built apart still
+    # compare equal both ways, hash alike and mix their elements
+    for field, twin in ((Q, FieldDescriptor.rationals()),
+                        (SQRT2, FieldDescriptor.extension(
+                            [-2, 0, 1], label="Q(sqrt2)",
+                            conjugation=[Fraction(0), Fraction(-1)]))):
+        assert twin is not field
+        assert field == field and twin == field and field == twin
+        assert not field != twin
+        assert hash(twin) == hash(field)
+        assert len({field, twin}) == 1
+        x, y = field.from_rational(3), twin.from_rational(Fraction(1, 2))
+        assert x * y == field.from_rational(Fraction(3, 2))
+        assert twin.coerce(x) is x
+    assert Q != SQRT2 and Q != "Q" and SQRT2 != None  # noqa: E711
+
+
 def test_modulus_shape_errors():
     with pytest.raises(ValueError):
         FieldDescriptor.extension([1, 1])  # degree < 2

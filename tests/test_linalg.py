@@ -416,6 +416,44 @@ def test_q_takes_only_the_integer_core(monkeypatch):
         Q, [[Fraction(-3, 2), 3], [Fraction(1, 2), 0]])
 
 
+def test_integer_entry_points_match_the_oracles(monkeypatch):
+    # rank and kernel of integer rows, entries divisible by p included;
+    # over Q, rank no longer reduces field elements through residue maps
+    def forbidden(*args):
+        raise AssertionError("Q must not reach the residue maps")
+
+    monkeypatch.setattr(linalg, "modular_pivots", forbidden)
+    monkeypatch.setattr(linalg, "_reducer", forbidden)
+    p = linalg.PRIME
+    rng = random.Random(59)
+    for rows, cols, deficiency in ((3, 5, 0), (5, 3, 1), (4, 4, 2),
+                                   (1, 3, 0), (6, 6, 3)):
+        raw = [[x * p ** rng.randint(0, 1) for x in r]
+               for r in integral_rows(random_rational_matrix(
+                   rng, rows, cols, deficiency))]
+        # and a row scaled by p, which keeps the deficiency
+        raw[0] = [x * p for x in raw[0]]
+        frac = [[Fraction(x) for x in r] for r in raw]
+        assert linalg._integer_rank(raw) == oracles.rank(frac) \
+            == rank(Matrix(Q, frac))
+        kernel = linalg._integer_kernel(raw, cols)
+        assert all(x == int(x) for v in kernel for x in v)
+        assert [[Fraction(x, v[f]) for x in v] for v, f in zip(
+            kernel, free_columns(kernel))] == oracles.kernel(frac)
+    assert rank(Matrix(Q, [[Fraction(1, p), 1], [1, p]])) == 1
+    assert linalg._integer_rank([]) == 0
+    assert linalg._integer_kernel([], 2) == [[1, 0], [0, 1]]
+
+
+def integral_rows(matrix):
+    return [linalg.integral_vector(r) for r in matrix.entries]
+
+
+def free_columns(kernel):
+    # a canonical kernel vector is zero past its free column
+    return [max(i for i, x in enumerate(v) if x) for v in kernel]
+
+
 if given is not None:
     ENTRY = st.one_of(st.just(Fraction(0)),
                       st.fractions(min_value=-20, max_value=20,

@@ -1,9 +1,15 @@
 """Interpolation, rigidity, Hilbert functions, slicing and smoothness checks."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+
+try:
+    from hypothesis import given, strategies as st
+except ImportError:
+    given = None
 
 import oracles
 from cagekit import inscribe, linalg, verify
@@ -13,7 +19,7 @@ from cagekit import (FieldDescriptor, HomogPoly, LambdaMatrix, LinearForm,
                      evaluation_matrix, fubini_slice_check, group_span,
                      hilbert_function, hilbert_table,
                      independence_counterexample, inscribe_with_tangent,
-                     make_tangent, random_cage, rank,
+                     kernel_basis, make_tangent, random_cage, rank,
                      run_suite, simplicial_indices, smoothness_check,
                      supra_simplicial_indices, transversal_points,
                      verify_degree_minimality, verify_simplicial_rigidity,
@@ -197,36 +203,85 @@ def test_hilbert_table_matches_exact_ranks(n, d):
 
 
 def test_hilbert_table_without_the_modular_core(monkeypatch):
-    # a declining modular core sends every degree to linalg.rank's exact
-    # elimination, and the tables stay the same
+    # short pivots mod p leave every lower bound short of the rank, so each
+    # degree takes the exact integer kernel, and the tables stay the same
     rng = random.Random(29)
     cases = []
     for n, d in ((2, 3), (2, 4), (3, 2)):
         cage = random_cage(rng.randrange(10 ** 6), d, n)
         for points in node_sets(cage, rng):
             cases.append((points, hilbert_table(points, n * (d - 1) + 1)))
-    monkeypatch.setattr(linalg, "modular_pivots", lambda field, rows: None)
-    monkeypatch.setattr(verify, "modular_pivots", lambda field, rows: None)
+    real, kernels = linalg._pivots_mod, []
+    real_kernel = verify._integer_kernel
+
+    def short(rows, p):
+        return real(rows, p)[:-1]
+
+    def kernel(rows, cols):
+        kernels.append(len(rows))
+        return real_kernel(rows, cols)
+    for module in (linalg, verify):
+        monkeypatch.setattr(module, "_pivots_mod", short)
+    monkeypatch.setattr(verify, "_integer_kernel", kernel)
+    for points, table in cases:
+        del kernels[:]
+        assert hilbert_table(points, len(table) - 1) == table
+        # every degree up to the one that reaches the point count
+        assert len(kernels) == table.index(len(points)) + 1
+
+
+def test_hilbert_table_needs_both_bounds_to_meet(monkeypatch):
+    # a lower bound one short of the rank, beside a complete upper bound,
+    # proves nothing: the exact integer kernel gives every degree
+    rng = random.Random(31)
+    cases = []
+    for n, d in ((2, 3), (2, 4), (3, 2)):
+        cage = random_cage(rng.randrange(10 ** 6), d, n)
+        for points in node_sets(cage, rng):
+            cases.append((points, hilbert_table(points, n * (d - 1) + 1)))
+    real, real_rows, latest = linalg._pivots_mod, verify._integer_rows, []
+
+    def rows_of(points, degree):
+        rows = real_rows(points, degree)
+        latest[:] = [rows]
+        return rows
+
+    def short(rows, p):
+        pivots = real(rows, p)
+        return pivots[:-1] if latest and rows is latest[0] else pivots
+    monkeypatch.setattr(verify, "_integer_rows", rows_of)
+    monkeypatch.setattr(verify, "_pivots_mod", short)
     for points, table in cases:
         assert hilbert_table(points, len(table) - 1) == table
 
 
 def test_hilbert_table_takes_the_exact_path_on_the_prime(monkeypatch):
-    # a coordinate whose denominator is the prime makes every degree from 1
-    # on decline mod p; linalg.rank's exact elimination gives the table
+    # a coordinate whose denominator is the prime no longer declines: the
+    # point (a/p, b, 1) enters as (a, bp, p), so for a != 0 its residue is
+    # (a, 0, 0) and seven points collide mod p.  Degrees 0 and 1 are still
+    # proved mod p; from degree 2 to the point count, at degree 4, the lower
+    # bound falls short and one exact integer kernel gives each degree,
+    # with no Matrix built
     p = linalg.PRIME
     pts = [(Fraction(a, p), Fraction(b), Fraction(1))
            for a in range(3) for b in range(3)] + [(Fraction(5, p), 7, 1)]
     calls = []
-    real = linalg._rref
+    real = linalg._fraction_free
 
-    def counted(matrix):
-        calls.append(matrix.rows)
-        return real(matrix)
-    monkeypatch.setattr(linalg, "_rref", counted)
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the integer path must not reach this")
+    monkeypatch.setattr(linalg, "_fraction_free", counted)
+    monkeypatch.setattr(verify, "evaluation_matrix", forbidden)
+    monkeypatch.setattr(linalg, "_rref", forbidden)
+    assert verify._distinct_points(pts, Q)[0][-1] == (5, 7 * p, p)
     table = hilbert_table(pts, 5, field=Q)
     assert table == tuple(oracles.hilbert(pts, k) for k in range(6))
-    assert len(calls) == table.index(len(pts))
+    assert table == (1, 3, 6, 9, 10, 10)
+    assert calls == [len(pts)] * 3
 
 
 def test_hilbert_table_when_points_collide_mod_p():
@@ -255,21 +310,142 @@ def test_full_grid_table_runs_one_exact_kernel(monkeypatch, n, d):
     # fallback would show as a second elimination
     cage = random_cage(300 + 10 * n + d, d, n)
     kernels, eliminations = [], []
-    real_kernel, real_rref = verify.kernel_basis, linalg._rref
+    real_kernel, real_core = verify._integer_kernel, linalg._fraction_free
 
-    def kernel(matrix):
-        kernels.append(matrix.rows)
-        return real_kernel(matrix)
+    def kernel(rows, cols):
+        kernels.append(len(rows))
+        return real_kernel(rows, cols)
 
-    def rref(matrix):
-        eliminations.append(matrix.rows)
-        return real_rref(matrix)
-    monkeypatch.setattr(verify, "kernel_basis", kernel)
-    monkeypatch.setattr(linalg, "_rref", rref)
+    def core(rows):
+        eliminations.append(len(rows))
+        return real_core(rows)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the integer path must not reach this")
+    monkeypatch.setattr(verify, "_integer_kernel", kernel)
+    monkeypatch.setattr(linalg, "_fraction_free", core)
+    for name in ("kernel_basis", "evaluation_matrix", "rank"):
+        monkeypatch.setattr(verify, name, forbidden)
     k_max = n * (d - 1) + 1
     assert hilbert_table(cage.nodes(), k_max) == tuple(
         oracles.grid_hilbert(d, n, k) for k in range(k_max + 1))
     assert len(kernels) == len(eliminations) == 1
+
+
+# -- the integer path against evaluation_matrix and linalg -----------------
+
+
+def normalized(vectors):
+    # a canonical kernel vector is zero past its free column, where it
+    # holds 1, or D on the integer path
+    out = []
+    for v in vectors:
+        last = next(x for x in reversed(v) if x)
+        out.append([Fraction(x) / last for x in v])
+    return out
+
+
+def matrix_path(points, k):
+    m = evaluation_matrix(points, k, field=Q).matrix
+    return rank(m), [list(v) for v in kernel_basis(m).vectors]
+
+
+def integer_path(points, k):
+    pts, _ = verify._distinct_points(points, Q)
+    rows = verify._integer_rows(pts, k)
+    kernel = verify._integer_kernel(rows, len(rows[0]))
+    return verify._evaluation_rank(pts, k, Q), normalized(kernel)
+
+
+def assert_paths_agree(points, k_max):
+    table = hilbert_table(points, k_max, field=Q)
+    frac = [tuple(Q.coerce(c).coeffs[0] for c in getattr(p, "point", p))
+            for p in points]
+    for k in range(k_max + 1):
+        got = integer_path(points, k)
+        assert got == matrix_path(points, k), k
+        assert got[0] == hilbert_function(points, k, field=Q) == table[k]
+        assert got[0] == oracles.hilbert(frac, k)
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (2, 4), (3, 2), (3, 3)])
+def test_integer_path_matches_the_matrix_path_on_cages(n, d):
+    rng = random.Random(1000 + 10 * n + d)
+    cage = random_cage(rng.randrange(10 ** 6), d, n)
+    for points in node_sets(cage, rng, full=d ** n <= 16):
+        assert_paths_agree(points, min(len(points), n * (d - 1) + 1, 5))
+
+
+def test_integer_path_on_projectively_equal_representatives():
+    # negative and fractional multiples enter as the same primitive
+    # vectors, give the same tables, and still count as duplicates
+    rng = random.Random(83)
+    cage = random_cage(rng.randrange(10 ** 6), 3, 2)
+    nodes = list(cage.nodes())
+    scalings = [Q.from_rational(x) for x in
+                (-1, Fraction(-3, 2), Fraction(5, 7), 12, Fraction(-1, 9))]
+    scaled = [tuple(c * scalings[i % len(scalings)] for c in nd.point)
+              for i, nd in enumerate(nodes)]
+    assert verify._distinct_points(scaled, Q)[0] \
+        == verify._distinct_points(nodes, Q)[0]
+    for pt in verify._distinct_points(scaled, Q)[0]:
+        assert math.gcd(*pt) == 1
+        assert next(x for x in reversed(pt) if x) > 0
+    assert hilbert_table(scaled, 5) == hilbert_table(nodes, 5)
+    assert_paths_agree(scaled, 4)
+    for scale in scalings:
+        twin = tuple(c * scale for c in nodes[4].point)
+        for call in (hilbert_function, hilbert_table):
+            with pytest.raises(ValueError, match="duplicate points"):
+                call(nodes + [twin], 2)
+    with pytest.raises(ValueError, match="duplicate points"):
+        hilbert_table([(1, -2, 0), (Fraction(-1, 2), 1, 0)], 2, field=Q)
+
+
+def test_integer_path_on_denominators_and_collisions_mod_p():
+    p = linalg.PRIME
+    over_p = [(Fraction(a, p), Fraction(b, 3), Fraction(1))
+              for a in range(3) for b in range(3)] + [(Fraction(5, p), 7, 1)]
+    collide = [(Fraction(i * p), Fraction(j), Fraction(1))
+               for i in range(3) for j in range(3)]
+    # (1, 0, 1) and (1 + p, 0, 1) are distinct points equal mod p
+    twins = [(1, 0, 1), (1 + p, 0, 1), (0, 1, 1), (2, 3, 1),
+             (Fraction(1, p), 1, 0)]
+    for points in (over_p, collide, twins):
+        assert_paths_agree(points, len(points) // 2 + 2)
+
+
+def test_integer_path_on_the_empty_point_list():
+    assert hilbert_function([], 4, field=Q) == 0
+    assert hilbert_table([], 3, field=Q) == (0, 0, 0, 0)
+    assert hilbert_table([], 2) == (0, 0, 0)
+
+
+if given is not None:
+    COORD = st.one_of(
+        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+        st.integers(-3, 3).map(lambda a: Fraction(a, linalg.PRIME)))
+
+    @given(st.lists(st.tuples(COORD, COORD, COORD), min_size=1, max_size=7),
+           st.integers(0, 3))
+    def test_integer_path_property(raw, k):
+        # rational point sets with denominators, p among them, against the
+        # Fraction matrix and the oracle; duplicates raise on both paths
+        points = [p for p in raw if any(p)]
+        if not points:
+            return
+        canon = [tuple(x / next(y for y in reversed(p) if y) for x in p)
+                 for p in points]
+        if len(set(canon)) < len(canon):
+            for call in (hilbert_function, hilbert_table):
+                with pytest.raises(ValueError, match="duplicate points"):
+                    call(points, k, field=Q)
+            return
+        assert_paths_agree(points, k)
+else:
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_integer_path_property():
+        pass
 
 
 # -- main interpolation and rigidity checks ------------------------------------
@@ -310,8 +486,8 @@ def test_supra_certificate_matches_exact_path(monkeypatch, n, d):
             m.setattr(HomogPoly, "evaluate", forbidden)
             certified = report_to_json(verify_supra_interpolation(cage))
         with monkeypatch.context() as m:
-            m.setattr(verify, "_evaluation_pivots", lambda *args: None)
-            m.setattr(linalg, "modular_pivots", lambda field, rows: None)
+            # no pivots mod p: the integer core's exact elimination
+            m.setattr(linalg, "_pivots_mod", lambda rows, p: [])
             exact_ranks = report_to_json(verify_supra_interpolation(cage))
         with monkeypatch.context() as m:
             m.setattr(verify, "_evaluation_rank", lambda *args: -1)
