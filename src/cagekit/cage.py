@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 from .errors import CageValidationError, MustValidateError, ShapeError
 from .field import FieldDescriptor, FieldElement
-from .linalg import (Matrix, _integer_kernel, dot, integral_vector, invert,
-                     kernel_basis, primitive)
+from .linalg import (Matrix, dot, integral_vector, invert, kernel_basis,
+                     primitive)
 from .poly import HomogPoly, LinearForm, product_of_linear_forms
 
 Index = tuple[int, ...]
@@ -178,9 +178,9 @@ class Cage:
         incidence failures in node order.
 
         Nodes are found one line at a time.  The d nodes (i_1, ..., i_(n-1),
-        *) lie on the kernel of their first n-1 forms, so one kernel per
-        line, d^(n-1) in all, serves d nodes; for n = 1 the line is all of
-        P^1 and its basis is the identity.  Let the line's kernel have
+        *) lie on the kernel of their first n-1 forms, so one kernel_basis
+        per line, d^(n-1) in all, serves d nodes; for n = 1 the line is all
+        of P^1 and its basis is the identity.  Let the line's kernel have
         dimension k and let l be a last-color form.  The tuple's kernel is
         the part of the line's kernel where l vanishes, of dimension k - 1
         when l is nonzero on some basis vector and k otherwise; anything but
@@ -190,12 +190,11 @@ class Cage:
         l vanishes there by construction.  Any other form f takes the value
         l(v) f(u) - l(u) f(v) at the node, so evaluating the n*d forms at u
         and v once per line leaves two products per form per node.  The
-        forms indexing the node need no test: the kernel has been checked
-        to vanish on the first n-1.  Zero tests do not change when a vector
-        is scaled, so over Q every form is scaled to an integer vector, the
-        line's basis is linalg._integer_kernel of the first n-1, and the
-        work runs on ints; over Q[t]/(m) the basis is kernel_basis and the
-        same code runs on field elements.  Each point is
+        forms indexing the node need no test: kernel_basis has checked that
+        the first n-1 vanish on the line.  Zero tests do not change when a
+        vector is scaled, so over Q every form and every basis vector is
+        scaled to an integer vector and the work runs on ints; over
+        Q[t]/(m) the same code runs on field elements.  Each point is
         canonicalized once, and a point seen before is reported as a
         coincident node.  A valid cage keeps each line's basis and form
         values, from which _node_cofactors reads the nodes' cofactors.
@@ -217,13 +216,11 @@ class Cage:
         lines = []
         seen: dict[tuple, Index] = {}
         for head in all_indices(d, n - 1):
-            if n > 1 and rational:
-                line_basis = _integer_kernel(
-                    [forms[j][head[j] - 1] for j in range(n - 1)], n + 1)
-            elif n > 1:
+            if n > 1:
                 rows = [self.groups[j][head[j] - 1].coeffs
                         for j in range(n - 1)]
-                line_basis = kernel_basis(Matrix(field, rows)).vectors
+                line_basis = tuple(scaled(v) for v in
+                                   kernel_basis(Matrix(field, rows)).vectors)
             # values[j][k]: form k of color j at each line basis vector
             values = [[[dot(f, b) for b in line_basis] for f in group]
                       for group in forms]

@@ -40,29 +40,29 @@ Callers build kernel vectors, solutions and inverses on the ints and
 divide by D only where they return field elements; kernel_basis checks
 M v = 0 against the scaled rows on ints.
 
-Over Q the integer rows are also the entry points: _pivots_mod(rows,
-PRIME) for a lower bound on the rank, _integer_rank for the rank and
-_integer_kernel for D times the canonical kernel basis, checked on the
-rows it started from.  rank and kernel_basis over Q run them on the scaled
-rows of a Matrix; verify runs them on rows it builds as ints, and
-Cage.validate on its integer forms.  Scaling a row by a nonzero rational
-changes neither the rank nor the kernel, so any integer multiple of each
-row will do.  A point set enters as primitive integer vectors (gcd 1,
-last nonzero entry positive), the unique representative of each rational
-projective point, so equal points are equal vectors.  Scaling a point by
-lambda != 0 multiplies its row of degree-k monomial values by lambda^k,
-which again changes neither the rank nor the kernel of the evaluation
-matrix, and every value is an int.  With no denominator left, reduction
-mod p never declines.
+Over Q the integer rows are also the entry points: _pivots_mod(rows, PRIME)
+for a lower bound on the rank, _integer_rank for the rank and
+_integer_kernel for D times the canonical kernel basis, checked on the rows
+it started from.  rank and kernel_basis over Q run them on the scaled rows
+of a Matrix, and verify runs them on rows it builds as ints.  Scaling a row
+by a nonzero rational changes neither the rank nor the kernel, so any
+integer multiple of each row will do.  A point set enters as primitive
+integer vectors (gcd 1, last nonzero entry positive), the unique
+representative of each rational projective point, so equal points are equal
+vectors.  Scaling a point by lambda != 0 multiplies its row of degree-k
+monomial values by lambda^k, which again changes neither the rank nor the
+kernel of the evaluation matrix, and every value is an int.  With no
+denominator left, reduction mod p never declines.
 
 Full ranks are certified from residues modulo a prime.  A residue map sends
 each p-integral element (every coefficient's denominator prime to p) to
-F_p.  Over Q there is one, reduction modulo PRIME = 2^31 - 1.  Over
-Q[t]/(m) the modulus gets, once, the first prime p <= PRIME, scanning
-down through at most SPLIT_SCAN primes, at which every coefficient of m is
-p-integral and m mod p divides x^p - x: then m mod p is squarefree and
-splits into deg m distinct linear factors.  Each root r of m mod p, found
-by Cantor-Zassenhaus splitting, gives the map c_0 + c_1 t + ... to
+F_p.  Over Q there is one, reduction modulo PRIME = 2^31 - 1, which
+_pivots_mod applies to integer rows directly.  Over Q[t]/(m) the modulus
+gets, once, the first prime p <= PRIME, scanning down through at most
+SPLIT_SCAN primes, at which every coefficient of m is p-integral and m mod
+p divides x^p - x: then m mod p is squarefree and splits into deg m
+distinct linear factors.  Each root r of m mod p, found by
+Cantor-Zassenhaus splitting, gives the map c_0 + c_1 t + ... to
 c_0 + c_1 r + ... mod p.  When the scan finds no prime, every rank over
 that field is exact.
 
@@ -86,18 +86,17 @@ Every other outcome, p dividing a denominator included, falls back to
 exact elimination over the field itself, where a reducible modulus still
 surfaces as ReducibleModulusError, as FieldDescriptor promises.
 
-One modular core, residue_pivots, eliminates the residues of a matrix at
-every residue map of its field and returns the pivot rows at the map that
-gives the fewest.  Their number is a lower bound for the rank in every
-factor, and the rows are linearly independent in the factor of that map's
-root: over Q, or for irreducible m, over the field.  modular_pivots applies
-it to a matrix of field elements, which rank does over Q[t]/(m); verify
-applies it there to monomials evaluated at the residues of points, so that
-a certified rank builds no exact evaluation matrix.  rank takes full rank
-at every map as proof and otherwise eliminates exactly.  Over Q the rows
-are integers already and _pivots_mod eliminates them directly;
-verify.hilbert_table pairs that lower bound with an upper bound to prove
-rank-deficient ranks.
+Over Q[t]/(m), residue_pivots eliminates the residues of a matrix at every
+residue map of the field and returns the pivot rows at the map that gives
+the fewest.  Their number is a lower bound for the rank in every factor,
+and the rows are linearly independent in the factor of that map's root,
+which for irreducible m is the field.  modular_pivots applies it to a
+matrix of field elements, which rank does; verify applies it to monomials
+evaluated at the residues of points, so that a certified rank builds no
+exact evaluation matrix.  rank takes full rank at every map as proof and
+otherwise eliminates exactly.  Over Q the rows are integers already and
+_pivots_mod eliminates them directly; verify.hilbert_table pairs that lower
+bound with an upper bound to prove rank-deficient ranks.
 """
 
 from __future__ import annotations
@@ -310,8 +309,8 @@ def residue_pivots(field: FieldDescriptor,
                                           Sequence[Sequence[int]]]
                    ) -> Optional[list[int]]:
     """Indices of the rows that Gaussian elimination mod p picks as pivots,
-    in the order picked, at the residue map of the field that gives the
-    fewest; None when it declines.
+    in the order picked, at the residue map of an extension field that
+    gives the fewest; None when it declines.
 
     residue_rows(reduce) builds the integer rows to eliminate, where reduce
     maps a field element to its residue; entries need only be congruent mod
@@ -374,10 +373,9 @@ def _pivots_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
 
 
 def _residue_maps(field: FieldDescriptor):
-    """The prime p and, for each residue map, the residues of
-    1, t, ..., t^(degree-1); no maps when the scan finds no prime."""
-    if field.degree == 1:
-        return PRIME, ((1,),)
+    """The prime p of an extension field and, for each residue map, the
+    residues of 1, t, ..., t^(degree-1); no maps when the scan finds no
+    prime."""
     if field.min_poly not in _SPLITS:
         _SPLITS[field.min_poly] = _split_prime(field.min_poly)
     return _SPLITS[field.min_poly]

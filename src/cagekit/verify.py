@@ -134,6 +134,12 @@ def _coordinates(points, field: FieldDescriptor):
     return [primitive(integral_vector(p)) for p in pts]
 
 
+def _node_rank(cage: Cage, selection, degree: int) -> int:
+    """_evaluation_rank of the nodes of a selection of a valid cage."""
+    return _evaluation_rank(_coordinates(cage.nodes_for(selection),
+                                         cage.field), degree, cage.field)
+
+
 def _distinct_points(points, field: Optional[FieldDescriptor]):
     """_coordinates of a point list, canonical over Q[t]/(m), and their
     field; duplicates, projectively equal representatives included, raise
@@ -145,10 +151,9 @@ def _distinct_points(points, field: Optional[FieldDescriptor]):
         return [], field
     field = _infer_field(raw, field)
     pts = [tuple(field.coerce(c) for c in p) for p in raw]
-    if field.kind == "rationals":
-        pts = [primitive(integral_vector(p)) for p in pts]
-    else:
+    if field.kind != "rationals":
         pts = [canonical_point(p) for p in pts]
+    pts = _coordinates(pts, field)
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points in Hilbert function input")
     return pts, field
@@ -322,12 +327,10 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
     """
     cage.validate()
     supra = supra_simplicial_indices(cage.d, cage.n)
-    pts = cage.nodes_for(supra)
-    if _evaluation_rank(_coordinates(pts, cage.field), cage.d,
-                        cage.field) == len(supra):
+    if _node_rank(cage, supra, cage.d) == len(supra):
         return VerificationReport(cage.summary(),
                                   _supra_passed(cage, len(supra)))
-    ev = evaluation_matrix(pts, cage.d)
+    ev = evaluation_matrix(cage.nodes_for(supra), cage.d)
     kernel = kernel_basis(ev.matrix)
     r = ev.matrix.cols - kernel.dim
     checks = [CheckResult(
@@ -388,8 +391,7 @@ def _simplicial_checks(cage: Cage) -> tuple[CheckResult, ...]:
     one evaluation matrix of the simplicial nodes in degree d-1 and its
     rank."""
     simp = simplicial_indices(cage.d, cage.n)
-    r = _evaluation_rank(_coordinates(cage.nodes_for(simp), cage.field),
-                         cage.d - 1, cage.field)
+    r = _node_rank(cage, simp, cage.d - 1)
     cols = len(monomial_basis(cage.d - 1, cage.n + 1))
     square = len(simp) == cols
     return (

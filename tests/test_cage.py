@@ -411,25 +411,19 @@ def test_validation_matches_per_node_oracle(field, per_shape):
 
 
 def test_validation_takes_one_kernel_per_line(monkeypatch):
-    # d^(n-1) integer kernels, one per line of d nodes, and no form
-    # evaluation; over Q no kernel_basis runs
+    # d^(n-1) kernels, one per line of d nodes, and no form evaluation
     counts = {"kernel": 0, "evaluate": 0}
-    integer_kernel = cage_module._integer_kernel
 
-    def counting_kernel(rows, cols):
+    def counting_kernel(matrix):
         counts["kernel"] += 1
-        return integer_kernel(rows, cols)
-
-    def forbidden(matrix):
-        raise AssertionError("kernel_basis over Q")
+        return kernel_basis(matrix)
 
     def counting_evaluate(form, point):
         counts["evaluate"] += 1
         return evaluate(form, point)
 
     evaluate = LinearForm.evaluate
-    monkeypatch.setattr(cage_module, "_integer_kernel", counting_kernel)
-    monkeypatch.setattr(cage_module, "kernel_basis", forbidden)
+    monkeypatch.setattr(cage_module, "kernel_basis", counting_kernel)
     monkeypatch.setattr(LinearForm, "evaluate", counting_evaluate)
     for n, d in ((2, 3), (3, 4), (4, 2), (2, 1)):
         fresh = Cage(Q, random_cage(7, d, n).groups)

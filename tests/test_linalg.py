@@ -155,7 +155,7 @@ def test_modular_rank_matches_exact_elimination():
                 exact = len(linalg._rref(m)[1])
                 assert rank(m) == exact
                 assert rank(m.transpose()) == exact
-                pivots = linalg.modular_pivots(Q, m.entries)
+                pivots = linalg._pivots_mod(integral_rows(m), linalg.PRIME)
                 assert len(pivots) == exact
                 assert pivots == exact_pivot_rows(m)
                 chosen = [frac_entries(m)[i] for i in pivots]
@@ -170,10 +170,11 @@ def test_modular_rank_falls_back_on_the_prime():
     assert rank(Matrix(Q, [[1, 0], [0, p]])) == 2
     assert rank(Matrix(Q, [[Fraction(1, p)]])) == 1
     assert rank(Matrix(Q, [[p, 2 * p], [1, 2]])) == 1
-    assert linalg.modular_pivots(Q, Matrix(Q, [[1, 0], [0, p]]).entries) \
-        == [0]
-    assert linalg.modular_pivots(
-        Q, Matrix(Q, [[Fraction(1, p)]]).entries) is None
+    assert linalg._pivots_mod([[1, 0], [0, p]], p) == [0]
+    # over Q the rows are integers, so a denominator p leaves no residue
+    # to decline: the row of 1/p is [1]
+    assert linalg._pivots_mod(
+        integral_rows(Matrix(Q, [[Fraction(1, p)]])), p) == [0]
     # an extension field reduces at the roots of its modulus mod a split
     # prime, and declines when that prime divides a denominator
     sqrt2 = FieldDescriptor.extension([-2, 0, 1])
@@ -185,7 +186,7 @@ def test_modular_rank_falls_back_on_the_prime():
     # shapes with nothing to eliminate
     assert rank(Matrix(Q, [])) == 0
     assert rank(Matrix(Q, [[], []])) == 0
-    assert linalg.modular_pivots(Q, []) == []
+    assert linalg._pivots_mod([], p) == []
 
 
 SPLIT_FIELDS = {
