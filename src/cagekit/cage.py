@@ -134,8 +134,8 @@ class Cage:
     """
 
     __slots__ = ("field", "groups", "n", "d", "attempts",
-                 "_report", "_nodes", "_node_by_index", "_group_polys",
-                 "_lines", "_cofactors")
+                 "_report", "_nodes", "_node_by_index", "_keys",
+                 "_group_polys", "_lines", "_cofactors")
 
     def __init__(self, field: FieldDescriptor,
                  groups: Sequence[Sequence[LinearForm]],
@@ -163,6 +163,7 @@ class Cage:
         self._report = None
         self._nodes = None
         self._node_by_index = None
+        self._keys = None
         self._group_polys = {}
         self._lines = None
         self._cofactors = None
@@ -194,10 +195,15 @@ class Cage:
         the first n-1 vanish on the line.  Zero tests do not change when a
         vector is scaled, so over Q every form and every basis vector is
         scaled to an integer vector and the work runs on ints; over
-        Q[t]/(m) the same code runs on field elements.  Each point is
-        canonicalized once, and a point seen before is reported as a
-        coincident node.  A valid cage keeps each line's basis and form
-        values, from which _node_cofactors reads the nodes' cofactors.
+        Q[t]/(m) the same code runs on field elements.  Each node is keyed
+        once: over Q by linalg.primitive of its integer vector (gcd 1, last
+        nonzero entry positive), the one representative of its projective
+        point among integer vectors, whose entries divided by that last
+        entry are the node's point; over Q[t]/(m) by canonical_point.  A
+        key seen before is reported as a coincident node.  A valid cage
+        keeps the keys, which _node_keys hands to the rank checks, and
+        each line's basis and form values, from which _node_cofactors reads
+        the nodes' cofactors.
         """
         if self._report is not None:
             return self._report
@@ -236,15 +242,19 @@ class Cage:
                     continue
                 (u, v), (lu, lv) = line_basis, on_line
                 vector = [lv * x - lu * y for x, y in zip(u, v)]
-                point = canonical_point(
-                    [field.from_rational(x) for x in vector]
-                    if rational else vector)
-                if point in seen:
+                if rational:
+                    key = primitive(vector)
+                    last = next(x for x in reversed(key) if x)
+                    point = tuple(FieldElement(field, (Fraction(x, last),))
+                                  for x in key)
+                else:
+                    key = point = canonical_point(vector)
+                if key in seen:
                     failures.append(ValidationFailure(
                         "coincident-nodes", index,
-                        f"node coincides with node {seen[point]}"))
+                        f"node coincides with node {seen[key]}"))
                     continue
-                seen[point] = index
+                seen[key] = index
                 nodes.append(Node(index, point))
                 # no node may lie on a hyperplane it does not index
                 for j, group in enumerate(values):
@@ -261,6 +271,7 @@ class Cage:
         if valid:
             self._nodes = tuple(nodes)
             self._node_by_index = {nd.index: nd for nd in nodes}
+            self._keys = {index: key for key, index in seen.items()}
             self._lines = lines
         return report
 
@@ -332,6 +343,12 @@ class Cage:
     def nodes_for(self, selection: NodeSelection) -> tuple[Node, ...]:
         self._require_valid()
         return tuple(self._node_by_index[i] for i in selection.indices)
+
+    def _node_keys(self, selection: NodeSelection) -> list[tuple]:
+        """The selection's nodes as validate() keyed them: over Q their
+        primitive integer vectors, over Q[t]/(m) their points."""
+        self._require_valid()
+        return [self._keys[i] for i in selection.indices]
 
     # -- distinguished polynomials ---------------------------------------
 

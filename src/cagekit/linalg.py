@@ -97,6 +97,16 @@ exact evaluation matrix.  rank takes full rank at every map as proof and
 otherwise eliminates exactly.  Over Q the rows are integers already and
 _pivots_mod eliminates them directly; verify.hilbert_table pairs that lower
 bound with an upper bound to prove rank-deficient ranks.
+
+Every elimination mod p runs in _pivots_mod on packed rows: each row is one
+nonnegative int of B-bit slots, one per column, with B a multiple of 8 and
+B >= 2 bitlen(p) + bitlen(rows + 1).  A row update is one multiply-add of
+whole ints, r + (p - f) * tail, and the eliminated column leaves with a
+shift by B; only a pivot row has its slots reduced mod p, once.  Each
+update adds at most (p - 1)^2 to a slot and a row takes at most one update
+per pivot, so no slot reaches 2^B, no carry crosses a slot, and the slots
+stay congruent to the entries of elimination over F_p.  The pivots are the
+ones that elimination picks, as _pivots_mod's docstring proves.
 """
 
 from __future__ import annotations
@@ -351,25 +361,67 @@ def _reducer(p: int, powers: tuple[int, ...]):
 
 
 def _pivots_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
-    """Pivot row indices of Gaussian elimination over F_p."""
-    live = [(i, [x % p for x in row]) for i, row in enumerate(rows)]
+    """Pivot row indices of Gaussian elimination over F_p, p prime: each
+    column takes the first live row, in input order, whose entry there is
+    nonzero mod p, and the pivot rows leave the live rows in the order
+    picked.
+
+    Each live row is one nonnegative int of fixed B-bit slots, slot 0
+    holding the current column, with B a multiple of 8 and
+    B >= 2 bitlen(p) + bitlen(len(rows) + 1).  A row's slots are congruent
+    mod p to its entries in elimination over F_p.  Rows enter with every
+    slot reduced below p.  The leading entry of a row r is (r & mask) % p.
+    A pivot row is reduced slot by slot once, when it is picked.  Every
+    other row r takes f = its leading entry over the pivot's, mod p, and
+    becomes (r >> B) + (p - f) * tail, tail being the reduced pivot row
+    without its leading slot, or r >> B when f = 0: the shift drops the
+    eliminated column, and adding p - f times a slot is subtracting f
+    times it mod p.  No carry crosses a slot.  Every slot is nonnegative,
+    and an update adds at most (p - 1)^2 to it, since p - f and every
+    reduced slot are below p.  A row is updated at most once per pivot, so
+    at most min(len(rows), cols) times, and every slot stays below
+    p + len(rows) (p - 1)^2 < (len(rows) + 1) p^2 <= 2^B.  Hence the int
+    operations act slot by slot and pick the same pivots as elimination on
+    lists of residues.
+    """
+    width = len(rows[0]) if rows else 0
+    size = (2 * p.bit_length() + (len(rows) + 1).bit_length() + 7) // 8
+    bits, mask = 8 * size, (1 << 8 * size) - 1
+    live = [(i, _pack(row, size, p)) for i, row in enumerate(rows)]
     pivots = []
     # each pass eliminates the leading column and drops it from every row
-    while live and live[0][1]:
-        hit = next((i for i, (_, r) in enumerate(live) if r[0]), None)
+    for col in range(width):
+        if not live:
+            break
+        leads = [(r & mask) % p for _, r in live]
+        hit = next((k for k, lead in enumerate(leads) if lead), None)
         if hit is None:
-            live = [(i, r[1:]) for i, r in live]
+            live = [(i, r >> bits) for i, r in live]
             continue
         index, pivot = live.pop(hit)
-        inv, tail = pow(pivot[0], -1, p), pivot[1:]
+        inv = pow(leads.pop(hit), -1, p)
+        tail = _pack(_slots(pivot >> bits, width - col - 1, size), size, p)
         rest = []
-        for i, r in live:
-            f = r[0] * inv % p
-            rest.append((i, [(a - f * b) % p for a, b in zip(r[1:], tail)]
-                         if f else r[1:]))
+        for (i, r), lead in zip(live, leads):
+            f = lead * inv % p
+            rest.append((i, (r >> bits) + (p - f) * tail if f else r >> bits))
         live = rest
         pivots.append(index)
     return pivots
+
+
+def _pack(values: Sequence[int], size: int, p: int) -> int:
+    """The residues mod p of values as one int of size-byte slots, the
+    first value in the lowest slot."""
+    return int.from_bytes(b"".join((x % p).to_bytes(size, "little")
+                                   for x in values), "little")
+
+
+def _slots(packed: int, count: int, size: int) -> list[int]:
+    """The count size-byte slots of a packed row, lowest first."""
+    data = packed.to_bytes(count * size, "little")
+    return [int.from_bytes(data[k:k + size], "little")
+            for k in range(0, len(data), size)]
 
 
 def _residue_maps(field: FieldDescriptor):

@@ -9,7 +9,8 @@ recomputed from the cage alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from .cage import (Cage, Node, NodeSelection, all_indices, canonical_point,
                    simplicial_indices, supra_simplicial_indices)
@@ -106,13 +107,32 @@ def _integer_rows(points, degree: int) -> list[list[int]]:
     """The degree-k evaluation rows of primitive integer points: by the
     scaling argument in the linalg docstring, each is a nonzero rational
     multiple of the point's row, with the same rank and kernel."""
-    basis = monomial_basis(degree, len(points[0]))
-    return [monomial_values(1, pt, basis, degree) for pt in points]
+    return next(islice(_degree_rows(points), degree, None))
+
+
+def _degree_rows(points) -> Iterator[list[list[int]]]:
+    """The evaluation rows of integer points in degrees 0, 1, 2, ..., each
+    row equal to monomial_values of the point.  A degree-k monomial m is
+    x_v times m - e_v, for the first variable x_v of m with a positive
+    exponent, so each value is one coordinate times a degree-(k-1) value."""
+    nv = len(points[0])
+    rows, k = [[1] for _ in points], 0
+    while True:
+        yield rows
+        k += 1
+        previous = {m: j for j, m in enumerate(monomial_basis(k - 1, nv))}
+        steps = []
+        for m in monomial_basis(k, nv):
+            v = next(i for i, e in enumerate(m) if e)
+            steps.append((v, previous[m[:v] + (m[v] - 1,) + m[v + 1:]]))
+        rows = [[pt[v] * row[j] for v, j in steps]
+                for pt, row in zip(points, rows)]
 
 
 def _evaluation_rank(points, degree: int, field: FieldDescriptor) -> int:
     """Rank of the degree-k evaluation matrix of a nonempty point list,
-    given as _coordinates gives it: linalg._integer_rank of the integer
+    given as _distinct_points or Cage._node_keys gives it: over Q
+    primitive integer vectors.  That is linalg._integer_rank of the integer
     rows over Q.  Over Q[t]/(m) a full rank at every residue map is the
     rank, as in linalg.rank, and any other outcome takes linalg.rank of the
     exact matrix."""
@@ -125,24 +145,16 @@ def _evaluation_rank(points, degree: int, field: FieldDescriptor) -> int:
     return rank(evaluation_matrix(points, degree, field=field).matrix)
 
 
-def _coordinates(points, field: FieldDescriptor):
-    """The points as the rank path takes them: over Q the primitive
-    integer vector of each, over Q[t]/(m) their coordinates."""
-    pts = _point_tuples(points)
-    if field.kind != "rationals":
-        return pts
-    return [primitive(integral_vector(p)) for p in pts]
-
-
 def _node_rank(cage: Cage, selection, degree: int) -> int:
-    """_evaluation_rank of the nodes of a selection of a valid cage."""
-    return _evaluation_rank(_coordinates(cage.nodes_for(selection),
-                                         cage.field), degree, cage.field)
+    """_evaluation_rank of the nodes of a selection of a valid cage, taken
+    as validation keyed them: over Q their primitive integer vectors."""
+    return _evaluation_rank(cage._node_keys(selection), degree, cage.field)
 
 
 def _distinct_points(points, field: Optional[FieldDescriptor]):
-    """_coordinates of a point list, canonical over Q[t]/(m), and their
-    field; duplicates, projectively equal representatives included, raise
+    """The points as the rank path takes them, and their field: over Q the
+    primitive integer vector of each, over Q[t]/(m) their canonical_point.
+    Duplicates, projectively equal representatives included, raise
     ValueError, and points of differing arity raise ShapeError."""
     raw = _point_tuples(points)
     if any(len(p) != len(raw[0]) for p in raw):
@@ -151,17 +163,18 @@ def _distinct_points(points, field: Optional[FieldDescriptor]):
         return [], field
     field = _infer_field(raw, field)
     pts = [tuple(field.coerce(c) for c in p) for p in raw]
-    if field.kind != "rationals":
+    if field.kind == "rationals":
+        pts = [primitive(integral_vector(p)) for p in pts]
+    else:
         pts = [canonical_point(p) for p in pts]
-    pts = _coordinates(pts, field)
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points in Hilbert function input")
     return pts, field
 
 
 def _separating_form(field: FieldDescriptor, points: Sequence[tuple]):
-    """A linear form vanishing at none of the points, given as _coordinates
-    gives them.
+    """A linear form vanishing at none of the points, given as
+    _distinct_points gives them.
 
     Tries coefficient vectors (1, t, t^2, ...) for t = 0, 1, 2, ...; each
     point rules out at most arity-1 values of t, so the scan terminates
@@ -222,12 +235,14 @@ def hilbert_table(points, k_max: int,
     count = len(pts)
     values = []
     ideal = ()          # integer basis of I_{k-1} over Q; None when not known
+    # over Q the degrees that take a rank, 0, 1, 2, ..., take the next rows
+    degree_rows = _degree_rows(pts)
     for k in range(k_max + 1):
         if count == 0 or values and values[-1] == count:
             values.append(count)
             continue
         if field.kind == "rationals":
-            r, ideal = _rank_and_kernel(pts, ideal, k)
+            r, ideal = _rank_and_kernel(pts, next(degree_rows), ideal, k)
         else:
             r = _evaluation_rank(pts, k, field)
         values.append(r)
@@ -236,13 +251,12 @@ def hilbert_table(points, k_max: int,
     return tuple(values)
 
 
-def _rank_and_kernel(pts, ideal, k: int):
+def _rank_and_kernel(pts, rows, ideal, k: int):
     """The rank of the degree-k evaluation matrix of primitive integer
-    points and an integer basis of its kernel (None when not known), given
-    such a basis of the degree-(k-1) kernel or None, by the bounds in
-    hilbert_table's docstring."""
+    points, given as its rows, and an integer basis of its kernel (None
+    when not known), given such a basis of the degree-(k-1) kernel or None,
+    by the bounds in hilbert_table's docstring."""
     nv = len(pts[0])
-    rows = _integer_rows(pts, k)
     cols = len(rows[0])
     r = len(_pivots_mod(rows, PRIME))
     if r == cols:

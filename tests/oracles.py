@@ -247,3 +247,28 @@ def cofactors(groups, index, point):
                 product_ = product_ * value
         out.append(product_)
     return out
+
+
+def pivots_mod(rows, p):
+    """Pivot row indices of Gaussian elimination over F_p on lists of
+    residues: each column takes the first live row, in input order, with a
+    nonzero residue there, and the pivot rows leave the live rows in the
+    order picked."""
+    live = [(i, [x % p for x in row]) for i, row in enumerate(rows)]
+    pivots = []
+    # each pass eliminates the leading column and drops it from every row
+    while live and live[0][1]:
+        hit = next((i for i, (_, r) in enumerate(live) if r[0]), None)
+        if hit is None:
+            live = [(i, r[1:]) for i, r in live]
+            continue
+        index, pivot = live.pop(hit)
+        inv, tail = pow(pivot[0], -1, p), pivot[1:]
+        rest = []
+        for i, r in live:
+            f = r[0] * inv % p
+            rest.append((i, [(a - f * b) % p for a, b in zip(r[1:], tail)]
+                         if f else r[1:]))
+        live = rest
+        pivots.append(index)
+    return pivots

@@ -189,6 +189,80 @@ def test_modular_rank_falls_back_on_the_prime():
     assert linalg._pivots_mod([], p) == []
 
 
+PACKED_PRIMES = (2, 3, 7, 65521, linalg.PRIME)
+
+
+def low_rank_ints(rng, rows, cols, rank_, bound):
+    # a product of random rows x rank_ and rank_ x cols integer matrices
+    left = [[rng.randint(-bound, bound) for _ in range(rank_)]
+            for _ in range(rows)]
+    right = [[rng.randint(-bound, bound) for _ in range(cols)]
+             for _ in range(rank_)]
+    return [[sum(a * b[j] for a, b in zip(r, right)) for j in range(cols)]
+            for r in left]
+
+
+def slot_growth_rows(p, pivots, cols, copies):
+    # row i < pivots is U_0 + ... + U_i mod p, with U_m = 1 at column m and
+    # p - 1 after it, so at every step the leading residue of each live row
+    # equals the pivot's (f = 1) and the pivot's reduced tail is all p - 1:
+    # each update adds (p - 1)^2 to every slot of the tail.  The copies of
+    # the last row take all pivots updates and are zero mod p at the end, so
+    # a carry across a slot would show as a pivot among them.
+    units = [[0] * m + [1] + [p - 1] * (cols - m - 1) for m in range(pivots)]
+    rows = [[sum(u[j] for u in units[:i + 1]) % p for j in range(cols)]
+            for i in range(pivots)]
+    return rows + [list(rows[-1]) for _ in range(copies)]
+
+
+def test_packed_pivots_match_the_list_kernel():
+    # the packed kernel against the list kernel it replaced, pivot list for
+    # pivot list: negative entries, entries far above p and multiples of p,
+    # zero rows and zero columns
+    rng = random.Random(61)
+    for p in PACKED_PRIMES:
+        for _ in range(60):
+            rows, cols = rng.randint(1, 16), rng.randint(1, 16)
+            m = low_rank_ints(rng, rows, cols,
+                              rng.randint(0, min(rows, cols)),
+                              rng.choice((1, 9, 10 ** 12)))
+            if rng.random() < 0.3:
+                m = [[p * x for x in row] if rng.random() < 0.3 else row
+                     for row in m]
+            if rng.random() < 0.3:
+                dead = rng.randrange(cols)
+                m = [[0 if j == dead else x for j, x in enumerate(row)]
+                     for row in m]
+            if rng.random() < 0.3:
+                m[rng.randrange(rows)] = [0] * cols
+            assert linalg._pivots_mod(m, p) == oracles.pivots_mod(m, p)
+
+
+def test_packed_pivots_on_degenerate_shapes():
+    for p in PACKED_PRIMES:
+        assert linalg._pivots_mod([], p) == oracles.pivots_mod([], p) == []
+        assert linalg._pivots_mod([[], []], p) == []
+        assert linalg._pivots_mod([[0, 0, 0]] * 3, p) == []
+        assert linalg._pivots_mod([[0, p, -p, 0, 1]], p) == [0]
+        assert linalg._pivots_mod([[0, 0], [0, 3 * p + 1], [5, 0]], p) \
+            == [2, 1]
+        assert linalg._pivots_mod([[-1], [1]], p) == [0]
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_pivots_survive_worst_case_slot_growth(p):
+    shapes = [(40, 3), (3, 40), (25, 25)]        # tall, wide, square
+    for rows, cols in shapes:
+        full = [[p - 1] * cols for _ in range(rows)]
+        assert linalg._pivots_mod(full, p) == oracles.pivots_mod(full, p) \
+            == [0]
+    for pivots, cols, copies in ((30, 34, 10), (5, 40, 35), (12, 12, 0)):
+        m = slot_growth_rows(p, pivots, cols, copies)
+        expected = list(range(pivots))
+        assert oracles.pivots_mod(m, p) == expected
+        assert linalg._pivots_mod(m, p) == expected
+
+
 SPLIT_FIELDS = {
     "Q(sqrt2)": FieldDescriptor.extension([-2, 0, 1]),
     "Q(i)": FieldDescriptor.extension([1, 0, 1]),

@@ -8,7 +8,8 @@ change to any rank, kernel basis or report shows here.  The inscription
 pins cover every node's differentials: `propagate` reads a tangent at each
 node, on random cages over Q and on a number-field demo cage.  The
 random_cage pins cover the cages and attempt counts of fifty seeds per
-shape.
+shape.  The node pins cover every node point: `cagekit nodes` for all
+nodes, and the JSON of the simplicial and supra-simplicial selections.
 """
 
 import hashlib
@@ -18,10 +19,12 @@ import random
 import pytest
 
 from cagekit import cayley_bacharach_check, random_cage
+from cagekit.cage import simplicial_indices, supra_simplicial_indices
 from cagekit.cli import main
 from cagekit.demos import build_demo
 from cagekit.inscribe import make_tangent, propagate_tangents
-from cagekit.serialize import cage_to_json, report_to_json, tangent_to_json
+from cagekit.serialize import (cage_to_json, node_to_json, report_to_json,
+                               tangent_to_json)
 
 # (n, d) -> random_cage seed
 CAGES = {(2, 5): 205, (3, 3): 303}
@@ -62,6 +65,30 @@ INSCRIPTION_DIGESTS = {
         "ce1e6543e93e921e8273819e6bcb92c6b8b72aa7c0a2181b918b97fdf779d677",
     ("propagate", 4, 2):
         "e662ffb483438c0db8187981563203d77c2642fb5dd5e52f2a420706c8e9dc86",
+}
+
+# (selection, n, d) -> digest of the nodes of the random_cage of
+# INSCRIPTIONS[n, d]: `cagekit nodes` stdout for "all", else the JSON of
+# node_to_json over the selection
+NODE_DIGESTS = {
+    ("all", 2, 5):
+        "4b8669055e9098b59342c4f19a578cafe782e949053d67cb706233852bda0483",
+    ("all", 3, 3):
+        "db46c0e6b5aac2a5878ce60e716a99a8944ca4f40613206461b1feb8797476b8",
+    ("all", 4, 2):
+        "b9d8e18aea5f254ba3c869857aa0e9097a8c61cabd7002bcac3349d805e884d2",
+    ("simplicial", 2, 5):
+        "28529e1e6baaba0822e12d31f4bb2a41cb6b121d80e64fa2ca589d69518438ed",
+    ("simplicial", 3, 3):
+        "3c26e33f2c0e59558708502be07e23ddeaefc9da68ed76d8fa5dbfc6afe614fc",
+    ("simplicial", 4, 2):
+        "57ed5698a8a6cfa130e1a2d775edccc9bbd67529c708e83e40c2f404b411c20d",
+    ("supra-simplicial", 2, 5):
+        "e902a242725f2295bd0823427f599fc861f9dfb96ac3a762fcb73dc02caa207e",
+    ("supra-simplicial", 3, 3):
+        "db3bb6b1ecb34112c956963c10dc632fef9feccc16debf59af90bbb27a5ae96f",
+    ("supra-simplicial", 4, 2):
+        "e26379aeccbad926d74a82d89661645b967c67129101e035b237503e313646b9",
 }
 
 FERMAT_CUBIC_TANGENTS_DIGEST = (
@@ -122,6 +149,21 @@ def test_inscription_output_is_unchanged(tmp_path, capsys, command, n, d):
     argv = [command, "--cage", str(path), "--node", node,
             "--tangent", tangent]
     assert cli_digest(capsys, argv) == INSCRIPTION_DIGESTS[command, n, d]
+
+
+@pytest.mark.parametrize("selection, n, d", sorted(NODE_DIGESTS))
+def test_node_points_are_unchanged(tmp_path, capsys, selection, n, d):
+    cage = random_cage(INSCRIPTIONS[n, d][0], d, n)
+    if selection == "all":
+        path = tmp_path / "cage.json"
+        path.write_text(json.dumps(cage_to_json(cage)))
+        digest = cli_digest(capsys, ["nodes", "--cage", str(path)])
+    else:
+        chosen = (simplicial_indices if selection == "simplicial"
+                  else supra_simplicial_indices)(d, n)
+        digest = sha256(json.dumps(
+            [node_to_json(nd) for nd in cage.nodes_for(chosen)]))
+    assert digest == NODE_DIGESTS[selection, n, d]
 
 
 def test_number_field_tangents_are_unchanged():

@@ -12,7 +12,7 @@ except ImportError:
     given = None
 
 import oracles
-from cagekit import inscribe, linalg, verify
+from cagekit import cage as cage_module, inscribe, linalg, verify
 from cagekit import (FieldDescriptor, HomogPoly, LambdaMatrix, LinearForm,
                      Matrix, ShapeError, axis_cage, cayley_bacharach_check,
                      cayley_bacharach_pair, complete_intersection_span_check,
@@ -239,17 +239,17 @@ def test_hilbert_table_needs_both_bounds_to_meet(monkeypatch):
         cage = random_cage(rng.randrange(10 ** 6), d, n)
         for points in node_sets(cage, rng):
             cases.append((points, hilbert_table(points, n * (d - 1) + 1)))
-    real, real_rows, latest = linalg._pivots_mod, verify._integer_rows, []
+    real, real_rows, latest = linalg._pivots_mod, verify._degree_rows, []
 
-    def rows_of(points, degree):
-        rows = real_rows(points, degree)
-        latest[:] = [rows]
-        return rows
+    def rows_of(points):
+        for rows in real_rows(points):
+            latest[:] = [rows]
+            yield rows
 
     def short(rows, p):
         pivots = real(rows, p)
         return pivots[:-1] if latest and rows is latest[0] else pivots
-    monkeypatch.setattr(verify, "_integer_rows", rows_of)
+    monkeypatch.setattr(verify, "_degree_rows", rows_of)
     monkeypatch.setattr(verify, "_pivots_mod", short)
     for points, table in cases:
         assert hilbert_table(points, len(table) - 1) == table
@@ -421,6 +421,20 @@ def test_integer_path_on_the_empty_point_list():
     assert hilbert_table([], 2) == (0, 0, 0)
 
 
+def test_degree_rows_equal_monomial_values():
+    # each degree's rows come from the previous degree's, one product per
+    # entry, and equal the rows monomial_values builds from scratch
+    rng = random.Random(89)
+    for nv in (1, 2, 3, 5):
+        points = [tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(nv))
+                  for _ in range(7)] + [(0,) * (nv - 1) + (1,)]
+        for k, rows in zip(range(7), verify._degree_rows(points)):
+            basis = verify.monomial_basis(k, nv)
+            assert rows == [verify.monomial_values(1, pt, basis, k)
+                            for pt in points]
+            assert rows == verify._integer_rows(points, k)
+
+
 if given is not None:
     COORD = st.one_of(
         st.fractions(min_value=-6, max_value=6, max_denominator=4),
@@ -468,6 +482,28 @@ def test_supra_interpolation_plane_three_by_three():
     assert check_by_name(report,
                          "supra-evaluation-rank").details["selection-size"] == 8
     assert check_by_name(report, "kernel-dimension").details["kernel-dim"] == 2
+
+
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2)])
+def test_node_ranks_read_validation_keys(monkeypatch, n, d):
+    # over Q the supra and simplicial ranks take the primitive integer
+    # vectors that validation keyed the nodes by, and no node is scaled or
+    # canonicalized again
+    cage = random_cage(500 + 10 * n + d, d, n)
+    cage.validate()
+    supra = supra_simplicial_indices(d, n)
+    assert cage._node_keys(supra) == [
+        linalg.primitive(linalg.integral_vector(nd.point))
+        for nd in cage.nodes_for(supra)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("node rank path must not rescale nodes")
+    for module in (verify, linalg):
+        monkeypatch.setattr(module, "integral_vector", forbidden)
+    for module in (verify, cage_module):
+        monkeypatch.setattr(module, "canonical_point", forbidden)
+    assert verify_supra_interpolation(cage).passed
+    assert all(c.passed for c in verify._simplicial_checks(cage))
 
 
 @pytest.mark.parametrize("n, d", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
