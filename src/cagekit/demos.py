@@ -16,15 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cage import Cage, axis_cage, supra_simplicial_indices, validated
+from .cage import (Cage, all_indices, axis_cage, supra_simplicial_indices,
+                   validated)
 from .field import FieldDescriptor, FieldElement
 from .inscribe import (LambdaMatrix, inscribe_with_tangent, make_tangent,
                        tangent_at_node)
-from .linalg import SubspaceBasis, kernel_basis, span_equal
+from .linalg import SubspaceBasis, span_equal
 from .poly import HomogPoly, LinearForm
 from .verify import (CheckResult, VerificationReport,
-                     complete_intersection_span_check, evaluation_matrix,
-                     smoothness_check, verify_supra_interpolation)
+                     complete_intersection_span_check, smoothness_check,
+                     verify_supra_interpolation)
 
 
 @dataclass(frozen=True)
@@ -258,23 +259,17 @@ def demo_cube_elliptic() -> DemoSpec:
 
     def automatic_vertex() -> CheckResult:
         # quadrics through seven vertices of the cube all pass through the
-        # eighth: the supra selection misses exactly the node (2,2,2)
-        supra = supra_simplicial_indices(2, 3)
-        missing = [i for i in ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2),
-                               (2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2))
-                   if i not in set(supra.indices)]
-        ev = evaluation_matrix(cage.nodes_for(supra), 2)
-        kernel = kernel_basis(ev.matrix)
-        eighth = cage.node((2, 2, 2))
-        all_vanish = True
-        for vec in kernel.vectors:
-            poly = HomogPoly.from_coefficients(field, 4, 2, vec)
-            if not poly.evaluate(eighth.point).is_zero():
-                all_vanish = False
+        # eighth: the supra selection misses exactly the node (2,2,2), and
+        # the interpolation checks prove that every quadric through the
+        # selection vanishes on all eight nodes
+        supra = set(supra_simplicial_indices(2, 3).indices)
+        missing = [i for i in all_indices(2, 3) if i not in supra]
+        interp = verify_supra_interpolation(cage)
+        kernel = next(c for c in interp.checks if c.name == "kernel-dimension")
         return CheckResult(
             "eighth-vertex-automatic",
-            missing == [(2, 2, 2)] and kernel.dim == 3 and all_vanish,
-            {"kernel-dim": kernel.dim, "missing": missing})
+            missing == [(2, 2, 2)] and interp.passed,
+            {"kernel-dim": kernel.details["kernel-dim"], "missing": missing})
 
     return DemoSpec(
         name="cube-elliptic",

@@ -18,9 +18,9 @@ from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix
 from .linalg import (PRIME, Matrix, SubspaceBasis, _integer_kernel,
-                     _integer_rank, _pivots_mod, dot, in_span,
+                     _integer_rank, _pivots_mod, _rref, dot, in_span,
                      integral_vector, kernel_basis, primitive, rank,
-                     residue_pivots, span_equal)
+                     residue_pivots)
 from .poly import HomogPoly, LinearForm, monomial_basis, monomial_values
 
 
@@ -134,15 +134,16 @@ def _evaluation_rank(points, degree: int, field: FieldDescriptor) -> int:
     given as _distinct_points or Cage._node_keys gives it: over Q
     primitive integer vectors.  That is linalg._integer_rank of the integer
     rows over Q.  Over Q[t]/(m) a full rank at every residue map is the
-    rank, as in linalg.rank, and any other outcome takes linalg.rank of the
-    exact matrix."""
+    rank, as in linalg.rank, and any other outcome counts the pivots of
+    linalg._rref on the exact matrix; linalg.rank would first redo the
+    residue elimination that just fell short."""
     if field.kind == "rationals":
         return _integer_rank(_integer_rows(points, degree))
     pivots = _evaluation_pivots(points, degree, field)
     full = min(len(points), len(monomial_basis(degree, len(points[0]))))
     if pivots is not None and len(pivots) == full:
         return full
-    return rank(evaluation_matrix(points, degree, field=field).matrix)
+    return len(_rref(evaluation_matrix(points, degree, field=field).matrix)[1])
 
 
 def _node_rank(cage: Cage, selection, degree: int) -> int:
@@ -336,68 +337,27 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
     more than a point, which validation rules out.  So the span has
     dimension n too.  A subspace of equal dimension is the whole space, so
     kernel and span coincide and the kernel vanishes on all nodes.  When
-    the rank falls short, the exact path computes the kernel and finds
-    witnesses.
+    the rank r falls short, the kernel has dimension C(d+n, n) - r > n by
+    rank-nullity, so it strictly contains the span and the first three
+    checks fail; the fourth is left unproved and reported failed.  No
+    kernel is computed, so no check carries a witness.
     """
     cage.validate()
     supra = supra_simplicial_indices(cage.d, cage.n)
-    if _node_rank(cage, supra, cage.d) == len(supra):
-        return VerificationReport(cage.summary(),
-                                  _supra_passed(cage, len(supra)))
-    ev = evaluation_matrix(cage.nodes_for(supra), cage.d)
-    kernel = kernel_basis(ev.matrix)
-    r = ev.matrix.cols - kernel.dim
-    checks = [CheckResult(
-        "supra-evaluation-rank", r == len(supra),
-        {"rank": r, "selection-size": len(supra),
-         "columns": ev.matrix.cols})]
-    checks.append(CheckResult(
-        "kernel-dimension", kernel.dim == cage.n,
-        {"kernel-dim": kernel.dim, "expected": cage.n}))
-    span = group_span(cage)
-    same = span_equal(kernel, span) if kernel.dim == span.dim else False
-    witness = None
-    if not same:
-        for vec in kernel.vectors:
-            if not in_span(vec, span):
-                witness = HomogPoly.from_coefficients(
-                    cage.field, cage.n + 1, cage.d, vec)
-                break
-    checks.append(CheckResult(
-        "kernel-equals-group-span", same,
-        {"kernel-dim": kernel.dim, "group-span-dim": span.dim}, witness))
-    bad = None
-    all_vanish = True
-    for vec in kernel.vectors:
-        poly = HomogPoly.from_coefficients(cage.field, cage.n + 1, cage.d, vec)
-        for node in cage.nodes():
-            if not poly.evaluate(node.point).is_zero():
-                all_vanish = False
-                bad = poly
-                break
-        if not all_vanish:
-            break
-    checks.append(CheckResult(
-        "kernel-vanishes-on-all-nodes", all_vanish,
-        {"node-count": len(cage.nodes())}, bad))
-    return VerificationReport(cage.summary(), tuple(checks))
-
-
-def _supra_passed(cage: Cage, size: int):
-    """The four interpolation checks, all passed, which the full row rank
-    size of the supra evaluation matrix proves by the argument in
-    verify_supra_interpolation's docstring."""
-    n, cols = cage.n, len(monomial_basis(cage.d, cage.n + 1))
-    return (
-        CheckResult("supra-evaluation-rank", True,
-                    {"rank": size, "selection-size": size, "columns": cols}),
-        CheckResult("kernel-dimension", True,
-                    {"kernel-dim": n, "expected": n}),
-        CheckResult("kernel-equals-group-span", True,
-                    {"kernel-dim": n, "group-span-dim": n}),
-        CheckResult("kernel-vanishes-on-all-nodes", True,
+    r = _node_rank(cage, supra, cage.d)
+    n, full = cage.n, r == len(supra)
+    cols = len(monomial_basis(cage.d, n + 1))
+    return VerificationReport(cage.summary(), (
+        CheckResult("supra-evaluation-rank", full,
+                    {"rank": r, "selection-size": len(supra),
+                     "columns": cols}),
+        CheckResult("kernel-dimension", full,
+                    {"kernel-dim": cols - r, "expected": n}),
+        CheckResult("kernel-equals-group-span", full,
+                    {"kernel-dim": cols - r, "group-span-dim": n}),
+        CheckResult("kernel-vanishes-on-all-nodes", full,
                     {"node-count": len(cage.nodes())}),
-    )
+    ))
 
 
 def _simplicial_checks(cage: Cage) -> tuple[CheckResult, ...]:
@@ -639,11 +599,10 @@ def independence_counterexample() -> VerificationReport:
     checks = [CheckResult(
         "same-cardinality", len(deficient) == len(supra),
         {"deficient": len(deficient), "supra": len(supra)})]
-    ev_supra = evaluation_matrix(cage.nodes_for(supra), 4)
-    k_supra = kernel_basis(ev_supra.matrix)
+    supra_dim = len(monomial_basis(4, 3)) - _node_rank(cage, supra, 4)
     checks.append(CheckResult(
-        "supra-kernel-dimension", k_supra.dim == 2,
-        {"kernel-dim": k_supra.dim, "expected": 2}))
+        "supra-kernel-dimension", supra_dim == 2,
+        {"kernel-dim": supra_dim, "expected": 2}))
     ev_def = evaluation_matrix(cage.nodes_for(deficient), 4)
     k_def = kernel_basis(ev_def.matrix)
     checks.append(CheckResult(

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from cagekit import demos
+from cagekit import demos, verify
 from cagekit.demos import (
     DEMO_NAMES,
     build_demo,
@@ -78,6 +78,18 @@ def test_cube_elliptic_extras():
                   if c.name == "eighth-vertex-automatic")
     assert eighth.details["kernel-dim"] == 3
     assert eighth.details["missing"] == [(2, 2, 2)]
+
+
+def test_short_supra_rank_fails_the_automatic_vertex(monkeypatch):
+    # the eighth vertex is read from the interpolation checks, so a supra
+    # rank one short of full leaves it unproved
+    monkeypatch.setattr(verify, "_evaluation_rank",
+                        lambda points, degree, field: len(points) - 1)
+    report = run_demo("cube-elliptic")
+    eighth = next(c for c in report.checks
+                  if c.name == "eighth-vertex-automatic")
+    assert not eighth.passed
+    assert eighth.details == {"kernel-dim": 4, "missing": [(2, 2, 2)]}
 
 
 def test_span_proof_reuses_the_documented_lambda(monkeypatch):

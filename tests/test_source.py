@@ -41,3 +41,26 @@ def test_readme_public_surface_is_exported():
     missing = [name for name in names if not name.startswith("cagekit.")
                and name not in cagekit.__all__]
     assert missing == []
+
+
+def test_no_unused_imports_in_package():
+    # a deletion must not leave a stale import behind; only __init__
+    # imports names to export them
+    sources = sorted(p for p in Path(cagekit.__file__).parent.glob("*.py")
+                     if p.name != "__init__.py")
+    assert sources
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
+    assert found == []

@@ -1,5 +1,6 @@
 """Interpolation, rigidity, Hilbert functions, slicing and smoothness checks."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -24,8 +25,9 @@ from cagekit import (FieldDescriptor, HomogPoly, LambdaMatrix, LinearForm,
                      supra_simplicial_indices, transversal_points,
                      verify_degree_minimality, verify_simplicial_rigidity,
                      verify_supra_interpolation)
+from cagekit.cli import main
 from cagekit.demos import build_demo
-from cagekit.serialize import report_to_json
+from cagekit.serialize import cage_to_json, check_to_json, report_to_json
 
 
 Q = FieldDescriptor.rationals()
@@ -508,33 +510,79 @@ def test_node_ranks_read_validation_keys(monkeypatch, n, d):
 
 @pytest.mark.parametrize("n, d", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_supra_certificate_matches_exact_path(monkeypatch, n, d):
-    # the one-rank certificate from the nodes' residues, the same with an
-    # exact rank, and the exact kernel path give identical reports
+    # the one-rank certificate from the nodes' integer keys and the same
+    # report with an exact rank agree, and every claim derived from that
+    # rank holds on plain Fractions
     def forbidden(*args, **kwargs):
         raise AssertionError("the certified path must not reach this")
+
+    def plain(vectors):
+        return [[c.as_fraction() for c in v] for v in vectors]
 
     for seed in (11, 12):
         cage = random_cage(100 * n + 10 * d + seed, d, n)
         with monkeypatch.context() as m:
-            for name in ("kernel_basis", "span_equal", "in_span",
-                         "evaluation_matrix"):
+            for name in ("kernel_basis", "in_span", "evaluation_matrix"):
                 m.setattr(verify, name, forbidden)
             m.setattr(HomogPoly, "evaluate", forbidden)
-            certified = report_to_json(verify_supra_interpolation(cage))
+            report = verify_supra_interpolation(cage)
         with monkeypatch.context() as m:
             # no pivots mod p: the integer core's exact elimination
             m.setattr(linalg, "_pivots_mod", lambda rows, p: [])
-            exact_ranks = report_to_json(verify_supra_interpolation(cage))
-        with monkeypatch.context() as m:
-            m.setattr(verify, "_evaluation_rank", lambda *args: -1)
             exact = report_to_json(verify_supra_interpolation(cage))
-        assert certified["pass"]
-        assert certified == exact_ranks == exact
+        assert report.passed
+        assert report_to_json(report) == exact
+        supra = plain(nd.point for nd in
+                      cage.nodes_for(supra_simplicial_indices(d, n)))
+        kernel = oracles.kernel(oracles.eval_matrix(supra, d))
+        assert len(kernel) == n == check_by_name(
+            report, "kernel-dimension").details["kernel-dim"]
+        products = plain(group_span(cage).vectors)
+        assert oracles.rank(kernel + products) == n
+        everywhere = oracles.eval_matrix(
+            plain(nd.point for nd in cage.nodes()), d)
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0
+                   for row in everywhere for vec in kernel)
+
+
+@pytest.mark.parametrize("which", ["rationals", "fermat-cubic-surface"])
+def test_short_supra_rank_fails_without_witness(monkeypatch, tmp_path, which):
+    # a supra rank one short of full makes all four checks fail, with the
+    # kernel dimension read off by rank-nullity and no witness
+    cage = (random_cage(71, 3, 2) if which == "rationals"
+            else build_demo(which).cage)
+    supra = supra_simplicial_indices(cage.d, cage.n)
+    short = len(supra) - 1
+    monkeypatch.setattr(verify, "_evaluation_rank",
+                        lambda points, degree, field: len(points) - 1)
+    report = verify_supra_interpolation(cage)
+    assert [c.name for c in report.checks] == [
+        "supra-evaluation-rank", "kernel-dimension",
+        "kernel-equals-group-span", "kernel-vanishes-on-all-nodes"]
+    assert not any(c.passed for c in report.checks)
+    assert all(c.witness is None for c in report.checks)
+    cols = math.comb(cage.d + cage.n, cage.n)
+    assert check_by_name(report, "supra-evaluation-rank").details[
+        "rank"] == short
+    for name in ("kernel-dimension", "kernel-equals-group-span"):
+        assert check_by_name(report, name).details[
+            "kernel-dim"] == cols - short
+    path, out = tmp_path / "cage.json", tmp_path / "report.json"
+    path.write_text(json.dumps(cage_to_json(cage)))
+    assert main(["verify", "--cage", str(path), "--checks",
+                 "validation,interpolation", "--no-timestamp",
+                 "-o", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert not payload["pass"]
+    assert payload["checks"][1:] == [
+        check_to_json(c) for c in report.checks]
 
 
 def test_number_field_supra_report_without_residues(monkeypatch):
     # the residue certificate at the six roots of the degree-6 modulus and
-    # exact elimination over Q(omega, cbrt3) give the same report
+    # exact elimination over Q(omega, cbrt3) give the same report; a short
+    # residue rank goes straight to exact elimination, without linalg.rank
+    # redoing the residue elimination
     cage = build_demo("fermat-cubic-surface").cage
 
     def forbidden(*args, **kwargs):
@@ -548,6 +596,7 @@ def test_number_field_supra_report_without_residues(monkeypatch):
     with monkeypatch.context() as m:
         for module in (linalg, verify):
             m.setattr(module, "residue_pivots", lambda field, rows: None)
+        m.setattr(verify, "rank", forbidden)
         exact = report_to_json(verify_supra_interpolation(cage))
     assert certified["pass"]
     assert certified == exact
