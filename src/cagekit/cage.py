@@ -32,6 +32,9 @@ Index = tuple[int, ...]
 # all, plus work per node, so the node count is bounded
 MAX_NODES = 4096
 
+# candidates random_cage draws before giving up
+MAX_ATTEMPTS = 200
+
 
 def norm(index: Index) -> int:
     return sum(index)
@@ -484,8 +487,7 @@ def _has_proportional_pair(vectors: Sequence[Sequence[int]]) -> bool:
 
 
 def random_cage(seed: int, d: int, n: int,
-                field: Optional[FieldDescriptor] = None,
-                max_attempts: int = 200) -> Cage:
+                field: Optional[FieldDescriptor] = None) -> Cage:
     """Seeded random cage with small integer coefficients.
 
     Resamples whole candidates until validation passes; the accepted cage
@@ -497,7 +499,7 @@ def random_cage(seed: int, d: int, n: int,
     if field is None:
         field = FieldDescriptor.rationals()
     rng = random.Random(seed)
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         drawn = []
         for _ in range(n * d):
             while True:
@@ -512,5 +514,5 @@ def random_cage(seed: int, d: int, n: int,
         cage = Cage(field, groups, attempts=attempt)
         if cage.validate().valid:
             return cage
-    raise ValueError(f"no valid cage found in {max_attempts} attempts "
+    raise ValueError(f"no valid cage found in {MAX_ATTEMPTS} attempts "
                      f"(seed {seed}, d={d}, n={n})")

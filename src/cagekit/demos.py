@@ -12,7 +12,7 @@ frozen identity is re-verified exactly before the demo runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -35,7 +35,7 @@ class DemoSpec:
     notes: tuple[str, ...]
     cage: Cage
     targets: tuple[tuple[str, HomogPoly, tuple], ...]
-    extra_checks: tuple[Callable[[], CheckResult], ...] = ()
+    extra_checks: tuple[Callable[[VerificationReport], CheckResult], ...] = ()
 
 
 def _fr(items: Sequence[str]) -> list[Fraction]:
@@ -145,6 +145,28 @@ def _power_sum_target(field: FieldDescriptor, n: int, degree: int,
     return HomogPoly(field, n + 1, degree, terms)
 
 
+def _unit_pencil_demo(name: str, label: str, field: FieldDescriptor,
+                      roots: Sequence[FieldElement], n: int, last_coeff,
+                      description: str, notes: tuple[str, ...],
+                      smooth: bool = True) -> DemoSpec:
+    """The sum of the d-th powers of x_0..x_(n-1) plus last_coeff x_n^d, for
+    d roots, as the unit pencil of the shared-last cage over the roots,
+    with a check that the pencil is smooth at the nodes when smooth."""
+    cage = _shared_last_cage(field, roots, n)
+    lam = (field.one(),) * n
+    variety = LambdaMatrix(cage, (lam,))
+
+    def smooth_at_nodes(interp: VerificationReport) -> CheckResult:
+        rep = smoothness_check(variety)
+        return CheckResult("unit-pencil-smooth-at-nodes", rep.passed,
+                           {"checks": [c.name for c in rep.checks]})
+
+    target = _power_sum_target(field, n, len(roots), last_coeff)
+    return DemoSpec(name=name, description=description, notes=notes,
+                    cage=cage, targets=((label, target, lam),),
+                    extra_checks=(smooth_at_nodes,) if smooth else ())
+
+
 # -- individual demos ----------------------------------------------------------
 
 def demo_fermat_conic() -> DemoSpec:
@@ -154,58 +176,39 @@ def demo_fermat_conic() -> DemoSpec:
         conjugation=[Fraction(0), Fraction(1)])
     xi = field.generator() / 2
     _certify("xi^2 = 1/2", xi ** 2 == Fraction(1, 2))
-    cage = _shared_last_cage(field, [xi, -xi], 2)
-    target = _power_sum_target(field, 2, 2, -1)
-    lam = (field.one(), field.one())
-    return DemoSpec(
-        name="fermat-conic",
+    return _unit_pencil_demo(
+        "fermat-conic", "fermat-conic", field, [xi, -xi], 2, -1,
         description="x^2 + y^2 - z^2 through the four nodes of the 2x2 "
                     "cage with vertical and horizontal tangent lines at "
                     "the roots of xi^2 = 1/2",
         notes=("Each group product expands to x_j^2 - z^2/2, so the unit "
                "pencil coefficients reproduce the circle exactly.",),
-        cage=cage,
-        targets=(("fermat-conic", target, lam),),
-    )
+        smooth=False)
 
 
 def demo_k3_quartic() -> DemoSpec:
     """The Fermat quartic surface as a pencil over Q(theta, i)."""
     field, theta, eye = quartic_roots_field()
-    roots = [theta * eye ** k for k in range(4)]
-    cage = _shared_last_cage(field, roots, 3)
-    target = _power_sum_target(field, 3, 4, 1)
-    lam = (field.one(), field.one(), field.one())
-    variety = LambdaMatrix(cage, (lam,))
-
-    def invisibility() -> CheckResult:
-        # a node fixed by coordinatewise conjugation would be a real point
-        fixed = []
-        for node in cage.nodes():
-            if all(c.conjugate() == c for c in node.point):
-                fixed.append(node.index)
-        return CheckResult("no-conjugation-fixed-node", not fixed,
-                           {"node-count": len(cage.nodes()),
-                            "fixed": fixed})
-
-    def smooth() -> CheckResult:
-        rep = smoothness_check(variety)
-        return CheckResult("unit-pencil-smooth-at-nodes", rep.passed,
-                           {"checks": [c.name for c in rep.checks]})
-
-    return DemoSpec(
-        name="k3-quartic",
+    spec = _unit_pencil_demo(
+        "k3-quartic", "fermat-quartic", field,
+        [theta * eye ** k for k in range(4)], 3, 1,
         description="sum of fourth powers of all four coordinates, cut out "
                     "by the unit pencil of the 4^3 cage over the roots of "
                     "z^4 = -1/3",
         notes=("Primitive element gamma = theta + i computed offline with "
                "sympy and re-certified here.",
                "All 64 nodes are invisible over the reals: none is fixed "
-               "by coordinatewise conjugation.",),
-        cage=cage,
-        targets=(("fermat-quartic", target, lam),),
-        extra_checks=(invisibility, smooth),
-    )
+               "by coordinatewise conjugation.",))
+
+    def invisibility(interp: VerificationReport) -> CheckResult:
+        # a node fixed by coordinatewise conjugation would be a real point
+        nodes = spec.cage.nodes()
+        fixed = [node.index for node in nodes
+                 if all(c.conjugate() == c for c in node.point)]
+        return CheckResult("no-conjugation-fixed-node", not fixed,
+                           {"node-count": len(nodes), "fixed": fixed})
+
+    return replace(spec, extra_checks=(invisibility, *spec.extra_checks))
 
 
 def demo_fermat_cubic() -> DemoSpec:
@@ -213,27 +216,13 @@ def demo_fermat_cubic() -> DemoSpec:
     field, omega, cbrt = cubic_roots_field()
     a = cbrt ** 2 / 3
     _certify("a^3 = 1/3", a ** 3 == Fraction(1, 3))
-    roots = [-a * omega ** k for k in range(3)]
-    cage = _shared_last_cage(field, roots, 3)
-    target = _power_sum_target(field, 3, 3, 1)
-    lam = (field.one(), field.one(), field.one())
-    variety = LambdaMatrix(cage, (lam,))
-
-    def smooth() -> CheckResult:
-        rep = smoothness_check(variety)
-        return CheckResult("unit-pencil-smooth-at-nodes", rep.passed,
-                           {"checks": [c.name for c in rep.checks]})
-
-    return DemoSpec(
-        name="fermat-cubic-surface",
+    return _unit_pencil_demo(
+        "fermat-cubic-surface", "fermat-cubic", field,
+        [-a * omega ** k for k in range(3)], 3, 1,
         description="sum of cubes of all four coordinates through the 27 "
                     "nodes of the 3^3 cage over the roots of z^3 = -1/3",
         notes=("Primitive element gamma = omega + 3^(1/3) computed offline "
-               "with sympy and re-certified here.",),
-        cage=cage,
-        targets=(("fermat-cubic", target, lam),),
-        extra_checks=(smooth,),
-    )
+               "with sympy and re-certified here.",))
 
 
 def demo_cube_elliptic() -> DemoSpec:
@@ -244,7 +233,7 @@ def demo_cube_elliptic() -> DemoSpec:
     tangent = make_tangent(start, [(1, 2, 3)])
     variety = inscribe_with_tangent(cage, start, tangent)
 
-    def tangent_read_back() -> CheckResult:
+    def tangent_read_back(interp: VerificationReport) -> CheckResult:
         again = tangent_at_node(variety, start)
         same = span_equal(
             SubspaceBasis(3, tangent.basis), SubspaceBasis(3, again.basis))
@@ -252,19 +241,18 @@ def demo_cube_elliptic() -> DemoSpec:
                            {"direction": [str(c.as_fraction())
                                           for c in tangent.basis[0]]})
 
-    def smooth() -> CheckResult:
+    def smooth(interp: VerificationReport) -> CheckResult:
         rep = smoothness_check(variety)
         return CheckResult("curve-smooth-at-vertices", rep.passed,
                            {"s": variety.s})
 
-    def automatic_vertex() -> CheckResult:
+    def automatic_vertex(interp: VerificationReport) -> CheckResult:
         # quadrics through seven vertices of the cube all pass through the
         # eighth: the supra selection misses exactly the node (2,2,2), and
         # the interpolation checks prove that every quadric through the
         # selection vanishes on all eight nodes
         supra = set(supra_simplicial_indices(2, 3).indices)
         missing = [i for i in all_indices(2, 3) if i not in supra]
-        interp = verify_supra_interpolation(cage)
         kernel = next(c for c in interp.checks if c.name == "kernel-dimension")
         return CheckResult(
             "eighth-vertex-automatic",
@@ -312,7 +300,7 @@ def run_demo(name: str) -> VerificationReport:
 
     Always runs cage validation and the interpolation check, then certifies
     each target polynomial against its documented pencil coefficients, then
-    the demo's own extra checks.
+    the demo's own extra checks, each given the interpolation report.
     """
     spec = build_demo(name)
     cage = spec.cage
@@ -333,7 +321,7 @@ def run_demo(name: str) -> VerificationReport:
             f"target-{label}-in-group-span",
             same or complete_intersection_span_check([target], cage), {}))
     for extra in spec.extra_checks:
-        checks.append(extra())
+        checks.append(extra(interp))
     subject = dict(cage.summary())
     subject["demo"] = spec.name
     subject["description"] = spec.description

@@ -662,28 +662,28 @@ def invert(matrix: Matrix) -> Matrix:
 
 
 def in_span(vector: Sequence[FieldElement], basis: SubspaceBasis) -> bool:
-    """Exact membership of vector in the span of the basis vectors."""
+    """Exact membership of vector in the span of the basis vectors: stacking
+    the vector onto them leaves their rank unchanged."""
     if len(vector) != basis.ambient_dim:
         raise ShapeError(
             f"in_span: ambient {basis.ambient_dim} vs vector {len(vector)}")
     if not basis.vectors:
-        return all(_is_zero_entry(e) for e in vector)
+        return not any(vector)
     field = basis.vectors[0][0].field
-    columns = Matrix(field, [[basis.vectors[k][i]
-                              for k in range(len(basis.vectors))]
-                             for i in range(basis.ambient_dim)])
-    return solve(columns, list(vector)) is not None
+    return (rank(Matrix(field, (*basis.vectors, vector)))
+            == rank(Matrix(field, basis.vectors)))
 
 
 def span_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    """Mutual membership: the two bases span the same subspace."""
+    """Whether the two bases, of equal size, span the same subspace: both
+    have the rank of the vectors of both."""
     if a.ambient_dim != b.ambient_dim:
         raise ShapeError("span_equal: ambient dimensions differ")
     if a.dim != b.dim:
         return False
-    return (all(in_span(v, b) for v in a.vectors)
-            and all(in_span(v, a) for v in b.vectors))
-
-
-def _is_zero_entry(e) -> bool:
-    return e.is_zero() if isinstance(e, FieldElement) else e == 0
+    if not a.vectors:
+        return True
+    field = a.vectors[0][0].field
+    both = rank(Matrix(field, (*a.vectors, *b.vectors)))
+    return (rank(Matrix(field, a.vectors)) == both
+            and rank(Matrix(field, b.vectors)) == both)

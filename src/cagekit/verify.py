@@ -130,13 +130,15 @@ def _degree_rows(points) -> Iterator[list[list[int]]]:
 
 
 def _evaluation_rank(points, degree: int, field: FieldDescriptor) -> int:
-    """Rank of the degree-k evaluation matrix of a nonempty point list,
-    given as _distinct_points or Cage._node_keys gives it: over Q
+    """Rank of the degree-k evaluation matrix of a point list, 0 when it is
+    empty, given as _distinct_points or Cage._node_keys gives it: over Q
     primitive integer vectors.  That is linalg._integer_rank of the integer
     rows over Q.  Over Q[t]/(m) a full rank at every residue map is the
     rank, as in linalg.rank, and any other outcome counts the pivots of
     linalg._rref on the exact matrix; linalg.rank would first redo the
     residue elimination that just fell short."""
+    if not points:
+        return 0
     if field.kind == "rationals":
         return _integer_rank(_integer_rows(points, degree))
     pivots = _evaluation_pivots(points, degree, field)
@@ -232,7 +234,13 @@ def hilbert_table(points, k_max: int,
     """
     if k_max < 0:
         raise ValueError("degree must be nonnegative")
-    pts, field = _distinct_points(points, field)
+    return _hilbert_table(*_distinct_points(points, field), k_max)
+
+
+def _hilbert_table(pts, field: FieldDescriptor,
+                   k_max: int) -> tuple[int, ...]:
+    """hilbert_table of points given as _distinct_points or Cage._node_keys
+    gives them."""
     count = len(pts)
     values = []
     ideal = ()          # integer basis of I_{k-1} over Q; None when not known
@@ -300,8 +308,6 @@ def hilbert_function(points, k: int, field: FieldDescriptor = None) -> int:
     if k < 0:
         raise ValueError("degree must be nonnegative")
     pts, field = _distinct_points(points, field)
-    if not pts:
-        return 0
     return _evaluation_rank(pts, k, field)
 
 
@@ -394,23 +400,28 @@ def verify_simplicial_rigidity(cage: Cage) -> VerificationReport:
 
 # -- slicing and Cayley-Bacharach --------------------------------------------
 
-def fubini_slice_check(cage: Cage,
-                       k_max: Optional[int] = None) -> VerificationReport:
+def _keyed_nodes(cage: Cage) -> dict:
+    """Every node of a valid cage as validation keyed it, by index in
+    lexicographic order."""
+    indices = all_indices(cage.d, cage.n)
+    return dict(zip(indices, cage._node_keys(NodeSelection("all", indices))))
+
+
+def fubini_slice_check(cage: Cage) -> VerificationReport:
     """Hilbert function additivity across the first-color slices.
 
-    For every k, h of the full node set equals the sum over s of h of the
-    slice node sets (first index = s) evaluated at k-(s-1), with negative
-    arguments contributing zero.
+    For every k up to the node count, h of the full node set equals the
+    sum over s of h of the slice node sets (first index = s) evaluated at
+    k-(s-1), with negative arguments contributing zero.  The tables read
+    the nodes as validation keyed them.
     """
     cage.validate()
-    nodes = cage.nodes()
-    if k_max is None:
-        k_max = len(nodes)
-    full = hilbert_table(nodes, k_max)
-    slices = []
-    for s in range(1, cage.d + 1):
-        part = [nd for nd in nodes if nd.index[0] == s]
-        slices.append(hilbert_table(part, k_max))
+    keys = _keyed_nodes(cage)
+    k_max = len(keys)
+    full = _hilbert_table(list(keys.values()), cage.field, k_max)
+    slices = [_hilbert_table([key for index, key in keys.items()
+                              if index[0] == s], cage.field, k_max)
+              for s in range(1, cage.d + 1)]
     mismatches = []
     for k in range(k_max + 1):
         lhs = full[k]
@@ -438,14 +449,15 @@ def _split(partition, points: dict, what: str):
 def _cayley_bacharach(points: dict, partition, k: int, socle: int,
                       what: str, field: FieldDescriptor):
     """Both sides of the splitting identity for a bipartition X = X1 + X2
-    of the points: h_X(k) - h_X1(k) and |X2| - h_X2(socle-k), with the
-    part sizes."""
+    of the points, given as _distinct_points or Cage._node_keys gives
+    them: h_X(k) - h_X1(k) and |X2| - h_X2(socle-k), with the part
+    sizes."""
     if not 0 <= k <= socle:
         raise ValueError(f"degree {k} outside [0, {socle}]")
     x1, x2 = _split(partition, points, what)
-    h_x = hilbert_function(list(points.values()), k, field=field)
-    h_x1 = hilbert_function(x1, k, field=field)
-    h_x2 = hilbert_function(x2, socle - k, field=field)
+    h_x = _evaluation_rank(list(points.values()), k, field)
+    h_x1 = _evaluation_rank(x1, k, field)
+    h_x2 = _evaluation_rank(x2, socle - k, field)
     return h_x - h_x1, len(x2) - h_x2, [len(x1), len(x2)]
 
 
@@ -461,9 +473,8 @@ def cayley_bacharach_check(cage: Cage, partition, k: int) -> VerificationReport:
     if cage.n != 2:
         raise ValueError("this identity is implemented for plane cages only")
     socle = 2 * cage.d - 3
-    nodes = {nd.index: nd for nd in cage.nodes()}
-    lhs, rhs, split = _cayley_bacharach(nodes, partition, k, socle,
-                                        "index grid", cage.field)
+    lhs, rhs, split = _cayley_bacharach(_keyed_nodes(cage), partition, k,
+                                        socle, "index grid", cage.field)
     return VerificationReport(cage.summary(), (CheckResult(
         "cayley-bacharach", lhs == rhs,
         {"k": k, "socle": socle, "lhs": lhs, "rhs": rhs, "split": split}),))
@@ -506,7 +517,8 @@ def cayley_bacharach_pair(field: FieldDescriptor,
     d, e = len(lines_a), len(lines_b)
     socle = d + e - 3
     points = transversal_points(field, lines_a, lines_b)
-    lhs, rhs, _ = _cayley_bacharach(points, partition, k, socle,
+    keys = dict(zip(points, _distinct_points(points.values(), field)[0]))
+    lhs, rhs, _ = _cayley_bacharach(keys, partition, k, socle,
                                     "intersection grid", field)
     return VerificationReport(
         {"d": d, "e": e, "field": field.label},
@@ -561,20 +573,31 @@ def complete_intersection_span_check(polys: Sequence[HomogPoly],
 
     Vanishing on all d^n nodes is a precondition and is checked; a
     non-vanishing input is a usage error, not a False result.
+
+    One rank decides both, that of the group products stacked with the
+    inputs.  The n products vanish on every node and are independent on a
+    valid cage, as verify_supra_interpolation's docstring proves, so the
+    rank is n exactly when every input is a combination of them, and then
+    every input vanishes on the nodes too.  Only a larger rank evaluates
+    the inputs at the nodes, to name the first node where one does not
+    vanish, or else to return False.
     """
     cage.validate()
-    span = group_span(cage)
-    nodes = cage.nodes()
     for poly in polys:
         if poly.num_vars != cage.n + 1 or poly.degree != cage.d:
             raise ShapeError(
                 f"expected degree {cage.d} in {cage.n + 1} variables, got "
                 f"degree {poly.degree} in {poly.num_vars}")
-        for node in nodes:
+    stacked = group_span(cage).vectors + tuple(
+        p.coefficient_vector() for p in polys)
+    if rank(Matrix(cage.field, stacked)) == cage.n:
+        return True
+    for poly in polys:
+        for node in cage.nodes():
             if not poly.evaluate(node.point).is_zero():
                 raise ValueError(
                     f"input does not vanish at node {node.index}")
-    return all(in_span(p.coefficient_vector(), span) for p in polys)
+    return False
 
 
 # -- the deficient selection -------------------------------------------------
@@ -599,15 +622,15 @@ def independence_counterexample() -> VerificationReport:
     checks = [CheckResult(
         "same-cardinality", len(deficient) == len(supra),
         {"deficient": len(deficient), "supra": len(supra)})]
-    supra_dim = len(monomial_basis(4, 3)) - _node_rank(cage, supra, 4)
+    cols = len(monomial_basis(4, 3))
+    supra_dim = cols - _node_rank(cage, supra, 4)
     checks.append(CheckResult(
         "supra-kernel-dimension", supra_dim == 2,
         {"kernel-dim": supra_dim, "expected": 2}))
-    ev_def = evaluation_matrix(cage.nodes_for(deficient), 4)
-    k_def = kernel_basis(ev_def.matrix)
+    deficient_dim = cols - _node_rank(cage, deficient, 4)
     checks.append(CheckResult(
-        "deficient-kernel-dimension", k_def.dim >= 3,
-        {"kernel-dim": k_def.dim, "expected-at-least": 3}))
+        "deficient-kernel-dimension", deficient_dim >= 3,
+        {"kernel-dim": deficient_dim, "expected-at-least": 3}))
     # explicit extra curve: three vertical lines and one horizontal line
     factors = [LinearForm(field, [1, 0, 0]),
                LinearForm(field, [1, 0, -1]),
@@ -624,9 +647,10 @@ def independence_counterexample() -> VerificationReport:
         "witness-through-deficient-only", vanishes and misses, {}, extra))
     checks.append(CheckResult(
         "witness-outside-group-span", outside, {}, extra))
-    in_kernel = in_span(extra.coefficient_vector(), k_def)
+    # the deficient kernel is the quartics through the deficient nodes, so
+    # vanishing there is membership
     checks.append(CheckResult(
-        "witness-in-deficient-kernel", in_kernel, {}, extra))
+        "witness-in-deficient-kernel", vanishes, {}, extra))
     return VerificationReport(cage.summary(), tuple(checks))
 
 

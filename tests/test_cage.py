@@ -271,6 +271,13 @@ def test_random_cage_skips_only_candidates_validation_rejects(monkeypatch):
     assert not any(f and v for f, v in zip(flagged, valid))
 
 
+def test_random_cage_gives_up_after_max_attempts(monkeypatch):
+    monkeypatch.setattr(cage_module, "MAX_ATTEMPTS", 0)
+    with pytest.raises(ValueError, match=r"^no valid cage found in 0 "
+                       r"attempts \(seed 1, d=2, n=2\)$"):
+        random_cage(1, 2, 2)
+
+
 def test_proportional_pairs():
     assert cage_module._has_proportional_pair([[1, 2, 0], [0, 1, 1],
                                                [-2, -4, 0]])

@@ -80,6 +80,20 @@ def test_cube_elliptic_extras():
     assert eighth.details["missing"] == [(2, 2, 2)]
 
 
+def test_cube_elliptic_takes_the_supra_rank_once(monkeypatch):
+    # the eighth vertex reads the interpolation report run_demo holds
+    calls = []
+    original = demos.verify_supra_interpolation
+
+    def counted(cage):
+        calls.append(cage)
+        return original(cage)
+
+    monkeypatch.setattr(demos, "verify_supra_interpolation", counted)
+    assert run_demo("cube-elliptic").passed
+    assert len(calls) == 1
+
+
 def test_short_supra_rank_fails_the_automatic_vertex(monkeypatch):
     # the eighth vertex is read from the interpolation checks, so a supra
     # rank one short of full leaves it unproved

@@ -643,6 +643,80 @@ def test_span_equal():
     assert not span_equal(a, other)
 
 
+SQRT2 = FieldDescriptor.extension([-2, 0, 1], label="Q(sqrt2)")
+
+
+def restricted(field, vectors):
+    # the span over the field of the vectors is the span over Q of t^k
+    # times each, k below the degree, written coefficient by coefficient
+    modulus = field.min_poly or [0, 1]     # Q as Q[t]/(t)
+    return [[c for e in v for c in oracles.poly_mod_mul(
+                e.coeffs, [0] * k + [1], modulus)]
+            for v in vectors for k in range(field.degree)]
+
+
+def oracle_in_span(field, vector, vectors):
+    rows = restricted(field, vectors)
+    return (oracles.rank(rows + restricted(field, [vector]))
+            == oracles.rank(rows))
+
+
+def oracle_span_equal(field, a, b):
+    ra, rb = restricted(field, a), restricted(field, b)
+    return (len(a) == len(b)
+            and oracles.rank(ra) == oracles.rank(rb) == oracles.rank(ra + rb))
+
+
+@pytest.mark.parametrize("field", [Q, SQRT2], ids=["Q", "Q(sqrt2)"])
+def test_span_membership_matches_restricted_oracle(monkeypatch, field):
+    # in_span and span_equal compare ranks: dependent lists and empty
+    # bases included, they agree with plain Fraction ranks over Q and
+    # neither solves a system nor builds a kernel
+    def forbidden(*args, **kwargs):
+        raise AssertionError("span questions take ranks only")
+    for name in ("solve", "kernel_basis", "invert"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    rng = random.Random(61)
+
+    def element():
+        return field.element([rng.choice((0, 0, 1, -1, 2, Fraction(1, 3)))
+                              for _ in range(field.degree)])
+
+    def combination(vectors, dim):
+        acc = [field.zero()] * dim
+        for v in vectors:
+            s = element()
+            acc = [a + s * x for a, x in zip(acc, v)]
+        return tuple(acc)
+
+    seen = {"member": 0, "outside": 0, "equal": 0, "unequal": 0}
+    for _ in range(80):
+        dim = rng.randint(1, 4)
+        vectors = [tuple(element() for _ in range(dim))
+                   for _ in range(rng.randint(0, 3))]
+        if len(vectors) >= 2 and rng.random() < 0.5:
+            vectors.append(combination(vectors[:2], dim))   # dependent
+        a = SubspaceBasis(dim, tuple(vectors))
+        for vector in (tuple(element() for _ in range(dim)),
+                       combination(vectors, dim)):
+            expected = oracle_in_span(field, vector, vectors)
+            assert in_span(vector, a) == expected
+            seen["member" if expected else "outside"] += 1
+        others = [combination(vectors, dim) for _ in vectors]
+        if rng.random() < 0.3:
+            others = [tuple(element() for _ in range(dim)) for _ in vectors]
+        elif rng.random() < 0.2:
+            others.append(combination(vectors, dim))    # one more vector
+        b = SubspaceBasis(dim, tuple(others))
+        expected = oracle_span_equal(field, vectors, others)
+        assert span_equal(a, b) == span_equal(b, a) == expected
+        seen["equal" if expected else "unequal"] += 1
+    assert min(seen.values()) >= 5, seen
+    assert in_span([0, 0], SubspaceBasis(2, ()))
+    assert not in_span([field.zero(), field.one()], SubspaceBasis(2, ()))
+    assert span_equal(SubspaceBasis(2, ()), SubspaceBasis(2, ()))
+
+
 def test_extension_field_rank():
     sqrt2 = FieldDescriptor.extension([-2, 0, 1], label="Q(sqrt2)")
     t = sqrt2.generator()

@@ -874,12 +874,43 @@ def test_span_check_accepts_group_sum():
     assert complete_intersection_span_check([target], cage) is True
 
 
+def test_span_check_takes_one_rank_and_visits_no_node(monkeypatch):
+    # inputs in the group span are proved by one rank of the products
+    # stacked with them: no node is evaluated and nothing is solved
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an in-span input needs only the stacked rank")
+
+    ranks = []
+
+    def counted(matrix):
+        ranks.append(matrix.rows)
+        return rank(matrix)
+
+    cages = [unit_square(), random_cage(7, 3, 2), random_cage(8, 2, 3),
+             build_demo("fermat-conic").cage]
+    for cage in cages:
+        cage.validate()
+        products = [cage.group_polynomial(j) for j in range(cage.n)]
+        inputs = [products[0] + products[-1], products[-1] * 3]
+        with monkeypatch.context() as m:
+            m.setattr(HomogPoly, "evaluate", forbidden)
+            m.setattr(linalg, "solve", forbidden)
+            m.setattr(linalg, "kernel_basis", forbidden)
+            m.setattr(verify, "evaluation_matrix", forbidden)
+            m.setattr(verify, "rank", counted)
+            assert complete_intersection_span_check(inputs, cage) is True
+            assert complete_intersection_span_check([], cage) is True
+        assert ranks == [cage.n + 2, cage.n]
+        ranks.clear()
+
+
 def test_span_check_rejects_nonvanishing_input():
-    from cagekit import HomogPoly
     cage = unit_square()
     stray = HomogPoly(Q, 3, 2, {(2, 0, 0): 1})
-    with pytest.raises(ValueError):
-        complete_intersection_span_check([stray], cage)
+    target = cage.group_polynomial(0) + cage.group_polynomial(1)
+    for inputs in ([stray], [target, stray]):
+        with pytest.raises(ValueError, match=r"at node \(2, 1\)$"):
+            complete_intersection_span_check(inputs, cage)
 
 
 def test_span_check_degree_mismatch():
@@ -891,6 +922,50 @@ def test_span_check_degree_mismatch():
 
 
 # -- counterexample and suite runner ---------------------------------------------
+
+
+def test_counterexample_reads_ranks_not_kernels(monkeypatch):
+    # both kernel dimensions are ranks subtracted from C(6, 2), and the
+    # witness lies in the deficient kernel because it vanishes on the
+    # deficient nodes, so no kernel, evaluation matrix or system is built
+    expected = report_to_json(independence_counterexample())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the counterexample needs only ranks")
+    for module, name in ((verify, "kernel_basis"), (linalg, "kernel_basis"),
+                         (verify, "evaluation_matrix"), (linalg, "solve")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert report_to_json(independence_counterexample()) == expected
+
+
+def test_cage_tables_read_the_node_keys(monkeypatch):
+    # slice tables and the cage's Cayley-Bacharach ranks take the nodes as
+    # validation keyed them; only a plain line pair normalizes its points,
+    # once
+    cage = random_cage(41, 3, 2)
+    indices = [nd.index for nd in cage.nodes()]
+    part = (indices[::2], indices[1::2])
+    expected = ([report_to_json(fubini_slice_check(cage))]
+                + [report_to_json(cayley_bacharach_check(cage, part, k))
+                   for k in range(4)])
+    pair = report_to_json(cayley_bacharach_pair(Q, *cage.groups, part, 2))
+    assert fubini_slice_check(cage).checks[0].details["k-max"] \
+        == len(indices)
+    calls = []
+    original = verify._distinct_points
+
+    def counted(points, field):
+        calls.append(field)
+        return original(points, field)
+
+    monkeypatch.setattr(verify, "_distinct_points", counted)
+    assert ([report_to_json(fubini_slice_check(cage))]
+            + [report_to_json(cayley_bacharach_check(cage, part, k))
+               for k in range(4)]) == expected
+    assert calls == []
+    assert report_to_json(
+        cayley_bacharach_pair(Q, *cage.groups, part, 2)) == pair
+    assert calls == [Q]
 
 
 def test_independence_counterexample():
