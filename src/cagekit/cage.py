@@ -137,8 +137,7 @@ class Cage:
     """
 
     __slots__ = ("field", "groups", "n", "d", "attempts",
-                 "_report", "_nodes", "_node_by_index", "_keys",
-                 "_group_polys", "_lines", "_cofactors")
+                 "_report", "_keys", "_nodes", "_group_polys", "_cofactors")
 
     def __init__(self, field: FieldDescriptor,
                  groups: Sequence[Sequence[LinearForm]],
@@ -164,11 +163,9 @@ class Cage:
         self.d = d
         self.attempts = attempts
         self._report = None
-        self._nodes = None
-        self._node_by_index = None
         self._keys = None
+        self._nodes = None
         self._group_polys = {}
-        self._lines = None
         self._cofactors = None
 
     # -- validation and node access -------------------------------------
@@ -201,12 +198,10 @@ class Cage:
         Q[t]/(m) the same code runs on field elements.  Each node is keyed
         once: over Q by linalg.primitive of its integer vector (gcd 1, last
         nonzero entry positive), the one representative of its projective
-        point among integer vectors, whose entries divided by that last
-        entry are the node's point; over Q[t]/(m) by canonical_point.  A
+        point among integer vectors; over Q[t]/(m) by canonical_point.  A
         key seen before is reported as a coincident node.  A valid cage
-        keeps the keys, which _node_keys hands to the rank checks, and
-        each line's basis and form values, from which _node_cofactors reads
-        the nodes' cofactors.
+        keeps the keys and nothing else: nodes() and _node_cofactors derive
+        the points and cofactors from them when first asked.
         """
         if self._report is not None:
             return self._report
@@ -221,8 +216,6 @@ class Cage:
             line_basis = ((one, zero), (zero, one))
         failures: list[ValidationFailure] = []
         incidence: list[ValidationFailure] = []
-        nodes: list[Node] = []
-        lines = []
         seen: dict[tuple, Index] = {}
         for head in all_indices(d, n - 1):
             if n > 1:
@@ -233,7 +226,6 @@ class Cage:
             # values[j][k]: form k of color j at each line basis vector
             values = [[[dot(f, b) for b in line_basis] for f in group]
                       for group in forms]
-            lines.append((head, line_basis, values))
             for i, on_line in enumerate(values[-1], start=1):
                 index = head + (i,)
                 dim = len(line_basis) - (1 if any(on_line) else 0)
@@ -245,20 +237,13 @@ class Cage:
                     continue
                 (u, v), (lu, lv) = line_basis, on_line
                 vector = [lv * x - lu * y for x, y in zip(u, v)]
-                if rational:
-                    key = primitive(vector)
-                    last = next(x for x in reversed(key) if x)
-                    point = tuple(FieldElement(field, (Fraction(x, last),))
-                                  for x in key)
-                else:
-                    key = point = canonical_point(vector)
+                key = (primitive if rational else canonical_point)(vector)
                 if key in seen:
                     failures.append(ValidationFailure(
                         "coincident-nodes", index,
                         f"node coincides with node {seen[key]}"))
                     continue
                 seen[key] = index
-                nodes.append(Node(index, point))
                 # no node may lie on a hyperplane it does not index
                 for j, group in enumerate(values):
                     for k, (fu, fv) in enumerate(group, start=1):
@@ -269,60 +254,53 @@ class Cage:
                                 f"vanishing pattern violated"))
         failures += incidence
         valid = not failures
-        report = ValidationReport(valid, len(nodes), tuple(failures))
+        report = ValidationReport(valid, len(seen), tuple(failures))
         self._report = report
         if valid:
-            self._nodes = tuple(nodes)
-            self._node_by_index = {nd.index: nd for nd in nodes}
             self._keys = {index: key for key, index in seen.items()}
-            self._lines = lines
         return report
 
     def _node_cofactors(self) -> dict[Index, tuple[FieldElement, ...]]:
         """Node index -> its n cofactors c_j, the product of L_{j,k}(p)
-        over k != I_j at the node p with index I, computed as
-        inscribe.node_differentials derives them.
+        over k != I_j at the node p with index I.
 
-        The table is built for every node on the first call, from the line
-        bases and form values that validate() kept, which are then dropped:
-        integer products and one Fraction per node and color over Q, field
-        products and one inverse per node over Q[t]/(m).  validate() does
-        not build it, as the checks that visit no node never ask for it.
+        The table is built for every node on the first call, from the keys
+        validate() kept.  Over Q the key is an integer vector w with last
+        nonzero entry w_c and p = w / w_c; a form L that validation scaled
+        by s (integral_vector) takes the value (s L)(w) / (s w_c) there, so
+        c_j = prod_{k != I_j} (s L_{j,k})(w) / (w_c^(d-1) prod_{k != I_j}
+        s_{j,k}): integer dots and one Fraction per node and color.  Over
+        Q[t]/(m) the key is p itself and c_j is a product of field dots,
+        with no inverse.  validate() does not build it, as the checks that
+        visit no node never ask for it.
         """
         self._require_valid()
         if self._cofactors is None:
             field, d = self.field, self.d
             rational = field.kind == "rationals"
+            scaled = integral_vector if rational else tuple
+            forms = [[scaled(f.coeffs) for f in group]
+                     for group in self.groups]
             if rational:
                 scales = [[lcm(*(c.coeffs[0].denominator for c in f.coeffs))
                            for f in group] for group in self.groups]
                 totals = [prod(group) for group in scales]
             one = 1 if rational else field.one()
             table = {}
-            for head, (u, v), values in self._lines:
-                for i, (lu, lv) in enumerate(values[-1], start=1):
-                    index = head + (i,)
-                    w_c = next(x for x in (lv * a - lu * b for a, b in
-                                           zip(reversed(u), reversed(v)))
-                               if x)
-                    w_pow = w_c ** (d - 1)
-                    if not rational:
-                        inv = w_pow.inverse()
-                    cofactors = []
-                    for j, group in enumerate(values):
-                        hit = index[j]
-                        num = prod((lv * fu - lu * fv for k, (fu, fv)
-                                    in enumerate(group, start=1) if k != hit),
-                                   start=one)
-                        if rational:
-                            den = w_pow * totals[j] // scales[j][hit - 1]
-                            cofactors.append(
-                                FieldElement(field, (Fraction(num, den),)))
-                        else:
-                            cofactors.append(num * inv)
-                    table[index] = tuple(cofactors)
+            for index, key in self._keys.items():
+                if rational:
+                    w_pow = next(x for x in reversed(key) if x) ** (d - 1)
+                cofactors = []
+                for j, hit in enumerate(index):
+                    num = prod((dot(f, key) for k, f in
+                                enumerate(forms[j], start=1) if k != hit),
+                               start=one)
+                    if rational:
+                        den = w_pow * totals[j] // scales[j][hit - 1]
+                        num = FieldElement(field, (Fraction(num, den),))
+                    cofactors.append(num)
+                table[index] = tuple(cofactors)
             self._cofactors = table
-            self._lines = None
         return self._cofactors
 
     def _require_valid(self):
@@ -331,27 +309,47 @@ class Cage:
         if not self._report.valid:
             raise MustValidateError("cage failed validation")
 
-    def nodes(self) -> tuple[Node, ...]:
-        """All d^n nodes in lexicographic index order."""
+    def _node_table(self) -> dict[Index, Node]:
+        """Node index -> Node, built from the keys on the first call: over Q
+        a point is its key divided by the key's last nonzero entry, over
+        Q[t]/(m) the key is the point."""
         self._require_valid()
+        if self._nodes is None:
+            field, nodes = self.field, {}
+            for index, point in self._keys.items():
+                if field.kind == "rationals":
+                    last = next(x for x in reversed(point) if x)
+                    point = tuple(FieldElement(field, (Fraction(x, last),))
+                                  for x in point)
+                nodes[index] = Node(index, point)
+            self._nodes = nodes
         return self._nodes
 
+    def nodes(self) -> tuple[Node, ...]:
+        """All d^n nodes in lexicographic index order."""
+        return tuple(self._node_table().values())
+
     def node(self, index) -> Node:
-        self._require_valid()
         try:
-            return self._node_by_index[tuple(index)]
+            return self._node_table()[tuple(index)]
         except KeyError:
             raise KeyError(f"no node with index {tuple(index)}") from None
 
     def nodes_for(self, selection: NodeSelection) -> tuple[Node, ...]:
+        nodes = self._node_table()
+        return tuple(nodes[i] for i in selection.indices)
+
+    def _key_table(self) -> dict[Index, tuple]:
+        """Node index -> key as validate() keyed it, in lexicographic index
+        order: over Q the primitive integer vector, over Q[t]/(m) the
+        point."""
         self._require_valid()
-        return tuple(self._node_by_index[i] for i in selection.indices)
+        return self._keys
 
     def _node_keys(self, selection: NodeSelection) -> list[tuple]:
-        """The selection's nodes as validate() keyed them: over Q their
-        primitive integer vectors, over Q[t]/(m) their points."""
-        self._require_valid()
-        return [self._keys[i] for i in selection.indices]
+        """The keys of a selection's nodes, in its order."""
+        keys = self._key_table()
+        return [keys[i] for i in selection.indices]
 
     # -- distinguished polynomials ---------------------------------------
 

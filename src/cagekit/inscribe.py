@@ -98,20 +98,14 @@ def node_differentials(cage: Cage, node: Node) -> Matrix:
     so the product rule leaves one term: row j is c_j times the
     coefficients of L_{j,I_j}, chart column dropped, where c_j is the
     product of L_{j,i}(p) over i != I_j.  The cofactors c_j come from the
-    cage's table (Cage._node_cofactors), built once per cage from the
-    values validation computed along each line of nodes: there the node is
-    w = l(v) u - l(u) v for the line basis u, v and the last-color form l,
-    p = w / w_c with w_c the chart entry of w, and a form L that
-    validation scaled by s (integral_vector over Q, s = 1 over Q[t]/(m))
-    takes the value L(p) = (l(v) (s L)(u) - l(u) (s L)(v)) / (s w_c).  So
-    c_j = prod_{i != I_j} (l(v) (s L_{j,i})(u) - l(u) (s L_{j,i})(v)) /
-    (w_c^(d-1) prod_{i != I_j} s_{j,i}), and no form is evaluated at p.
-    The matrix is invertible by validation: its incidence check puts p on
-    no factor its index does not name, so every c_j is nonzero, and its
-    degenerate-tuple check gives the n forms L_{j,I_j} rank n, so their
-    kernel is spanned by p.  A chart-local kernel vector lifted with a zero
-    chart entry would lie in that kernel, which p[chart] = 1 rules out.  A
-    Node that is not the cage's node at its index raises ValueError.
+    cage's table (Cage._node_cofactors), built once per cage from the keys
+    validation gave the nodes.  The matrix is invertible by validation: its
+    incidence check puts p on no factor its index does not name, so every
+    c_j is nonzero, and its degenerate-tuple check gives the n forms
+    L_{j,I_j} rank n, so their kernel is spanned by p.  A chart-local
+    kernel vector lifted with a zero chart entry would lie in that kernel,
+    which p[chart] = 1 rules out.  A Node that is not the cage's node at
+    its index raises ValueError.
     """
     try:
         on_cage = cage.node(node.index) == node

@@ -632,8 +632,6 @@ def solve(matrix: Matrix, rhs: Sequence[FieldElement]) -> Optional[Vector]:
     if len(rhs) != matrix.rows:
         raise ShapeError(f"solve: {matrix.rows} rows vs {len(rhs)} rhs entries")
     field = matrix.field
-    if matrix.rows == 0:
-        return tuple([field.zero()] * matrix.cols)
     augmented = Matrix(field, [list(r) + [b]
                                for r, b in zip(matrix.entries, rhs)])
     rows, pivots = _rref(augmented)

@@ -15,6 +15,7 @@ from .cage import Cage, Node
 from .errors import ReducibleModulusError, SchemaError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix, TangentSubspace
+from .linalg import Matrix, rank
 from .poly import HomogPoly, LinearForm
 from .verify import CheckResult, VerificationReport
 from .viete import Configuration
@@ -261,6 +262,8 @@ def variety_from_json(obj, path: str = "$") -> LambdaMatrix:
     _expect(_is_int(s), f"{path}.s", "s must be an integer")
     _expect(s == len(rows), f"{path}.s",
             f"s={s} but {len(rows)} rows present")
+    _expect(rank(Matrix(cage.field, rows)) == len(rows), f"{path}.lambda",
+            "lambda rows are linearly dependent")
     return LambdaMatrix(cage, tuple(rows))
 
 

@@ -362,7 +362,7 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
         CheckResult("kernel-equals-group-span", full,
                     {"kernel-dim": cols - r, "group-span-dim": n}),
         CheckResult("kernel-vanishes-on-all-nodes", full,
-                    {"node-count": len(cage.nodes())}),
+                    {"node-count": cage.validate().node_count}),
     ))
 
 
@@ -400,13 +400,6 @@ def verify_simplicial_rigidity(cage: Cage) -> VerificationReport:
 
 # -- slicing and Cayley-Bacharach --------------------------------------------
 
-def _keyed_nodes(cage: Cage) -> dict:
-    """Every node of a valid cage as validation keyed it, by index in
-    lexicographic order."""
-    indices = all_indices(cage.d, cage.n)
-    return dict(zip(indices, cage._node_keys(NodeSelection("all", indices))))
-
-
 def fubini_slice_check(cage: Cage) -> VerificationReport:
     """Hilbert function additivity across the first-color slices.
 
@@ -416,7 +409,7 @@ def fubini_slice_check(cage: Cage) -> VerificationReport:
     the nodes as validation keyed them.
     """
     cage.validate()
-    keys = _keyed_nodes(cage)
+    keys = cage._key_table()
     k_max = len(keys)
     full = _hilbert_table(list(keys.values()), cage.field, k_max)
     slices = [_hilbert_table([key for index, key in keys.items()
@@ -449,7 +442,7 @@ def _split(partition, points: dict, what: str):
 def _cayley_bacharach(points: dict, partition, k: int, socle: int,
                       what: str, field: FieldDescriptor):
     """Both sides of the splitting identity for a bipartition X = X1 + X2
-    of the points, given as _distinct_points or Cage._node_keys gives
+    of the points, keyed as _distinct_points or Cage._key_table gives
     them: h_X(k) - h_X1(k) and |X2| - h_X2(socle-k), with the part
     sizes."""
     if not 0 <= k <= socle:
@@ -473,7 +466,7 @@ def cayley_bacharach_check(cage: Cage, partition, k: int) -> VerificationReport:
     if cage.n != 2:
         raise ValueError("this identity is implemented for plane cages only")
     socle = 2 * cage.d - 3
-    lhs, rhs, split = _cayley_bacharach(_keyed_nodes(cage), partition, k,
+    lhs, rhs, split = _cayley_bacharach(cage._key_table(), partition, k,
                                         socle, "index grid", cage.field)
     return VerificationReport(cage.summary(), (CheckResult(
         "cayley-bacharach", lhs == rhs,
@@ -560,7 +553,7 @@ def smoothness_check(variety: LambdaMatrix,
         raise ValueError("lambda rows are linearly dependent")
     return VerificationReport(cage.summary(), (
         CheckResult("pencils-vanish-on-nodes", True,
-                    {"s": variety.s, "node-count": len(cage.nodes())}),
+                    {"s": variety.s, "node-count": len(cage._key_table())}),
         CheckResult("jacobian-rank-at-nodes", True,
                     {"expected-rank": variety.s, "singular-nodes": []}),
     ))

@@ -446,6 +446,15 @@ def test_sample_grid_guards(tmp_path, square_cage, capsys):
                  "--resolution", "2", "-o", str(out)]) == 2
     assert "error: --box: bad rational literal" in capsys.readouterr().err
     assert not out.exists()
+    # dependent lambda rows are refused when the variety is read
+    variety = json.loads(curve.read_text())
+    variety.update({"lambda": [["1", "2", "3"], ["2", "4", "6"]], "s": 2})
+    curve.write_text(json.dumps(variety))
+    assert main(["sample-grid", "--variety", str(curve),
+                 "--box", "0", "1", "0", "1", "0", "1",
+                 "--resolution", "2", "-o", str(out)]) == 2
+    assert "$.lambda" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- entry points -------------------------------------------------------------

@@ -220,9 +220,9 @@ def test_cofactor_table_is_built_only_when_a_node_is_visited():
     report = run_suite(cage, ("validation", "interpolation", "minimality",
                               "rigidity"))
     assert report.passed
-    assert cage._cofactors is None and cage._lines is not None
+    assert cage._cofactors is None
     node_differentials(cage, cage.node((1, 2, 3)))
-    assert cage._cofactors is not None and cage._lines is None
+    assert len(cage._cofactors) == 27
 
 
 def test_inscription_evaluates_no_form(monkeypatch):

@@ -598,6 +598,13 @@ def test_solve_inconsistent_returns_none():
     assert solve(Matrix(Q, [[1, 1], [1, 1]]), [0, 1]) is None
 
 
+@pytest.mark.parametrize("field", [Q, SPLIT_FIELDS["Q(sqrt2)"]],
+                         ids=["Q", "Q(sqrt2)"])
+def test_solve_without_rows_returns_the_empty_solution(field):
+    # a matrix with no rows has no columns, so its one solution is ()
+    assert solve(Matrix(field, []), []) == ()
+
+
 def test_solve_shape_error():
     with pytest.raises(ShapeError):
         solve(Matrix(Q, [[1, 1]]), [1, 2])

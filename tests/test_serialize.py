@@ -255,6 +255,11 @@ def test_variety_schema_errors():
         variety_from_json({**good, "lambda": [["1"]]})
     with pytest.raises(SchemaError):
         variety_from_json({**good, "lambda": []})
+    # dependent rows and an all-zero row have rank below their count
+    for rows in ([["1", "2"], ["2", "4"]], [["0", "0"]]):
+        with pytest.raises(SchemaError) as err:
+            variety_from_json({**good, "lambda": rows, "s": len(rows)})
+        assert err.value.path == "$.lambda"
     bad_cage = json.loads(json.dumps(good))
     bad_cage["cage"]["groups"][0][1] = bad_cage["cage"]["groups"][0][0]
     with pytest.raises(SchemaError) as err:

@@ -779,6 +779,16 @@ def test_smoothness_rejects_rows_of_the_wrong_length():
         smoothness_check(variety)
 
 
+def test_smoothness_refuses_a_cage_that_fails_validation():
+    # the proof rests on validation, so a broken cage gets no report
+    cage = cage_module.Cage(Q, [
+        [LinearForm(Q, [1, 0, 0]), LinearForm(Q, [1, 0, 0])],
+        [LinearForm(Q, [0, 1, 0]), LinearForm(Q, [0, 1, -1])]])
+    variety = LambdaMatrix(cage, [[Q.one(), Q.zero()]])
+    with pytest.raises(cage_module.MustValidateError):
+        smoothness_check(variety)
+
+
 def test_smoothness_proof_matches_node_jacobian_ranks():
     # the check rests rank s at every node on validation and rank(lambda);
     # the removed computation, lambda times the node differentials, agrees
@@ -966,6 +976,29 @@ def test_cage_tables_read_the_node_keys(monkeypatch):
     assert report_to_json(
         cayley_bacharach_pair(Q, *cage.groups, part, 2)) == pair
     assert calls == [Q]
+
+
+def test_nodes_are_built_only_when_a_node_is_asked_for(monkeypatch):
+    # validation keeps keys only: the suite and the cage's Cayley-Bacharach
+    # ranks build no Node, and the first node access builds all d^n once
+    built = []
+    init = cage_module.Node.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(cage_module.Node, "__init__", counted)
+    cage, plane = random_cage(66, 3, 3), random_cage(67, 3, 2)
+    assert run_suite(cage, verify.SUITE_CHECKS).passed
+    indices = cage_module.all_indices(3, 2)
+    part = (indices[:4], indices[4:])
+    assert cayley_bacharach_check(plane, part, 1).passed
+    assert built == []
+    assert len(cage.nodes()) == 27 and len(built) == 27
+    cage.nodes()
+    cage.node((1, 2, 3))
+    cage.nodes_for(supra_simplicial_indices(3, 3))
+    assert len(built) == 27
 
 
 def test_independence_counterexample():
