@@ -19,7 +19,8 @@ from typing import Mapping, Sequence
 from .cage import Cage, Node
 from .errors import ShapeError, SingularNodeError
 from .field import FieldElement
-from .linalg import Matrix, SubspaceBasis, kernel_basis, rank, span_equal
+from .linalg import (Matrix, SubspaceBasis, _integral, _kernel, dot, rank,
+                     span_equal)
 from .poly import HomogPoly
 
 Vector = tuple[FieldElement, ...]
@@ -105,7 +106,22 @@ def node_differentials(cage: Cage, node: Node) -> Matrix:
     L_{j,I_j} rank n, so their kernel is spanned by p.  A chart-local
     kernel vector lifted with a zero chart entry would lie in that kernel,
     which p[chart] = 1 rules out.  A Node that is not the cage's node at
-    its index raises ValueError.
+    its index raises ValueError.  The rows are those of _differential_rows,
+    each coefficient times its vector.
+    """
+    rows = _differential_rows(cage, node)
+    return Matrix(cage.field, [[c * a for a in vector] for c, vector in rows])
+
+
+def _differential_rows(cage: Cage, node: Node) -> list[tuple]:
+    """Row j of node_differentials as a coefficient and a vector whose
+    product it is, for every color j.
+
+    Over Q the vector is A_j, the chart-local coefficients of L_{j,I_j}
+    times s_j, the lcm of their denominators, as ints, and the coefficient
+    is the Fraction c_j / s_j.  Over Q[t]/(m) they are c_j and the
+    coefficients themselves.  A Node that is not the cage's node at its
+    index raises ValueError.
     """
     try:
         on_cage = cage.node(node.index) == node
@@ -114,10 +130,33 @@ def node_differentials(cage: Cage, node: Node) -> Matrix:
     if not on_cage:
         raise ValueError(f"point is not the cage's node {node.index}")
     chart = chart_of(node)
-    cofactors = cage._node_cofactors()[node.index]
-    return Matrix(cage.field, [
-        [c * a for i, a in enumerate(forms[hit - 1].coeffs) if i != chart]
-        for forms, hit, c in zip(cage.groups, node.index, cofactors)])
+    rational = cage.field.kind == "rationals"
+    rows = []
+    for forms, hit, c in zip(cage.groups, node.index,
+                             cage._node_cofactors()[node.index]):
+        vector = [a for i, a in enumerate(forms[hit - 1].coeffs) if i != chart]
+        if rational:
+            scale, vector = _integral(_scalars(cage.field, vector))
+            c = c.coeffs[0] / scale
+        rows.append((c, vector))
+    return rows
+
+
+def _scalars(field, vector: Sequence[FieldElement]) -> list:
+    """The entries as _differential_rows's coefficients multiply them:
+    Fractions over Q, the elements over Q[t]/(m)."""
+    if field.kind == "rationals":
+        return [e.coeffs[0] for e in vector]
+    return list(vector)
+
+
+def _prepared(field, row: list) -> list:
+    """A row for linalg._kernel: over Q the rationals times the lcm of
+    their denominators, as ints, which changes neither the kernel nor the
+    RREF; over Q[t]/(m) the elements."""
+    if field.kind == "rationals":
+        return _integral(row)[1]
+    return row
 
 
 def inscribe_with_tangent(cage: Cage, node: Node,
@@ -126,26 +165,42 @@ def inscribe_with_tangent(cage: Cage, node: Node,
 
     s = n - tangent.dim must be at least 1.  The rows returned span all
     pencil combinations whose differential at the node annihilates the
-    prescribed tangent subspace.
+    prescribed tangent subspace: the canonical kernel basis of the
+    constraint matrix, whose row k is D_p v_k for tangent vector v_k, D_p
+    being node_differentials.  Its column j is c_j (L_{j,I_j} . v_k), the
+    form's chart-local coefficients dotted with v_k, which
+    _differential_rows writes as (c_j / s_j)(A_j . v_k).  Over Q the row is
+    built from the integral_vector of v_k, a positive multiple of v_k, so
+    each A_j . v_k is an int, and is then scaled by the lcm of the
+    denominators of its n entries.  Scaling a row by a nonzero rational
+    changes neither the kernel nor the RREF, so linalg._kernel of these
+    integer rows is the basis kernel_basis gives for the constraint matrix
+    over Q, entry for entry, and no field element is multiplied.  Over
+    Q[t]/(m) the row is c_j (L_{j,I_j} . v_k) in field elements.  A vector
+    without n entries raises ShapeError.  With no tangent vector there is
+    no row, and the basis is the identity: all n group products.
     """
     if tangent.node.index != node.index:
         raise ValueError("tangent subspace is attached to a different node")
     if tangent.chart != chart_of(node):
         raise ValueError("tangent chart differs from the node's chart")
-    n = cage.n
+    field, n = cage.field, cage.n
     s = n - tangent.dim
     if s < 1:
         raise ValueError("full-dimensional tangent prescribes nothing")
-    diff = node_differentials(cage, node)
-    if tangent.dim == 0:
-        rows = Matrix.identity(cage.field, n).entries
-        return LambdaMatrix(cage, rows)
-    constraints = Matrix(cage.field, [diff.matvec(v) for v in tangent.basis])
-    kernel = kernel_basis(constraints)
-    if kernel.dim != s:
+    diff = _differential_rows(cage, node)
+    rows = []
+    for v in tangent.basis:
+        if len(v) != n:
+            raise ShapeError(f"tangent vectors need {n} chart-local entries")
+        v = _prepared(field, _scalars(field, v))
+        rows.append(_prepared(field, [c * dot(vector, v)
+                                      for c, vector in diff]))
+    kernel = _kernel(field, rows, n)
+    if len(kernel) != s:
         raise SingularNodeError(
-            f"expected a {s}-dimensional solution, got {kernel.dim}")
-    return LambdaMatrix(cage, kernel.vectors)
+            f"expected a {s}-dimensional solution, got {len(kernel)}")
+    return LambdaMatrix(cage, kernel)
 
 
 def tangent_at_node(variety: LambdaMatrix, node: Node) -> TangentSubspace:
@@ -160,22 +215,39 @@ def tangent_at_node(variety: LambdaMatrix, node: Node) -> TangentSubspace:
     trailing 1, then make the chart column of the full Jacobian equal to
     -sum over i != chart of p_i times column i, so dropping it loses no
     rank.
+
+    Row i of the chart-local Jacobian is sum_j lambda_ij c_j times the
+    chart-local coefficients of L_{j,I_j}, which _differential_rows writes
+    as sum_j (lambda_ij c_j / s_j) A_j.  Over Q the row is scaled by the lcm
+    of the denominators of its n coefficients lambda_ij c_j / s_j, which
+    makes every coefficient, and so every entry, an int.  Scaling a row by
+    a nonzero rational changes neither the kernel nor the RREF, so
+    linalg._kernel of these integer rows, D times the canonical basis
+    divided by D, is the basis kernel_basis gives for the Jacobian over Q,
+    entry for entry, and no field element is multiplied.  Over Q[t]/(m)
+    the rows are the same sums in field elements.  A lambda row without n
+    entries raises ShapeError.
     """
-    field = variety.cage.field
-    diff = node_differentials(variety.cage, node).entries
+    cage = variety.cage
+    field, n = cage.field, cage.n
+    diff = _differential_rows(cage, node)
+    zero = 0 if field.kind == "rationals" else field.zero()
     rows = []
     for lams in variety.rows:
-        acc = [field.zero()] * len(diff)
-        for lam, drow in zip(lams, diff):
-            if not lam.is_zero():
-                acc = [a + lam * e for a, e in zip(acc, drow)]
+        if len(lams) != n:
+            raise ShapeError(f"lambda rows need {n} entries")
+        weights = _prepared(field, [lam * c for lam, (c, _) in
+                                    zip(_scalars(field, lams), diff)])
+        acc = [zero] * n
+        for w, (_, vector) in zip(weights, diff):
+            if w:
+                acc = [a + w * x for a, x in zip(acc, vector)]
         rows.append(acc)
-    jac = Matrix(field, rows)
-    kernel = kernel_basis(jac)
-    if jac.cols - kernel.dim != variety.s:
+    kernel = _kernel(field, rows, n)
+    if n - len(kernel) != variety.s:
         raise SingularNodeError(
             f"variety is singular at node {node.index}")
-    return TangentSubspace(node, chart_of(node), kernel.vectors)
+    return TangentSubspace(node, chart_of(node), kernel)
 
 
 def propagate_tangents(cage: Cage, node: Node,

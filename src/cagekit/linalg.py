@@ -43,10 +43,12 @@ M v = 0 against the scaled rows on ints.
 Over Q the integer rows are also the entry points: _pivots_mod(rows, PRIME)
 for a lower bound on the rank, _integer_rank for the rank and
 _integer_kernel for D times the canonical kernel basis, checked on the rows
-it started from.  rank and kernel_basis over Q run them on the scaled rows
-of a Matrix, and verify runs them on rows it builds as ints.  Scaling a row
-by a nonzero rational changes neither the rank nor the kernel, so any
-integer multiple of each row will do.  A point set enters as primitive
+it started from.  _kernel is the one kernel entry that returns field
+elements: it takes integer rows over Q and rows of elements over Q[t]/(m).
+rank and kernel_basis run them on the scaled rows of a Matrix, and verify
+and inscribe run them on rows they build as ints.  Scaling a row by a
+nonzero rational changes neither the rank nor the kernel, so any integer
+multiple of each row will do.  A point set enters as primitive
 integer vectors (gcd 1, last nonzero entry positive), the unique
 representative of each rational projective point, so equal points are equal
 vectors.  Scaling a point by lambda != 0 multiplies its row of degree-k
@@ -126,7 +128,8 @@ class Matrix:
     """Immutable dense matrix; entries all live in the same field.
 
     The rows the elimination works on (_scaled_rows) are kept once built,
-    so kernel_basis checks its vectors against the rows _rref started from.
+    so kernel_basis checks its vectors against the rows _eliminate started
+    from.
     """
 
     __slots__ = ("field", "rows", "cols", "entries", "_scaled")
@@ -194,9 +197,14 @@ class SubspaceBasis:
 
 def integral_vector(vector: Sequence[FieldElement]) -> list[int]:
     """A vector over Q times the lcm of its denominators, as ints."""
-    values = [e.coeffs[0] for e in vector]
+    return _integral([e.coeffs[0] for e in vector])[1]
+
+
+def _integral(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm s of the denominators of the rationals, and s times each of
+    them, as ints."""
     scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values]
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
 
 
 def primitive(ints: Sequence[int]) -> tuple[int, ...]:
@@ -233,13 +241,19 @@ def _scaled_rows(matrix: Matrix) -> tuple:
 
 
 def _rref(matrix: Matrix):
-    """The pivot rows of D times the reduced row echelon form, and the pivot
-    columns.  D, the pivot entry of every pivot row, is an int over Q, where
-    the rows are ints, and 1 over Q[t]/(m).  The module docstring proves
-    that both cores give the same RREF."""
+    """_eliminate of the matrix's scaled rows."""
+    return _eliminate(matrix.field, _scaled_rows(matrix))
+
+
+def _eliminate(field: FieldDescriptor, rows: Sequence[Sequence]):
+    """The pivot rows of D times the reduced row echelon form of prepared
+    rows, and the pivot columns: integer rows over Q go to _fraction_free,
+    rows of elements over Q[t]/(m) to _gauss_jordan.  D, the pivot entry of
+    every pivot row, is an int over Q and 1 over Q[t]/(m).  The module
+    docstring proves that both cores give the same RREF."""
     # the cores replace and reorder rows, never a row's entries
-    rows = list(_scaled_rows(matrix))
-    if matrix.field.kind == "rationals":
+    rows = list(rows)
+    if field.kind == "rationals":
         return _fraction_free(rows)
     return _gauss_jordan(rows)
 
@@ -583,18 +597,25 @@ def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def kernel_basis(matrix: Matrix) -> SubspaceBasis:
-    """Canonical basis of the right kernel, one vector per free column.
+    """Canonical basis of the right kernel, one vector per free column:
+    _kernel of the scaled rows."""
+    return SubspaceBasis(matrix.cols, _kernel(
+        matrix.field, _scaled_rows(matrix), matrix.cols))
+
+
+def _kernel(field: FieldDescriptor, rows: Sequence[Sequence],
+            cols: int) -> tuple[Vector, ...]:
+    """The canonical kernel basis, as field elements, of prepared rows with
+    cols columns: ints over Q, where any nonzero rational multiple of each
+    row has the same kernel and RREF, elements over Q[t]/(m).
 
     The vector of free column f is 1 at f and minus the RREF's column f at
     the pivot columns.  _kernel_vectors builds D times that from the rows
-    _rref returns and checks it against the rows the elimination started
-    from (the scaled integer rows over Q); it is divided by D only on the
-    way out.
+    _eliminate returns and checks it against the rows it started from; it
+    is divided by D only on the way out.
     """
-    basis, lead = _kernel_vectors(_scaled_rows(matrix), *_rref(matrix),
-                                  matrix.cols)
-    return SubspaceBasis(matrix.cols, tuple(
-        tuple(_divided(matrix.field, vec, lead)) for vec in basis))
+    basis, lead = _kernel_vectors(rows, *_eliminate(field, rows), cols)
+    return tuple(tuple(_divided(field, vec, lead)) for vec in basis)
 
 
 def _integer_kernel(rows: Sequence[Sequence[int]],
@@ -606,7 +627,7 @@ def _integer_kernel(rows: Sequence[Sequence[int]],
 
 def _kernel_vectors(rows, reduced, pivots: list[int], cols: int):
     """D times the canonical kernel vectors, from the pivot rows and
-    columns that _rref or _fraction_free gave for rows, and D.  Raises
+    columns that _eliminate or _fraction_free gave for rows, and D.  Raises
     RuntimeError unless every vector vanishes on every row of rows."""
     lead = _lead(reduced, pivots)
     pivot_set = set(pivots)

@@ -9,7 +9,7 @@ import oracles
 from cagekit.cage import Cage, Node, axis_cage, canonical_point, random_cage
 from cagekit.demos import build_demo
 from cagekit.errors import ShapeError, SingularNodeError
-from cagekit.field import FieldDescriptor
+from cagekit.field import FieldDescriptor, FieldElement
 from cagekit.inscribe import (
     LambdaMatrix,
     TangentSubspace,
@@ -21,7 +21,9 @@ from cagekit.inscribe import (
     tangent_at_node,
     transport_tangent,
 )
-from cagekit.linalg import Matrix, SubspaceBasis, rank, span_equal
+from cagekit import inscribe, linalg
+from cagekit.linalg import (Matrix, SubspaceBasis, kernel_basis, rank,
+                            span_equal)
 from cagekit.poly import HomogPoly, LinearForm
 from cagekit.verify import run_suite, smoothness_check
 
@@ -164,11 +166,8 @@ def test_cofactor_table_matches_the_oracle_over_q(n):
             assert cage._node_cofactors()[(1,) * n] == (F.one(),) * n
 
 
-@pytest.mark.parametrize("seed, d, n", [(61, 3, 2), (62, 2, 3), (63, 4, 2)])
-def test_cofactor_table_scales_back_forms_with_denominators(seed, d, n):
-    # validation scales each form by the lcm of its denominators; the
-    # table divides those scales back out
-    base = random_cage(seed, d, n)
+def with_denominators(base):
+    # the same hyperplanes, each form divided by one of 2..6
     groups = [[LinearForm(F, [c * Fraction(1, 2 + (7 * j + 3 * i) % 5)
                               for c in form.coeffs])
                for i, form in enumerate(group)]
@@ -177,6 +176,15 @@ def test_cofactor_table_scales_back_forms_with_denominators(seed, d, n):
     assert cage.validate().valid
     assert any(c.as_fraction().denominator > 1
                for group in groups for form in group for c in form.coeffs)
+    return cage
+
+
+@pytest.mark.parametrize("seed, d, n", [(61, 3, 2), (62, 2, 3), (63, 4, 2)])
+def test_cofactor_table_scales_back_forms_with_denominators(seed, d, n):
+    # validation scales each form by the lcm of its denominators; the
+    # table divides those scales back out
+    base = random_cage(seed, d, n)
+    cage = with_denominators(base)
     assert_cofactor_table_matches_the_oracle(cage)
     assert cage._node_cofactors() != base._node_cofactors()
 
@@ -391,6 +399,172 @@ def test_propagate_forces_the_same_variety_everywhere():
             redone = inscribe_with_tangent(cage, q, forced[q.index])
             assert redone.same_variety(variety)
             assert redone.rows == variety.rows
+
+
+def test_tangent_at_node_rejects_lambda_rows_of_the_wrong_length():
+    # a short or long row used to be cut to the shorter length by zip
+    cage = random_cage(5, 3, 3)
+    node = cage.node((1, 2, 3))
+    for row in ((1, 2), (1, 2, 3, 4)):
+        variety = LambdaMatrix(cage, coerced((row,)))
+        with pytest.raises(ShapeError, match="lambda rows need 3 entries"):
+            tangent_at_node(variety, node)
+
+
+def test_inscribe_rejects_tangent_vectors_of_the_wrong_length():
+    cage = random_cage(5, 3, 3)
+    node = cage.node((1, 2, 3))
+    for vector in ((1, 2), (1, 2, 3, 4)):
+        tangent = TangentSubspace(node, chart_of(node), coerced((vector,)))
+        with pytest.raises(ShapeError, match="need 3 chart-local entries"):
+            inscribe_with_tangent(cage, node, tangent)
+
+
+# -- integer rows over Q against the Fraction oracle -----------------------
+
+
+def oracle_differentials(cage, index):
+    # c_j times the chart-local coefficients of L_{j,I_j}, all from the
+    # oracle's own node and cofactors over plain Fractions
+    groups = [[[c.as_fraction() for c in form.coeffs] for form in group]
+              for group in cage.groups]
+    point = oracles.canonical_node(groups, index)
+    chart = max(i for i, x in enumerate(point) if x)
+    return [[c * a for i, a in enumerate(groups[j][index[j] - 1])
+             if i != chart]
+            for j, c in enumerate(oracles.cofactors(groups, index, point))]
+
+
+def oracle_lambda(diff, vectors):
+    n = len(diff)
+    if not vectors:
+        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return oracles.kernel([[sum(a * x for a, x in zip(row, v))
+                            for row in diff] for v in vectors])
+
+
+def oracle_tangent(diff, lambdas):
+    return oracles.kernel([[sum(lam * row[i] for lam, row in zip(lams, diff))
+                            for i in range(len(diff))] for lams in lambdas])
+
+
+def plain(vectors):
+    return [[x.as_fraction() for x in v] for v in vectors]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integer_rows_match_the_fraction_oracle(n):
+    # every node with a random tangent of random dimension, with fractional
+    # entries, on cages with integer forms and with forms that carry
+    # denominators: lambda rows, the tangent read back at the node and the
+    # tangent at a second node equal the oracle's kernels entry for entry;
+    # the 256- and 625-node cages take one seed, with denominators
+    rng = random.Random(90 + n)
+    for d in range(2, 6):
+        for seed in (1, 2):
+            small = d ** n <= 125
+            if seed == 2 and not small:
+                continue
+            base = random_cage(700 + 100 * n + 10 * d + seed, d, n)
+            for cage in (base,) * small + (with_denominators(base),):
+                nodes = cage.nodes()
+                diffs = {q.index: oracle_differentials(cage, q.index)
+                         for q in nodes}
+                for node in nodes:
+                    tau = random_fractional_tangent(rng, node,
+                                                    rng.randrange(n))
+                    variety = inscribe_with_tangent(cage, node, tau)
+                    lambdas = oracle_lambda(diffs[node.index],
+                                            plain(tau.basis))
+                    assert plain(variety.rows) == lambdas
+                    for q in (node, rng.choice(nodes)):
+                        assert plain(tangent_at_node(variety, q).basis) == \
+                            oracle_tangent(diffs[q.index], lambdas)
+
+
+def random_fractional_tangent(rng, node, dim):
+    n = len(node.point) - 1
+    while True:
+        vecs = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(n)] for _ in range(dim)]
+        try:
+            return make_tangent(node, vecs)
+        except ValueError:
+            continue
+
+
+def test_number_field_inscription_matches_the_matrix_path():
+    # over Q[t]/(m) the rows stay field elements; they give the kernels that
+    # node_differentials, Matrix and kernel_basis give
+    cage = build_demo("fermat-cubic-surface").cage
+    rng = random.Random(91)
+    field = cage.field
+    for node in cage.nodes():
+        tau = random_tangent(rng, node, rng.randint(1, 2))
+        diff = node_differentials(cage, node)
+        expected = kernel_basis(Matrix(field, [diff.matvec(v)
+                                               for v in tau.basis])).vectors
+        variety = inscribe_with_tangent(cage, node, tau)
+        assert variety.rows == expected
+        q = rng.choice(cage.nodes())
+        diff = node_differentials(cage, q).transpose()
+        jac = Matrix(field, [diff.matvec(row) for row in variety.rows])
+        assert tangent_at_node(variety, q).basis == kernel_basis(jac).vectors
+
+
+def test_inscription_over_q_multiplies_no_field_element(monkeypatch):
+    # over Q the rows are ints: no kernel_basis, node_differentials, Matrix
+    # or FieldElement product; over a number field the same counters see
+    # products but still no Matrix
+    cases = []
+    for cage in (random_cage(66, 3, 3),
+                 with_denominators(random_cage(67, 2, 4)),
+                 build_demo("fermat-cubic-surface").cage):
+        node = cage.nodes()[5]
+        rng = random.Random(cage.n)
+        cases.append((cage, node, random_tangent(rng, node, 1)))
+        cage._node_cofactors()
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (linalg, inscribe):
+        monkeypatch.setattr(module, "kernel_basis",
+                            counted("kernel_basis", linalg.kernel_basis),
+                            raising=False)
+    monkeypatch.setattr(inscribe, "node_differentials",
+                        counted("node_differentials", node_differentials))
+    monkeypatch.setattr(Matrix, "__init__", counted("Matrix", Matrix.__init__))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(FieldElement, name,
+                            counted("mul", getattr(FieldElement, name)))
+    for cage, node, tau in cases:
+        variety = inscribe_with_tangent(cage, node, tau)
+        assert inscribe_with_tangent(cage, node,
+                                     make_tangent(node, [])).s == cage.n
+        for q in cage.nodes():
+            assert tangent_at_node(variety, q).dim == 1
+        if cage.field.kind == "rationals":
+            assert calls == []
+    assert set(calls) == {"mul"}
+
+
+def test_foreign_node_raises_also_for_a_zero_tangent():
+    cage, other = random_cage(68, 3, 2), random_cage(69, 3, 2)
+    foreign = other.node((1, 2))
+    assert foreign != cage.node((1, 2))
+    for dim in (0, 1):
+        tau = make_tangent(foreign, [(1, 2)][:dim])
+        with pytest.raises(ValueError, match="not the cage's node"):
+            inscribe_with_tangent(cage, foreign, tau)
+    node = cage.node((1, 2))
+    variety = inscribe_with_tangent(cage, node, make_tangent(node, [(1, 2)]))
+    with pytest.raises(ValueError, match="not the cage's node"):
+        tangent_at_node(variety, foreign)
 
 
 # -- transport along projective maps ----------------------------------------

@@ -101,17 +101,20 @@ def test_kernel_vectors_annihilate():
 
 
 def test_kernel_self_check_raises_on_a_wrong_row(monkeypatch):
-    # the exact M v = 0 check guards the elimination, also under python -O
-    real = linalg._rref
+    # the exact M v = 0 check guards the elimination in both fields, also
+    # under python -O
+    real = linalg._eliminate
 
-    def wrong(matrix):
-        rows, pivots = real(matrix)
+    def wrong(field, rows):
+        rows, pivots = real(field, rows)
         rows[0] = [e + 1 for e in rows[0]]
         return rows, pivots
 
-    monkeypatch.setattr(linalg, "_rref", wrong)
-    with pytest.raises(RuntimeError):
-        kernel_basis(unit_square_eval())
+    monkeypatch.setattr(linalg, "_eliminate", wrong)
+    sqrt2 = FieldDescriptor.extension([-2, 0, 1])
+    for m in (unit_square_eval(), Matrix(sqrt2, [[1, sqrt2.generator()]])):
+        with pytest.raises(RuntimeError):
+            kernel_basis(m)
 
 
 def random_rational_matrix(rng, rows, cols, deficiency=0):
