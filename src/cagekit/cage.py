@@ -17,13 +17,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 from typing import Optional, Sequence
 
 from .errors import CageValidationError, MustValidateError, ShapeError
 from .field import FieldDescriptor, FieldElement
-from .linalg import (Matrix, dot, integral_vector, invert, kernel_basis,
-                     primitive)
+from .linalg import (Matrix, _divided, _prepared, _scalars, dot, invert,
+                     kernel_basis, primitive)
 from .poly import HomogPoly, LinearForm, product_of_linear_forms
 
 Index = tuple[int, ...]
@@ -129,6 +129,15 @@ def canonical_point(vector: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     return tuple(inv * v for v in vector)
 
 
+def _point_key(field: FieldDescriptor, row: Sequence) -> tuple:
+    """The key of the projective point of a linalg._prepared row, the same
+    for all its nonzero multiples: over Q linalg.primitive of the integer
+    row, over Q[t]/(m) canonical_point."""
+    if field.kind == "rationals":
+        return primitive(row)
+    return canonical_point(row)
+
+
 class Cage:
     """n color groups of d hyperplanes each in P^n (so n+1 coordinates).
 
@@ -194,26 +203,28 @@ class Cage:
         forms indexing the node need no test: kernel_basis has checked that
         the first n-1 vanish on the line.  Zero tests do not change when a
         vector is scaled, so over Q every form and every basis vector is
-        scaled to an integer vector and the work runs on ints; over
-        Q[t]/(m) the same code runs on field elements.  Each node is keyed
-        once: over Q by linalg.primitive of its integer vector (gcd 1, last
-        nonzero entry positive), the one representative of its projective
-        point among integer vectors; over Q[t]/(m) by canonical_point.  A
-        key seen before is reported as a coincident node.  A valid cage
-        keeps the keys and nothing else: nodes() and _node_cofactors derive
-        the points and cofactors from them when first asked.
+        scaled to an integer vector by linalg._prepared and the work runs on
+        ints; over Q[t]/(m) the same code runs on field elements.  Each node
+        is keyed once, by _point_key: over Q linalg.primitive of its integer
+        vector (gcd 1, last nonzero entry positive), the one representative
+        of its projective point among integer vectors; over Q[t]/(m)
+        canonical_point.  A key seen before is reported as a coincident
+        node.  A valid cage keeps the keys and nothing else: nodes() and
+        _node_cofactors derive the points and cofactors from them when first
+        asked.
         """
         if self._report is not None:
             return self._report
         field, n, d = self.field, self.n, self.d
-        rational = field.kind == "rationals"
-        scaled = integral_vector if rational else tuple
+
+        def scaled(vector):
+            return _prepared(field, _scalars(field, vector))[1]
         forms = [[scaled(form.coeffs) for form in group]
                  for group in self.groups]
         if n == 1:
             # no forms cut the line, and a Matrix has at least one row
-            one, zero = (1, 0) if rational else (field.one(), field.zero())
-            line_basis = ((one, zero), (zero, one))
+            one, zero = field.one(), field.zero()
+            line_basis = (scaled((one, zero)), scaled((zero, one)))
         failures: list[ValidationFailure] = []
         incidence: list[ValidationFailure] = []
         seen: dict[tuple, Index] = {}
@@ -237,7 +248,7 @@ class Cage:
                     continue
                 (u, v), (lu, lv) = line_basis, on_line
                 vector = [lv * x - lu * y for x, y in zip(u, v)]
-                key = (primitive if rational else canonical_point)(vector)
+                key = _point_key(field, vector)
                 if key in seen:
                     failures.append(ValidationFailure(
                         "coincident-nodes", index,
@@ -267,7 +278,7 @@ class Cage:
         The table is built for every node on the first call, from the keys
         validate() kept.  Over Q the key is an integer vector w with last
         nonzero entry w_c and p = w / w_c; a form L that validation scaled
-        by s (integral_vector) takes the value (s L)(w) / (s w_c) there, so
+        by s (linalg._prepared) takes the value (s L)(w) / (s w_c) there, so
         c_j = prod_{k != I_j} (s L_{j,k})(w) / (w_c^(d-1) prod_{k != I_j}
         s_{j,k}): integer dots and one Fraction per node and color.  Over
         Q[t]/(m) the key is p itself and c_j is a product of field dots,
@@ -278,13 +289,10 @@ class Cage:
         if self._cofactors is None:
             field, d = self.field, self.d
             rational = field.kind == "rationals"
-            scaled = integral_vector if rational else tuple
-            forms = [[scaled(f.coeffs) for f in group]
-                     for group in self.groups]
-            if rational:
-                scales = [[lcm(*(c.coeffs[0].denominator for c in f.coeffs))
-                           for f in group] for group in self.groups]
-                totals = [prod(group) for group in scales]
+            # (s, s L) for each form L, with s = 1 over Q[t]/(m)
+            forms = [[_prepared(field, _scalars(field, f.coeffs))
+                      for f in group] for group in self.groups]
+            totals = [prod(s for s, _ in group) for group in forms]
             one = 1 if rational else field.one()
             table = {}
             for index, key in self._keys.items():
@@ -292,11 +300,11 @@ class Cage:
                     w_pow = next(x for x in reversed(key) if x) ** (d - 1)
                 cofactors = []
                 for j, hit in enumerate(index):
-                    num = prod((dot(f, key) for k, f in
+                    num = prod((dot(f, key) for k, (_, f) in
                                 enumerate(forms[j], start=1) if k != hit),
                                start=one)
                     if rational:
-                        den = w_pow * totals[j] // scales[j][hit - 1]
+                        den = w_pow * totals[j] // forms[j][hit - 1][0]
                         num = FieldElement(field, (Fraction(num, den),))
                     cofactors.append(num)
                 table[index] = tuple(cofactors)
@@ -310,18 +318,16 @@ class Cage:
             raise MustValidateError("cage failed validation")
 
     def _node_table(self) -> dict[Index, Node]:
-        """Node index -> Node, built from the keys on the first call: over Q
-        a point is its key divided by the key's last nonzero entry, over
-        Q[t]/(m) the key is the point."""
+        """Node index -> Node, built from the keys on the first call: a
+        point is its key divided by the key's last nonzero entry
+        (linalg._divided), which over Q[t]/(m) is one: the key is the
+        point."""
         self._require_valid()
         if self._nodes is None:
             field, nodes = self.field, {}
-            for index, point in self._keys.items():
-                if field.kind == "rationals":
-                    last = next(x for x in reversed(point) if x)
-                    point = tuple(FieldElement(field, (Fraction(x, last),))
-                                  for x in point)
-                nodes[index] = Node(index, point)
+            for index, key in self._keys.items():
+                last = next(x for x in reversed(key) if x)
+                nodes[index] = Node(index, tuple(_divided(field, key, last)))
             self._nodes = nodes
         return self._nodes
 

@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 from .cage import Cage, Node
 from .errors import ShapeError, SingularNodeError
 from .field import FieldElement
-from .linalg import (Matrix, SubspaceBasis, _integral, _kernel, dot, rank,
-                     span_equal)
+from .linalg import (Matrix, SubspaceBasis, _kernel, _prepared, _scalars, dot,
+                     rank, span_equal)
 from .poly import HomogPoly
 
 Vector = tuple[FieldElement, ...]
@@ -117,11 +117,12 @@ def _differential_rows(cage: Cage, node: Node) -> list[tuple]:
     """Row j of node_differentials as a coefficient and a vector whose
     product it is, for every color j.
 
-    Over Q the vector is A_j, the chart-local coefficients of L_{j,I_j}
-    times s_j, the lcm of their denominators, as ints, and the coefficient
-    is the Fraction c_j / s_j.  Over Q[t]/(m) they are c_j and the
-    coefficients themselves.  A Node that is not the cage's node at its
-    index raises ValueError.
+    The vector is A_j, linalg._prepared of the chart-local coefficients of
+    L_{j,I_j}, and the coefficient is c_j / s_j, s_j being its scale: over
+    Q the ints s_j times the coefficients, s_j the lcm of their
+    denominators, and the Fraction c_j / s_j; over Q[t]/(m), where s_j is
+    1, the coefficients themselves and c_j.  A Node that is not the cage's
+    node at its index raises ValueError.
     """
     try:
         on_cage = cage.node(node.index) == node
@@ -129,34 +130,15 @@ def _differential_rows(cage: Cage, node: Node) -> list[tuple]:
         on_cage = False
     if not on_cage:
         raise ValueError(f"point is not the cage's node {node.index}")
-    chart = chart_of(node)
-    rational = cage.field.kind == "rationals"
+    field, chart = cage.field, chart_of(node)
     rows = []
-    for forms, hit, c in zip(cage.groups, node.index,
-                             cage._node_cofactors()[node.index]):
-        vector = [a for i, a in enumerate(forms[hit - 1].coeffs) if i != chart]
-        if rational:
-            scale, vector = _integral(_scalars(cage.field, vector))
-            c = c.coeffs[0] / scale
-        rows.append((c, vector))
+    for forms, hit, c in zip(cage.groups, node.index, _scalars(
+            field, cage._node_cofactors()[node.index])):
+        scale, vector = _prepared(field, _scalars(field, [
+            a for i, a in enumerate(forms[hit - 1].coeffs) if i != chart]))
+        # a scale of 1 is skipped: over Q[t]/(m) it would cost an inverse
+        rows.append((c / scale if scale != 1 else c, vector))
     return rows
-
-
-def _scalars(field, vector: Sequence[FieldElement]) -> list:
-    """The entries as _differential_rows's coefficients multiply them:
-    Fractions over Q, the elements over Q[t]/(m)."""
-    if field.kind == "rationals":
-        return [e.coeffs[0] for e in vector]
-    return list(vector)
-
-
-def _prepared(field, row: list) -> list:
-    """A row for linalg._kernel: over Q the rationals times the lcm of
-    their denominators, as ints, which changes neither the kernel nor the
-    RREF; over Q[t]/(m) the elements."""
-    if field.kind == "rationals":
-        return _integral(row)[1]
-    return row
 
 
 def inscribe_with_tangent(cage: Cage, node: Node,
@@ -170,7 +152,7 @@ def inscribe_with_tangent(cage: Cage, node: Node,
     being node_differentials.  Its column j is c_j (L_{j,I_j} . v_k), the
     form's chart-local coefficients dotted with v_k, which
     _differential_rows writes as (c_j / s_j)(A_j . v_k).  Over Q the row is
-    built from the integral_vector of v_k, a positive multiple of v_k, so
+    built from linalg._prepared of v_k, a positive multiple of v_k, so
     each A_j . v_k is an int, and is then scaled by the lcm of the
     denominators of its n entries.  Scaling a row by a nonzero rational
     changes neither the kernel nor the RREF, so linalg._kernel of these
@@ -193,9 +175,9 @@ def inscribe_with_tangent(cage: Cage, node: Node,
     for v in tangent.basis:
         if len(v) != n:
             raise ShapeError(f"tangent vectors need {n} chart-local entries")
-        v = _prepared(field, _scalars(field, v))
+        _, v = _prepared(field, _scalars(field, v))
         rows.append(_prepared(field, [c * dot(vector, v)
-                                      for c, vector in diff]))
+                                      for c, vector in diff])[1])
     kernel = _kernel(field, rows, n)
     if len(kernel) != s:
         raise SingularNodeError(
@@ -236,8 +218,8 @@ def tangent_at_node(variety: LambdaMatrix, node: Node) -> TangentSubspace:
     for lams in variety.rows:
         if len(lams) != n:
             raise ShapeError(f"lambda rows need {n} entries")
-        weights = _prepared(field, [lam * c for lam, (c, _) in
-                                    zip(_scalars(field, lams), diff)])
+        _, weights = _prepared(field, [lam * c for lam, (c, _) in
+                                       zip(_scalars(field, lams), diff)])
         acc = [zero] * n
         for w, (_, vector) in zip(weights, diff):
             if w:

@@ -5,8 +5,8 @@ pivot, so every result (rank, kernel basis, solutions) is deterministic.
 Kernel bases come out of the reduced echelon form in the standard
 free-column convention, which makes them canonical for a fixed input matrix.
 
-Over Q the elimination runs on ints.  integral_vector scales each row by
-the lcm of its denominators, which changes neither the row space nor which
+Over Q the elimination runs on ints.  _prepared scales each row by the
+lcm of its denominators, which changes neither the row space nor which
 entries are zero.  _fraction_free then runs fraction-free Gauss-Jordan
 elimination (Bareiss 1968, in the Gauss-Jordan form of Nakos, Turner and
 Williams 1997) with the same pivot rule.  A step with pivot entry piv in
@@ -40,21 +40,25 @@ Callers build kernel vectors, solutions and inverses on the ints and
 divide by D only where they return field elements; kernel_basis checks
 M v = 0 against the scaled rows on ints.
 
-Over Q the integer rows are also the entry points: _pivots_mod(rows, PRIME)
-for a lower bound on the rank, _integer_rank for the rank and
-_integer_kernel for D times the canonical kernel basis, checked on the rows
-it started from.  _kernel is the one kernel entry that returns field
-elements: it takes integer rows over Q and rows of elements over Q[t]/(m).
-rank and kernel_basis run them on the scaled rows of a Matrix, and verify
-and inscribe run them on rows they build as ints.  Scaling a row by a
-nonzero rational changes neither the rank nor the kernel, so any integer
-multiple of each row will do.  A point set enters as primitive
-integer vectors (gcd 1, last nonzero entry positive), the unique
-representative of each rational projective point, so equal points are equal
-vectors.  Scaling a point by lambda != 0 multiplies its row of degree-k
-monomial values by lambda^k, which again changes neither the rank nor the
-kernel of the evaluation matrix, and every value is an int.  With no
-denominator left, reduction mod p never declines.
+Every row enters the elimination through one preparation: _scalars reads
+a vector of field elements as Fractions over Q and leaves it as elements
+over Q[t]/(m), and _prepared turns such values into a row and its scale,
+over Q the lcm s of the denominators and the ints s times each value, over
+Q[t]/(m) the values and 1.  Scaling a row by a nonzero rational changes
+neither the rank nor the kernel nor the RREF, so any integer multiple of
+each row will do, and _divided turns D times an RREF entry back into a
+field element.  On prepared rows there is one rank entry, _rank, and one
+kernel entry that returns field elements, _kernel; rank and kernel_basis
+run them on the prepared rows of a Matrix, and verify and inscribe run
+them on rows they build themselves.  _integer_kernel is the kernel left as
+D times the canonical basis over Q, checked on the rows it started from.
+A point set enters as primitive integer vectors (gcd 1, last nonzero entry
+positive), the unique representative of each rational projective point,
+so equal points are equal vectors.  Scaling a point by lambda != 0
+multiplies its row of degree-k monomial values by lambda^k, which again
+changes neither the rank nor the kernel of the evaluation matrix, and
+every value is an int.  With no denominator left, reduction mod p never
+declines.
 
 Full ranks are certified from residues modulo a prime.  A residue map sends
 each p-integral element (every coefficient's denominator prime to p) to
@@ -88,17 +92,16 @@ Every other outcome, p dividing a denominator included, falls back to
 exact elimination over the field itself, where a reducible modulus still
 surfaces as ReducibleModulusError, as FieldDescriptor promises.
 
-Over Q[t]/(m), residue_pivots eliminates the residues of a matrix at every
-residue map of the field and returns the pivot rows at the map that gives
-the fewest.  Their number is a lower bound for the rank in every factor,
-and the rows are linearly independent in the factor of that map's root,
-which for irreducible m is the field.  modular_pivots applies it to a
-matrix of field elements, which rank does; verify applies it to monomials
-evaluated at the residues of points, so that a certified rank builds no
-exact evaluation matrix.  rank takes full rank at every map as proof and
-otherwise eliminates exactly.  Over Q the rows are integers already and
-_pivots_mod eliminates them directly; verify.hilbert_table pairs that lower
-bound with an upper bound to prove rank-deficient ranks.
+_rank is the one place that takes this proof and the one place that falls
+back.  Over Q it eliminates the integer rows mod PRIME.  Over Q[t]/(m) it
+eliminates their residues at every residue map, either by reducing each
+entry or from a function residues(reduce) that builds the residue rows
+itself, as verify does from monomials evaluated at the residues of points;
+then the exact rows need exist only when the residues fall short, and a
+function that builds them may stand in for them.  Full rank at every map is
+returned, and anything else takes the pivots of exact elimination.
+verify.hilbert_table pairs the rank mod p, a lower bound, with an upper
+bound to prove rank-deficient ranks over Q.
 
 Every elimination mod p runs in _pivots_mod on packed rows: each row is one
 nonnegative int of B-bit slots, one per column, with B a multiple of 8 and
@@ -116,7 +119,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
@@ -195,16 +198,23 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
-def integral_vector(vector: Sequence[FieldElement]) -> list[int]:
-    """A vector over Q times the lcm of its denominators, as ints."""
-    return _integral([e.coeffs[0] for e in vector])[1]
+def _scalars(field: FieldDescriptor, vector: Sequence[FieldElement]) -> list:
+    """The entries as _prepared takes them: Fractions over Q, the elements
+    over Q[t]/(m)."""
+    if field.kind == "rationals":
+        return [e.coeffs[0] for e in vector]
+    return list(vector)
 
 
-def _integral(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm s of the denominators of the rationals, and s times each of
-    them, as ints."""
-    scale = lcm(*(x.denominator for x in values))
-    return scale, [x.numerator * (scale // x.denominator) for x in values]
+def _prepared(field: FieldDescriptor, values: Sequence) -> tuple:
+    """A row for the elimination and its scale s: over Q, s is the lcm of
+    the denominators of the rationals and the row is s times each of them,
+    as ints, which changes neither the kernel nor the RREF; over Q[t]/(m)
+    the row is the elements themselves and s is 1."""
+    if field.kind == "rationals":
+        scale = lcm(*(x.denominator for x in values))
+        return scale, [x.numerator * (scale // x.denominator) for x in values]
+    return 1, values
 
 
 def primitive(ints: Sequence[int]) -> tuple[int, ...]:
@@ -229,14 +239,12 @@ def dot(row: Sequence, vector: Sequence):
 
 
 def _scaled_rows(matrix: Matrix) -> tuple:
-    """The rows the elimination works on: integral_vector of each row over
-    Q, the entries themselves over Q[t]/(m).  Built once per matrix."""
+    """The rows the elimination works on, each row _prepared.  Built once
+    per matrix."""
     if matrix._scaled is None:
-        if matrix.field.kind == "rationals":
-            matrix._scaled = tuple(integral_vector(row)
-                                   for row in matrix.entries)
-        else:
-            matrix._scaled = matrix.entries
+        field = matrix.field
+        matrix._scaled = tuple(_prepared(field, _scalars(field, row))[1]
+                               for row in matrix.entries)
     return matrix._scaled
 
 
@@ -316,8 +324,8 @@ def _lead(rows: list[list], pivots: list[int]):
 
 
 def _divided(field: FieldDescriptor, values: Sequence, lead) -> list:
-    """values / lead as field elements, for rows that _rref scaled by lead:
-    Fractions over Q, the values themselves over Q[t]/(m), where lead is 1."""
+    """values / lead as field elements, for values scaled by lead: Fractions
+    over Q, the values themselves over Q[t]/(m), where lead is always one."""
     if field.kind == "rationals":
         return [FieldElement(field, (Fraction(x, lead),)) for x in values]
     return [field.coerce(x) for x in values]
@@ -326,41 +334,6 @@ def _divided(field: FieldDescriptor, values: Sequence, lead) -> list:
 PRIME = 2 ** 31 - 1
 SPLIT_SCAN = 200        # primes an extension modulus may try before declining
 _SPLITS: dict = {}      # min_poly -> _split_prime(min_poly)
-
-
-def residue_pivots(field: FieldDescriptor,
-                   residue_rows: Callable[[Callable[[FieldElement], int]],
-                                          Sequence[Sequence[int]]]
-                   ) -> Optional[list[int]]:
-    """Indices of the rows that Gaussian elimination mod p picks as pivots,
-    in the order picked, at the residue map of an extension field that
-    gives the fewest; None when it declines.
-
-    residue_rows(reduce) builds the integer rows to eliminate, where reduce
-    maps a field element to its residue; entries need only be congruent mod
-    p.  It declines when the field has no split prime, and when p divides
-    the denominator of an element it reduces.  The module docstring proves
-    what the pivots certify.
-    """
-    p, roots = _residue_maps(field)
-    fewest = None
-    for powers in roots:
-        try:
-            rows = residue_rows(_reducer(p, powers))
-        except ValueError:      # no inverse: p divides a denominator
-            return None
-        pivots = _pivots_mod(rows, p)
-        if fewest is None or len(pivots) < len(fewest):
-            fewest = pivots
-    return fewest
-
-
-def modular_pivots(field: FieldDescriptor,
-                   rows: Sequence[Sequence[FieldElement]]
-                   ) -> Optional[list[int]]:
-    """residue_pivots of a matrix given by its rows of field elements."""
-    return residue_pivots(
-        field, lambda reduce: [[reduce(e) for e in row] for row in rows])
 
 
 def _reducer(p: int, powers: tuple[int, ...]):
@@ -564,36 +537,45 @@ def _split_roots(f: list[int], p: int) -> list[int]:
 
 
 def rank(matrix: Matrix) -> int:
-    """Rank over the matrix's field.
+    """Rank over the matrix's field: _rank of its scaled rows."""
+    return _rank(matrix.field, _scaled_rows(matrix))
 
-    Over Q this is _integer_rank of the scaled rows.  Over Q[t]/(m) the
-    residues of the entries are eliminated first, by modular_pivots, at
-    every root of m modulo a split prime.  A rank mod p equal to
-    min(rows, cols) at every root is the rank, by the argument in the module
-    docstring: each map is a ring homomorphism on the p-integral entries, so
-    a minor nonzero at a map is nonzero in the factor of Q[t]/(m) that map
-    belongs to, every factor has a map, and no rank exceeds min(rows, cols).
-    Otherwise, or when a map declines, the rank comes from exact
-    elimination, so a rank that drops at one root is never claimed full.
+
+def _rank(field: FieldDescriptor, rows, residues=None) -> int:
+    """Rank over the field of _prepared rows, full rank certified mod p.
+
+    Over Q the integer rows are eliminated mod PRIME.  Over Q[t]/(m) the
+    residues of the rows are eliminated at every residue map of the field:
+    residues(reduce) builds them, where reduce maps a field element to its
+    residue and entries need only be congruent mod p, and by default each
+    entry is reduced.  A rank mod p equal to min(rows, cols) at every map
+    is the rank, by the argument in the module docstring.  Otherwise, or
+    when the field has no split prime or p divides the denominator of an
+    element reduced, the rank is the number of pivots of _eliminate, so a
+    rank that drops at one root is never claimed full.  Over Q[t]/(m) with
+    residues given, rows may be a function that builds the rows, called
+    only then.
     """
-    if matrix.field.kind == "rationals":
-        return _integer_rank(_scaled_rows(matrix))
-    pivots = modular_pivots(matrix.field, matrix.entries)
-    full = min(matrix.rows, matrix.cols)
-    if pivots is not None and len(pivots) == full:
-        return full
-    _, pivots = _rref(matrix)
-    return len(pivots)
-
-
-def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of integer rows: their rank mod PRIME when that is
-    min(rows, cols), which no denominator can prevent, else the number of
-    pivots of _fraction_free."""
-    full = min(len(rows), len(rows[0]) if rows else 0)
-    if len(_pivots_mod(rows, PRIME)) == full:
-        return full
-    return len(_fraction_free(list(rows))[1])
+    if field.kind == "rationals":
+        p, images = PRIME, [rows]
+    else:
+        p, roots = _residue_maps(field)
+        if residues is None:
+            def residues(reduce):
+                return [[reduce(e) for e in row] for row in rows]
+        images = (residues(_reducer(p, powers)) for powers in roots)
+    full = None
+    try:
+        for image in images:
+            full = min(len(image), len(image[0]) if image else 0)
+            if len(_pivots_mod(image, p)) < full:
+                break
+        else:
+            if full is not None:
+                return full
+    except ValueError:          # no inverse: p divides a denominator
+        pass
+    return len(_eliminate(field, rows() if callable(rows) else rows)[1])
 
 
 def kernel_basis(matrix: Matrix) -> SubspaceBasis:

@@ -163,6 +163,10 @@ def cage_from_json(obj, path: str = "$") -> Cage:
             f"n={n} but {len(groups)} groups present")
     _expect(all(d == len(g) for g in groups), f"{path}.d",
             f"d={d} but group sizes are {[len(g) for g in groups]}")
+    for j, group in enumerate(groups):
+        for i, form in enumerate(group):
+            _expect(form.num_vars == n + 1, f"{path}.groups[{j}][{i}]",
+                    f"forms must have {n + 1} coordinates for n={n}")
     try:
         return Cage(field, groups)
     except ValueError as exc:

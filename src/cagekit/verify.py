@@ -12,15 +12,15 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
-from .cage import (Cage, Node, NodeSelection, all_indices, canonical_point,
-                   simplicial_indices, supra_simplicial_indices)
+from .cage import (Cage, Node, NodeSelection, _point_key, all_indices,
+                   canonical_point, simplicial_indices,
+                   supra_simplicial_indices)
 from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix
 from .linalg import (PRIME, Matrix, SubspaceBasis, _integer_kernel,
-                     _integer_rank, _pivots_mod, _rref, dot, in_span,
-                     integral_vector, kernel_basis, primitive, rank,
-                     residue_pivots)
+                     _pivots_mod, _prepared, _rank, _scalars, _scaled_rows,
+                     dot, in_span, kernel_basis, rank)
 from .poly import HomogPoly, LinearForm, monomial_basis, monomial_values
 
 
@@ -92,17 +92,6 @@ def evaluation_matrix(points, degree: int,
     return EvalMatrix(Matrix(field, rows))
 
 
-def _evaluation_pivots(points, degree: int, field: FieldDescriptor):
-    """linalg.residue_pivots of the degree-k evaluation matrix of a
-    nonempty point list over Q[t]/(m), from monomials evaluated at the
-    residues of the points; the exact matrix is never built."""
-    pts = _point_tuples(points)
-    basis = monomial_basis(degree, len(pts[0]))
-    return residue_pivots(field, lambda reduce: [
-        monomial_values(1, [reduce(c) for c in pt], basis, degree)
-        for pt in pts])
-
-
 def _integer_rows(points, degree: int) -> list[list[int]]:
     """The degree-k evaluation rows of primitive integer points: by the
     scaling argument in the linalg docstring, each is a nonzero rational
@@ -132,20 +121,20 @@ def _degree_rows(points) -> Iterator[list[list[int]]]:
 def _evaluation_rank(points, degree: int, field: FieldDescriptor) -> int:
     """Rank of the degree-k evaluation matrix of a point list, 0 when it is
     empty, given as _distinct_points or Cage._node_keys gives it: over Q
-    primitive integer vectors.  That is linalg._integer_rank of the integer
-    rows over Q.  Over Q[t]/(m) a full rank at every residue map is the
-    rank, as in linalg.rank, and any other outcome counts the pivots of
-    linalg._rref on the exact matrix; linalg.rank would first redo the
-    residue elimination that just fell short."""
+    primitive integer vectors.  That is linalg._rank of the integer rows
+    over Q.  Over Q[t]/(m) the residue rows are monomials evaluated at the
+    residues of the points, and the exact evaluation matrix is built only
+    when their ranks fall short."""
     if not points:
         return 0
     if field.kind == "rationals":
-        return _integer_rank(_integer_rows(points, degree))
-    pivots = _evaluation_pivots(points, degree, field)
-    full = min(len(points), len(monomial_basis(degree, len(points[0]))))
-    if pivots is not None and len(pivots) == full:
-        return full
-    return len(_rref(evaluation_matrix(points, degree, field=field).matrix)[1])
+        return _rank(field, _integer_rows(points, degree))
+    basis = monomial_basis(degree, len(points[0]))
+    return _rank(
+        field,
+        lambda: _scaled_rows(evaluation_matrix(points, degree, field).matrix),
+        lambda reduce: [monomial_values(1, [reduce(c) for c in pt], basis,
+                                        degree) for pt in points])
 
 
 def _node_rank(cage: Cage, selection, degree: int) -> int:
@@ -155,21 +144,19 @@ def _node_rank(cage: Cage, selection, degree: int) -> int:
 
 
 def _distinct_points(points, field: Optional[FieldDescriptor]):
-    """The points as the rank path takes them, and their field: over Q the
-    primitive integer vector of each, over Q[t]/(m) their canonical_point.
-    Duplicates, projectively equal representatives included, raise
-    ValueError, and points of differing arity raise ShapeError."""
+    """The points as the rank path takes them, and their field: the
+    cage._point_key of each, over Q the primitive integer vector, over
+    Q[t]/(m) the canonical_point.  Duplicates, projectively equal
+    representatives included, raise ValueError, and points of differing
+    arity raise ShapeError."""
     raw = _point_tuples(points)
     if any(len(p) != len(raw[0]) for p in raw):
         raise ShapeError("points have inconsistent arity")
     if not raw:
         return [], field
     field = _infer_field(raw, field)
-    pts = [tuple(field.coerce(c) for c in p) for p in raw]
-    if field.kind == "rationals":
-        pts = [primitive(integral_vector(p)) for p in pts]
-    else:
-        pts = [canonical_point(p) for p in pts]
+    pts = [_point_key(field, _prepared(field, _scalars(
+        field, [field.coerce(c) for c in p]))[1]) for p in raw]
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points in Hilbert function input")
     return pts, field

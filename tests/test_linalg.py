@@ -165,7 +165,7 @@ def test_modular_rank_matches_exact_elimination():
                 assert oracles.rank(chosen) == exact
 
 
-def test_modular_rank_falls_back_on_the_prime():
+def test_modular_rank_falls_back_on_the_prime(monkeypatch):
     p = linalg.PRIME
     assert p == 2 ** 31 - 1
     # entries that vanish mod p, or whose denominator p divides
@@ -179,17 +179,45 @@ def test_modular_rank_falls_back_on_the_prime():
     assert linalg._pivots_mod(
         integral_rows(Matrix(Q, [[Fraction(1, p)]])), p) == [0]
     # an extension field reduces at the roots of its modulus mod a split
-    # prime, and declines when that prime divides a denominator
+    # prime, and declines when that prime divides a denominator: the rank
+    # then comes from exact elimination
     sqrt2 = FieldDescriptor.extension([-2, 0, 1])
-    assert linalg.modular_pivots(sqrt2, Matrix.identity(sqrt2, 2).entries) \
-        == [0, 1]
+    calls = counted_eliminations(monkeypatch)
+    assert residue_ranks(sqrt2, Matrix.identity(sqrt2, 2).entries) == [2, 2]
+    assert linalg._rank(sqrt2, Matrix.identity(sqrt2, 2).entries) == 2
+    assert not calls
     q, _ = linalg._residue_maps(sqrt2)
-    assert linalg.modular_pivots(
-        sqrt2, [[sqrt2.element([0, Fraction(1, q)])]]) is None
+    inverse_q = [[sqrt2.element([0, Fraction(1, q)])]]
+    assert residue_ranks(sqrt2, inverse_q) is None
+    assert linalg._rank(sqrt2, inverse_q) == 1
+    assert len(calls) == 1
     # shapes with nothing to eliminate
     assert rank(Matrix(Q, [])) == 0
     assert rank(Matrix(Q, [[], []])) == 0
     assert linalg._pivots_mod([], p) == []
+
+
+def residue_ranks(field, rows):
+    # the rank mod p of the rows' residues at each residue map of an
+    # extension field, as linalg._rank eliminates them; None when p divides
+    # a denominator
+    p, roots = linalg._residue_maps(field)
+    try:
+        return [len(linalg._pivots_mod(
+            [[linalg._reducer(p, powers)(e) for e in row] for row in rows],
+            p)) for powers in roots]
+    except ValueError:
+        return None
+
+
+def counted_eliminations(monkeypatch):
+    # the rows of every exact elimination linalg._rank falls back to
+    calls = []
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda field, rows: calls.append(rows)
+                        or real(field, rows))
+    return calls
 
 
 PACKED_PRIMES = (2, 3, 7, 65521, linalg.PRIME)
@@ -303,10 +331,10 @@ def test_split_prime_rank_matches_exact_elimination(name):
         m = random_field_matrix(rng, field, rows, cols, deficiency)
         exact = len(linalg._rref(m)[1])
         assert exact == min(rows, cols) - deficiency
-        pivots = linalg.modular_pivots(field, m.entries)
+        ranks = residue_ranks(field, m.entries)
         # a lower bound at every root, and the certificate when full
-        assert len(pivots) <= exact
-        assert len(pivots) == exact or deficiency
+        assert max(ranks) <= exact
+        assert min(ranks) == exact or deficiency
         assert rank(m) == exact
 
 
@@ -316,11 +344,8 @@ def test_rank_drop_at_one_root_takes_the_exact_path(monkeypatch):
     # t - r vanishes at the root r mod p and nowhere else, and is a unit
     r = roots[0][1]
     unit = field.generator() - r
-    assert linalg.modular_pivots(field, [[unit]]) == []
-    calls = []
-    real = linalg._rref
-    monkeypatch.setattr(linalg, "_rref",
-                        lambda m: calls.append(m) or real(m))
+    assert residue_ranks(field, [[unit]]) == [0] + [1] * (len(roots) - 1)
+    calls = counted_eliminations(monkeypatch)
     assert rank(Matrix(field, [[unit]])) == 1
     assert len(calls) == 1
 
@@ -336,7 +361,7 @@ def test_reducible_modulus_rank_is_certified_only_in_every_factor():
     # full rank in both factors is the rank, though elimination over the
     # ring would invert t - 1 first
     both = Matrix(split, [[t - 1, t + 1]])
-    assert linalg.modular_pivots(split, both.entries) == [0]
+    assert residue_ranks(split, both.entries) == [1, 1]
     assert rank(both) == 1
     with pytest.raises(ReducibleModulusError):
         linalg._rref(both)
@@ -349,11 +374,8 @@ def test_exhausted_prime_scan_takes_the_exact_path(monkeypatch):
     gauss = FieldDescriptor.extension([1, 0, 1])
     assert linalg._residue_maps(gauss) == (linalg.PRIME, ())
     m = Matrix.identity(gauss, 3)
-    assert linalg.modular_pivots(gauss, m.entries) is None
-    calls = []
-    real = linalg._rref
-    monkeypatch.setattr(linalg, "_rref",
-                        lambda m: calls.append(m) or real(m))
+    assert residue_ranks(gauss, m.entries) == []
+    calls = counted_eliminations(monkeypatch)
     assert rank(m) == 3
     assert len(calls) == 1
 
@@ -500,7 +522,7 @@ def test_integer_entry_points_match_the_oracles(monkeypatch):
     def forbidden(*args):
         raise AssertionError("Q must not reach the residue maps")
 
-    monkeypatch.setattr(linalg, "modular_pivots", forbidden)
+    monkeypatch.setattr(linalg, "_residue_maps", forbidden)
     monkeypatch.setattr(linalg, "_reducer", forbidden)
     p = linalg.PRIME
     rng = random.Random(59)
@@ -512,19 +534,19 @@ def test_integer_entry_points_match_the_oracles(monkeypatch):
         # and a row scaled by p, which keeps the deficiency
         raw[0] = [x * p for x in raw[0]]
         frac = [[Fraction(x) for x in r] for r in raw]
-        assert linalg._integer_rank(raw) == oracles.rank(frac) \
+        assert linalg._rank(Q, raw) == oracles.rank(frac) \
             == rank(Matrix(Q, frac))
         kernel = linalg._integer_kernel(raw, cols)
         assert all(x == int(x) for v in kernel for x in v)
         assert [[Fraction(x, v[f]) for x in v] for v, f in zip(
             kernel, free_columns(kernel))] == oracles.kernel(frac)
     assert rank(Matrix(Q, [[Fraction(1, p), 1], [1, p]])) == 1
-    assert linalg._integer_rank([]) == 0
+    assert linalg._rank(Q, []) == 0
     assert linalg._integer_kernel([], 2) == [[1, 0], [0, 1]]
 
 
 def integral_rows(matrix):
-    return [linalg.integral_vector(r) for r in matrix.entries]
+    return list(linalg._scaled_rows(matrix))
 
 
 def free_columns(kernel):

@@ -157,6 +157,13 @@ def test_cage_schema_errors():
     with pytest.raises(SchemaError) as err:
         cage_from_json(broken)
     assert err.value.path == "$.groups[0][1]"
+    # a form with the wrong number of coordinates is reported at its path
+    broken = json.loads(json.dumps(good))
+    broken["groups"][1][0] = ["1", "2"]
+    with pytest.raises(SchemaError) as err:
+        cage_from_json(broken)
+    assert err.value.path == "$.groups[1][0]"
+    assert "forms must have 3 coordinates for n=2" in str(err.value)
 
 
 def test_nodes_document():

@@ -298,11 +298,36 @@ def test_hilbert_table_when_points_collide_mod_p():
     assert table == (1, 3, 6, 8, 9, 9)
 
 
-def test_hilbert_table_over_an_extension_field_is_unchanged():
-    # every degree takes linalg.rank's exact elimination over the field
+def test_hilbert_table_over_an_extension_field_is_unchanged(monkeypatch):
+    # every degree has full rank at every residue map, so the residues
+    # certify it and no exact elimination runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a full residue rank needs no exact matrix")
+
     cage = build_demo("fermat-cubic-surface").cage
     supra = cage.nodes_for(supra_simplicial_indices(cage.d, cage.n))
+    monkeypatch.setattr(verify, "evaluation_matrix", forbidden)
+    monkeypatch.setattr(linalg, "_eliminate", forbidden)
     assert hilbert_table(supra, 5, field=cage.field) == (1, 4, 10, 17, 17, 17)
+
+
+def test_short_residue_ranks_build_the_exact_matrix_lazily(monkeypatch):
+    # four collinear points over Q(sqrt2): degrees 1 and 2 fall short of
+    # full rank at the residue maps and take the exact evaluation matrix,
+    # degree 3 is full and certified by its residues alone
+    sqrt2 = FieldDescriptor.extension([-2, 0, 1])
+    t = sqrt2.generator()
+    pts = [(1, k * t + k, k * t + k + 1) for k in range(4)]
+    degrees = []
+    real = verify.evaluation_matrix
+
+    def counted(points, degree, field=None):
+        degrees.append(degree)
+        return real(points, degree, field)
+
+    monkeypatch.setattr(verify, "evaluation_matrix", counted)
+    assert hilbert_table(pts, 5) == (1, 2, 3, 4, 4, 4)
+    assert degrees == [1, 2]
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (2, 5), (3, 3), (2, 6)])
@@ -495,15 +520,16 @@ def test_node_ranks_read_validation_keys(monkeypatch, n, d):
     cage.validate()
     supra = supra_simplicial_indices(d, n)
     assert cage._node_keys(supra) == [
-        linalg.primitive(linalg.integral_vector(nd.point))
+        linalg.primitive(
+            linalg._prepared(Q, linalg._scalars(Q, nd.point))[1])
         for nd in cage.nodes_for(supra)]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("node rank path must not rescale nodes")
     for module in (verify, linalg):
-        monkeypatch.setattr(module, "integral_vector", forbidden)
+        monkeypatch.setattr(module, "_prepared", forbidden)
     for module in (verify, cage_module):
-        monkeypatch.setattr(module, "canonical_point", forbidden)
+        monkeypatch.setattr(module, "_point_key", forbidden)
     assert verify_supra_interpolation(cage).passed
     assert all(c.passed for c in verify._simplicial_checks(cage))
 
@@ -591,11 +617,12 @@ def test_number_field_supra_report_without_residues(monkeypatch):
     with monkeypatch.context() as m:
         for name in ("kernel_basis", "evaluation_matrix"):
             m.setattr(verify, name, forbidden)
-        m.setattr(linalg, "_rref", forbidden)
+        m.setattr(linalg, "_eliminate", forbidden)
         certified = report_to_json(verify_supra_interpolation(cage))
     with monkeypatch.context() as m:
-        for module in (linalg, verify):
-            m.setattr(module, "residue_pivots", lambda field, rows: None)
+        # no residue map: every rank over the field is exact
+        m.setattr(linalg, "_residue_maps",
+                  lambda field: (linalg.PRIME, ()))
         m.setattr(verify, "rank", forbidden)
         exact = report_to_json(verify_supra_interpolation(cage))
     assert certified["pass"]
