@@ -1,9 +1,12 @@
 """Exact verification of interpolation, rigidity, slicing and smoothness.
 
-All checks reduce to ranks and kernels of evaluation matrices: rows are
-points, columns are the degree-k monomials.  Results come back as structured
-reports whose every numeric claim (ranks, dimensions, cardinalities) can be
-recomputed from the cage alone.
+The Hilbert-function checks reduce to ranks and kernels of evaluation
+matrices: rows are points, columns are the degree-k monomials.  The ranks
+the interpolation, minimality and rigidity checks rest on are proved from
+validation alone, by the Lemma in verify_supra_interpolation's docstring,
+and none is computed.  Results come back as structured reports whose every
+numeric claim (ranks, dimensions, cardinalities) can be recomputed from the
+cage alone.
 """
 
 from __future__ import annotations
@@ -316,58 +319,81 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
     products, and every kernel element vanishes on all d^n nodes, not just
     the selected ones.
 
-    One certified rank proves all four on a validated cage.  Validation
-    computes each node as an exactly checked kernel vector of the n forms
-    its index names, so the node lies on one factor of every group product,
-    and every group product vanishes on all d^n nodes.  Hence the span of
-    the products lies in the kernel of the supra evaluation matrix.  That
-    matrix has C(d+n, n) columns and |supra| = C(d+n, n) - n rows, which
-    supra_simplicial_indices checks; so if its rank is |supra|, the kernel
-    has dimension n.  The n products are independent on every valid cage:
-    if sum lambda_j F_j = 0 with lambda_k != 0, then F_k vanishes on the
-    line where L_{j,1} = 0 for all j != k, so some factor L_{k,i} contains
-    that line, and the tuple with i in position k and 1 elsewhere meets in
-    more than a point, which validation rules out.  So the span has
-    dimension n too.  A subspace of equal dimension is the whole space, so
-    kernel and span coincide and the kernel vanishes on all nodes.  When
-    the rank r falls short, the kernel has dimension C(d+n, n) - r > n by
-    rank-nullity, so it strictly contains the span and the first three
-    checks fail; the fourth is left unproved and reported failed.  No
-    kernel is computed, so no check carries a witness.
+    Validation proves all four, and no rank is computed; a cage that failed
+    validation raises MustValidateError.  The rank rests on this
+
+    Lemma.  Take a valid cage, k >= 0 and a set Y of its nodes, and let
+    Y_k be the nodes I of Y with |I| - n <= k.  The degree-k evaluation
+    matrix of Y has rank at least |Y_k|.  For I in Y_k let
+
+        N_I = prod_j prod_{i < I_j} L_{j,i} * M_I^(k - |I| + n),
+
+    a form of degree (|I| - n) + (k - |I| + n) = k, where M_I is any
+    linear form nonzero at node I: a cage form L_{1,i} with i != I_1, or a
+    coordinate x_v at which the node's key is nonzero, which serves for
+    d = 1 as well.  Validation's incidence test puts node J on L_{j,i}
+    exactly when i = J_j.  So N_I(J) != 0 forces J_j != i for every
+    i < I_j, that is J >= I componentwise, and N_I(I) != 0, since no
+    factor L_{j,i} has i = I_j and M_I(I) != 0.  Listed in any order
+    that extends the componentwise one, the matrix [N_I(J)] over
+    I, J in Y_k is triangular with a nonzero diagonal, hence invertible:
+    the N_I are degree-k forms whose values on Y_k are independent, so
+    their values on Y are too.  This is the Newton-type triangular
+    argument behind natural and principal lattices (Chung and Yao 1977;
+    Gasca and Maeztu 1982).  It holds over Q and over every number field,
+    and it needs no arithmetic.  When Y_k is all of Y the rank is also at
+    most the row count, so it is |Y|.
+
+    The supra nodes have norm at most d+n, so in degree d the Lemma gives
+    their matrix full row rank |supra| = C(d+n, n) - n, a count
+    supra_simplicial_indices checks.  The matrix has C(d+n, n) columns, so
+    its kernel has dimension n.  Validation computes each node as an
+    exactly checked kernel vector of the n forms its index names, so the
+    node lies on one factor of every group product, and every group
+    product vanishes on all d^n nodes.  Hence the span of the products lies
+    in the kernel.  The n products are independent on every valid cage: if
+    sum lambda_j F_j = 0 with lambda_k != 0, then F_k vanishes on the line
+    where L_{j,1} = 0 for all j != k, so some factor L_{k,i} contains that
+    line, and the tuple with i in position k and 1 elsewhere meets in more
+    than a point, which validation rules out.  So the span has dimension n
+    too.  A subspace of equal dimension is the whole space, so kernel and
+    span coincide and the kernel vanishes on all nodes.  No kernel is
+    computed, so no check carries a witness.
     """
     cage.validate()
     supra = supra_simplicial_indices(cage.d, cage.n)
-    r = _node_rank(cage, supra, cage.d)
-    n, full = cage.n, r == len(supra)
+    nodes, r, n = len(cage._key_table()), len(supra), cage.n
     cols = len(monomial_basis(cage.d, n + 1))
     return VerificationReport(cage.summary(), (
-        CheckResult("supra-evaluation-rank", full,
-                    {"rank": r, "selection-size": len(supra),
-                     "columns": cols}),
-        CheckResult("kernel-dimension", full,
+        CheckResult("supra-evaluation-rank", True,
+                    {"rank": r, "selection-size": r, "columns": cols}),
+        CheckResult("kernel-dimension", True,
                     {"kernel-dim": cols - r, "expected": n}),
-        CheckResult("kernel-equals-group-span", full,
+        CheckResult("kernel-equals-group-span", True,
                     {"kernel-dim": cols - r, "group-span-dim": n}),
-        CheckResult("kernel-vanishes-on-all-nodes", full,
-                    {"node-count": cage.validate().node_count}),
+        CheckResult("kernel-vanishes-on-all-nodes", True,
+                    {"node-count": nodes}),
     ))
 
 
 def _simplicial_checks(cage: Cage) -> tuple[CheckResult, ...]:
-    """The minimality check and the two rigidity checks, in that order, from
-    one evaluation matrix of the simplicial nodes in degree d-1 and its
-    rank."""
+    """The minimality check and the two rigidity checks, in that order, for
+    the evaluation matrix of the simplicial nodes in degree d-1.  They have
+    norm at most d+n-1, so the Lemma in verify_supra_interpolation's
+    docstring gives the matrix full row rank C(d+n-1, n), a count
+    simplicial_indices checks.  That is also its column count, so the
+    matrix is square and invertible and its kernel is trivial.  No rank is
+    computed; a cage that failed validation raises MustValidateError."""
+    cage._key_table()
     simp = simplicial_indices(cage.d, cage.n)
-    r = _node_rank(cage, simp, cage.d - 1)
+    r = len(simp)
     cols = len(monomial_basis(cage.d - 1, cage.n + 1))
-    square = len(simp) == cols
     return (
-        CheckResult("simplicial-lower-degree-kernel-trivial", r == cols,
-                    {"rank": r, "columns": cols,
-                     "selection-size": len(simp)}),
-        CheckResult("simplicial-matrix-square", square,
-                    {"selection-size": len(simp), "columns": cols}),
-        CheckResult("simplicial-matrix-invertible", square and r == cols,
+        CheckResult("simplicial-lower-degree-kernel-trivial", True,
+                    {"rank": r, "columns": cols, "selection-size": r}),
+        CheckResult("simplicial-matrix-square", True,
+                    {"selection-size": r, "columns": cols}),
+        CheckResult("simplicial-matrix-invertible", True,
                     {"rank": r, "size": cols}),
     )
 
@@ -603,7 +629,9 @@ def independence_counterexample() -> VerificationReport:
         "same-cardinality", len(deficient) == len(supra),
         {"deficient": len(deficient), "supra": len(supra)})]
     cols = len(monomial_basis(4, 3))
-    supra_dim = cols - _node_rank(cage, supra, 4)
+    # the supra rank is its selection size, as verify_supra_interpolation
+    # proves
+    supra_dim = cols - len(supra)
     checks.append(CheckResult(
         "supra-kernel-dimension", supra_dim == 2,
         {"kernel-dim": supra_dim, "expected": 2}))
@@ -643,8 +671,7 @@ DEFAULT_SUITE = ("validation", "interpolation", "minimality")
 
 def run_suite(cage: Cage, checks: Sequence[str] = DEFAULT_SUITE
               ) -> VerificationReport:
-    """Run the named cage-level checks and collect their results in order;
-    minimality and rigidity share one simplicial rank.
+    """Run the named cage-level checks and collect their results in order.
 
     "fubini" is opt-in: its Hilbert tables grow with the node count and the
     default suite stays fast on large cages.  A cage that fails validation
@@ -658,7 +685,6 @@ def run_suite(cage: Cage, checks: Sequence[str] = DEFAULT_SUITE
             {"node-count": gate.node_count,
              "failures": [f"{f.kind} at {f.index}" for f in gate.failures],
              "skipped": [c for c in checks if c != "validation"]}),))
-    simplicial = None
     out = []
     for name in checks:
         if name == "validation":
@@ -667,11 +693,10 @@ def run_suite(cage: Cage, checks: Sequence[str] = DEFAULT_SUITE
                                     "failures": []}))
         elif name == "interpolation":
             out.extend(verify_supra_interpolation(cage).checks)
-        elif name in ("minimality", "rigidity"):
-            if simplicial is None:
-                simplicial = _simplicial_checks(cage)
-            out.extend(simplicial[:1] if name == "minimality"
-                       else simplicial[1:])
+        elif name == "minimality":
+            out.extend(verify_degree_minimality(cage).checks)
+        elif name == "rigidity":
+            out.extend(verify_simplicial_rigidity(cage).checks)
         elif name == "fubini":
             out.extend(fubini_slice_check(cage).checks)
         else:

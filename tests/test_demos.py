@@ -94,16 +94,18 @@ def test_cube_elliptic_takes_the_supra_rank_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_short_supra_rank_fails_the_automatic_vertex(monkeypatch):
-    # the eighth vertex is read from the interpolation checks, so a supra
-    # rank one short of full leaves it unproved
-    monkeypatch.setattr(verify, "_evaluation_rank",
-                        lambda points, degree, field: len(points) - 1)
+def test_automatic_vertex_takes_no_rank(monkeypatch):
+    # the eighth vertex is read from the interpolation checks, whose supra
+    # rank validation proves, so no node rank is taken
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the supra rank must not be computed")
+
+    monkeypatch.setattr(verify, "_evaluation_rank", forbidden)
     report = run_demo("cube-elliptic")
     eighth = next(c for c in report.checks
                   if c.name == "eighth-vertex-automatic")
-    assert not eighth.passed
-    assert eighth.details == {"kernel-dim": 4, "missing": [(2, 2, 2)]}
+    assert eighth.passed
+    assert eighth.details == {"kernel-dim": 3, "missing": [(2, 2, 2)]}
 
 
 def test_span_proof_reuses_the_documented_lambda(monkeypatch):

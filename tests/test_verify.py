@@ -20,11 +20,11 @@ from cagekit import (FieldDescriptor, HomogPoly, LambdaMatrix, LinearForm,
                      evaluation_matrix, fubini_slice_check, group_span,
                      hilbert_function, hilbert_table,
                      independence_counterexample, inscribe_with_tangent,
-                     kernel_basis, make_tangent, random_cage, rank,
-                     run_suite, simplicial_indices, smoothness_check,
-                     supra_simplicial_indices, transversal_points,
-                     verify_degree_minimality, verify_simplicial_rigidity,
-                     verify_supra_interpolation)
+                     kernel_basis, make_tangent, product_of_linear_forms,
+                     random_cage, rank, run_suite, simplicial_indices,
+                     smoothness_check, supra_simplicial_indices,
+                     transversal_points, verify_degree_minimality,
+                     verify_simplicial_rigidity, verify_supra_interpolation)
 from cagekit.cli import main
 from cagekit.demos import build_demo
 from cagekit.serialize import cage_to_json, check_to_json, report_to_json
@@ -513,12 +513,14 @@ def test_supra_interpolation_plane_three_by_three():
 
 @pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2)])
 def test_node_ranks_read_validation_keys(monkeypatch, n, d):
-    # over Q the supra and simplicial ranks take the primitive integer
-    # vectors that validation keyed the nodes by, and no node is scaled or
-    # canonicalized again
+    # over Q _node_rank, which the counterexample still takes, reads the
+    # primitive integer vectors that validation keyed the nodes by, and no
+    # node is scaled or canonicalized again; on the supra and simplicial
+    # selections it meets the proved ranks
     cage = random_cage(500 + 10 * n + d, d, n)
     cage.validate()
     supra = supra_simplicial_indices(d, n)
+    simp = simplicial_indices(d, n)
     assert cage._node_keys(supra) == [
         linalg.primitive(
             linalg._prepared(Q, linalg._scalars(Q, nd.point))[1])
@@ -530,36 +532,31 @@ def test_node_ranks_read_validation_keys(monkeypatch, n, d):
         monkeypatch.setattr(module, "_prepared", forbidden)
     for module in (verify, cage_module):
         monkeypatch.setattr(module, "_point_key", forbidden)
-    assert verify_supra_interpolation(cage).passed
-    assert all(c.passed for c in verify._simplicial_checks(cage))
+    assert verify._node_rank(cage, supra, d) == len(supra)
+    assert verify._node_rank(cage, simp, d - 1) == len(simp)
 
 
 @pytest.mark.parametrize("n, d", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
-def test_supra_certificate_matches_exact_path(monkeypatch, n, d):
-    # the one-rank certificate from the nodes' integer keys and the same
-    # report with an exact rank agree, and every claim derived from that
-    # rank holds on plain Fractions
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the certified path must not reach this")
-
+def test_supra_certificate_matches_exact_path(n, d):
+    # the ranks the supra and simplicial reports state from validation
+    # alone are the exact ranks over plain Fractions, and every claim
+    # derived from the supra rank holds there
     def plain(vectors):
         return [[c.as_fraction() for c in v] for v in vectors]
 
     for seed in (11, 12):
         cage = random_cage(100 * n + 10 * d + seed, d, n)
-        with monkeypatch.context() as m:
-            for name in ("kernel_basis", "in_span", "evaluation_matrix"):
-                m.setattr(verify, name, forbidden)
-            m.setattr(HomogPoly, "evaluate", forbidden)
-            report = verify_supra_interpolation(cage)
-        with monkeypatch.context() as m:
-            # no pivots mod p: the integer core's exact elimination
-            m.setattr(linalg, "_pivots_mod", lambda rows, p: [])
-            exact = report_to_json(verify_supra_interpolation(cage))
+        report = verify_supra_interpolation(cage)
         assert report.passed
-        assert report_to_json(report) == exact
         supra = plain(nd.point for nd in
                       cage.nodes_for(supra_simplicial_indices(d, n)))
+        assert oracles.rank(oracles.eval_matrix(supra, d)) == check_by_name(
+            report, "supra-evaluation-rank").details["rank"]
+        simp = plain(nd.point for nd in
+                     cage.nodes_for(simplicial_indices(d, n)))
+        invertible = verify._simplicial_checks(cage)[2]
+        assert oracles.rank(oracles.eval_matrix(simp, d - 1)) == \
+            invertible.details["rank"] == len(simp)
         kernel = oracles.kernel(oracles.eval_matrix(supra, d))
         assert len(kernel) == n == check_by_name(
             report, "kernel-dimension").details["kernel-dim"]
@@ -572,61 +569,128 @@ def test_supra_certificate_matches_exact_path(monkeypatch, n, d):
 
 
 @pytest.mark.parametrize("which", ["rationals", "fermat-cubic-surface"])
-def test_short_supra_rank_fails_without_witness(monkeypatch, tmp_path, which):
-    # a supra rank one short of full makes all four checks fail, with the
-    # kernel dimension read off by rank-nullity and no witness
+def test_supra_interpolation_takes_no_rank(monkeypatch, tmp_path, which):
+    # on a validated cage the supra and simplicial checks read their ranks
+    # off the selection sizes: no rank is taken, nothing is eliminated, and
+    # the command line prints the same checks
     cage = (random_cage(71, 3, 2) if which == "rationals"
             else build_demo(which).cage)
+    cage.validate()
     supra = supra_simplicial_indices(cage.d, cage.n)
-    short = len(supra) - 1
-    monkeypatch.setattr(verify, "_evaluation_rank",
-                        lambda points, degree, field: len(points) - 1)
-    report = verify_supra_interpolation(cage)
+    simp = simplicial_indices(cage.d, cage.n)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no node rank may be taken")
+
+    with monkeypatch.context() as m:
+        for name in ("_evaluation_rank", "_node_rank", "_hilbert_table",
+                     "evaluation_matrix", "_rank", "rank", "_pivots_mod",
+                     "_integer_kernel", "kernel_basis", "in_span"):
+            m.setattr(verify, name, forbidden)
+        for name in ("_rank", "rank", "_eliminate", "_rref", "_pivots_mod",
+                     "_integer_kernel", "_kernel", "kernel_basis",
+                     "_residue_maps"):
+            m.setattr(linalg, name, forbidden)
+        m.setattr(HomogPoly, "evaluate", forbidden)
+        report = verify_supra_interpolation(cage)
+        simplicial = verify._simplicial_checks(cage)
+        suite = run_suite(cage, ("validation", "interpolation",
+                                 "minimality", "rigidity"))
     assert [c.name for c in report.checks] == [
         "supra-evaluation-rank", "kernel-dimension",
         "kernel-equals-group-span", "kernel-vanishes-on-all-nodes"]
-    assert not any(c.passed for c in report.checks)
-    assert all(c.witness is None for c in report.checks)
+    assert report.passed and all(c.passed for c in simplicial)
+    assert all(c.witness is None for c in report.checks + simplicial)
     cols = math.comb(cage.d + cage.n, cage.n)
-    assert check_by_name(report, "supra-evaluation-rank").details[
-        "rank"] == short
+    assert check_by_name(report, "supra-evaluation-rank").details == {
+        "rank": len(supra), "selection-size": len(supra), "columns": cols}
     for name in ("kernel-dimension", "kernel-equals-group-span"):
-        assert check_by_name(report, name).details[
-            "kernel-dim"] == cols - short
+        assert check_by_name(report, name).details["kernel-dim"] == cage.n
+    assert simplicial[2].details == {
+        "rank": len(simp), "size": math.comb(cage.d + cage.n - 1, cage.n)}
+    assert suite.checks[1:] == report.checks + simplicial
     path, out = tmp_path / "cage.json", tmp_path / "report.json"
     path.write_text(json.dumps(cage_to_json(cage)))
     assert main(["verify", "--cage", str(path), "--checks",
                  "validation,interpolation", "--no-timestamp",
-                 "-o", str(out)]) == 1
+                 "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert not payload["pass"]
+    assert payload["pass"]
     assert payload["checks"][1:] == [
         check_to_json(c) for c in report.checks]
 
 
 def test_number_field_supra_report_without_residues(monkeypatch):
-    # the residue certificate at the six roots of the degree-6 modulus and
-    # exact elimination over Q(omega, cbrt3) give the same report; a short
-    # residue rank goes straight to exact elimination, without linalg.rank
-    # redoing the residue elimination
+    # exact elimination over Q(omega, cbrt3), with no residue map, gives
+    # the supra and simplicial ranks the reports state from validation
     cage = build_demo("fermat-cubic-surface").cage
+    d, n = cage.d, cage.n
+    report = verify_supra_interpolation(cage)
+    simplicial = verify._simplicial_checks(cage)
+    calls = []
+    original = linalg._eliminate
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the certified path must not reach this")
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    with monkeypatch.context() as m:
-        for name in ("kernel_basis", "evaluation_matrix"):
-            m.setattr(verify, name, forbidden)
-        m.setattr(linalg, "_eliminate", forbidden)
-        certified = report_to_json(verify_supra_interpolation(cage))
-    with monkeypatch.context() as m:
-        # no residue map: every rank over the field is exact
-        m.setattr(linalg, "_residue_maps",
-                  lambda field: (linalg.PRIME, ()))
-        m.setattr(verify, "rank", forbidden)
-        exact = report_to_json(verify_supra_interpolation(cage))
-    assert certified["pass"]
-    assert certified == exact
+    monkeypatch.setattr(linalg, "_residue_maps",
+                        lambda field: (linalg.PRIME, ()))
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert verify._node_rank(cage, supra_simplicial_indices(d, n), d) == \
+        check_by_name(report, "supra-evaluation-rank").details["rank"]
+    assert verify._node_rank(cage, simplicial_indices(d, n), d - 1) == \
+        simplicial[2].details["rank"]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", ["fermat-cubic-surface", "k3-quartic"])
+def test_proved_ranks_match_node_ranks_on_the_demo_fields(name):
+    # the residue-certified ranks over the degree-6 and degree-8 demo
+    # fields are the ranks the reports state from validation alone
+    cage = build_demo(name).cage
+    d, n = cage.d, cage.n
+    supra = check_by_name(verify_supra_interpolation(cage),
+                          "supra-evaluation-rank")
+    invertible = verify._simplicial_checks(cage)[2]
+    assert verify._node_rank(cage, supra_simplicial_indices(d, n), d) == \
+        supra.details["rank"] == math.comb(d + n, n) - n
+    assert verify._node_rank(cage, simplicial_indices(d, n), d - 1) == \
+        invertible.details["rank"] == math.comb(d + n - 1, n)
+
+
+def test_lemma_products_are_triangular():
+    # the hypothesis of the Lemma in verify_supra_interpolation, read off
+    # evaluated forms: N_I = prod_j prod_{i < I_j} L_{j,i} * M^(k - |I| + n)
+    # is nonzero at node J exactly when J >= I componentwise, for the supra
+    # nodes in degree d and the simplicial nodes in degree d-1; M is a
+    # linear form that vanishes at no node, so only the cage forms can
+    # vanish
+    rng = random.Random(211)
+    cages = [random_cage(rng.randrange(10 ** 6), d, n)
+             for n, d in ((2, 1), (2, 2), (2, 3), (3, 2), (4, 2))]
+    cages.append(build_demo("fermat-cubic-surface").cage)
+    for cage in cages:
+        cage.validate()
+        n, d = cage.n, cage.d
+        keys = list(cage._key_table().values())
+        m = verify._separating_form(cage.field, keys)
+        for selection, k in ((supra_simplicial_indices(d, n), d),
+                             (simplicial_indices(d, n), d - 1)):
+            nodes = cage.nodes_for(selection)
+            for index in selection.indices:
+                factors = [cage.groups[j][i - 1] for j in range(n)
+                           for i in range(1, index[j])]
+                factors += [m] * (k - sum(index) + n)
+                if not factors:
+                    assert k == 0       # N_I is the constant 1
+                    continue
+                product = product_of_linear_forms(factors)
+                assert product.degree == k
+                for node in nodes:
+                    above = all(a >= b for a, b in zip(node.index, index))
+                    assert (not product.evaluate(node.point).is_zero()) \
+                        == above, (n, d, index, node.index)
 
 
 def test_rigidity_smallest_case():
@@ -814,6 +878,18 @@ def test_smoothness_refuses_a_cage_that_fails_validation():
     variety = LambdaMatrix(cage, [[Q.one(), Q.zero()]])
     with pytest.raises(cage_module.MustValidateError):
         smoothness_check(variety)
+
+
+def test_node_checks_refuse_a_cage_that_fails_validation():
+    # the supra and simplicial ranks are proved from validation, so a
+    # broken cage gets no report from them either
+    for check in (verify_supra_interpolation, verify_degree_minimality,
+                  verify_simplicial_rigidity):
+        cage = cage_module.Cage(Q, [
+            [LinearForm(Q, [1, 0, 0]), LinearForm(Q, [1, 0, 0])],
+            [LinearForm(Q, [0, 1, 0]), LinearForm(Q, [0, 1, -1])]])
+        with pytest.raises(cage_module.MustValidateError):
+            check(cage)
 
 
 def test_smoothness_proof_matches_node_jacobian_ranks():
@@ -1049,24 +1125,20 @@ def test_run_suite_default_and_full():
     assert len(full.checks) > len(run_suite(cage).checks)
 
 
-def test_run_suite_shares_one_simplicial_rank(monkeypatch):
+def test_run_suite_takes_no_node_rank(monkeypatch):
+    # minimality and rigidity read the proved simplicial rank, so the suite
+    # takes no rank for either, in any order
     cage = random_cage(83, 3, 2)
     minimality = verify_degree_minimality(cage).checks
     rigidity = verify_simplicial_rigidity(cage).checks
-    calls = []
-    original = verify._evaluation_rank
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the simplicial rank must not be computed")
 
-    monkeypatch.setattr(verify, "_evaluation_rank", counted)
+    monkeypatch.setattr(verify, "_evaluation_rank", forbidden)
     report = run_suite(cage, ("minimality", "rigidity"))
-    assert calls == [cage.d - 1]
     assert report.checks == minimality + rigidity
-    calls.clear()
     report = run_suite(cage, ("rigidity", "validation", "minimality"))
-    assert calls == [cage.d - 1]
     assert report.checks[:2] == rigidity and report.checks[3:] == minimality
 
 
