@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 from .errors import CageValidationError, MustValidateError, ShapeError
 from .field import FieldDescriptor, FieldElement
-from .linalg import (Matrix, _divided, _prepared, _scalars, dot, invert,
-                     kernel_basis, primitive)
+from .linalg import (Matrix, _divided, _prepared, _reducer, _residue_maps,
+                     _scalars, dot, invert, kernel_basis, primitive)
 from .poly import HomogPoly, LinearForm, product_of_linear_forms
 
 Index = tuple[int, ...]
@@ -138,6 +138,39 @@ def _point_key(field: FieldDescriptor, row: Sequence) -> tuple:
     return canonical_point(row)
 
 
+def _require_units(field: FieldDescriptor, forms, keys: dict):
+    """Over Q[t]/(m), raise ReducibleModulusError unless every form of a
+    valid cage takes a unit value at every node it does not index.
+
+    forms are the forms validate() prepared and keys its node keys.  A
+    value whose residue is nonzero at every residue map of the field is
+    nonzero in every factor of Q[t]/(m), hence a unit: every factor owns a
+    root of m mod p and the map at that root factors through it, as the
+    linalg module docstring proves.  The residues of the forms are taken
+    once and those of a key once per node.  Any other value is inverted
+    exactly, which raises on a zero divisor as FieldDescriptor promises.
+    """
+    p, roots = _residue_maps(field)
+    maps = [_reducer(p, powers) for powers in roots]
+
+    def residues(vector):
+        """The vector's residues at every map; empty, proving nothing, when
+        there is no map or p divides a denominator."""
+        try:
+            return [[reduce(x) for x in vector] for reduce in maps]
+        except ValueError:
+            return []
+    images = [[residues(f) for f in group] for group in forms]
+    for index, key in keys.items():
+        point = residues(key)
+        for j, group in enumerate(forms):
+            for k, form in enumerate(group, start=1):
+                image = images[j][k - 1]
+                if k != index[j] and not (image and point and all(
+                        dot(f, x) % p for f, x in zip(image, point))):
+                    dot(form, key).inverse()
+
+
 class Cage:
     """n color groups of d hyperplanes each in P^n (so n+1 coordinates).
 
@@ -212,6 +245,16 @@ class Cage:
         node.  A valid cage keeps the keys and nothing else: nodes() and
         _node_cofactors derive the points and cofactors from them when first
         asked.
+
+        Over Q[t]/(m) with m reducible a nonzero value can be a zero
+        divisor, zero in one factor of Q[t]/(m) and not in another, and the
+        cage would pass in one factor and fail in the other.  So once every
+        test above passes, _require_units proves each form's value at each
+        node it does not index a unit, or raises ReducibleModulusError.
+        kernel_basis inverts its pivots and canonical_point the node's last
+        nonzero entry, so a cage that passes is valid in every factor, with
+        the images of the same nodes.  Every failure reported holds in
+        every factor alike.
         """
         if self._report is not None:
             return self._report
@@ -264,11 +307,13 @@ class Cage:
                                 f"color {j + 1} hyperplane {k}: "
                                 f"vanishing pattern violated"))
         failures += incidence
-        valid = not failures
-        report = ValidationReport(valid, len(seen), tuple(failures))
+        keys = {index: key for key, index in seen.items()}
+        if not failures and field.kind != "rationals":
+            _require_units(field, forms, keys)
+        report = ValidationReport(not failures, len(seen), tuple(failures))
         self._report = report
-        if valid:
-            self._keys = {index: key for key, index in seen.items()}
+        if report.valid:
+            self._keys = keys
         return report
 
     def _node_cofactors(self) -> dict[Index, tuple[FieldElement, ...]]:

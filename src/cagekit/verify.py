@@ -329,20 +329,23 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
         N_I = prod_j prod_{i < I_j} L_{j,i} * M_I^(k - |I| + n),
 
     a form of degree (|I| - n) + (k - |I| + n) = k, where M_I is any
-    linear form nonzero at node I: a cage form L_{1,i} with i != I_1, or a
-    coordinate x_v at which the node's key is nonzero, which serves for
-    d = 1 as well.  Validation's incidence test puts node J on L_{j,i}
-    exactly when i = J_j.  So N_I(J) != 0 forces J_j != i for every
-    i < I_j, that is J >= I componentwise, and N_I(I) != 0, since no
-    factor L_{j,i} has i = I_j and M_I(I) != 0.  Listed in any order
-    that extends the componentwise one, the matrix [N_I(J)] over
-    I, J in Y_k is triangular with a nonzero diagonal, hence invertible:
-    the N_I are degree-k forms whose values on Y_k are independent, so
-    their values on Y are too.  This is the Newton-type triangular
-    argument behind natural and principal lattices (Chung and Yao 1977;
-    Gasca and Maeztu 1982).  It holds over Q and over every number field,
-    and it needs no arithmetic.  When Y_k is all of Y the rank is also at
-    most the row count, so it is |Y|.
+    linear form that is a unit at node I: a cage form L_{1,i} with
+    i != I_1, or the coordinate x_v of the last nonzero entry of the node's
+    key, which serves for d = 1 as well.  Validation's incidence test puts
+    node J on L_{j,i} exactly when i = J_j, and over Q[t]/(m) it requires
+    every other value to be a unit (Cage.validate).  So N_I(J) != 0 forces
+    J_j != i for every i < I_j, that is J >= I componentwise, and N_I(I)
+    is a unit, a product of values L_{j,i}(I) with i != I_j and a power of
+    M_I(I).  Listed in any order that extends the componentwise one, the
+    matrix [N_I(J)] over I, J in Y_k is triangular with a unit diagonal,
+    hence invertible: the N_I are degree-k forms whose values on Y_k are
+    independent, so their values on Y are too.  This is the Newton-type
+    triangular argument behind natural and principal lattices (Chung and
+    Yao 1977; Gasca and Maeztu 1982).  It holds over Q, and over Q[t]/(m)
+    in every factor of Q[t]/(m) when m is reducible, since a unit stays a
+    unit in every factor: a full rank in the sense linalg.rank certifies.
+    It needs no arithmetic.  When Y_k is all of Y the rank is also at most
+    the row count, so it is |Y|.
 
     The supra nodes have norm at most d+n, so in degree d the Lemma gives
     their matrix full row rank |supra| = C(d+n, n) - n, a count
@@ -357,8 +360,9 @@ def verify_supra_interpolation(cage: Cage) -> VerificationReport:
     line, and the tuple with i in position k and 1 elsewhere meets in more
     than a point, which validation rules out.  So the span has dimension n
     too.  A subspace of equal dimension is the whole space, so kernel and
-    span coincide and the kernel vanishes on all nodes.  No kernel is
-    computed, so no check carries a witness.
+    span coincide and the kernel vanishes on all nodes.  Over Q[t]/(m)
+    each step holds in every factor, where the cage is valid too.  No
+    kernel is computed, so no check carries a witness.
     """
     cage.validate()
     supra = supra_simplicial_indices(cage.d, cage.n)

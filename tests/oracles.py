@@ -187,11 +187,13 @@ def validate_per_node(groups, kernel, canonical):
     groups holds n lists of d coefficient vectors; kernel(rows) returns a
     kernel basis of the rows and canonical(vector) a normalized point, so
     the values may be Fractions or any field elements that compare equal
-    to 0 when zero.  Returns the failures as (kind, index, detail) triples
-    in report order and the nodes as (index, point) pairs.
+    to 0 when zero.  When nothing fails, the value of every form at every
+    node it does not index is inverted, so over Q[t]/(m) a zero divisor
+    raises.  Returns the failures as (kind, index, detail) triples in
+    report order and the nodes as (index, point) pairs.
     """
     n, d = len(groups), len(groups[0])
-    failures, nodes, seen = [], [], {}
+    failures, nodes, seen, values = [], [], {}, []
     for index in product(range(1, d + 1), repeat=n):
         rows = [groups[j][index[j] - 1] for j in range(n)]
         basis = kernel(rows)
@@ -221,6 +223,12 @@ def validate_per_node(groups, kernel, canonical):
                         "incidence", index,
                         f"color {j + 1} hyperplane {i}: "
                         f"vanishing pattern violated"))
+                else:
+                    values.append(value)
+    if not failures:
+        for value in values:
+            # a zero divisor of Q[t]/(m) raises ReducibleModulusError
+            1 / value
     return failures, nodes
 
 

@@ -15,6 +15,7 @@ from math import comb
 
 import pytest
 
+import oracles
 from cagekit.cage import (all_indices, random_cage, simplicial_indices,
                           supra_simplicial_indices)
 from cagekit.demos import DEMO_NAMES, run_demo
@@ -59,6 +60,14 @@ def random_tangent(rng, node, dim):
             continue
 
 
+def plain_rank(cage, selection, degree):
+    """The rank of the degree-k evaluation matrix of the selected nodes,
+    by Fraction elimination in tests/oracles.py."""
+    points = [[c.as_fraction() for c in node.point]
+              for node in cage.nodes_for(selection)]
+    return oracles.rank(oracles.eval_matrix(points, degree))
+
+
 def test_criterion_01_interpolation(announce):
     started = time.monotonic()
     ok = True
@@ -69,8 +78,13 @@ def test_criterion_01_interpolation(announce):
         ok = ok and len(supra) == comb(d + n, n) - n
         report = verify_supra_interpolation(cage)
         ok = ok and report.passed
+        if i % 10 == 0:
+            # the rank the report proves from validation, recomputed
+            ok = ok and plain_rank(cage, supra, d) == \
+                report.checks[0].details["rank"] == len(supra)
     announce(1, "degree-d forms through the supra nodes are exactly the "
-             "group-product pencils (50 cages)", ok, started, 60)
+             "group-product pencils (50 cages, 5 ranks recomputed over "
+             "Fractions)", ok, started, 60)
 
 
 def test_criterion_02_rigidity(announce):
@@ -82,8 +96,13 @@ def test_criterion_02_rigidity(announce):
         ok = ok and len(simplicial_indices(d + 1, n)) == comb(d + n, n)
         report = verify_simplicial_rigidity(cage)
         ok = ok and report.passed
+        if i % 10 == 0:
+            simp = simplicial_indices(d + 1, n)
+            ok = ok and plain_rank(cage, simp, d) == \
+                report.checks[1].details["rank"] == len(simp)
     announce(2, "simplicial nodes of a size-(d+1) cage pin degree-d forms "
-             "through a square invertible matrix (30 cages)", ok, started, 30)
+             "through a square invertible matrix (30 cages, 3 ranks "
+             "recomputed over Fractions)", ok, started, 30)
 
 
 def test_criterion_03_cardinalities(announce):

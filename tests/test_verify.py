@@ -27,6 +27,8 @@ from cagekit import (FieldDescriptor, HomogPoly, LambdaMatrix, LinearForm,
                      verify_simplicial_rigidity, verify_supra_interpolation)
 from cagekit.cli import main
 from cagekit.demos import build_demo
+from cagekit.errors import ReducibleModulusError
+from cagekit.field import FieldElement
 from cagekit.serialize import cage_to_json, check_to_json, report_to_json
 
 
@@ -890,6 +892,74 @@ def test_node_checks_refuse_a_cage_that_fails_validation():
             [LinearForm(Q, [0, 1, 0]), LinearForm(Q, [0, 1, -1])]])
         with pytest.raises(cage_module.MustValidateError):
             check(cage)
+
+
+SPLIT = FieldDescriptor.extension([-1, 0, 1], label="Q[t]/(t^2-1)")
+
+
+def zero_divisor_cage(field=SPLIT, t=None):
+    # x and x - (t + 1) z, y and y - z: over Q[t]/(t^2 - 1) each form is
+    # nonzero at each node it does not index, but x - (t + 1) z is the zero
+    # divisor -(t + 1) at the nodes on x = 0; with t = 1 or t = -1 over Q
+    # it is the cage in one factor of Q[t]/(t^2 - 1)
+    t = field.generator() if t is None else field.from_rational(t)
+    one, zero = field.one(), field.zero()
+    return cage_module.Cage(field, [
+        [LinearForm(field, [one, zero, zero]),
+         LinearForm(field, [one, zero, -(t + one)])],
+        [LinearForm(field, [zero, one, zero]),
+         LinearForm(field, [zero, one, -one])]])
+
+
+def test_zero_divisor_off_a_hyperplane_raises(tmp_path):
+    # validity depends on the factor: the cage is valid at t = 1, and at
+    # t = -1 the nodes (1, *) and (2, *) coincide, so the supra and
+    # simplicial ranks the Lemma would state hold in one factor only;
+    # validation raises instead, and so do the checks and the command line
+    assert zero_divisor_cage(Q, 1).validate().valid
+    assert "coincident-nodes" in {
+        f.kind for f in zero_divisor_cage(Q, -1).validate().failures}
+    for check in (cage_module.Cage.validate, verify_supra_interpolation,
+                  verify_degree_minimality, verify_simplicial_rigidity):
+        with pytest.raises(ReducibleModulusError, match="reducible"):
+            check(zero_divisor_cage())
+    path = tmp_path / "cage.json"
+    path.write_text(json.dumps(cage_to_json(zero_divisor_cage())))
+    assert main(["verify", "--cage", str(path), "--checks",
+                 "validation,interpolation,minimality,rigidity",
+                 "--no-timestamp", "-o", str(tmp_path / "out.json")]) == 2
+
+
+def test_units_off_hyperplanes_from_residues_or_inversion(monkeypatch):
+    # over a number field every value off a hyperplane is proved a unit
+    # from residues, with no inversion; with no residue map, or p dividing
+    # a denominator, it is inverted exactly, with the same outcome
+    cage = build_demo("fermat-cubic-surface").cage
+    forms = [[f.coeffs for f in group] for group in cage.groups]
+
+    def forbidden(self):
+        raise AssertionError("no inversion when the residues prove units")
+
+    with monkeypatch.context() as m:
+        m.setattr(FieldElement, "inverse", forbidden)
+        cage_module._require_units(cage.field, forms, cage._key_table())
+    sqrt2 = FieldDescriptor.extension([-2, 0, 1], label="Q(sqrt2)")
+    p = linalg._residue_maps(sqrt2)[0]
+    one, zero, s = sqrt2.one(), sqrt2.zero(), sqrt2.generator()
+    far = cage_module.Cage(sqrt2, [
+        [LinearForm(sqrt2, [one, zero, zero]),
+         LinearForm(sqrt2, [one, zero, -s])],
+        [LinearForm(sqrt2, [zero, one, zero]),
+         LinearForm(sqrt2, [zero, one, sqrt2.from_rational(Fraction(1, p))])]])
+    assert far.validate().valid         # p divides a denominator
+    monkeypatch.setattr(cage_module, "_residue_maps",
+                        lambda field: (linalg.PRIME, ()))
+    for again, before in ((build_demo("fermat-cubic-surface").cage, cage),
+                          (type(far)(sqrt2, far.groups), far)):
+        assert again.validate().valid
+        assert again._key_table() == before._key_table()
+    with pytest.raises(ReducibleModulusError):
+        zero_divisor_cage().validate()
 
 
 def test_smoothness_proof_matches_node_jacobian_ranks():
