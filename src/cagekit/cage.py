@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .errors import CageValidationError, MustValidateError, ShapeError
 from .field import FieldDescriptor, FieldElement
-from .linalg import (Matrix, _divided, _prepared, _reducer, _residue_maps,
+from .linalg import (Matrix, _divided, _mod_p, _prepared, _residue_maps,
                      _scalars, dot, invert, kernel_basis, primitive)
 from .poly import HomogPoly, LinearForm, product_of_linear_forms
 
@@ -147,19 +147,21 @@ def _require_units(field: FieldDescriptor, forms, keys: dict):
     nonzero in every factor of Q[t]/(m), hence a unit: every factor owns a
     root of m mod p and the map at that root factors through it, as the
     linalg module docstring proves.  The residues of the forms are taken
-    once and those of a key once per node.  Any other value is inverted
-    exactly, which raises on a zero divisor as FieldDescriptor promises.
+    once and those of a key once per node, each coefficient converted mod p
+    once (linalg._mod_p) and then evaluated at every root.  Any other value
+    is inverted exactly, which raises on a zero divisor as FieldDescriptor
+    promises.
     """
     p, roots = _residue_maps(field)
-    maps = [_reducer(p, powers) for powers in roots]
 
     def residues(vector):
         """The vector's residues at every map; empty, proving nothing, when
         there is no map or p divides a denominator."""
         try:
-            return [[reduce(x) for x in vector] for reduce in maps]
+            coeffs = [_mod_p(x, p) for x in vector]
         except ValueError:
             return []
+        return [[dot(c, powers) % p for c in coeffs] for powers in roots]
     images = [[residues(f) for f in group] for group in forms]
     for index, key in keys.items():
         point = residues(key)
@@ -316,18 +318,21 @@ class Cage:
             self._keys = keys
         return report
 
-    def _node_cofactors(self) -> dict[Index, tuple[FieldElement, ...]]:
-        """Node index -> its n cofactors c_j, the product of L_{j,k}(p)
-        over k != I_j at the node p with index I.
+    def _node_cofactors(self) -> dict[Index, tuple[tuple, ...]]:
+        """Node index -> the rows of its differential: for each color j the
+        pair (c_j / s_j, s_j L_{j,I_j}), c_j being the product of L_{j,k}(p)
+        over k != I_j at the node p with index I, and s_j L_{j,I_j} the
+        row linalg._prepared makes of the form, s_j its scale.
 
         The table is built for every node on the first call, from the keys
-        validate() kept.  Over Q the key is an integer vector w with last
-        nonzero entry w_c and p = w / w_c; a form L that validation scaled
-        by s (linalg._prepared) takes the value (s L)(w) / (s w_c) there, so
-        c_j = prod_{k != I_j} (s L_{j,k})(w) / (w_c^(d-1) prod_{k != I_j}
-        s_{j,k}): integer dots and one Fraction per node and color.  Over
-        Q[t]/(m) the key is p itself and c_j is a product of field dots,
-        with no inverse.  validate() does not build it, as the checks that
+        validate() kept, and every node shares the prepared rows.  Over Q
+        the key is an integer vector w with last nonzero entry w_c and
+        p = w / w_c; a form L scaled by s takes the value (s L)(w) / (s w_c)
+        there, so c_j / s_j = prod_{k != I_j} (s L_{j,k})(w) / (w_c^(d-1)
+        prod_k s_{j,k}): integer dots and one Fraction per node and color.
+        Over Q[t]/(m), where s_j is 1, the key is p itself, c_j is a product
+        of field dots, with no inverse, and the row is the form's
+        coefficients.  validate() does not build it, as the checks that
         visit no node never ask for it.
         """
         self._require_valid()
@@ -343,16 +348,15 @@ class Cage:
             for index, key in self._keys.items():
                 if rational:
                     w_pow = next(x for x in reversed(key) if x) ** (d - 1)
-                cofactors = []
+                rows = []
                 for j, hit in enumerate(index):
-                    num = prod((dot(f, key) for k, (_, f) in
-                                enumerate(forms[j], start=1) if k != hit),
-                               start=one)
+                    c = prod((dot(f, key) for k, (_, f) in
+                              enumerate(forms[j], start=1) if k != hit),
+                             start=one)
                     if rational:
-                        den = w_pow * totals[j] // forms[j][hit - 1][0]
-                        num = FieldElement(field, (Fraction(num, den),))
-                    cofactors.append(num)
-                table[index] = tuple(cofactors)
+                        c = Fraction(c, w_pow * totals[j])
+                    rows.append((c, forms[j][hit - 1][1]))
+                table[index] = tuple(rows)
             self._cofactors = table
         return self._cofactors
 

@@ -107,7 +107,8 @@ def node_differentials(cage: Cage, node: Node) -> Matrix:
     kernel vector lifted with a zero chart entry would lie in that kernel,
     which p[chart] = 1 rules out.  A Node that is not the cage's node at
     its index raises ValueError.  The rows are those of _differential_rows,
-    each coefficient times its vector.
+    each coefficient times its vector: (c_j / s_j)(s_j L) = c_j L, entry
+    for entry.
     """
     rows = _differential_rows(cage, node)
     return Matrix(cage.field, [[c * a for a in vector] for c, vector in rows])
@@ -117,12 +118,13 @@ def _differential_rows(cage: Cage, node: Node) -> list[tuple]:
     """Row j of node_differentials as a coefficient and a vector whose
     product it is, for every color j.
 
-    The vector is A_j, linalg._prepared of the chart-local coefficients of
-    L_{j,I_j}, and the coefficient is c_j / s_j, s_j being its scale: over
-    Q the ints s_j times the coefficients, s_j the lcm of their
-    denominators, and the Fraction c_j / s_j; over Q[t]/(m), where s_j is
-    1, the coefficients themselves and c_j.  A Node that is not the cage's
-    node at its index raises ValueError.
+    The cofactor table (Cage._node_cofactors) holds the pair
+    (c_j / s_j, s_j L_{j,I_j}), s_j the scale linalg._prepared gives the
+    whole form; the vector is the chart-local part of s_j L_{j,I_j},
+    A_j = s_j times the chart-local coefficients of L_{j,I_j}.  Over Q
+    that is ints and a Fraction, over Q[t]/(m), where s_j is 1, the
+    coefficients themselves and c_j.  Nothing is prepared here.  A Node
+    that is not the cage's node at its index raises ValueError.
     """
     try:
         on_cage = cage.node(node.index) == node
@@ -130,15 +132,9 @@ def _differential_rows(cage: Cage, node: Node) -> list[tuple]:
         on_cage = False
     if not on_cage:
         raise ValueError(f"point is not the cage's node {node.index}")
-    field, chart = cage.field, chart_of(node)
-    rows = []
-    for forms, hit, c in zip(cage.groups, node.index, _scalars(
-            field, cage._node_cofactors()[node.index])):
-        scale, vector = _prepared(field, _scalars(field, [
-            a for i, a in enumerate(forms[hit - 1].coeffs) if i != chart]))
-        # a scale of 1 is skipped: over Q[t]/(m) it would cost an inverse
-        rows.append((c / scale if scale != 1 else c, vector))
-    return rows
+    chart = chart_of(node)
+    return [(c, [a for i, a in enumerate(vector) if i != chart])
+            for c, vector in cage._node_cofactors()[node.index]]
 
 
 def inscribe_with_tangent(cage: Cage, node: Node,
@@ -151,10 +147,12 @@ def inscribe_with_tangent(cage: Cage, node: Node,
     constraint matrix, whose row k is D_p v_k for tangent vector v_k, D_p
     being node_differentials.  Its column j is c_j (L_{j,I_j} . v_k), the
     form's chart-local coefficients dotted with v_k, which
-    _differential_rows writes as (c_j / s_j)(A_j . v_k).  Over Q the row is
-    built from linalg._prepared of v_k, a positive multiple of v_k, so
-    each A_j . v_k is an int, and is then scaled by the lcm of the
-    denominators of its n entries.  Scaling a row by a nonzero rational
+    _differential_rows writes as (c_j / s_j)(A_j . v_k), s_j the scale of
+    the whole form.  Over Q the row is built from linalg._prepared of v_k,
+    a positive multiple of v_k, so each A_j . v_k is an int, and is then
+    scaled by the lcm of the denominators of its n entries.  Whichever
+    scale s_j is, the entries before that scaling are c_j (L_{j,I_j} . v_k)
+    times the scale of v_k.  Scaling a row by a nonzero rational
     changes neither the kernel nor the RREF, so linalg._kernel of these
     integer rows is the basis kernel_basis gives for the constraint matrix
     over Q, entry for entry, and no field element is multiplied.  Over
@@ -200,15 +198,17 @@ def tangent_at_node(variety: LambdaMatrix, node: Node) -> TangentSubspace:
 
     Row i of the chart-local Jacobian is sum_j lambda_ij c_j times the
     chart-local coefficients of L_{j,I_j}, which _differential_rows writes
-    as sum_j (lambda_ij c_j / s_j) A_j.  Over Q the row is scaled by the lcm
-    of the denominators of its n coefficients lambda_ij c_j / s_j, which
-    makes every coefficient, and so every entry, an int.  Scaling a row by
-    a nonzero rational changes neither the kernel nor the RREF, so
-    linalg._kernel of these integer rows, D times the canonical basis
-    divided by D, is the basis kernel_basis gives for the Jacobian over Q,
-    entry for entry, and no field element is multiplied.  Over Q[t]/(m)
-    the rows are the same sums in field elements.  A lambda row without n
-    entries raises ShapeError.
+    as sum_j (lambda_ij c_j / s_j) A_j, s_j the scale of the whole form.
+    Over Q the row is scaled by the lcm of the denominators of its n
+    coefficients lambda_ij c_j / s_j, which makes every coefficient, and so
+    every entry, an int.  The row is then the Jacobian row times one
+    nonzero rational, whichever scales s_j the table chose: they change
+    only that factor.  Scaling a row by a nonzero rational changes neither
+    the kernel nor the RREF, so linalg._kernel of these integer rows, D
+    times the canonical basis divided by D, is the basis kernel_basis gives
+    for the Jacobian over Q, entry for entry, and no field element is
+    multiplied.  Over Q[t]/(m) the rows are the same sums in field
+    elements.  A lambda row without n entries raises ShapeError.
     """
     cage = variety.cage
     field, n = cage.field, cage.n

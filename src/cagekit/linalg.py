@@ -336,14 +336,17 @@ SPLIT_SCAN = 200        # primes an extension modulus may try before declining
 _SPLITS: dict = {}      # min_poly -> _split_prime(min_poly)
 
 
+def _mod_p(e: FieldElement, p: int) -> list[int]:
+    """The coefficients of e mod p, each numerator times the inverse of its
+    denominator; ValueError when p divides a denominator."""
+    return [c.numerator * pow(c.denominator, -1, p) % p if c else 0
+            for c in e.coeffs]
+
+
 def _reducer(p: int, powers: tuple[int, ...]):
     """The residue map sending t^k to powers[k] mod p."""
     def reduce(e: FieldElement) -> int:
-        acc = 0
-        for c, w in zip(e.coeffs, powers):
-            if c:
-                acc += c.numerator * w * pow(c.denominator, -1, p)
-        return acc % p
+        return dot(_mod_p(e, p), powers) % p
     return reduce
 
 

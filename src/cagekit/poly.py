@@ -205,13 +205,7 @@ class HomogPoly:
 def monomial_values(one, point: Sequence, monomials: Iterable[Monomial],
                     degree: int) -> list:
     """Values at the point of exponent tuples whose entries are at most
-    `degree`, in the order given, as products starting from `one`.
-
-    The loop is generic in the value type: field elements with
-    one = field.one(), or the integer residues of a point's coordinates
-    with one = 1, whose products are congruent mod p to the residues of
-    the values.
-    """
+    `degree`, in the order given, as products starting from `one`."""
     powers = []
     for x in point:
         col = [one]

@@ -24,7 +24,7 @@ from .inscribe import LambdaMatrix
 from .linalg import (PRIME, Matrix, SubspaceBasis, _integer_kernel,
                      _pivots_mod, _prepared, _rank, _scalars, _scaled_rows,
                      dot, in_span, kernel_basis, rank)
-from .poly import HomogPoly, LinearForm, monomial_basis, monomial_values
+from .poly import HomogPoly, LinearForm, monomial_basis
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -76,37 +76,37 @@ def _infer_field(pts, field) -> FieldDescriptor:
 
 def evaluation_matrix(points, degree: int,
                       field: FieldDescriptor = None) -> EvalMatrix:
-    """Rows indexed by points, columns by monomial_basis(degree, arity).
+    """Rows indexed by points, columns by monomial_basis(degree, arity):
+    the rows _evaluation_rows gives, no row for no point.
 
     The field is read off the points themselves; the keyword exists for
     point lists given as plain rationals.
     """
     pts = _point_tuples(points)
     field = _infer_field(pts, field)
-    if not pts:
-        nv = 1
-    else:
-        nv = len(pts[0])
-        if any(len(p) != nv for p in pts):
-            raise ShapeError("points have inconsistent arity")
-    basis = monomial_basis(degree, nv)
-    one = field.one()
-    rows = [monomial_values(one, pt, basis, degree) for pt in pts]
-    return EvalMatrix(Matrix(field, rows))
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise ShapeError("points have inconsistent arity")
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    return EvalMatrix(Matrix(field, _evaluation_rows(pts, degree)
+                             if pts else []))
 
 
-def _integer_rows(points, degree: int) -> list[list[int]]:
-    """The degree-k evaluation rows of primitive integer points: by the
-    scaling argument in the linalg docstring, each is a nonzero rational
-    multiple of the point's row, with the same rank and kernel."""
+def _evaluation_rows(points, degree: int) -> list[list]:
+    """The degree-k rows of _degree_rows: products of the coordinates, so
+    field elements for points of field elements, and for residues of
+    points products congruent mod p to the residues of the values.  By the
+    scaling argument in the linalg docstring, the row of a primitive
+    integer point is a nonzero rational multiple of the point's row, with
+    the same rank and kernel."""
     return next(islice(_degree_rows(points), degree, None))
 
 
-def _degree_rows(points) -> Iterator[list[list[int]]]:
-    """The evaluation rows of integer points in degrees 0, 1, 2, ..., each
-    row equal to monomial_values of the point.  A degree-k monomial m is
-    x_v times m - e_v, for the first variable x_v of m with a positive
-    exponent, so each value is one coordinate times a degree-(k-1) value."""
+def _degree_rows(points) -> Iterator[list[list]]:
+    """The evaluation rows of the points in degrees 0, 1, 2, ..., in the
+    order of monomial_basis.  A degree-k monomial m is x_v times m - e_v,
+    for the first variable x_v of m with a positive exponent, so each value
+    is one coordinate times a degree-(k-1) value, starting from 1."""
     nv = len(points[0])
     rows, k = [[1] for _ in points], 0
     while True:
@@ -124,20 +124,19 @@ def _degree_rows(points) -> Iterator[list[list[int]]]:
 def _evaluation_rank(points, degree: int, field: FieldDescriptor) -> int:
     """Rank of the degree-k evaluation matrix of a point list, 0 when it is
     empty, given as _distinct_points or Cage._node_keys gives it: over Q
-    primitive integer vectors.  That is linalg._rank of the integer rows
-    over Q.  Over Q[t]/(m) the residue rows are monomials evaluated at the
-    residues of the points, and the exact evaluation matrix is built only
-    when their ranks fall short."""
+    primitive integer vectors.  That is linalg._rank of the
+    _evaluation_rows of the points over Q.  Over Q[t]/(m) the residue rows
+    are the _evaluation_rows of the residues of the points, and the exact
+    evaluation matrix is built only when their ranks fall short."""
     if not points:
         return 0
     if field.kind == "rationals":
-        return _rank(field, _integer_rows(points, degree))
-    basis = monomial_basis(degree, len(points[0]))
+        return _rank(field, _evaluation_rows(points, degree))
     return _rank(
         field,
         lambda: _scaled_rows(evaluation_matrix(points, degree, field).matrix),
-        lambda reduce: [monomial_values(1, [reduce(c) for c in pt], basis,
-                                        degree) for pt in points])
+        lambda reduce: _evaluation_rows(
+            [[reduce(c) for c in pt] for pt in points], degree))
 
 
 def _node_rank(cage: Cage, selection, degree: int) -> int:

@@ -21,7 +21,7 @@ from cagekit.inscribe import (
     tangent_at_node,
     transport_tangent,
 )
-from cagekit import inscribe, linalg
+from cagekit import cage as cage_module, inscribe, linalg
 from cagekit.linalg import (Matrix, SubspaceBasis, kernel_basis, rank,
                             span_equal)
 from cagekit.poly import HomogPoly, LinearForm
@@ -142,18 +142,32 @@ def test_node_differentials_match_expanded_jacobian():
             assert node_differentials(cage, node).entries == expected
 
 
-def assert_cofactor_table_matches_the_oracle(cage):
-    # every node's cofactors, against products of Fraction dot products at
-    # the oracle's own canonical node
-    groups = [[[c.as_fraction() for c in form.coeffs] for form in group]
-              for group in cage.groups]
+def assert_cofactor_table_matches_the_oracle(cage, groups, point_of):
+    # every node's rows (c_j / s_j, s_j L_{j,I_j}) multiply out to the
+    # oracle's cofactor c_j times the form's coefficients, at the point
+    # point_of gives the node; each form's row is built once and shared
     table = cage._node_cofactors()
     assert sorted(table) == [node.index for node in cage.nodes()]
+    shared = {}
     for node in cage.nodes():
+        expected = oracles.cofactors(groups, node.index, point_of(node))
+        for j, (hit, (c, vector), c_j) in enumerate(
+                zip(node.index, table[node.index], expected)):
+            assert [c * a for a in vector] == [c_j * x
+                                               for x in groups[j][hit - 1]]
+            assert shared.setdefault((j, hit), vector) is vector
+
+
+def assert_cofactor_table_matches_the_oracle_over_q(cage):
+    # over plain Fractions, at the oracle's own canonical node
+    groups = [[[c.as_fraction() for c in form.coeffs] for form in group]
+              for group in cage.groups]
+
+    def point_of(node):
         point = oracles.canonical_node(groups, node.index)
         assert [x.as_fraction() for x in node.point] == point
-        assert list(table[node.index]) == oracles.cofactors(
-            groups, node.index, point)
+        return point
+    assert_cofactor_table_matches_the_oracle(cage, groups, point_of)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -161,9 +175,7 @@ def test_cofactor_table_matches_the_oracle_over_q(n):
     # d = 1 has one node, whose cofactors are the empty product 1
     for d in range(1, 6):
         cage = random_cage(600 + 10 * n + d, d, n)
-        assert_cofactor_table_matches_the_oracle(cage)
-        if d == 1:
-            assert cage._node_cofactors()[(1,) * n] == (F.one(),) * n
+        assert_cofactor_table_matches_the_oracle_over_q(cage)
 
 
 def with_denominators(base):
@@ -185,7 +197,7 @@ def test_cofactor_table_scales_back_forms_with_denominators(seed, d, n):
     # table divides those scales back out
     base = random_cage(seed, d, n)
     cage = with_denominators(base)
-    assert_cofactor_table_matches_the_oracle(cage)
+    assert_cofactor_table_matches_the_oracle_over_q(cage)
     assert cage._node_cofactors() != base._node_cofactors()
 
 
@@ -214,13 +226,11 @@ def test_cofactor_table_matches_the_oracle_over_number_fields(cage):
     # random cages' nodes exercise the inverse
     cage = cage()
     groups = [[form.coeffs for form in group] for group in cage.groups]
+    assert_cofactor_table_matches_the_oracle(cage, groups,
+                                             lambda node: node.point)
     table = cage._node_cofactors()
-    assert sorted(table) == [node.index for node in cage.nodes()]
-    for node in cage.nodes():
-        expected = oracles.cofactors(groups, node.index, node.point)
-        assert list(table[node.index]) == expected
     assert cage.d == 1 or any(not c.is_rational()
-                              for row in table.values() for c in row)
+                              for row in table.values() for c, _ in row)
 
 
 def test_cofactor_table_is_built_only_when_a_node_is_visited():
@@ -248,6 +258,52 @@ def test_inscription_evaluates_no_form(monkeypatch):
         assert tangent_at_node(variety, cage.node((3, 1, 2))).dim == 1
         forced = propagate_tangents(cage, node, tangent)
         assert len(forced) == 27
+
+
+def test_differential_rows_prepare_nothing(monkeypatch):
+    # with the table built, every node's rows are read from it: inside
+    # _differential_rows no form is prepared or converted, and the rows
+    # and tangents come out as before
+    cages = [with_denominators(random_cage(61, 3, 2)),
+             random_sqrt2_cage(73, 2, 3),
+             build_demo("fermat-cubic-surface").cage]
+    for cage in cages:
+        cage._node_cofactors()
+    inside = []
+    real_rows = inscribe._differential_rows
+
+    def rows(cage, node):
+        inside.append(True)
+        try:
+            return real_rows(cage, node)
+        finally:
+            inside.pop()
+
+    def guarded(name, original):
+        def wrapper(*args):
+            assert not inside, f"_differential_rows called {name}"
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(inscribe, "_differential_rows", rows)
+    for module in (inscribe, linalg, cage_module):
+        for name in ("_prepared", "_scalars"):
+            monkeypatch.setattr(module, name,
+                                guarded(name, getattr(linalg, name)))
+    for cage in cages:
+        groups = [[form.coeffs for form in group] for group in cage.groups]
+        for node in cage.nodes():
+            expected = oracles.cofactors(groups, node.index, node.point)
+            chart = chart_of(node)
+            assert node_differentials(cage, node).entries == tuple(
+                tuple(c * x for i, x in enumerate(groups[j][hit - 1])
+                      if i != chart)
+                for j, (hit, c) in enumerate(zip(node.index, expected)))
+        node = cage.nodes()[-1]
+        tangent = make_tangent(node, [[1] + [0] * (cage.n - 1)])
+        forced = propagate_tangents(cage, node, tangent)
+        assert forced[node.index].basis == tangent.basis
+        assert len(forced) == cage.d ** cage.n
 
 
 def test_node_differentials_reject_points_off_the_cage():

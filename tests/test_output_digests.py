@@ -6,10 +6,13 @@ elimination at rank-deficient degrees (Hilbert tables of the full grid, the
 fubini slices, Cayley-Bacharach and the counterexample's kernels), so a
 change to any rank, kernel basis or report shows here.  The inscription
 pins cover every node's differentials: `propagate` reads a tangent at each
-node, on random cages over Q and on a number-field demo cage.  The
-random_cage pins cover the cages and attempt counts of fifty seeds per
-shape.  The node pins cover every node point: `cagekit nodes` for all
-nodes, and the JSON of the simplicial and supra-simplicial selections.
+node, on random cages over Q and on a number-field demo cage.  Those cages
+have integer forms, so the scaled-inscription pins add an inscription at
+every node of a cage whose forms carry denominators and of a Q(sqrt 2)
+cage.  The random_cage pins cover the cages and attempt counts of fifty
+seeds per shape.  The node pins cover every node point: `cagekit nodes`
+for all nodes, and the JSON of the simplicial and supra-simplicial
+selections.
 """
 
 import hashlib
@@ -22,9 +25,12 @@ from cagekit import cayley_bacharach_check, random_cage
 from cagekit.cage import simplicial_indices, supra_simplicial_indices
 from cagekit.cli import main
 from cagekit.demos import build_demo
-from cagekit.inscribe import make_tangent, propagate_tangents
+from cagekit.inscribe import (inscribe_with_tangent, make_tangent,
+                              propagate_tangents)
 from cagekit.serialize import (cage_to_json, node_to_json, report_to_json,
-                               tangent_to_json)
+                               tangent_to_json, variety_to_json)
+from test_inscribe import (random_fractional_tangent, random_sqrt2_cage,
+                           with_denominators)
 
 # (n, d) -> random_cage seed
 CAGES = {(2, 5): 205, (3, 3): 303}
@@ -93,6 +99,20 @@ NODE_DIGESTS = {
 
 FERMAT_CUBIC_TANGENTS_DIGEST = (
     "199282394567a64b6e443c6d061f1a2637bc4f4a6ef35c454adfa25b18f19ea8")
+
+# name -> cage, and the digest of [variety_to_json, forced tangents] for an
+# inscription at each of its nodes
+SCALED_CAGES = {
+    "denominators": lambda: with_denominators(random_cage(61, 3, 2)),
+    "sqrt2": lambda: random_sqrt2_cage(73, 2, 3),
+}
+
+SCALED_INSCRIPTION_DIGESTS = {
+    "denominators":
+        "c14bde1766768ff78a35f9397de736cab28069cc2d262a57beac8aa23cc993f7",
+    "sqrt2":
+        "e13fe58a0fe0e2c4204280fe95210294e8c1171fc38bc8a03a2d769feaecafab",
+}
 
 # (n, d) -> digest of [attempts, cage_to_json] for seeds 1..50
 RANDOM_CAGE_DIGESTS = {
@@ -173,6 +193,21 @@ def test_number_field_tangents_are_unchanged():
         cage, node, make_tangent(node, [(1, 0, 1), (0, 1, 2)]))
     tangents = [tangent_to_json(forced[i]) for i in sorted(forced)]
     assert sha256(json.dumps(tangents)) == FERMAT_CUBIC_TANGENTS_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_INSCRIPTION_DIGESTS))
+def test_scaled_inscription_is_unchanged(name):
+    # a tangent of dimension n - 1 with fractional entries at every node
+    cage = SCALED_CAGES[name]()
+    rng = random.Random(8)
+    docs = []
+    for node in cage.nodes():
+        tangent = random_fractional_tangent(rng, node, cage.n - 1)
+        forced = propagate_tangents(cage, node, tangent)
+        docs.append([
+            variety_to_json(inscribe_with_tangent(cage, node, tangent)),
+            [tangent_to_json(forced[i]) for i in sorted(forced)]])
+    assert sha256(json.dumps(docs)) == SCALED_INSCRIPTION_DIGESTS[name]
 
 
 @pytest.mark.parametrize("n, d", sorted(RANDOM_CAGE_DIGESTS))

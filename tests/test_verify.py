@@ -29,6 +29,7 @@ from cagekit.cli import main
 from cagekit.demos import build_demo
 from cagekit.errors import ReducibleModulusError
 from cagekit.field import FieldElement
+from cagekit.poly import monomial_values
 from cagekit.serialize import cage_to_json, check_to_json, report_to_json
 
 
@@ -381,7 +382,7 @@ def matrix_path(points, k):
 
 def integer_path(points, k):
     pts, _ = verify._distinct_points(points, Q)
-    rows = verify._integer_rows(pts, k)
+    rows = verify._evaluation_rows(pts, k)
     kernel = verify._integer_kernel(rows, len(rows[0]))
     return verify._evaluation_rank(pts, k, Q), normalized(kernel)
 
@@ -459,9 +460,18 @@ def test_degree_rows_equal_monomial_values():
                   for _ in range(7)] + [(0,) * (nv - 1) + (1,)]
         for k, rows in zip(range(7), verify._degree_rows(points)):
             basis = verify.monomial_basis(k, nv)
-            assert rows == [verify.monomial_values(1, pt, basis, k)
+            assert rows == [monomial_values(1, pt, basis, k)
                             for pt in points]
-            assert rows == verify._integer_rows(points, k)
+            assert rows == verify._evaluation_rows(points, k)
+    # the same path builds the evaluation matrix over a number field
+    sqrt2 = FieldDescriptor.extension([-2, 0, 1])
+    points = [tuple(sqrt2.element([rng.randint(-3, 3), rng.randint(-3, 3)])
+                    for _ in range(3)) for _ in range(4)]
+    for k in range(4):
+        basis = verify.monomial_basis(k, 3)
+        assert evaluation_matrix(points, k).matrix.entries == tuple(
+            tuple(monomial_values(sqrt2.one(), pt, basis, k))
+            for pt in points)
 
 
 if given is not None:
