@@ -25,10 +25,11 @@ from cagekit.inscribe import (inscribe_with_tangent, make_tangent,
 from cagekit.linalg import SubspaceBasis, kernel_basis, span_equal
 from cagekit.poly import HomogPoly
 from cagekit.verify import (cayley_bacharach_check, evaluation_matrix,
-                            fubini_slice_check, independence_counterexample,
+                            independence_counterexample,
                             verify_simplicial_rigidity,
                             verify_supra_interpolation)
 from cagekit.viete import Configuration, coefficient_cage, node_matches_roots
+from test_verify import fubini_disagreements
 
 SHAPES = ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4),
           (4, 2), (4, 3))
@@ -167,8 +168,9 @@ def test_criterion_06_fubini(announce):
     for i in range(10):
         n, d = shapes[i % len(shapes)]
         cage = random_cage(6000 + i, d, n)
-        report = fubini_slice_check(cage)
-        ok = ok and report.passed
+        # the check proves its values from validation; the tables
+        # eliminated here must agree with them and with the grid series
+        ok = ok and fubini_disagreements(cage) == []
     announce(6, "node-set Hilbert functions add up across first-color "
              "slices at every degree (10 cages)", ok, started, 10)
 

@@ -297,8 +297,8 @@ def test_kernel_self_check_exits_3(square_cage, monkeypatch, capsys):
 
 def test_hilbert_kernel_self_check_exits_3(tmp_path, monkeypatch, capsys):
     # a wrong row only in the wider eliminations, the Hilbert tables' exact
-    # kernels, passes validation and fails the slice check's tables: the
-    # nine nodes of a 3x3 grid have rank 8 in degree 3
+    # kernels, passes validation and fails the table: the nine nodes of a
+    # 3x3 grid have rank 8 in degree 3
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(cage_to_json(
         axis_cage(F, [(0, 0), (1, 2), (2, 1)]))))
@@ -311,7 +311,7 @@ def test_hilbert_kernel_self_check_exits_3(tmp_path, monkeypatch, capsys):
         return rows, pivots
     monkeypatch.setattr(linalg, "_fraction_free", wrong)
     assert_internal_error(
-        capsys, ["verify", "--cage", str(path), "--checks", "all"],
+        capsys, ["hilbert", "--cage", str(path), "--max-k", "4"],
         "kernel vector check failed")
 
 

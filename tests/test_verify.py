@@ -31,6 +31,7 @@ from cagekit.errors import ReducibleModulusError
 from cagekit.field import FieldElement
 from cagekit.poly import monomial_values
 from cagekit.serialize import cage_to_json, check_to_json, report_to_json
+from test_inscribe import random_sqrt2_cage
 
 
 Q = FieldDescriptor.rationals()
@@ -583,8 +584,9 @@ def test_supra_certificate_matches_exact_path(n, d):
 @pytest.mark.parametrize("which", ["rationals", "fermat-cubic-surface"])
 def test_supra_interpolation_takes_no_rank(monkeypatch, tmp_path, which):
     # on a validated cage the supra and simplicial checks read their ranks
-    # off the selection sizes: no rank is taken, nothing is eliminated, and
-    # the command line prints the same checks
+    # off the selection sizes and slice additivity builds no table: no rank
+    # is taken, nothing is eliminated, and the command line prints the same
+    # checks
     cage = (random_cage(71, 3, 2) if which == "rationals"
             else build_demo(which).cage)
     cage.validate()
@@ -595,7 +597,7 @@ def test_supra_interpolation_takes_no_rank(monkeypatch, tmp_path, which):
         raise AssertionError("no node rank may be taken")
 
     with monkeypatch.context() as m:
-        for name in ("_evaluation_rank", "_node_rank", "_hilbert_table",
+        for name in ("_evaluation_rank", "_node_rank", "hilbert_table",
                      "evaluation_matrix", "_rank", "rank", "_pivots_mod",
                      "_integer_kernel", "kernel_basis", "in_span"):
             m.setattr(verify, name, forbidden)
@@ -607,7 +609,7 @@ def test_supra_interpolation_takes_no_rank(monkeypatch, tmp_path, which):
         report = verify_supra_interpolation(cage)
         simplicial = verify._simplicial_checks(cage)
         suite = run_suite(cage, ("validation", "interpolation",
-                                 "minimality", "rigidity"))
+                                 "minimality", "rigidity", "fubini"))
     assert [c.name for c in report.checks] == [
         "supra-evaluation-rank", "kernel-dimension",
         "kernel-equals-group-span", "kernel-vanishes-on-all-nodes"]
@@ -620,7 +622,11 @@ def test_supra_interpolation_takes_no_rank(monkeypatch, tmp_path, which):
         assert check_by_name(report, name).details["kernel-dim"] == cage.n
     assert simplicial[2].details == {
         "rank": len(simp), "size": math.comb(cage.d + cage.n - 1, cage.n)}
-    assert suite.checks[1:] == report.checks + simplicial
+    assert suite.checks[1:-1] == report.checks + simplicial
+    fubini = suite.checks[-1]
+    assert (fubini.name, fubini.passed, fubini.witness) \
+        == ("slice-additivity", True, None)
+    assert fubini.details == {"k-max": cage.d ** cage.n, "mismatches": []}
     path, out = tmp_path / "cage.json", tmp_path / "report.json"
     path.write_text(json.dumps(cage_to_json(cage)))
     assert main(["verify", "--cage", str(path), "--checks",
@@ -772,9 +778,41 @@ def test_fubini_unit_square_hand_values():
     assert full[1] == s1[1] + s2[0]
 
 
+def fubini_disagreements(cage):
+    """Where the tables hilbert_table eliminates for the full grid and its
+    first-color slices, up to the node count, disagree with the grid series
+    of the complete intersection, with each other, or with the report
+    fubini_slice_check proves from validation; empty when nothing does."""
+    d, n = cage.d, cage.n
+    k_max = d ** n
+    nodes = cage.nodes()
+    full = hilbert_table(nodes, k_max)
+    slices = [hilbert_table([nd for nd in nodes if nd.index[0] == s], k_max)
+              for s in range(1, d + 1)]
+    out = []
+    if full != tuple(oracles.grid_hilbert(d, n, k) for k in range(k_max + 1)):
+        out.append(("full", full))
+    sliced = tuple(oracles.grid_hilbert(d, n - 1, k) for k in range(k_max + 1))
+    out += [("slice", s, t) for s, t in enumerate(slices, 1) if t != sliced]
+    out += [("additivity", k) for k in range(k_max + 1)
+            if full[k] != sum(t[k - s] for s, t in enumerate(slices)
+                              if k >= s)]
+    report = fubini_slice_check(cage)
+    if not report.passed or report.checks[0].details != {
+            "k-max": k_max, "mismatches": []}:
+        out.append(("report", report.checks[0].details))
+    return out
+
+
 def test_fubini_random_cages():
-    assert fubini_slice_check(random_cage(41, 3, 2)).passed
-    assert fubini_slice_check(random_cage(42, 2, 3)).passed
+    # the values the check proves are those elimination finds, over Q and
+    # over number fields
+    cages = [random_cage(seed, d, n) for seed in (41, 42)
+             for d, n in ((1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4),
+                          (4, 2), (3, 3))]
+    cages += [build_demo("fermat-conic").cage, random_sqrt2_cage(73, 2, 3)]
+    for cage in cages:
+        assert fubini_disagreements(cage) == [], cage.summary()
 
 
 def test_cayley_bacharach_d2_single_node():
@@ -809,6 +847,20 @@ def test_cayley_bacharach_range_and_shape_errors():
     solid_part = ([n.index for n in solid.nodes()], [])
     with pytest.raises(ValueError):
         cayley_bacharach_check(solid, solid_part, 0)
+
+
+def test_cayley_bacharach_rejects_a_repeated_index():
+    # a part that names a node twice would count it twice in |X2| and
+    # fail a valid cage; both entry points refuse it as a partition
+    cage = random_cage(41, 3, 2)
+    idx = [nd.index for nd in cage.nodes()]
+    assert cayley_bacharach_check(cage, (idx[:4], idx[4:]), 0).passed
+    for part in ((idx[:4], idx[4:] + [idx[-1]]),
+                 (idx[:4] + [idx[0]], idx[4:]), (idx[:5], idx[4:])):
+        with pytest.raises(ValueError, match="partition must split"):
+            cayley_bacharach_check(cage, part, 0)
+        with pytest.raises(ValueError, match="partition must split"):
+            cayley_bacharach_pair(Q, *cage.groups, part, 0)
 
 
 def test_cayley_bacharach_pair_matches_cage_check():
@@ -893,10 +945,10 @@ def test_smoothness_refuses_a_cage_that_fails_validation():
 
 
 def test_node_checks_refuse_a_cage_that_fails_validation():
-    # the supra and simplicial ranks are proved from validation, so a
-    # broken cage gets no report from them either
+    # the supra and simplicial ranks and slice additivity are proved from
+    # validation, so a broken cage gets no report from them either
     for check in (verify_supra_interpolation, verify_degree_minimality,
-                  verify_simplicial_rigidity):
+                  verify_simplicial_rigidity, fubini_slice_check):
         cage = cage_module.Cage(Q, [
             [LinearForm(Q, [1, 0, 0]), LinearForm(Q, [1, 0, 0])],
             [LinearForm(Q, [0, 1, 0]), LinearForm(Q, [0, 1, -1])]])
@@ -1132,9 +1184,9 @@ def test_counterexample_reads_ranks_not_kernels(monkeypatch):
 
 
 def test_cage_tables_read_the_node_keys(monkeypatch):
-    # slice tables and the cage's Cayley-Bacharach ranks take the nodes as
-    # validation keyed them; only a plain line pair normalizes its points,
-    # once
+    # slice additivity counts the keys, and the cage's Cayley-Bacharach
+    # ranks take the nodes as validation keyed them; only a plain line pair
+    # normalizes its points, once
     cage = random_cage(41, 3, 2)
     indices = [nd.index for nd in cage.nodes()]
     part = (indices[::2], indices[1::2])
