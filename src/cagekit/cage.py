@@ -142,7 +142,9 @@ def _require_units(field: FieldDescriptor, forms, keys: dict):
     """Over Q[t]/(m), raise ReducibleModulusError unless every form of a
     valid cage takes a unit value at every node it does not index.
 
-    forms are the forms validate() prepared and keys its node keys.  A
+    forms are the forms validate() prepared, by color, and keys its node
+    keys, by index; verify.cayley_bacharach_pair passes its two line
+    families and their intersection points the same way.  A
     value whose residue is nonzero at every residue map of the field is
     nonzero in every factor of Q[t]/(m), hence a unit: every factor owns a
     root of m mod p and the map at that root factors through it, as the

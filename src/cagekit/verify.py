@@ -6,9 +6,11 @@ the interpolation, minimality and rigidity checks rest on are proved from
 validation alone, by the Lemma in verify_supra_interpolation's docstring,
 and none is computed.  So is slice additivity, by that Lemma and the
 complete-intersection count in fubini_slice_check's docstring, and no
-Hilbert table is computed for it.  Results come back as structured reports
-whose every numeric claim (ranks, dimensions, cardinalities) can be
-recomputed from the cage alone.
+Hilbert table is computed for it.  That count is also h of the whole point
+set in the Cayley-Bacharach checks, which rank only the two parts of their
+partition.  Results come back as structured reports whose every numeric
+claim (ranks, dimensions, cardinalities) can be recomputed from the cage
+alone.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
-from .cage import (Cage, Node, NodeSelection, _point_key, all_indices,
-                   canonical_point, simplicial_indices,
+from .cage import (Cage, Node, NodeSelection, _point_key, _require_units,
+                   all_indices, canonical_point, simplicial_indices,
                    supra_simplicial_indices)
 from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
@@ -471,13 +473,17 @@ def _split(partition, points: dict, what: str):
 def _cayley_bacharach(points: dict, partition, k: int, socle: int,
                       what: str, field: FieldDescriptor):
     """Both sides of the splitting identity for a bipartition X = X1 + X2
-    of the points, keyed as _distinct_points or Cage._key_table gives
-    them: h_X(k) - h_X1(k) and |X2| - h_X2(socle-k), with the part
-    sizes."""
+    of the points of a grid, keyed by their 1-based index (i, j) and
+    valued as _distinct_points or Cage._key_table gives them:
+    h_X(k) - h_X1(k) and |X2| - h_X2(socle-k), with the part sizes.
+
+    h_X(k) is the complete-intersection count #{(i, j) in X : i + j - 2
+    <= k}, which both callers prove in their docstrings, so only the two
+    parts are ranked."""
     if not 0 <= k <= socle:
         raise ValueError(f"degree {k} outside [0, {socle}]")
     x1, x2 = _split(partition, points, what)
-    h_x = _evaluation_rank(list(points.values()), k, field)
+    h_x = sum(1 for index in points if sum(index) - 2 <= k)
     h_x1 = _evaluation_rank(x1, k, field)
     h_x2 = _evaluation_rank(x2, socle - k, field)
     return h_x - h_x1, len(x2) - h_x2, [len(x1), len(x2)]
@@ -490,6 +496,12 @@ def cayley_bacharach_check(cage: Cage, partition, k: int) -> VerificationReport:
     0 <= k <= 2d-3, the failure of X1 to impose independent conditions in
     degree k equals the failure of X2 in the complementary degree 2d-3-k:
     h_X(k) - h_X1(k) = |X2| - h_X2(2d-3-k).
+
+    Only X1 and X2 are ranked; a cage that failed validation raises
+    MustValidateError.  h_X(k) is c_2(k) = #{I in [1, d]^2 : |I| - 2 <= k},
+    by fubini_slice_check's argument with n = 2: the Lemma in
+    verify_supra_interpolation's docstring bounds it from below, and the
+    two group products, a regular sequence, bound it from above.
     """
     cage.validate()
     if cage.n != 2:
@@ -535,11 +547,42 @@ def cayley_bacharach_pair(field: FieldDescriptor,
     cayley_bacharach_check shares the core rather than calling this: a
     plane cage's nodes are already the validated intersections of its two
     colors, and transversal_points would recompute them with d^2 kernels.
+
+    Only the two parts are ranked.  h_X(k) is the count
+    #{(i, j) in [1, d] x [1, e] : i + j - 2 <= k}, by the cage's argument
+    (fubini_slice_check, n = 2) with a_i and b_j as the two colors.
+
+    Incidence.  transversal_points checks that each pair a_i, b_j meets in
+    exactly one point and that all d*e points are distinct.  So the point
+    (i', j') lies on a_i only when i = i': otherwise it lies on a_i and
+    b_j', whose one common point is (i, j'), and (i, j') and (i', j') would
+    coincide.  Likewise for b_j.  Over Q a nonzero value is a unit.  Over
+    Q[t]/(m) the values a_i(i', j') with i != i' and b_j(i', j') with
+    j != j' must be units, or m reducible can make one zero in one factor
+    of Q[t]/(m); cage._require_units proves them units or raises
+    ReducibleModulusError, at every k.
+
+    Lower bound.  With that incidence, the Lemma in
+    verify_supra_interpolation's docstring runs on the pair as on a cage
+    with colors a and b: its triangular matrix has a unit diagonal, so
+    h_X(k) is at least the count.
+
+    Upper bound.  Over an algebraic closure a common zero of prod a_i and
+    prod b_j lies on some a_i and some b_j, which meet only at (i, j):
+    transversal_points proves that with a kernel, which inverts its pivots,
+    so it holds in every factor and over the closure.  So the two products
+    cut out finitely many points and are a regular sequence, with Hilbert
+    series (1 + ... + t^(d-1)) (1 + ... + t^(e-1)) / (1 - t), whose t^k
+    coefficient is the count; they vanish on X, so the count bounds h_X(k)
+    from above.
     """
     d, e = len(lines_a), len(lines_b)
     socle = d + e - 3
     points = transversal_points(field, lines_a, lines_b)
     keys = dict(zip(points, _distinct_points(points.values(), field)[0]))
+    if field.kind != "rationals":
+        _require_units(field, [[line.coeffs for line in lines]
+                               for lines in (lines_a, lines_b)], keys)
     lhs, rhs, _ = _cayley_bacharach(keys, partition, k, socle,
                                     "intersection grid", field)
     return VerificationReport(

@@ -25,7 +25,7 @@ from cagekit.inscribe import (inscribe_with_tangent, make_tangent,
 from cagekit.linalg import SubspaceBasis, kernel_basis, span_equal
 from cagekit.poly import HomogPoly
 from cagekit.verify import (cayley_bacharach_check, evaluation_matrix,
-                            independence_counterexample,
+                            hilbert_function, independence_counterexample,
                             verify_simplicial_rigidity,
                             verify_supra_interpolation)
 from cagekit.viete import Configuration, coefficient_cage, node_matches_roots
@@ -153,9 +153,14 @@ def test_criterion_05_cayley_bacharach(announce):
             chosen = set(rng.sample(indices, m))
             partition = ([i for i in indices if i in chosen],
                          [i for i in indices if i not in chosen])
+            nodes = cage.nodes()
+            x1 = [nd for nd in nodes if nd.index in chosen]
             for k in range(2 * d - 2):
                 report = cayley_bacharach_check(cage, partition, k)
-                ok = ok and report.passed
+                # the check counts h of all nodes; eliminate it here
+                lhs = report.checks[0].details["lhs"]
+                ok = ok and report.passed and lhs == (
+                    hilbert_function(nodes, k) - hilbert_function(x1, k))
     announce(5, "the interpolation defect of one part equals the size of "
              "the other minus its complementary-degree rank (60 random "
              "partitions, every admissible degree)", ok, started, 20)

@@ -3,16 +3,18 @@
 Each digest is the sha256 of a command's standard output, or of the JSON of
 a report, on seeded random cages over Q.  These paths reach exact
 elimination at rank-deficient degrees (Hilbert tables of the full grid, the
-fubini slices, Cayley-Bacharach and the counterexample's kernels), so a
-change to any rank, kernel basis or report shows here.  The inscription
-pins cover every node's differentials: `propagate` reads a tangent at each
-node, on random cages over Q and on a number-field demo cage.  Those cages
-have integer forms, so the scaled-inscription pins add an inscription at
-every node of a cage whose forms carry denominators and of a Q(sqrt 2)
-cage.  The random_cage pins cover the cages and attempt counts of fifty
-seeds per shape.  The node pins cover every node point: `cagekit nodes`
-for all nodes, and the JSON of the simplicial and supra-simplicial
-selections.
+two parts of a Cayley-Bacharach partition and the counterexample's
+kernels), so a change to any rank, kernel basis or report shows here.  The
+fubini slices and Cayley-Bacharach's h of the whole grid are proved from
+validation and eliminate nothing; their reports are pinned all the same.
+The inscription pins cover every node's differentials: `propagate` reads a
+tangent at each node, on random cages over Q and on a number-field demo
+cage.  Those cages have integer forms, so the scaled-inscription pins add
+an inscription at every node of a cage whose forms carry denominators and
+of a Q(sqrt 2) cage.  The random_cage pins cover the cages and attempt
+counts of fifty seeds per shape.  The node pins cover every node point:
+`cagekit nodes` for all nodes, and the JSON of the simplicial and
+supra-simplicial selections.
 """
 
 import hashlib

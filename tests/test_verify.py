@@ -892,6 +892,80 @@ def test_cayley_bacharach_pair_mixed_degrees():
         assert cayley_bacharach_pair(Q, lines_a, lines_b, part, k).passed
 
 
+def random_line_pair(rng, d, e):
+    # integer lines, redrawn until every pair meets in one point and the
+    # d * e points are distinct
+    while True:
+        lines = [[LinearForm(Q, [rng.randint(-4, 4) for _ in range(3)])
+                  for _ in range(count)] for count in (d, e)]
+        try:
+            return lines, transversal_points(Q, *lines)
+        except ValueError:
+            continue
+
+
+def cayley_bacharach_grids(rng):
+    # (name, check(part, k), grid index -> point, socle): the cage check
+    # on random plane cages over Q and Q(sqrt 2), the pair on the colors of
+    # the d = 3 ones, and the pair on random lines of mixed degrees
+    grids = []
+    cages = [random_cage(rng.randrange(10 ** 6), d, 2) for d in range(2, 7)]
+    cages.append(random_sqrt2_cage(75, 3, 2))
+    for cage in cages:
+        points = {nd.index: nd.point for nd in cage.nodes()}
+        grids.append((f"cage {cage.summary()}",
+                      lambda part, k, c=cage: cayley_bacharach_check(
+                          c, part, k), points, 2 * cage.d - 3))
+        if cage.d == 3:
+            grids.append((f"pair {cage.summary()}",
+                          lambda part, k, c=cage: cayley_bacharach_pair(
+                              c.field, *c.groups, part, k), points, 3))
+    for d, e in ((2, 3), (3, 5), (5, 2)):
+        lines, points = random_line_pair(rng, d, e)
+        grids.append((f"lines {d}x{e}",
+                      lambda part, k, ab=lines: cayley_bacharach_pair(
+                          Q, *ab, part, k), points, d + e - 3))
+    return grids
+
+
+def test_cayley_bacharach_count_matches_eliminated_rank():
+    # h_X(k) is the complete-intersection count, not a rank: with X1 empty
+    # lhs is that count, and with a random X1 it is h_X(k) - h_X1(k); both
+    # must equal the ranks hilbert_function eliminates
+    rng = random.Random(97)
+    for name, check, points, socle in cayley_bacharach_grids(rng):
+        indices = list(points)
+        chosen = set(rng.sample(indices, rng.randint(1, len(indices) - 1)))
+        for k in range(socle + 1):
+            h_x = hilbert_function(list(points.values()), k)
+            for x1 in ([], [i for i in indices if i in chosen]):
+                part = (x1, [i for i in indices if i not in x1])
+                details = check(part, k).checks[0].details
+                expected = h_x - hilbert_function([points[i] for i in x1], k)
+                assert details["lhs"] == expected, (name, x1, k)
+
+
+def test_cayley_bacharach_ranks_only_the_parts(monkeypatch):
+    # neither entry point ranks the whole grid: each degree ranks X1 and
+    # X2 once each, and nothing else
+    sizes = []
+    real = verify._evaluation_rank
+
+    def recording(points, degree, field):
+        sizes.append(len(points))
+        return real(points, degree, field)
+
+    monkeypatch.setattr(verify, "_evaluation_rank", recording)
+    for name, check, points, socle in cayley_bacharach_grids(
+            random.Random(98)):
+        indices = list(points)
+        part = (indices[:3], indices[3:])
+        for k in range(socle + 1):
+            assert check(part, k).passed, (name, k)
+        assert sizes == [3, len(indices) - 3] * (socle + 1), name
+        sizes.clear()
+
+
 def test_transversal_points_rejects_concurrent_lines():
     with pytest.raises(ValueError):
         transversal_points(Q, [LinearForm(Q, [1, 0, 0])],
@@ -1022,6 +1096,26 @@ def test_units_off_hyperplanes_from_residues_or_inversion(monkeypatch):
         assert again._key_table() == before._key_table()
     with pytest.raises(ReducibleModulusError):
         zero_divisor_cage().validate()
+
+
+def test_cayley_bacharach_pair_zero_divisor_raises_at_every_k():
+    # over Q[t]/(t^2 - 1) every a-line meets every b-line in one point and
+    # the six points are distinct, but x + (t - 1) z takes the zero divisor
+    # t - 1 on x = 0, and at t = 1 the two a-lines coincide; the count
+    # needs unit values off the lines, so every degree raises, k = 0 too
+    t, one, zero = SPLIT.generator(), SPLIT.one(), SPLIT.zero()
+    lines_a = [LinearForm(SPLIT, [one, zero, zero]),
+               LinearForm(SPLIT, [one, zero, t - one])]
+    lines_b = [LinearForm(SPLIT, [zero, one, SPLIT.from_rational(-c)])
+               for c in range(3)]
+    keys = list(transversal_points(SPLIT, lines_a, lines_b))
+    for k in range(3):
+        with pytest.raises(ReducibleModulusError, match="reducible"):
+            cayley_bacharach_pair(SPLIT, lines_a, lines_b,
+                                  (keys[:3], keys[3:]), k)
+    with pytest.raises(ValueError, match="coincides"):
+        transversal_points(Q, [LinearForm(Q, [1, 0, 0])] * 2,
+                           [LinearForm(Q, [0, 1, -c]) for c in range(3)])
 
 
 def test_smoothness_proof_matches_node_jacobian_ranks():
