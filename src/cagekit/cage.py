@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import CageValidationError, MustValidateError, ShapeError
@@ -138,41 +139,61 @@ def _point_key(field: FieldDescriptor, row: Sequence) -> tuple:
     return canonical_point(row)
 
 
-def _require_units(field: FieldDescriptor, forms, keys: dict):
-    """Over Q[t]/(m), raise ReducibleModulusError unless every form of a
-    valid cage takes a unit value at every node it does not index.
+def _prove_off_hyperplane(field: FieldDescriptor, forms, keys, failures):
+    """Test once each value a form takes at a node its index does not name:
+    append an incidence failure for each zero value, in node order, then
+    color and form order, and prove every other value a unit.
 
     forms are the forms validate() prepared, by color, and keys its node
     keys, by index; verify.cayley_bacharach_pair passes its two line
-    families and their intersection points the same way.  A
-    value whose residue is nonzero at every residue map of the field is
-    nonzero in every factor of Q[t]/(m), hence a unit: every factor owns a
-    root of m mod p and the map at that root factors through it, as the
-    linalg module docstring proves.  The residues of the forms are taken
-    once and those of a key once per node, each coefficient converted mod p
-    once (linalg._mod_p) and then evaluated at every root.  Any other value
-    is inverted exactly, which raises on a zero divisor as FieldDescriptor
-    promises.
+    families and their intersection points the same way.  A form vanishes
+    at a node exactly when it vanishes at the node's key, a nonzero
+    multiple of the node vector, so the value is taken at the key.
+
+    Over Q every value is computed exactly, an integer product on the rows
+    validate() prepared, and a nonzero rational is a unit.  Over Q[t]/(m)
+    the residues of the forms are taken once and those of a key once per
+    node, each coefficient converted mod p once (linalg._mod_p) and then
+    evaluated at every root.  A value whose residue is nonzero at every
+    residue map of the field is nonzero in every factor of Q[t]/(m), hence a
+    unit: every factor owns a root of m mod p and the map at that root
+    factors through it, as the linalg module docstring proves.  Only the
+    other values are computed exactly: a zero one is an incidence failure,
+    and a nonzero one is inverted once failures holds nothing at all, which
+    raises ReducibleModulusError on a zero divisor as FieldDescriptor
+    promises.  A value is computed exactly also when the field has no
+    residue map or p divides a denominator of the form or the key.
     """
-    p, roots = _residue_maps(field)
+    units = field.kind != "rationals"
+    p, roots = _residue_maps(field) if units else (0, ())
 
     def residues(vector):
         """The vector's residues at every map; empty, proving nothing, when
         there is no map or p divides a denominator."""
         try:
-            coeffs = [_mod_p(x, p) for x in vector]
+            coeffs = [_mod_p(x, p) for x in vector] if roots else []
         except ValueError:
             return []
         return [[dot(c, powers) % p for c in coeffs] for powers in roots]
-    images = [[residues(f) for f in group] for group in forms]
+    tests = [(j, k, form, residues(form)) for j, group in enumerate(forms)
+             for k, form in enumerate(group, start=1)]
+    pending = []
     for index, key in keys.items():
         point = residues(key)
-        for j, group in enumerate(forms):
-            for k, form in enumerate(group, start=1):
-                image = images[j][k - 1]
-                if k != index[j] and not (image and point and all(
-                        dot(f, x) % p for f, x in zip(image, point))):
-                    dot(form, key).inverse()
+        for j, k, form, image in tests:
+            if k == index[j] or image and point and all(
+                    dot(f, x) % p for f, x in zip(image, point)):
+                continue
+            value = sum(map(mul, form, key))
+            if not value:
+                failures.append(ValidationFailure(
+                    "incidence", index, f"color {j + 1} hyperplane {k}: "
+                    "vanishing pattern violated"))
+            elif units:
+                pending.append(value)
+    if not failures:
+        for value in pending:
+            value.inverse()
 
 
 class Cage:
@@ -227,38 +248,45 @@ class Cage:
         Nodes are found one line at a time.  The d nodes (i_1, ..., i_(n-1),
         *) lie on the kernel of their first n-1 forms, so one kernel_basis
         per line, d^(n-1) in all, serves d nodes; for n = 1 the line is all
-        of P^1 and its basis is the identity.  Let the line's kernel have
-        dimension k and let l be a last-color form.  The tuple's kernel is
-        the part of the line's kernel where l vanishes, of dimension k - 1
-        when l is nonzero on some basis vector and k otherwise; anything but
-        1 is a degenerate tuple.  When k = 2 with basis u, v and l is
-        nonzero on the line, the node is l(v) u - l(u) v: it is nonzero
-        since u and v are independent and l(u), l(v) are not both zero, and
-        l vanishes there by construction.  Any other form f takes the value
-        l(v) f(u) - l(u) f(v) at the node, so evaluating the n*d forms at u
-        and v once per line leaves two products per form per node.  The
-        forms indexing the node need no test: kernel_basis has checked that
-        the first n-1 vanish on the line.  Zero tests do not change when a
-        vector is scaled, so over Q every form and every basis vector is
-        scaled to an integer vector by linalg._prepared and the work runs on
-        ints; over Q[t]/(m) the same code runs on field elements.  Each node
-        is keyed once, by _point_key: over Q linalg.primitive of its integer
-        vector (gcd 1, last nonzero entry positive), the one representative
-        of its projective point among integer vectors; over Q[t]/(m)
+        of P^1, the kernel of a zero row, and its basis is the identity.
+        Let the line's kernel have dimension k and let l be a last-color
+        form.  The tuple's kernel is the part of the line's kernel where l
+        vanishes, of dimension k - 1 when l is nonzero on some basis vector
+        and k otherwise; anything but 1 is a degenerate tuple.  When k = 2
+        with basis u, v and l is nonzero on the line, the node is
+        l(v) u - l(u) v: it is nonzero since u and v are independent and
+        l(u), l(v) are not both zero, and l vanishes there by construction.
+        So the sweep evaluates only the last color at u and v.  Zero tests
+        do not change when a vector is scaled, so over Q every form and
+        every basis vector is scaled to an integer vector by
+        linalg._prepared and the work runs on ints; over Q[t]/(m) the same
+        code runs on field elements.  Each node is keyed once, by
+        _point_key: over Q linalg.primitive of its integer vector (gcd 1,
+        last nonzero entry positive), the one representative of its
+        projective point among integer vectors; over Q[t]/(m)
         canonical_point.  A key seen before is reported as a coincident
         node.  A valid cage keeps the keys and nothing else: nodes() and
         _node_cofactors derive the points and cofactors from them when first
         asked.
 
-        Over Q[t]/(m) with m reducible a nonzero value can be a zero
-        divisor, zero in one factor of Q[t]/(m) and not in another, and the
-        cage would pass in one factor and fail in the other.  So once every
-        test above passes, _require_units proves each form's value at each
-        node it does not index a unit, or raises ReducibleModulusError.
-        kernel_basis inverts its pivots and canonical_point the node's last
-        nonzero entry, so a cage that passes is valid in every factor, with
-        the images of the same nodes.  Every failure reported holds in
-        every factor alike.
+        Incidence is one unit test per value.  The forms indexing a node
+        need none: kernel_basis has checked that the first n-1 vanish on the
+        line, and the last vanishes at the node by construction.  Every
+        other form's value at the node must be nonzero, and the Lemma in
+        verify_supra_interpolation's docstring needs it a unit: over
+        Q[t]/(m) with m reducible a nonzero value can be a zero divisor,
+        zero in one factor of Q[t]/(m) and not in another, and the cage
+        would pass in one factor and fail in the other.
+        _prove_off_hyperplane tests each such value once, at the node's key:
+        over Q an integer product, nonzero exactly when it is a unit; over
+        Q[t]/(m) a nonzero residue at every root of the split prime proves
+        it a unit, and only a value whose residue vanishes somewhere is
+        computed exactly.  A zero value is an incidence failure.  A nonzero
+        one is inverted once nothing has failed, which raises
+        ReducibleModulusError on a zero divisor.  kernel_basis inverts its
+        pivots and canonical_point the node's last nonzero entry, so a cage
+        that passes is valid in every factor, with the images of the same
+        nodes.  Every failure reported holds in every factor alike.
         """
         if self._report is not None:
             return self._report
@@ -268,24 +296,17 @@ class Cage:
             return _prepared(field, _scalars(field, vector))[1]
         forms = [[scaled(form.coeffs) for form in group]
                  for group in self.groups]
-        if n == 1:
-            # no forms cut the line, and a Matrix has at least one row
-            one, zero = field.one(), field.zero()
-            line_basis = (scaled((one, zero)), scaled((zero, one)))
         failures: list[ValidationFailure] = []
-        incidence: list[ValidationFailure] = []
         seen: dict[tuple, Index] = {}
         for head in all_indices(d, n - 1):
-            if n > 1:
-                rows = [self.groups[j][head[j] - 1].coeffs
-                        for j in range(n - 1)]
-                line_basis = tuple(scaled(v) for v in
-                                   kernel_basis(Matrix(field, rows)).vectors)
-            # values[j][k]: form k of color j at each line basis vector
-            values = [[[dot(f, b) for b in line_basis] for f in group]
-                      for group in forms]
-            for i, on_line in enumerate(values[-1], start=1):
+            # for n = 1 no form cuts the line; a zero row stands in for none
+            rows = [self.groups[j][head[j] - 1].coeffs
+                    for j in range(n - 1)] or [[field.zero()] * 2]
+            line_basis = tuple(scaled(v) for v in
+                               kernel_basis(Matrix(field, rows)).vectors)
+            for i, form in enumerate(forms[-1], start=1):
                 index = head + (i,)
+                on_line = [dot(form, b) for b in line_basis]
                 dim = len(line_basis) - (1 if any(on_line) else 0)
                 if dim != 1:
                     failures.append(ValidationFailure(
@@ -294,26 +315,16 @@ class Cage:
                         "solution space, expected a single point"))
                     continue
                 (u, v), (lu, lv) = line_basis, on_line
-                vector = [lv * x - lu * y for x, y in zip(u, v)]
-                key = _point_key(field, vector)
+                key = _point_key(field, [lv * x - lu * y
+                                         for x, y in zip(u, v)])
                 if key in seen:
                     failures.append(ValidationFailure(
                         "coincident-nodes", index,
                         f"node coincides with node {seen[key]}"))
                     continue
                 seen[key] = index
-                # no node may lie on a hyperplane it does not index
-                for j, group in enumerate(values):
-                    for k, (fu, fv) in enumerate(group, start=1):
-                        if k != index[j] and lv * fu == lu * fv:
-                            incidence.append(ValidationFailure(
-                                "incidence", index,
-                                f"color {j + 1} hyperplane {k}: "
-                                f"vanishing pattern violated"))
-        failures += incidence
         keys = {index: key for key, index in seen.items()}
-        if not failures and field.kind != "rationals":
-            _require_units(field, forms, keys)
+        _prove_off_hyperplane(field, forms, keys, failures)
         report = ValidationReport(not failures, len(seen), tuple(failures))
         self._report = report
         if report.valid:

@@ -38,6 +38,11 @@ def _is_int(x) -> bool:
 # same bound on the exponent keeps an exponent literal to that size.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+# The split-prime scan (linalg._split_prime) takes x^p mod m at up to
+# linalg.SPLIT_SCAN primes, a cost that grows faster than deg m: a modulus
+# of degree 32 with no split prime scans in about 1.4 s on a 2-core
+# machine with CPython 3.11.7.  The demos use degree 8 at most.
+MAX_DEGREE = 32
 
 
 def parse_rational(text: Any, path: str) -> Fraction:
@@ -99,8 +104,8 @@ def field_from_json(obj, path: str = "$.field") -> FieldDescriptor:
     _expect(kind == "extension", f"{path}.kind",
             f"unknown field kind {kind!r}")
     mp = obj.get("min_poly")
-    _expect(isinstance(mp, list) and len(mp) >= 3, f"{path}.min_poly",
-            "extension needs a min_poly list of degree >= 2")
+    _expect(isinstance(mp, list) and 2 < len(mp) <= MAX_DEGREE + 1,
+            f"{path}.min_poly", f"min_poly must have degree 2 to {MAX_DEGREE}")
     min_poly = [parse_rational(c, f"{path}.min_poly[{i}]")
                 for i, c in enumerate(mp)]
     conj = obj.get("conjugation")
@@ -266,8 +271,11 @@ def variety_from_json(obj, path: str = "$") -> LambdaMatrix:
     _expect(_is_int(s), f"{path}.s", "s must be an integer")
     _expect(s == len(rows), f"{path}.s",
             f"s={s} but {len(rows)} rows present")
-    _expect(rank(Matrix(cage.field, rows)) == len(rows), f"{path}.lambda",
-            "lambda rows are linearly dependent")
+    try:
+        _expect(rank(Matrix(cage.field, rows)) == len(rows), f"{path}.lambda",
+                "lambda rows are linearly dependent")
+    except ReducibleModulusError as exc:
+        raise SchemaError(f"{path}.lambda", str(exc)) from exc
     return LambdaMatrix(cage, tuple(rows))
 
 

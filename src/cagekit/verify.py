@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
-from .cage import (Cage, Node, NodeSelection, _point_key, _require_units,
-                   all_indices, canonical_point, simplicial_indices,
-                   supra_simplicial_indices)
+from .cage import (Cage, Node, NodeSelection, _point_key,
+                   _prove_off_hyperplane, all_indices, canonical_point,
+                   simplicial_indices, supra_simplicial_indices)
 from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix
@@ -556,11 +556,13 @@ def cayley_bacharach_pair(field: FieldDescriptor,
     exactly one point and that all d*e points are distinct.  So the point
     (i', j') lies on a_i only when i = i': otherwise it lies on a_i and
     b_j', whose one common point is (i, j'), and (i, j') and (i', j') would
-    coincide.  Likewise for b_j.  Over Q a nonzero value is a unit.  Over
-    Q[t]/(m) the values a_i(i', j') with i != i' and b_j(i', j') with
-    j != j' must be units, or m reducible can make one zero in one factor
-    of Q[t]/(m); cage._require_units proves them units or raises
-    ReducibleModulusError, at every k.
+    coincide.  Likewise for b_j.  So no value a_i(i', j') with i != i' or
+    b_j(i', j') with j != j' is zero, and cage._prove_off_hyperplane, run
+    on the two line families as on the colors of a cage, finds no
+    incidence failure.  Over Q it proves each value a unit by an exact
+    product.  Over Q[t]/(m) the values must be units, or m reducible can
+    make one zero in one factor of Q[t]/(m); it proves them units from
+    residues or by inversion, or raises ReducibleModulusError, at every k.
 
     Lower bound.  With that incidence, the Lemma in
     verify_supra_interpolation's docstring runs on the pair as on a cage
@@ -580,9 +582,8 @@ def cayley_bacharach_pair(field: FieldDescriptor,
     socle = d + e - 3
     points = transversal_points(field, lines_a, lines_b)
     keys = dict(zip(points, _distinct_points(points.values(), field)[0]))
-    if field.kind != "rationals":
-        _require_units(field, [[line.coeffs for line in lines]
-                               for lines in (lines_a, lines_b)], keys)
+    _prove_off_hyperplane(field, [[line.coeffs for line in lines]
+                                  for lines in (lines_a, lines_b)], keys, [])
     lhs, rhs, _ = _cayley_bacharach(keys, partition, k, socle,
                                     "intersection grid", field)
     return VerificationReport(

@@ -392,7 +392,7 @@ def node_outcome(cage):
     return not failures, len(nodes), failures, nodes if not failures else None
 
 
-@pytest.mark.parametrize("field, per_shape", [(Q, 3), (SQRT2, 1), (SPLIT, 3)],
+@pytest.mark.parametrize("field, per_shape", [(Q, 3), (SQRT2, 3), (SPLIT, 3)],
                          ids=["Q", "Q(sqrt 2)", "Q[t]/(t^2-1)"])
 def test_validation_matches_per_node_oracle(field, per_shape):
     # the whole report (kinds, indices, details, order) and every node point

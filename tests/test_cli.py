@@ -16,8 +16,10 @@ from cagekit.cage import MAX_NODES, axis_cage
 from cagekit.cli import MAX_GRID_POINTS, MAX_HILBERT_DEGREE, main
 from cagekit.field import FieldDescriptor
 from cagekit.poly import LinearForm
-from cagekit.serialize import cage_to_json, configuration_to_json
+from cagekit.serialize import (MAX_DEGREE, cage_to_json,
+                               configuration_to_json)
 from cagekit.viete import Configuration
+from test_serialize import ZERO_DIVISOR_LAMBDA
 
 F = FieldDescriptor.rationals()
 
@@ -95,6 +97,28 @@ def test_gen_random_refuses_oversized_cages(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(MAX_NODES) in err
+
+
+def test_extension_degree_past_the_bound_exits_2(tmp_path, capsys):
+    # a modulus of degree MAX_DEGREE + 1 is refused at its JSON path before
+    # the split-prime scan, by validate and by gen --field alike
+    field = {"kind": "extension",
+             "min_poly": ["1"] + ["0"] * MAX_DEGREE + ["1"]}
+    field_path = tmp_path / "field.json"
+    field_path.write_text(json.dumps(field))
+    cage_path = tmp_path / "cage.json"
+    cage_path.write_text(json.dumps({
+        "schema": "cagekit/1", "kind": "cage", "field": field, "n": 1,
+        "d": 1, "groups": [[[["1"] + ["0"] * MAX_DEGREE] * 2]]}))
+    started = time.monotonic()
+    for argv in (["validate", "--cage", str(cage_path)],
+                 ["gen", "--kind", "random", "--seed", "1", "--d", "2",
+                  "--n", "2", "--field", str(field_path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "$.field.min_poly" in err
+        assert str(MAX_DEGREE) in err
+    assert time.monotonic() - started < 1
 
 
 def test_gen_axis_and_viete(tmp_path, cube_config):
@@ -421,6 +445,14 @@ def test_sample_grid_guards(tmp_path, square_cage, capsys):
                  "--box", "0", "1", "0", "1", "0", "1",
                  "--resolution", "3"]) == 2
     capsys.readouterr()
+    # the lambda rank meets a zero divisor of Q[t]/(t^2 - 1): exit 2 with
+    # the path of the rows, not a bare reducibility message
+    zero_divisor = tmp_path / "zero-divisor.json"
+    zero_divisor.write_text(json.dumps(ZERO_DIVISOR_LAMBDA))
+    assert main(["sample-grid", "--variety", str(zero_divisor), "--box",
+                 "0", "1", "0", "1", "0", "1", "--resolution", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "$.lambda" in err and "reducible" in err
     # a grid above the point limit is refused before any sample is taken
     cube = axis_cage(F, [(0, 0, 0), (1, 1, 1)])
     cube_path = tmp_path / "cube.json"

@@ -11,6 +11,7 @@ from cagekit.errors import SchemaError
 from cagekit.field import FieldDescriptor
 from cagekit.inscribe import inscribe_with_tangent, make_tangent
 from cagekit.serialize import (
+    MAX_DEGREE,
     SCHEMA,
     cage_from_json,
     cage_to_json,
@@ -116,6 +117,15 @@ def test_field_schema_errors():
         field_from_json({"kind": "extension", "min_poly": ["1", "0", "2"]})
     with pytest.raises(SchemaError):
         field_from_json(["rationals"])
+    # the split-prime scan grows with the degree, so a modulus past
+    # MAX_DEGREE is refused before any scan, at its own path
+    top = ["1"] + ["0"] * (MAX_DEGREE - 1) + ["1"]
+    assert field_from_json({"kind": "extension", "min_poly": top}).degree \
+        == MAX_DEGREE
+    with pytest.raises(SchemaError) as err:
+        field_from_json({"kind": "extension", "min_poly": ["1"] + top})
+    assert err.value.path == "$.field.min_poly"
+    assert str(MAX_DEGREE) in str(err.value)
 
 
 # -- cages and nodes ----------------------------------------------------------
@@ -272,6 +282,22 @@ def test_variety_schema_errors():
     with pytest.raises(SchemaError) as err:
         variety_from_json(bad_cage)
     assert err.value.path == "$.cage"
+    # a zero divisor met by the lambda rank is reported at the rows
+    with pytest.raises(SchemaError, match="reducible") as err:
+        variety_from_json(ZERO_DIVISOR_LAMBDA)
+    assert err.value.path == "$.lambda"
+
+
+ZERO_DIVISOR_LAMBDA = {
+    # x and y over Q[t]/(t^2 - 1) validate with d = 1, but the lambda row
+    # (t - 1, t - 1) is a zero divisor: its rank depends on the factor
+    "schema": SCHEMA, "kind": "variety",
+    "cage": {"schema": SCHEMA, "kind": "cage",
+             "field": {"kind": "extension", "min_poly": ["-1", "0", "1"]},
+             "n": 2, "d": 1,
+             "groups": [[[["1", "0"], ["0", "0"], ["0", "0"]]],
+                        [[["0", "0"], ["1", "0"], ["0", "0"]]]]},
+    "s": 1, "lambda": [[["-1", "1"], ["-1", "1"]]]}
 
 
 def test_tangent_document():

@@ -1068,17 +1068,21 @@ def test_zero_divisor_off_a_hyperplane_raises(tmp_path):
 
 def test_units_off_hyperplanes_from_residues_or_inversion(monkeypatch):
     # over a number field every value off a hyperplane is proved a unit
-    # from residues, with no inversion; with no residue map, or p dividing
-    # a denominator, it is inverted exactly, with the same outcome
+    # from residues, with no inversion and no exact product; with no
+    # residue map, or p dividing a denominator, it is computed exactly and
+    # inverted, with the same outcome
     cage = build_demo("fermat-cubic-surface").cage
     forms = [[f.coeffs for f in group] for group in cage.groups]
 
     def forbidden(self):
         raise AssertionError("no inversion when the residues prove units")
 
+    failures = []
     with monkeypatch.context() as m:
         m.setattr(FieldElement, "inverse", forbidden)
-        cage_module._require_units(cage.field, forms, cage._key_table())
+        cage_module._prove_off_hyperplane(cage.field, forms,
+                                          cage._key_table(), failures)
+    assert failures == []
     sqrt2 = FieldDescriptor.extension([-2, 0, 1], label="Q(sqrt2)")
     p = linalg._residue_maps(sqrt2)[0]
     one, zero, s = sqrt2.one(), sqrt2.zero(), sqrt2.generator()
@@ -1088,12 +1092,32 @@ def test_units_off_hyperplanes_from_residues_or_inversion(monkeypatch):
         [LinearForm(sqrt2, [zero, one, zero]),
          LinearForm(sqrt2, [zero, one, sqrt2.from_rational(Fraction(1, p))])]])
     assert far.validate().valid         # p divides a denominator
+
+    # every exact value is one sum of products through cage.mul, one call
+    # per coordinate, so the calls count the values computed exactly
+    terms = []
+
+    def counted(a, b):
+        terms.append(1)
+        return a * b
+
+    monkeypatch.setattr(cage_module, "mul", counted)
+    demos = [build_demo(name).cage
+             for name in ("fermat-cubic-surface", "k3-quartic")]
+    for demo in demos:
+        fresh = type(demo)(demo.field, demo.groups)
+        assert fresh.validate() == demo.validate()
+    assert terms == []
     monkeypatch.setattr(cage_module, "_residue_maps",
                         lambda field: (linalg.PRIME, ()))
-    for again, before in ((build_demo("fermat-cubic-surface").cage, cage),
-                          (type(far)(sqrt2, far.groups), far)):
+    for again, before in [(type(c)(c.field, c.groups), c) for c in demos] + [
+            (type(far)(sqrt2, far.groups), far)]:
+        terms.clear()
+        assert again.validate() == before.validate()
         assert again.validate().valid
         assert again._key_table() == before._key_table()
+        n, d = before.n, before.d
+        assert len(terms) == d ** n * n * (d - 1) * (n + 1)
     with pytest.raises(ReducibleModulusError):
         zero_divisor_cage().validate()
 
