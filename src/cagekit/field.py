@@ -2,15 +2,29 @@
 
 Every structure in the package is parameterized by a FieldDescriptor, either
 the rationals or a quotient Q[t]/(m(t)) by a monic polynomial of degree >= 2.
-Elements are immutable coefficient vectors over Fraction; no operation ever
-falls back to floating point.  The modulus is not required to be irreducible
-up front: reducibility surfaces, exactly when it matters, as a
-ReducibleModulusError raised by inversion.
+Elements are immutable; no operation ever falls back to floating point.  The
+modulus is not required to be irreducible up front: reducibility surfaces,
+exactly when it matters, as a ReducibleModulusError raised by inversion.
+
+Two representations.  A rational is a 1-tuple of Fraction, and its
+arithmetic is one Fraction operation.  An element of Q[t]/(m) is a tuple of
+integer numerators over one positive common denominator, in lowest terms
+(gcd(den, *num) == 1), the standard representation of number-field elements
+(Cohen 1993, section 4.2).  The pair is unique, so equal elements have equal
+pairs.  Its arithmetic runs on ints and pays one gcd per result, where
+Fraction coefficients pay one per coefficient operation: a product is an
+integer convolution reduced by integer rows over one denominator,
+conjugation is an integer linear map, and an inverse solves the integer
+multiplication matrix by linalg's fraction-free elimination.  Q stays on
+Fraction: the rational paths build elements from Fractions by the tens of
+thousands and do about one operation on each, so converting each to a
+numerator and a denominator would cost more than it saves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import FieldMismatchError, NotInvertibleError, ReducibleModulusError
@@ -18,7 +32,6 @@ from .errors import FieldMismatchError, NotInvertibleError, ReducibleModulusErro
 RationalLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -31,60 +44,18 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"not a rational value: {x!r}")
 
 
-# -- polynomial helpers over Fraction, coefficient lists low to high --------
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [_ZERO] * (len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _trim(out)
+def _integral(vectors) -> tuple[list[list[int]], int]:
+    """Fraction vectors as integer vectors over their least common
+    denominator D: the ints D*x, and D."""
+    den = lcm(*(x.denominator for vec in vectors for x in vec))
+    return [[x.numerator * (den // x.denominator) for x in vec]
+            for vec in vectors], den
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    if len(rem) < len(b):
-        return [], _trim(rem)
-    quo = [_ZERO] * (len(rem) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for k in range(len(rem) - len(b), -1, -1):
-        c = rem[k + len(b) - 1] * inv_lead
-        if c:
-            quo[k] = c
-            for j, bj in enumerate(b):
-                rem[k + j] -= c * bj
-    return _trim(quo), _trim(rem[: len(b) - 1])
-
-
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Return (g, u, v) with u*a + v*b = g, g the (unnormalized) gcd."""
-    r0, r1 = _trim(list(a)), _trim(list(b))
-    u0, u1 = [_ONE], []
-    v0, v1 = [], [_ONE]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1))
-    return r0, u0, v0
+def _sparse(rows) -> tuple:
+    """The nonzero (column, entry) pairs of each integer row."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                 for row in rows)
 
 
 # -- field descriptor --------------------------------------------------------
@@ -105,12 +76,12 @@ class FieldDescriptor:
     answer that holds in every factor alike is returned without that
     error: linalg.rank certifies a full rank at every root of m modulo a
     split prime, which is a full rank in every factor however m factors.
-    The descriptor caches its reduction rows and the powers of the
-    conjugate of t.
+    The descriptor holds its hash and caches the integer rows of the
+    reduction and of the conjugation.
     """
 
-    __slots__ = ("kind", "min_poly", "label", "conjugation", "_reduction",
-                 "_sigma_powers")
+    __slots__ = ("kind", "min_poly", "label", "conjugation", "degree",
+                 "_hash", "_reduction", "_sigma_powers")
 
     def __init__(self, kind: str, min_poly=None, label: str = "",
                  conjugation=None):
@@ -136,7 +107,9 @@ class FieldDescriptor:
                     raise ValueError("conjugation vector has wrong length")
                 self.conjugation = conj
         self.kind = kind
+        self.degree = 1 if kind == "rationals" else len(self.min_poly) - 1
         self.label = label or ("Q" if kind == "rationals" else "Q[t]/(m)")
+        self._hash = hash((kind, self.min_poly, self.conjugation))
         self._reduction = None
         self._sigma_powers = None
 
@@ -150,36 +123,41 @@ class FieldDescriptor:
         return cls("extension", min_poly=min_poly, label=label,
                    conjugation=conjugation)
 
-    @property
-    def degree(self) -> int:
-        return 1 if self.kind == "rationals" else len(self.min_poly) - 1
-
-    def _reduction_rows(self):
+    def _reduction_rows(self) -> list[tuple[Fraction, ...]]:
         # row k = coefficient vector of t^(degree+k) reduced mod min_poly
+        m = self.degree
+        base = [-c for c in self.min_poly[:m]]
+        rows = [tuple(base)]
+        for _ in range(m - 2):
+            prev = rows[-1]
+            nxt = [_ZERO] + list(prev[: m - 1])
+            top = prev[m - 1]
+            if top:
+                for j in range(m):
+                    nxt[j] += top * base[j]
+            rows.append(tuple(nxt))
+        return rows
+
+    def _int_reduction(self):
+        """The reduction rows over one denominator D: row k holds the
+        nonzero (j, D*c_j) of t^(degree+k) = sum c_j t^j mod min_poly."""
         if self._reduction is None:
-            m = self.degree
-            base = [-c for c in self.min_poly[:m]]
-            rows = [tuple(base)]
-            for _ in range(m - 2):
-                prev = rows[-1]
-                nxt = [_ZERO] + list(prev[: m - 1])
-                top = prev[m - 1]
-                if top:
-                    for j in range(m):
-                        nxt[j] += top * base[j]
-                rows.append(tuple(nxt))
-            self._reduction = tuple(rows)
+            rows, den = _integral(self._reduction_rows())
+            self._reduction = _sparse(rows), den
         return self._reduction
 
-    def _conjugation_rows(self):
-        # row k = coefficient vector of sigma(t)^k, so sigma is linear:
-        # sigma(sum c_k t^k) = sum c_k sigma(t)^k
+    def _int_conjugation(self):
+        """The conjugation rows over one denominator E: row k holds the
+        nonzero (j, E*c_j) of sigma(t)^k = sum c_j t^j, so sigma is the
+        linear map sigma(sum a_k t^k) = sum a_k sigma(t)^k."""
         if self._sigma_powers is None:
-            sigma = FieldElement(self, self.conjugation)
-            rows = [self.one()]
+            sigma = self.element(self.conjugation)
+            powers = [self.one()]
             for _ in range(self.degree - 1):
-                rows.append(rows[-1] * sigma)
-            self._sigma_powers = tuple(r.coeffs for r in rows)
+                powers.append(powers[-1] * sigma)
+            den = lcm(*(x._den for x in powers))
+            self._sigma_powers = _sparse(
+                [[c * (den // x._den) for c in x._num] for x in powers]), den
         return self._sigma_powers
 
     # element constructors
@@ -189,11 +167,17 @@ class FieldDescriptor:
         if len(vec) != self.degree:
             raise ValueError(
                 f"expected {self.degree} coefficients, got {len(vec)}")
-        return FieldElement(self, vec)
+        if self.degree == 1:
+            return FieldElement(self, vec)
+        [num], den = _integral([vec])
+        return _integer_element(self, tuple(num), den)
 
     def from_rational(self, value: RationalLike) -> "FieldElement":
         v = _as_fraction(value)
-        return FieldElement(self, (v,) + (_ZERO,) * (self.degree - 1))
+        if self.degree == 1:
+            return FieldElement(self, (v,))
+        return _integer_element(self, (v.numerator,) + (0,) * (
+            self.degree - 1), v.denominator)
 
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
@@ -205,9 +189,7 @@ class FieldDescriptor:
         """The class of t.  Extensions only."""
         if self.kind == "rationals":
             raise ValueError("the rationals have no generator t")
-        vec = [_ZERO] * self.degree
-        vec[1] = _ONE
-        return FieldElement(self, tuple(vec))
+        return _integer_element(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def coerce(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
@@ -227,7 +209,13 @@ class FieldDescriptor:
                 and self.conjugation == other.conjugation)
 
     def __hash__(self):
-        return hash((self.kind, self.min_poly, self.conjugation))
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__, so that a copy in another process holds
+        # that process's hash: str hashes differ between processes
+        return type(self), (self.kind, self.min_poly, self.label,
+                            self.conjugation)
 
     def __repr__(self):
         return f"FieldDescriptor({self.label})"
@@ -235,12 +223,39 @@ class FieldDescriptor:
 
 # -- field elements ----------------------------------------------------------
 
+_new = object.__new__
+
+
+def _integer_element(field: FieldDescriptor, num: tuple[int, ...],
+                     den: int) -> "FieldElement":
+    """The extension element num/den, for num and den already in lowest
+    terms with den > 0."""
+    e = _new(_Integral)
+    e.field = field
+    e._num = num
+    e._den = den
+    return e
+
+
+def _lowest(field: FieldDescriptor, num: list[int],
+            den: int) -> "FieldElement":
+    """The extension element num/den, for den > 0, put in lowest terms."""
+    g = gcd(den, *num)
+    if g == 1:
+        return _integer_element(field, tuple(num), den)
+    return _integer_element(field, tuple(x // g for x in num), den // g)
+
+
 class FieldElement:
     """Immutable element of a FieldDescriptor's field.
 
-    Stored as a Fraction coefficient vector of length field.degree (so a plain
-    rational is a length-1 vector).  Arithmetic with int and Fraction promotes
-    automatically; elements of distinct fields refuse to mix.
+    Over Q the value is coeffs, a 1-tuple of Fraction.  Over Q[t]/(m) the
+    descriptor and arithmetic build an _Integral: integer numerators _num
+    over the common denominator _den, in lowest terms with _den > 0, whose
+    coeffs, the public tuple of field.degree Fractions, is built when read.
+    FieldElement(field, coeffs) takes the Fraction coefficients in either
+    case.  Arithmetic with int and Fraction promotes automatically;
+    elements of distinct fields refuse to mix.
     """
 
     __slots__ = ("field", "coeffs")
@@ -249,9 +264,19 @@ class FieldElement:
         self.field = field
         self.coeffs = coeffs
 
+    # the integer form of an extension element built by FieldElement(field,
+    # coeffs); an _Integral stores it in slots that shadow these
+    @property
+    def _num(self) -> tuple[int, ...]:
+        return tuple(_integral([self.coeffs])[0][0])
+
+    @property
+    def _den(self) -> int:
+        return _integral([self.coeffs])[1]
+
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatchError(
                     f"cannot mix {self.field.label} with {other.field.label}")
             return other
@@ -260,16 +285,20 @@ class FieldElement:
         return None
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        if self.field.degree == 1:
+            return not self.coeffs[0]
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return self.field.degree == 1 or not any(self._num[1:])
 
     def as_fraction(self) -> Fraction:
         """The value as a Fraction; raises if it has a nonzero t-part."""
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        if self.field.degree == 1:
+            return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def __bool__(self):
         return not self.is_zero()
@@ -278,8 +307,15 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(
-            a + b for a, b in zip(self.coeffs, o.coeffs)))
+        field = self.field
+        if field.degree == 1:
+            return FieldElement(field, (self.coeffs[0] + o.coeffs[0],))
+        da, db = self._den, o._den
+        if da == db:
+            return _lowest(field, [x + y for x, y in zip(self._num, o._num)],
+                           da)
+        return _lowest(field, [x * db + y * da
+                               for x, y in zip(self._num, o._num)], da * db)
 
     __radd__ = __add__
 
@@ -287,8 +323,15 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(
-            a - b for a, b in zip(self.coeffs, o.coeffs)))
+        field = self.field
+        if field.degree == 1:
+            return FieldElement(field, (self.coeffs[0] - o.coeffs[0],))
+        da, db = self._den, o._den
+        if da == db:
+            return _lowest(field, [x - y for x, y in zip(self._num, o._num)],
+                           da)
+        return _lowest(field, [x * db - y * da
+                               for x, y in zip(self._num, o._num)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -297,31 +340,39 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        if self.field.degree == 1:
+            return FieldElement(self.field, (-self.coeffs[0],))
+        return _integer_element(self.field, tuple(-x for x in self._num),
+                                self._den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        m = self.field.degree
+        field = self.field
+        m = field.degree
         if m == 1:
-            return FieldElement(self.field, (self.coeffs[0] * o.coeffs[0],))
-        a, b = self.coeffs, o.coeffs
-        conv = [_ZERO] * (2 * m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        rows = self.field._reduction_rows()
-        for k in range(2 * m - 2, m - 1, -1):
-            c = conv[k]
-            if c:
-                row = rows[k - m]
-                for j in range(m):
-                    if row[j]:
-                        conv[j] += c * row[j]
-        return FieldElement(self.field, tuple(conv[:m]))
+            return FieldElement(field, (self.coeffs[0] * o.coeffs[0],))
+        # the convolution of the numerators, then t^(m+k) replaced by its
+        # reduction row over D: (D*low + sum_k conv[m+k]*R[k]) / (den*den'*D)
+        right = [(j, y) for j, y in enumerate(o._num) if y]
+        conv = [0] * (2 * m - 1)
+        for i, x in enumerate(self._num):
+            if x:
+                for j, y in right:
+                    conv[i + j] += x * y
+        den = self._den * o._den
+        low = conv[:m]
+        if any(conv[m:]):
+            rows, scale = field._int_reduction()
+            if scale != 1:
+                low = [scale * x for x in low]
+                den *= scale
+            for c, row in zip(conv[m:], rows):
+                if c:
+                    for j, r in row:
+                        low[j] += c * r
+        return _lowest(field, low, den)
 
     __rmul__ = __mul__
 
@@ -331,15 +382,41 @@ class FieldElement:
         m = self.field.degree
         if m == 1:
             return FieldElement(self.field, (1 / self.coeffs[0],))
-        g, u, _ = _poly_xgcd(list(self.coeffs), list(self.field.min_poly))
-        if len(g) != 1:
-            # gcd(x, m) nontrivial: x is a zero divisor, so m factors
+        num = self._num
+        if not any(num[1:]):
+            # a nonzero rational is a unit whatever the modulus
+            sign = -1 if num[0] < 0 else 1
+            return _integer_element(self.field, (sign * self._den,) + num[1:],
+                                    sign * num[0])
+        # x = num/den with num of degree >= 1.  Column j of the integer
+        # matrix A is num*t^j times scale^j, so A w = D e_0 gives
+        # x^-1 = den * sum_j scale^j (w_j / D) t^j.  A is singular exactly
+        # when gcd(num, m) is nontrivial, and m - rank A is its degree: the
+        # kernel of multiplication by num is the multiples of m / gcd.
+        from .linalg import _fraction_free
+        rows, scale = self.field._int_reduction()
+        col, cols = list(num), []
+        for _ in range(m):
+            cols.append(col)
+            top = col[-1]
+            col = [0] + [scale * c for c in col[:-1]]
+            for j, r in rows[0]:
+                col[j] += top * r
+        echelon, pivots = _fraction_free(
+            [list(row) + [int(i == 0)] for i, row in enumerate(zip(*cols))])
+        rank = sum(1 for c in pivots if c < m)
+        if rank < m:
+            # x is a zero divisor, so m factors
             raise ReducibleModulusError(
                 f"modulus of {self.field.label} is reducible; "
-                f"witness gcd degree {len(g) - 1}")
-        scale = 1 / g[0]
-        vec = [c * scale for c in u] + [_ZERO] * (m - len(u))
-        return FieldElement(self.field, tuple(vec[:m]))
+                f"witness gcd degree {m - rank}")
+        det = echelon[0][0]
+        sign = -1 if det < 0 else 1
+        out, power = [], sign * self._den
+        for row in echelon:
+            out.append(power * row[m])
+            power *= scale
+        return _lowest(self.field, out, sign * det)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -370,40 +447,48 @@ class FieldElement:
 
     def conjugate(self) -> "FieldElement":
         """Image under the descriptor's distinguished automorphism."""
-        if self.field.kind == "rationals":
+        field = self.field
+        if field.kind == "rationals":
             return self
-        if self.field.conjugation is None:
-            raise ValueError(
-                f"{self.field.label} carries no conjugation data")
-        out = [_ZERO] * self.field.degree
-        for c, row in zip(self.coeffs, self.field._conjugation_rows()):
+        if field.conjugation is None:
+            raise ValueError(f"{field.label} carries no conjugation data")
+        rows, scale = field._int_conjugation()
+        out = [0] * field.degree
+        for c, row in zip(self._num, rows):
             if c:
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] += c * x
-        return FieldElement(self.field, tuple(out))
+                for j, x in row:
+                    out[j] += c * x
+        return _lowest(field, out, self._den * scale)
 
     def __eq__(self, other):
         # rational values compare by value, also across fields, so that
         # equality stays transitive through int and Fraction
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, FieldElement):
+        field = self.field
+        if isinstance(other, FieldElement):
+            if other.field is field or other.field == field:
+                if field.degree == 1:
+                    return self.coeffs[0] == other.coeffs[0]
+                return self._den == other._den and self._num == other._num
+            if not other.is_rational():
+                return False
+            other = other.as_fraction()
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if self.field == other.field:
-            return self.coeffs == other.coeffs
-        return (self.is_rational() and other.is_rational()
-                and self.coeffs[0] == other.coeffs[0])
+        elif field.degree == 1:
+            return self.coeffs[0] == other
+        return self.is_rational() and self.as_fraction() == other
 
     def __hash__(self):
         # a rational value equals its Fraction, so it must hash like one
-        if self.is_rational():
+        if self.field.degree == 1:
             return hash(self.coeffs[0])
-        return hash((self.field, self.coeffs))
+        if any(self._num[1:]):
+            return hash((self.field, self._num, self._den))
+        return hash(Fraction(self._num[0], self._den))
 
     def __repr__(self):
-        if self.field.kind == "rationals" or self.is_rational():
-            return str(self.coeffs[0])
+        if self.is_rational():
+            return str(self.as_fraction())
         parts = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
@@ -416,3 +501,17 @@ class FieldElement:
                 parts.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
         return " + ".join(parts) if parts else "0"
 
+
+class _Integral(FieldElement):
+    """An element of Q[t]/(m) held as integer numerators over one
+    denominator; its Fraction coefficients are built when read."""
+
+    __slots__ = ("_num", "_den")
+
+    def __reduce__(self):
+        return _integer_element, (self.field, self._num, self._den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)

@@ -337,10 +337,11 @@ _SPLITS: dict = {}      # min_poly -> _split_prime(min_poly)
 
 
 def _mod_p(e: FieldElement, p: int) -> list[int]:
-    """The coefficients of e mod p, each numerator times the inverse of its
-    denominator; ValueError when p divides a denominator."""
-    return [c.numerator * pow(c.denominator, -1, p) % p if c else 0
-            for c in e.coeffs]
+    """The coefficients of e mod p, its integer numerators times the
+    inverse of their common denominator; ValueError when p divides it,
+    which for a prime p is when p divides a coefficient's denominator."""
+    inv = pow(e._den, -1, p)
+    return [x * inv % p for x in e._num]
 
 
 def _reducer(p: int, powers: tuple[int, ...]):

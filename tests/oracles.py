@@ -280,3 +280,85 @@ def pivots_mod(rows, p):
         live = rest
         pivots.append(index)
     return pivots
+
+
+def reduction_rows(modulus):
+    """Row k is t^(m+k) reduced mod the monic modulus of degree m, for
+    k = 0..m-2, as Fraction lists low to high."""
+    m = len(modulus) - 1
+    base = [-Fraction(c) for c in modulus[:m]]
+    rows = [base]
+    for _ in range(m - 2):
+        prev = rows[-1]
+        nxt = [Fraction(0)] + prev[:m - 1]
+        rows.append([a + prev[m - 1] * b for a, b in zip(nxt, base)])
+    return rows
+
+
+def reduced_product(a, b, modulus):
+    """a*b in Q[t]/(modulus) on Fraction coefficient lists: the
+    convolution, then each t^(m+k) replaced by its reduction row."""
+    m = len(modulus) - 1
+    conv = [Fraction(0)] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += Fraction(x) * Fraction(y)
+    for c, row in zip(conv[m:], reduction_rows(modulus)):
+        for j in range(m):
+            conv[j] += c * row[j]
+    return conv[:m]
+
+
+def conjugate(coeffs, sigma, modulus):
+    """sum_k c_k sigma^k in Q[t]/(modulus): the linear map whose row k is
+    the k-th power of sigma, the image of t."""
+    m = len(modulus) - 1
+    power = [Fraction(1)] + [Fraction(0)] * (m - 1)
+    out = [Fraction(0)] * m
+    for c in coeffs:
+        out = [o + Fraction(c) * x for o, x in zip(out, power)]
+        power = reduced_product(power, sigma, modulus)
+    return out
+
+
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_divmod(a, b):
+    rem, quo = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(rem) - len(b), -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return _trim(quo), _trim(rem[:len(b) - 1])
+
+
+def _poly_mul_sub(u, q, v):
+    """u - q*v on Fraction coefficient lists."""
+    out = list(u) + [Fraction(0)] * max(len(q) + len(v) - 1 - len(u), 0)
+    for i, x in enumerate(q):
+        for j, y in enumerate(v):
+            out[i + j] -= x * y
+    return _trim(out)
+
+
+def inverse(coeffs, modulus):
+    """(g, x) for x in Q[t]/(modulus) by the extended Euclidean algorithm
+    over Fractions: g is the degree of gcd(x, modulus) and x^-1 is the
+    inverse, None unless g == 0."""
+    m = len(modulus) - 1
+    r0 = _trim([Fraction(c) for c in coeffs])
+    r1 = [Fraction(c) for c in modulus]
+    u0, u1 = [Fraction(1)], []
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, _poly_mul_sub(u0, q, u1)
+    # u0 * x = r0 mod the modulus
+    if len(r0) != 1:
+        return len(r0) - 1, None
+    return 0, [c / r0[0] for c in u0] + [Fraction(0)] * (m - len(u0))

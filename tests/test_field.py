@@ -1,14 +1,16 @@
 """Scalar arithmetic: rationals and simple extensions Q[t]/(m)."""
 
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import oracles
-from cagekit import demos
-from cagekit import (FieldDescriptor, FieldMismatchError, NotInvertibleError,
-                     ReducibleModulusError)
+from cagekit import demos, linalg
+from cagekit import (FieldDescriptor, FieldElement, FieldMismatchError,
+                     NotInvertibleError, ReducibleModulusError)
 
 
 Q = FieldDescriptor.rationals()
@@ -231,6 +233,140 @@ def test_equal_descriptors_that_are_distinct_objects():
         assert x * y == field.from_rational(Fraction(3, 2))
         assert twin.coerce(x) is x
     assert Q != SQRT2 and Q != "Q" and SQRT2 != None  # noqa: E711
+
+
+# the number-field demos' fields, Q(sqrt2), and a modulus and a conjugation
+# with denominators
+KERNEL_FIELDS = [demos.quartic_roots_field()[0], demos.cubic_roots_field()[0],
+                 SQRT2, FieldDescriptor.extension(
+                     [Fraction(1, 3), Fraction(-2, 5), 0, Fraction(7, 2), 1],
+                     label="dens", conjugation=[Fraction(1, 2), -1, 0,
+                                                Fraction(-3, 7)])]
+
+
+def random_element(rng, field):
+    """A random element, dense, sparse, rational or zero."""
+    shape = rng.random()
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+              if shape < 0.5 or rng.random() < 0.3 else 0
+              for _ in range(field.degree)]
+    if shape > 0.9:
+        coeffs[1:] = [0] * (field.degree - 1)
+    return field.element(coeffs)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.label)
+def test_integer_kernels_match_the_fraction_oracle(field):
+    # + - * conjugate inverse on integer numerators over one denominator
+    # give the Fraction oracle's coefficients, in lowest terms
+    rng = random.Random(field.degree)
+    modulus = field.min_poly
+    for _ in range(40):
+        a, b = random_element(rng, field), random_element(rng, field)
+        x, y = list(a.coeffs), list(b.coeffs)
+        mixed = [3 * p for p in x]
+        mixed[0] += Fraction(1, 2)
+        results = [(a + b, [p + q for p, q in zip(x, y)]),
+                   (a - b, [p - q for p, q in zip(x, y)]),
+                   (-a, [-p for p in x]),
+                   (a * 3 + Fraction(1, 2), mixed),
+                   (a * b, oracles.reduced_product(x, y, modulus)),
+                   (a.conjugate(),
+                    oracles.conjugate(x, field.conjugation, modulus))]
+        if not a.is_zero():
+            results.append((a.inverse(), oracles.inverse(x, modulus)[1]))
+        for got, expect in results:
+            assert list(got.coeffs) == expect
+            assert got._den > 0 and gcd(got._den, *got._num) == 1
+            # the same value built from Fractions is equal and hashes alike
+            for built in (field.element(expect),
+                          FieldElement(field, tuple(expect))):
+                assert built == got and got == built
+                assert hash(built) == hash(got)
+                assert built * 1 == got and list(built.coeffs) == expect
+
+
+def test_rational_values_hash_like_their_fraction_in_every_field():
+    rng = random.Random(5)
+    for _ in range(20):
+        value = Fraction(rng.choice([-1, 1]) * rng.randint(1, 50),
+                         rng.randint(1, 30))
+        seen = {value: "value"}
+        for field in [Q] + KERNEL_FIELDS:
+            x = random_element(rng, field)
+            reached = x * 2 - x - x + value
+            assert reached.is_rational() and reached.as_fraction() == value
+            assert reached == value and reached == field.from_rational(value)
+            assert hash(reached) == hash(value)
+            assert seen[reached] == "value"
+            assert reached == Q.from_rational(value) == reached.inverse(
+                ).inverse()
+            assert reached != value + Fraction(1, 7)
+
+
+def test_zero_divisors_raise_with_the_gcd_degree():
+    # over (t^2+1)(t^2-2) a multiple of t^2+1 shares a quadratic factor
+    # with the modulus, over t^2 - 1 and (t-1)(t^3+2) a multiple of t-1 a
+    # linear one
+    for modulus, coeffs, degree in (([-1, 0, 1], [-1, 1], 1),
+                                    ([-1, 0, 1], [1, 1], 1),
+                                    ([-2, 0, -1, 0, 1], [2, 3, 2, 3], 2),
+                                    ([-2, 0, -1, 0, 1], [1, 0, -2, 0], 0),
+                                    ([-2, 2, 0, -1, 1], [-5, 4, 1, 0], 1)):
+        field = FieldDescriptor.extension(modulus)
+        x = field.element(coeffs)
+        gcd_degree, inverse = oracles.inverse(coeffs, modulus)
+        assert gcd_degree == degree
+        if degree:
+            with pytest.raises(ReducibleModulusError,
+                               match=f"witness gcd degree {degree}$"):
+                x.inverse()
+        else:
+            assert list(x.inverse().coeffs) == inverse
+    # a nonzero rational is a unit, the modulus reducible or not
+    bad = FieldDescriptor.extension([-1, 0, 1])
+    assert bad.from_rational(-3).inverse() == Fraction(-1, 3)
+
+
+def test_mod_p_fails_exactly_when_p_divides_a_denominator():
+    rng = random.Random(17)
+    for field in KERNEL_FIELDS:
+        for _ in range(30):
+            x = random_element(rng, field)
+            for p in (2, 3, 5, 7, 11, 13):
+                if any(c.denominator % p == 0 for c in x.coeffs):
+                    with pytest.raises(ValueError):
+                        linalg._mod_p(x, p)
+                else:
+                    assert linalg._mod_p(x, p) == [
+                        c.numerator * pow(c.denominator, -1, p) % p
+                        for c in x.coeffs]
+
+
+def test_hashing_an_extension_element_hashes_no_fraction(monkeypatch):
+    # the descriptor holds its hash, computed once, and an element with a
+    # t-part hashes its integer numerators
+    field = KERNEL_FIELDS[0]
+    x = field.generator() * 3 + Fraction(1, 2)
+    twin = FieldDescriptor.extension(field.min_poly,
+                                     conjugation=field.conjugation)
+    expected = hash(x), hash(field)
+    assert hash(twin) == hash(field)
+
+    def forbidden(self):
+        raise AssertionError("a Fraction was hashed")
+    monkeypatch.setattr(Fraction, "__hash__", forbidden)
+    assert (hash(x), hash(field)) == expected
+
+
+def test_pickled_descriptors_and_elements_round_trip():
+    for field in [Q] + KERNEL_FIELDS:
+        x = field.from_rational(Fraction(2, 3)) + (
+            field.generator() * 5 if field.degree > 1 else 0)
+        back_field, back_x = pickle.loads(pickle.dumps((field, x)))
+        assert back_field == field and hash(back_field) == hash(field)
+        assert back_x == x and hash(back_x) == hash(x)
+        assert back_x * back_x == x * x
 
 
 def test_modulus_shape_errors():

@@ -97,6 +97,23 @@ def test_exponent_literals_are_bounded():
     assert scalar_from_json(F, " 2/3 ").as_fraction() == Fraction(2, 3)
 
 
+def test_integer_literals_read_as_fraction_reads_them():
+    # plain ASCII integers take int(); every other literal, unicode digits
+    # and underscores included, still goes through Fraction
+    corpus = ["0", "-0", "+0", "7", "-7", "+7", "007", "-000123",
+              "123456789012345678901234567890", "-" + "9" * 4300,
+              "1_000", "\u0661\u0662", "\uff11", " 12", "12 ", "1.0", "-3/4", "1e3"]
+    for text in corpus:
+        value = scalar_from_json(F, text).as_fraction()
+        assert type(value) is Fraction and value == Fraction(text)
+    for text in ("", "-", "+", "1-", "--1", "0x10", "1" * 4301):
+        with pytest.raises(ValueError):
+            Fraction(text)
+        with pytest.raises(SchemaError) as err:
+            scalar_from_json(F, text, path="$.x")
+        assert err.value.path == "$.x"
+
+
 def test_field_round_trip():
     assert field_from_json(rebuilt(field_to_json(F))) == F
     back = field_from_json(rebuilt(field_to_json(SQRT2)))

@@ -524,12 +524,19 @@ def test_supra_interpolation_plane_three_by_three():
     assert check_by_name(report, "kernel-dimension").details["kernel-dim"] == 2
 
 
+def node_rank(cage, selection, degree):
+    """_evaluation_rank of the nodes of a selection of a valid cage, taken
+    as validation keyed them: over Q their primitive integer vectors."""
+    return verify._evaluation_rank(cage._node_keys(selection), degree,
+                                   cage.field)
+
+
 @pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2)])
 def test_node_ranks_read_validation_keys(monkeypatch, n, d):
-    # over Q _node_rank, which the counterexample still takes, reads the
-    # primitive integer vectors that validation keyed the nodes by, and no
-    # node is scaled or canonicalized again; on the supra and simplicial
-    # selections it meets the proved ranks
+    # over Q the rank of the node keys reads the primitive integer vectors
+    # that validation keyed the nodes by, and no node is scaled or
+    # canonicalized again; on the supra and simplicial selections it meets
+    # the proved ranks
     cage = random_cage(500 + 10 * n + d, d, n)
     cage.validate()
     supra = supra_simplicial_indices(d, n)
@@ -545,8 +552,8 @@ def test_node_ranks_read_validation_keys(monkeypatch, n, d):
         monkeypatch.setattr(module, "_prepared", forbidden)
     for module in (verify, cage_module):
         monkeypatch.setattr(module, "_point_key", forbidden)
-    assert verify._node_rank(cage, supra, d) == len(supra)
-    assert verify._node_rank(cage, simp, d - 1) == len(simp)
+    assert node_rank(cage, supra, d) == len(supra)
+    assert node_rank(cage, simp, d - 1) == len(simp)
 
 
 @pytest.mark.parametrize("n, d", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
@@ -597,7 +604,7 @@ def test_supra_interpolation_takes_no_rank(monkeypatch, tmp_path, which):
         raise AssertionError("no node rank may be taken")
 
     with monkeypatch.context() as m:
-        for name in ("_evaluation_rank", "_node_rank", "hilbert_table",
+        for name in ("_evaluation_rank", "hilbert_table",
                      "evaluation_matrix", "_rank", "rank", "_pivots_mod",
                      "_integer_kernel", "kernel_basis", "in_span"):
             m.setattr(verify, name, forbidden)
@@ -655,9 +662,9 @@ def test_number_field_supra_report_without_residues(monkeypatch):
     monkeypatch.setattr(linalg, "_residue_maps",
                         lambda field: (linalg.PRIME, ()))
     monkeypatch.setattr(linalg, "_eliminate", counted)
-    assert verify._node_rank(cage, supra_simplicial_indices(d, n), d) == \
+    assert node_rank(cage, supra_simplicial_indices(d, n), d) == \
         check_by_name(report, "supra-evaluation-rank").details["rank"]
-    assert verify._node_rank(cage, simplicial_indices(d, n), d - 1) == \
+    assert node_rank(cage, simplicial_indices(d, n), d - 1) == \
         simplicial[2].details["rank"]
     assert len(calls) == 2
 
@@ -671,9 +678,9 @@ def test_proved_ranks_match_node_ranks_on_the_demo_fields(name):
     supra = check_by_name(verify_supra_interpolation(cage),
                           "supra-evaluation-rank")
     invertible = verify._simplicial_checks(cage)[2]
-    assert verify._node_rank(cage, supra_simplicial_indices(d, n), d) == \
+    assert node_rank(cage, supra_simplicial_indices(d, n), d) == \
         supra.details["rank"] == math.comb(d + n, n) - n
-    assert verify._node_rank(cage, simplicial_indices(d, n), d - 1) == \
+    assert node_rank(cage, simplicial_indices(d, n), d - 1) == \
         invertible.details["rank"] == math.comb(d + n - 1, n)
 
 
@@ -1288,15 +1295,26 @@ def test_span_check_degree_mismatch():
 
 
 def test_counterexample_reads_ranks_not_kernels(monkeypatch):
-    # both kernel dimensions are ranks subtracted from C(6, 2), and the
-    # witness lies in the deficient kernel because it vanishes on the
-    # deficient nodes, so no kernel, evaluation matrix or system is built
+    # both kernel dimensions are proved ranks subtracted from C(6, 2): the
+    # supra rank and the deficient rank |Y_4| = 12, which the witness checks
+    # bound from above, and the witness lies in the deficient kernel because
+    # it vanishes on the deficient nodes, so no node rank is taken and no
+    # kernel, evaluation matrix or system is built
     expected = report_to_json(independence_counterexample())
+    assert check_by_name(independence_counterexample(),
+                         "deficient-kernel-dimension").details == {
+        "kernel-dim": 3, "expected-at-least": 3}
+    deficient = cage_module.NodeSelection("deficient", tuple(
+        i for i in cage_module.all_indices(4, 2)
+        if i not in {(4, 2), (4, 3), (4, 4)}))
+    assert node_rank(axis_cage(Q, [(i, i) for i in range(4)]),
+                     deficient, 4) == 12
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the counterexample needs only ranks")
+        raise AssertionError("the counterexample needs no node rank")
     for module, name in ((verify, "kernel_basis"), (linalg, "kernel_basis"),
-                         (verify, "evaluation_matrix"), (linalg, "solve")):
+                         (verify, "evaluation_matrix"), (linalg, "solve"),
+                         (verify, "_evaluation_rank")):
         monkeypatch.setattr(module, name, forbidden)
     assert report_to_json(independence_counterexample()) == expected
 
