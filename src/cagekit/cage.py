@@ -414,11 +414,6 @@ class Cage:
         self._require_valid()
         return self._keys
 
-    def _node_keys(self, selection: NodeSelection) -> list[tuple]:
-        """The keys of a selection's nodes, in its order."""
-        keys = self._key_table()
-        return [keys[i] for i in selection.indices]
-
     # -- distinguished polynomials ---------------------------------------
 
     def group_polynomial(self, color: int) -> HomogPoly:

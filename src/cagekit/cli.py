@@ -23,12 +23,12 @@ from fractions import Fraction
 
 from . import demos as demos_mod
 from . import serialize as ser
-from .cage import (Cage, axis_cage, random_cage, simplicial_indices,
-                   supra_simplicial_indices)
+from .cage import (Cage, all_indices, axis_cage, random_cage,
+                   simplicial_indices, supra_simplicial_indices)
 from .errors import CageKitError, SchemaError
 from .field import FieldDescriptor
 from .inscribe import inscribe_with_tangent, make_tangent, propagate_tangents
-from .verify import (SUITE_CHECKS, hilbert_table, independence_counterexample,
+from .verify import (SUITE_CHECKS, _lemma_counts, independence_counterexample,
                      run_suite)
 from .viete import coefficient_cage
 
@@ -148,7 +148,8 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-# past stabilization a table entry costs no rank; only this bounds the table
+# a table entry is a count proved from validation and costs no rank; only
+# this bounds the table
 MAX_HILBERT_DEGREE = 1024
 
 
@@ -158,18 +159,18 @@ def _cmd_hilbert(args) -> int:
                           f"[0, {MAX_HILBERT_DEGREE}]")
     cage = _validated_cage(args.cage)
     if args.selection == "all":
-        points = cage.nodes()
+        indices = all_indices(cage.d, cage.n)
     elif args.selection == "simplicial":
-        points = cage.nodes_for(simplicial_indices(cage.d, cage.n))
+        indices = simplicial_indices(cage.d, cage.n).indices
     else:
-        points = cage.nodes_for(supra_simplicial_indices(cage.d, cage.n))
-    table = hilbert_table(points, args.max_k, field=cage.field)
+        indices = supra_simplicial_indices(cage.d, cage.n).indices
+    table = _lemma_counts(indices, cage.n, args.max_k)
     payload = {
         "schema": ser.SCHEMA,
         "kind": "hilbert",
         "subject": cage.summary(),
         "selection": args.selection,
-        "points": len(points),
+        "points": len(indices),
         "k": list(range(args.max_k + 1)),
         "h": list(table),
     }

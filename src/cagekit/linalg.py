@@ -128,14 +128,9 @@ Vector = tuple[FieldElement, ...]
 
 
 class Matrix:
-    """Immutable dense matrix; entries all live in the same field.
+    """Immutable dense matrix; entries all live in the same field."""
 
-    The rows the elimination works on (_scaled_rows) are kept once built,
-    so kernel_basis checks its vectors against the rows _eliminate started
-    from.
-    """
-
-    __slots__ = ("field", "rows", "cols", "entries", "_scaled")
+    __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field: FieldDescriptor, entries):
         rows = tuple(tuple(field.coerce(e) for e in row) for row in entries)
@@ -149,7 +144,6 @@ class Matrix:
         self.rows = len(rows)
         self.cols = width
         self.entries = rows
-        self._scaled = None
 
     @classmethod
     def identity(cls, field: FieldDescriptor, n: int) -> "Matrix":
@@ -239,13 +233,10 @@ def dot(row: Sequence, vector: Sequence):
 
 
 def _scaled_rows(matrix: Matrix) -> tuple:
-    """The rows the elimination works on, each row _prepared.  Built once
-    per matrix."""
-    if matrix._scaled is None:
-        field = matrix.field
-        matrix._scaled = tuple(_prepared(field, _scalars(field, row))[1]
-                               for row in matrix.entries)
-    return matrix._scaled
+    """The rows the elimination works on, each row _prepared."""
+    field = matrix.field
+    return tuple(_prepared(field, _scalars(field, row))[1]
+                 for row in matrix.entries)
 
 
 def _rref(matrix: Matrix):

@@ -1,22 +1,25 @@
 """Exact verification of interpolation, rigidity, slicing and smoothness.
 
-The Hilbert-function checks reduce to ranks and kernels of evaluation
-matrices: rows are points, columns are the degree-k monomials.  The ranks
-the interpolation, minimality and rigidity checks rest on are proved from
-validation alone, by the Lemma in verify_supra_interpolation's docstring,
-and none is computed.  So is slice additivity, by that Lemma and the
-complete-intersection count in fubini_slice_check's docstring, and no
-Hilbert table is computed for it.  That count is also h of the whole point
-set in the Cayley-Bacharach checks, which rank only the two parts of their
-partition.  Results come back as structured reports whose every numeric
-claim (ranks, dimensions, cardinalities) can be recomputed from the cage
-alone.
+The Hilbert functions of arbitrary point lists are ranks of evaluation
+matrices: rows are points, columns are the degree-k monomials, and
+hilbert_table eliminates.  The ranks the interpolation, minimality and
+rigidity checks rest on are proved from validation alone, by the Lemma in
+verify_supra_interpolation's docstring, and none is computed.  So is slice
+additivity, by that Lemma and the complete-intersection count in
+fubini_slice_check's docstring.  The Hilbert tables of the whole node set
+and of the simplicial and supra nodes are counts, _lemma_counts, proved the
+same way.  The count of a whole grid is also h of the whole point set in
+the Cayley-Bacharach checks, which rank only the two parts of their
+partition.  Results come
+back as structured reports whose every numeric claim (ranks, dimensions,
+cardinalities) can be recomputed from the cage alone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterator, Optional, Sequence
 
 from .cage import (Cage, Node, NodeSelection, _point_key,
@@ -127,7 +130,7 @@ def _degree_rows(points) -> Iterator[list[list]]:
 
 def _evaluation_rank(points, degree: int, field: FieldDescriptor) -> int:
     """Rank of the degree-k evaluation matrix of a point list, 0 when it is
-    empty, given as _distinct_points or Cage._node_keys gives it: over Q
+    empty, given as _distinct_points or Cage._key_table gives it: over Q
     primitive integer vectors.  That is linalg._rank of the
     _evaluation_rows of the points over Q.  Over Q[t]/(m) the residue rows
     are the _evaluation_rows of the residues of the points, and the exact
@@ -290,6 +293,36 @@ def hilbert_function(points, k: int, field: FieldDescriptor = None) -> int:
         raise ValueError("degree must be nonnegative")
     pts, field = _distinct_points(points, field)
     return _evaluation_rank(pts, k, field)
+
+
+def _lemma_counts(indices, n: int, k_max: int) -> tuple[int, ...]:
+    """|Y_k| = #{I in Y : |I| - n <= k} for k = 0..k_max, where Y is the
+    set of node indices given and n the number of colors.
+
+    On a valid cage these counts are the Hilbert values h_Y(0..k_max) of
+    the whole node set and of the simplicial and supra nodes, proved with
+    no arithmetic; for any other Y they are lower bounds.
+
+    Lower bound.  The Lemma in verify_supra_interpolation's docstring
+    gives h_Y(k) >= |Y_k| for every set Y of nodes of a valid cage.
+
+    Upper bound for all d^n nodes.  |Y_k| is then the complete-intersection
+    count c_n(k), which fubini_slice_check's docstring proves an upper
+    bound.
+
+    Upper bound for the simplicial nodes (|I| <= d+n-1) and the supra
+    nodes (|I| <= d+n).  For k <= d-1 an index I >= 1 with |I| - n <= k
+    has entries at most k+1 <= d and norm at most d+n-1, so it lies in
+    both selections, and Y_k is every such index: C(k+n, n) of them, the
+    column count of the degree-k evaluation matrix.  From k = d-1 (simplicial) or k = d (supra) on,
+    every I in Y has |I| - n <= k, so Y_k = Y, the row count.  Either
+    count bounds the rank from above, and together they cover every k.
+
+    Over Q[t]/(m) both bounds hold in every factor of Q[t]/(m), where the
+    cage is valid too (Cage.validate), as those two docstrings argue.
+    """
+    steps = Counter(sum(index) - n for index in indices)
+    return tuple(accumulate(steps[k] for k in range(k_max + 1)))
 
 
 # -- interpolation and rigidity ----------------------------------------------
@@ -471,13 +504,13 @@ def _cayley_bacharach(points: dict, partition, k: int, socle: int,
     valued as _distinct_points or Cage._key_table gives them:
     h_X(k) - h_X1(k) and |X2| - h_X2(socle-k), with the part sizes.
 
-    h_X(k) is the complete-intersection count #{(i, j) in X : i + j - 2
-    <= k}, which both callers prove in their docstrings, so only the two
+    h_X(k) is the complete-intersection count, the _lemma_counts of the
+    indices, which both callers prove in their docstrings, so only the two
     parts are ranked."""
     if not 0 <= k <= socle:
         raise ValueError(f"degree {k} outside [0, {socle}]")
     x1, x2 = _split(partition, points, what)
-    h_x = sum(1 for index in points if sum(index) - 2 <= k)
+    h_x = _lemma_counts(points, 2, k)[k]
     h_x1 = _evaluation_rank(x1, k, field)
     h_x2 = _evaluation_rank(x2, socle - k, field)
     return h_x - h_x1, len(x2) - h_x2, [len(x1), len(x2)]
@@ -707,8 +740,7 @@ def independence_counterexample() -> VerificationReport:
     # and the witness vanish on them, and the witness lies outside their
     # span: once both hold, three independent quartics lie in the kernel,
     # so the rank is at most cols - 3 and the bound is the rank
-    deficient_dim = cols - sum(1 for i in deficient.indices
-                               if sum(i) - cage.n <= 4)
+    deficient_dim = cols - _lemma_counts(deficient.indices, cage.n, 4)[4]
     checks.append(CheckResult(
         "deficient-kernel-dimension",
         vanishes and outside and deficient_dim >= 3,

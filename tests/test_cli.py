@@ -11,8 +11,8 @@ import pytest
 
 import cagekit
 from cagekit import cage as cage_mod
-from cagekit import demos, linalg, verify
-from cagekit.cage import MAX_NODES, axis_cage
+from cagekit import cli, demos, linalg, verify
+from cagekit.cage import MAX_NODES, axis_cage, random_cage
 from cagekit.cli import MAX_GRID_POINTS, MAX_HILBERT_DEGREE, main
 from cagekit.field import FieldDescriptor
 from cagekit.poly import LinearForm
@@ -169,6 +169,36 @@ def test_hilbert_table(tmp_path):
     assert code == 0 and blob["points"] == 6
 
 
+def test_hilbert_tables_run_no_elimination(tmp_path, monkeypatch):
+    # after validation, done here once, every table entry is a count proved
+    # from it: no node is built and no rank, kernel or separating form is
+    # computed, and each selection prints its counts #{I : |I| - n <= k}
+    path = tmp_path / "cage.json"
+    cage = random_cage(9, 3, 2)
+    path.write_text(json.dumps(cage_to_json(cage)))
+    valid = cli._validated_cage(str(path))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a node-selection table needs no elimination")
+    monkeypatch.setattr(cli, "_validated_cage", {str(path): valid}.get)
+    for module, name in ((linalg, "_pivots_mod"), (verify, "_pivots_mod"),
+                         (linalg, "_fraction_free"), (linalg, "_gauss_jordan"),
+                         (verify, "hilbert_table"),
+                         (verify, "_distinct_points"),
+                         (verify, "_separating_form"),
+                         (cage_mod.Cage, "nodes"),
+                         (cage_mod.Cage, "nodes_for")):
+        monkeypatch.setattr(module, name, forbidden)
+    expected = {"all": [1, 3, 6, 8, 9, 9, 9],
+                "simplicial": [1, 3, 6, 6, 6, 6, 6],
+                "supra": [1, 3, 6, 8, 8, 8, 8]}
+    for selection, table in expected.items():
+        code, blob = run(tmp_path, "hilbert", "--cage", str(path),
+                         "--max-k", "6", "--selection", selection)
+        assert code == 0
+        assert blob["h"] == table and blob["points"] == table[-1]
+
+
 def test_hilbert_degree_bounds(tmp_path, square_cage, capsys):
     out = tmp_path / "table.json"
     for bad in ("-3", str(MAX_HILBERT_DEGREE + 1)):
@@ -176,7 +206,7 @@ def test_hilbert_degree_bounds(tmp_path, square_cage, capsys):
                      "-o", str(out)]) == 2
         assert "--max-k" in capsys.readouterr().err
         assert not out.exists()
-    # the largest admissible table is mostly certified tail
+    # the largest admissible table, one count per degree
     code, blob = run(tmp_path, "hilbert", "--cage", square_cage,
                      "--max-k", str(MAX_HILBERT_DEGREE))
     assert code == 0
@@ -319,13 +349,14 @@ def test_kernel_self_check_exits_3(square_cage, monkeypatch, capsys):
                           "kernel vector check failed")
 
 
-def test_hilbert_kernel_self_check_exits_3(tmp_path, monkeypatch, capsys):
+def test_hilbert_kernel_self_check_exits_3(monkeypatch):
     # a wrong row only in the wider eliminations, the Hilbert tables' exact
     # kernels, passes validation and fails the table: the nine nodes of a
-    # 3x3 grid have rank 8 in degree 3
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(cage_to_json(
-        axis_cage(F, [(0, 0), (1, 2), (2, 1)]))))
+    # 3x3 grid have rank 8 in degree 3.  The command line counts its tables
+    # and eliminates no node set, so the point-list table is driven, and
+    # its RuntimeError is what main turns into exit 3, as
+    # test_kernel_self_check_exits_3 shows
+    nodes = axis_cage(F, [(0, 0), (1, 2), (2, 1)]).nodes()
     real = linalg._fraction_free
 
     def wrong(rows):
@@ -334,9 +365,8 @@ def test_hilbert_kernel_self_check_exits_3(tmp_path, monkeypatch, capsys):
             rows[0] = [e + 1 for e in rows[0]]
         return rows, pivots
     monkeypatch.setattr(linalg, "_fraction_free", wrong)
-    assert_internal_error(
-        capsys, ["hilbert", "--cage", str(path), "--max-k", "4"],
-        "kernel vector check failed")
+    with pytest.raises(RuntimeError, match="^kernel vector check failed$"):
+        verify.hilbert_table(nodes, 4, field=F)
 
 
 def test_integer_core_self_check_exits_3(square_cage, monkeypatch, capsys):
@@ -352,12 +382,15 @@ def test_integer_core_self_check_exits_3(square_cage, monkeypatch, capsys):
                           "kernel vector check failed")
 
 
-def test_separating_form_exhaustion_exits_3(square_cage, monkeypatch, capsys):
-    # every candidate form vanishes: the scan tests integer dot products
+def test_separating_form_exhaustion_exits_3(monkeypatch):
+    # every candidate form vanishes: the scan tests integer dot products.
+    # Only the point-list table reaches the scan, so it is driven on the
+    # unit square's nodes
+    nodes = axis_cage(F, [(0, 0), (1, 1)]).nodes()
     monkeypatch.setattr(verify, "dot", lambda row, vector: 0)
-    assert_internal_error(
-        capsys, ["hilbert", "--cage", square_cage, "--max-k", "3"],
-        "separating form scan exhausted its provable bound")
+    with pytest.raises(RuntimeError, match="^separating form scan "
+                                           "exhausted its provable bound$"):
+        verify.hilbert_table(nodes, 3, field=F)
 
 
 def test_selection_count_check_exits_3(square_cage, monkeypatch, capsys):

@@ -1,12 +1,13 @@
 """Byte-identity pins for outputs that the demo digests do not cover.
 
 Each digest is the sha256 of a command's standard output, or of the JSON of
-a report, on seeded random cages over Q.  These paths reach exact
-elimination at rank-deficient degrees (Hilbert tables of the full grid, the
-two parts of a Cayley-Bacharach partition and the counterexample's
-kernels), so a change to any rank, kernel basis or report shows here.  The
-fubini slices and Cayley-Bacharach's h of the whole grid are proved from
-validation and eliminate nothing; their reports are pinned all the same.
+a report, on seeded random cages over Q.  The Cayley-Bacharach pin reaches
+exact elimination at rank-deficient degrees, on the two parts of its
+partition, so a change to any rank, kernel basis or report shows here.  The
+`cagekit hilbert` tables of node selections, the fubini slices,
+Cayley-Bacharach's h of the whole grid and the counterexample's kernel
+dimensions are proved from validation and take no node rank; their outputs
+are pinned all the same.
 The inscription pins cover every node's differentials: `propagate` reads a
 tangent at each node, on random cages over Q and on a number-field demo
 cage.  Those cages have integer forms, so the scaled-inscription pins add

@@ -35,6 +35,7 @@ from test_inscribe import random_sqrt2_cage
 
 
 Q = FieldDescriptor.rationals()
+SPLIT = FieldDescriptor.extension([-1, 0, 1], label="Q[t]/(t^2-1)")
 
 
 def unit_square():
@@ -177,6 +178,30 @@ def test_hilbert_table_of_all_nodes_matches_grid_series(d, n):
         cage = random_cage(700 + 10 * d + n + seed, d, n)
         assert hilbert_table(cage.nodes(), k_max) == tuple(
             oracles.grid_hilbert(d, n, k) for k in range(k_max + 1))
+
+
+@pytest.mark.parametrize("field", [Q, SPLIT], ids=["Q", "Q[t]/(t^2-1)"])
+def test_lemma_counts_are_the_node_selection_tables(field):
+    # the command line's tables of the whole node set and of the simplicial
+    # and supra nodes are counts #{I : |I| - n <= k} proved from
+    # validation; each equals the eliminated table up to degree
+    # n(d-1) + 2, past every table's stabilization, on random rational
+    # cages and on the demo cages
+    shapes = ((1, 3), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2))
+    cages = [random_cage(900 + 10 * n + d + seed, d, n, field)
+             for n, d in shapes for seed in (0, 1)]
+    if field is Q:
+        cages += [build_demo(name).cage
+                  for name in ("fermat-conic", "fermat-cubic-surface")]
+    for cage in cages:
+        n, d = cage.n, cage.d
+        k_max = n * (d - 1) + 2
+        for indices in (cage_module.all_indices(d, n),
+                        simplicial_indices(d, n).indices,
+                        supra_simplicial_indices(d, n).indices):
+            nodes = [cage.node(i) for i in indices]
+            assert verify._lemma_counts(indices, n, k_max) == hilbert_table(
+                nodes, k_max, field=cage.field), (n, d, len(indices))
 
 
 def exact_table(points, k_max):
@@ -527,8 +552,9 @@ def test_supra_interpolation_plane_three_by_three():
 def node_rank(cage, selection, degree):
     """_evaluation_rank of the nodes of a selection of a valid cage, taken
     as validation keyed them: over Q their primitive integer vectors."""
-    return verify._evaluation_rank(cage._node_keys(selection), degree,
-                                   cage.field)
+    keys = cage._key_table()
+    return verify._evaluation_rank([keys[i] for i in selection.indices],
+                                   degree, cage.field)
 
 
 @pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2)])
@@ -541,7 +567,8 @@ def test_node_ranks_read_validation_keys(monkeypatch, n, d):
     cage.validate()
     supra = supra_simplicial_indices(d, n)
     simp = simplicial_indices(d, n)
-    assert cage._node_keys(supra) == [
+    keys = cage._key_table()
+    assert [keys[i] for i in supra.indices] == [
         linalg.primitive(
             linalg._prepared(Q, linalg._scalars(Q, nd.point))[1])
         for nd in cage.nodes_for(supra)]
@@ -1035,9 +1062,6 @@ def test_node_checks_refuse_a_cage_that_fails_validation():
             [LinearForm(Q, [0, 1, 0]), LinearForm(Q, [0, 1, -1])]])
         with pytest.raises(cage_module.MustValidateError):
             check(cage)
-
-
-SPLIT = FieldDescriptor.extension([-1, 0, 1], label="Q[t]/(t^2-1)")
 
 
 def zero_divisor_cage(field=SPLIT, t=None):
