@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .errors import CageValidationError, MustValidateError, ShapeError
 from .field import FieldDescriptor, FieldElement
 from .linalg import (Matrix, _divided, _mod_p, _prepared, _residue_maps,
-                     _scalars, dot, invert, kernel_basis, primitive)
+                     _scalars, dot, kernel_basis, primitive)
 from .poly import HomogPoly, LinearForm, product_of_linear_forms
 
 Index = tuple[int, ...]
@@ -33,7 +33,8 @@ Index = tuple[int, ...]
 # all, plus work per node, so the node count is bounded
 MAX_NODES = 4096
 
-# candidates random_cage draws before giving up
+# candidates random_cage draws before giving up (fewer for cages of more
+# than 256 nodes)
 MAX_ATTEMPTS = 200
 
 
@@ -67,9 +68,6 @@ class NodeSelection:
 
     def __len__(self):
         return len(self.indices)
-
-    def __contains__(self, index):
-        return tuple(index) in set(self.indices)
 
 
 def _selection(kind: str, d: int, n: int, max_norm: int,
@@ -441,49 +439,6 @@ class Cage:
                 acc = acc + poly.scale(lam)
         return acc
 
-    # -- derived cages ----------------------------------------------------
-
-    def slice(self, s: int) -> "Cage":
-        """Subcage cut by the s-th hyperplane of the first color.
-
-        Keeps hyperplanes 1..d-s+1 of the remaining colors, restricted to
-        the cut hyperplane, giving a size-(d-s+1) cage in P^(n-1).
-        """
-        self._require_valid()
-        if not 1 <= s <= self.d:
-            raise ValueError(f"slice index {s} outside [1, {self.d}]")
-        if self.n < 2:
-            raise ValueError("slicing needs at least two colors")
-        cut = self.groups[0][s - 1].coeffs
-        drop = min(i for i, c in enumerate(cut) if not c.is_zero())
-        keep = [i for i in range(self.n + 1) if i != drop]
-        scale = cut[drop].inverse()
-        new_size = self.d - s + 1
-        new_groups = []
-        for j in range(1, self.n):
-            forms = []
-            for i in range(new_size):
-                coeffs = self.groups[j][i].coeffs
-                forms.append(LinearForm(self.field, [
-                    coeffs[k] - coeffs[drop] * scale * cut[k] for k in keep]))
-            new_groups.append(forms)
-        return validated(Cage(self.field, new_groups),
-                         "slice failed validation")
-
-    def transform(self, g: Matrix) -> "Cage":
-        """Apply a projective change of coordinates to every hyperplane."""
-        if g.rows != self.n + 1 or g.cols != self.n + 1:
-            raise ShapeError(f"transform needs a {self.n + 1}-square matrix")
-        try:
-            ginv = invert(g)
-        except ValueError:
-            raise ValueError("transform matrix is singular") from None
-        dual = ginv.transpose()         # forms move by the inverse transpose
-        new_groups = [[LinearForm(self.field, dual.matvec(form.coeffs))
-                       for form in g_forms] for g_forms in self.groups]
-        return validated(Cage(self.field, new_groups),
-                         "transformed cage failed validation")
-
     def summary(self) -> dict:
         return {"n": self.n, "d": self.d, "field": self.field.label,
                 "nodes": self.d ** self.n}
@@ -554,13 +509,16 @@ def random_cage(seed: int, d: int, n: int,
     Resamples whole candidates until validation passes; the accepted cage
     records how many attempts were used.  The same seed always yields the
     same cage.  A candidate with two proportional forms would fail
-    validation, so it is rejected without running it.
+    validation, so it is rejected without running it.  Cages of more than
+    256 nodes get fewer than MAX_ATTEMPTS attempts, at least one, so the
+    nodes validated stay within MAX_ATTEMPTS * 256.
     """
     _check_size(d, n)
     if field is None:
         field = FieldDescriptor.rationals()
     rng = random.Random(seed)
-    for attempt in range(1, MAX_ATTEMPTS + 1):
+    cap = min(MAX_ATTEMPTS, max(1, MAX_ATTEMPTS * 256 // d ** n))
+    for attempt in range(1, cap + 1):
         drawn = []
         for _ in range(n * d):
             while True:
@@ -575,5 +533,5 @@ def random_cage(seed: int, d: int, n: int,
         cage = Cage(field, groups, attempts=attempt)
         if cage.validate().valid:
             return cage
-    raise ValueError(f"no valid cage found in {MAX_ATTEMPTS} attempts "
+    raise ValueError(f"no valid cage found in {cap} attempts "
                      f"(seed {seed}, d={d}, n={n})")

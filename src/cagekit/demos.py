@@ -16,13 +16,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .cage import (Cage, all_indices, axis_cage, supra_simplicial_indices,
-                   validated)
+from .cage import Cage, all_indices, axis_cage, supra_simplicial_indices
 from .field import FieldDescriptor, FieldElement
 from .inscribe import (LambdaMatrix, inscribe_with_tangent, make_tangent,
                        tangent_at_node)
 from .linalg import SubspaceBasis, span_equal
-from .poly import HomogPoly, LinearForm
+from .poly import HomogPoly
 from .verify import (CheckResult, VerificationReport,
                      complete_intersection_span_check, smoothness_check,
                      verify_supra_interpolation)
@@ -115,23 +114,6 @@ def _eval_modulus(field: FieldDescriptor, x: FieldElement) -> FieldElement:
     return acc
 
 
-def _shared_last_cage(field: FieldDescriptor, roots: Sequence[FieldElement],
-                      n: int) -> Cage:
-    """Colors j = 1..n with hyperplanes x_(j-1) - root * x_n."""
-    d = len(roots)
-    zero, one = field.zero(), field.one()
-    groups = []
-    for j in range(n):
-        forms = []
-        for r in roots:
-            coeffs = [zero] * (n + 1)
-            coeffs[j] = one
-            coeffs[n] = -r
-            forms.append(LinearForm(field, coeffs))
-        groups.append(forms)
-    return validated(Cage(field, groups), "demo cage failed validation")
-
-
 def _power_sum_target(field: FieldDescriptor, n: int, degree: int,
                       last_coeff) -> HomogPoly:
     terms = {}
@@ -150,9 +132,10 @@ def _unit_pencil_demo(name: str, label: str, field: FieldDescriptor,
                       description: str, notes: tuple[str, ...],
                       smooth: bool = True) -> DemoSpec:
     """The sum of the d-th powers of x_0..x_(n-1) plus last_coeff x_n^d, for
-    d roots, as the unit pencil of the shared-last cage over the roots,
-    with a check that the pencil is smooth at the nodes when smooth."""
-    cage = _shared_last_cage(field, roots, n)
+    d roots, as the unit pencil of the axis cage whose colors j = 1..n all
+    hold the hyperplanes x_(j-1) = root * x_n, with a check that the pencil
+    is smooth at the nodes when smooth."""
+    cage = axis_cage(field, [(r,) * n for r in roots])
     lam = (field.one(),) * n
     variety = LambdaMatrix(cage, (lam,))
 

@@ -29,8 +29,8 @@ from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix
 from .linalg import (PRIME, Matrix, SubspaceBasis, _integer_kernel,
-                     _pivots_mod, _prepared, _rank, _scalars, _scaled_rows,
-                     dot, in_span, kernel_basis, rank)
+                     _pivots_mod, _prepared, _rank, _scalars, dot, in_span,
+                     kernel_basis, rank)
 from .poly import HomogPoly, LinearForm, monomial_basis
 
 
@@ -99,23 +99,24 @@ def evaluation_matrix(points, degree: int,
                              if pts else []))
 
 
-def _evaluation_rows(points, degree: int) -> list[list]:
+def _evaluation_rows(points, degree: int, one=1) -> list[list]:
     """The degree-k rows of _degree_rows: products of the coordinates, so
     field elements for points of field elements, and for residues of
     points products congruent mod p to the residues of the values.  By the
     scaling argument in the linalg docstring, the row of a primitive
     integer point is a nonzero rational multiple of the point's row, with
     the same rank and kernel."""
-    return next(islice(_degree_rows(points), degree, None))
+    return next(islice(_degree_rows(points, one), degree, None))
 
 
-def _degree_rows(points) -> Iterator[list[list]]:
+def _degree_rows(points, one=1) -> Iterator[list[list]]:
     """The evaluation rows of the points in degrees 0, 1, 2, ..., in the
     order of monomial_basis.  A degree-k monomial m is x_v times m - e_v,
     for the first variable x_v of m with a positive exponent, so each value
-    is one coordinate times a degree-(k-1) value, starting from 1."""
+    is one coordinate times a degree-(k-1) value, starting from one: the
+    int 1, or the field's one where the degree-0 rows must be elements."""
     nv = len(points[0])
-    rows, k = [[1] for _ in points], 0
+    rows, k = [[one] for _ in points], 0
     while True:
         yield rows
         k += 1
@@ -134,14 +135,14 @@ def _evaluation_rank(points, degree: int, field: FieldDescriptor) -> int:
     primitive integer vectors.  That is linalg._rank of the
     _evaluation_rows of the points over Q.  Over Q[t]/(m) the residue rows
     are the _evaluation_rows of the residues of the points, and the exact
-    evaluation matrix is built only when their ranks fall short."""
+    rows, of elements, are built only when their ranks fall short."""
     if not points:
         return 0
     if field.kind == "rationals":
         return _rank(field, _evaluation_rows(points, degree))
     return _rank(
         field,
-        lambda: _scaled_rows(evaluation_matrix(points, degree, field).matrix),
+        lambda: _evaluation_rows(points, degree, field.one()),
         lambda reduce: _evaluation_rows(
             [[reduce(c) for c in pt] for pt in points], degree))
 

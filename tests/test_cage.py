@@ -1,7 +1,8 @@
-"""Cage construction, validation, node combinatorics, slicing, transform."""
+"""Cage construction, validation, node combinatorics, random cages."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -154,24 +155,6 @@ def test_pencil_degenerate():
         cage.pencil([1])
 
 
-def test_slice_counts():
-    cage = axis_cage(Q, [(0, 0, 0), (1, 2, 1), (2, 1, 3)])
-    for s in (1, 2, 3):
-        sub = cage.slice(s)
-        assert sub.validate().valid
-        assert sub.d == cage.d - s + 1
-        assert sub.n == cage.n - 1
-        assert len(sub.nodes()) == (cage.d - s + 1) ** (cage.n - 1)
-
-
-def test_slice_out_of_range():
-    cage = unit_square()
-    with pytest.raises(ValueError):
-        cage.slice(0)
-    with pytest.raises(ValueError):
-        cage.slice(3)
-
-
 def test_slice_index_set_relations():
     # restriction of the distinguished index sets to the i1 = s hyperplane
     for d, n in [(2, 2), (3, 2), (3, 3), (4, 3)]:
@@ -188,29 +171,6 @@ def test_slice_index_set_relations():
                     simplicial_indices(d - s + 2, n - 1).indices)
             assert rest_simp == set(
                 simplicial_indices(d - s + 1, n - 1).indices)
-
-
-def test_transform_identity():
-    cage = unit_square()
-    same = cage.transform(Matrix.identity(Q, 3))
-    assert same.groups == cage.groups
-
-
-def test_transform_moves_nodes():
-    cage = unit_square()
-    g = Matrix(Q, [[1, 2, 0], [0, 1, 0], [1, 0, 1]])
-    moved = cage.transform(g)
-    for idx in all_indices(cage.d, cage.n):
-        image = canonical_point(g.matvec(cage.node(idx).point))
-        assert moved.node(idx).point == image
-
-
-def test_transform_singular_rejected():
-    cage = unit_square()
-    with pytest.raises(ValueError):
-        cage.transform(Matrix(Q, [[1, 0, 0], [2, 0, 0], [0, 0, 1]]))
-    with pytest.raises(ShapeError):
-        cage.transform(Matrix.identity(Q, 2))
 
 
 def test_validated_raises_with_the_report():
@@ -276,6 +236,27 @@ def test_random_cage_gives_up_after_max_attempts(monkeypatch):
     with pytest.raises(ValueError, match=r"^no valid cage found in 0 "
                        r"attempts \(seed 1, d=2, n=2\)$"):
         random_cage(1, 2, 2)
+
+
+def test_random_cage_validates_a_bounded_number_of_nodes(monkeypatch):
+    # a cage of more than 256 nodes draws 200 * 256 // d^n candidates, at
+    # d=16, n=3 twelve; up to 256 nodes it draws all 200, of which three
+    # hold a proportional pair at seed 1, d=5, n=2
+    calls = []
+
+    def invalid(self):
+        calls.append(self.d ** self.n)
+        return SimpleNamespace(valid=False)
+    monkeypatch.setattr(Cage, "validate", invalid)
+    with pytest.raises(ValueError, match=r"^no valid cage found in 12 "
+                       r"attempts \(seed 1, d=16, n=3\)$"):
+        random_cage(1, 16, 3)
+    assert 0 < len(calls) <= 12
+    calls.clear()
+    with pytest.raises(ValueError, match=r"^no valid cage found in 200 "
+                       r"attempts \(seed 1, d=5, n=2\)$"):
+        random_cage(1, 5, 2)
+    assert calls == [25] * 197
 
 
 def test_proportional_pairs():

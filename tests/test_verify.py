@@ -31,7 +31,7 @@ from cagekit.errors import ReducibleModulusError
 from cagekit.field import FieldElement
 from cagekit.poly import monomial_values
 from cagekit.serialize import cage_to_json, check_to_json, report_to_json
-from test_inscribe import random_sqrt2_cage
+from test_inscribe import moved_cage, random_sqrt2_cage
 
 
 Q = FieldDescriptor.rationals()
@@ -342,21 +342,35 @@ def test_hilbert_table_over_an_extension_field_is_unchanged(monkeypatch):
 
 def test_short_residue_ranks_build_the_exact_matrix_lazily(monkeypatch):
     # four collinear points over Q(sqrt2): degrees 1 and 2 fall short of
-    # full rank at the residue maps and take the exact evaluation matrix,
-    # degree 3 is full and certified by its residues alone
+    # full rank at the residue maps and take an exact elimination, degree 3
+    # is full and certified by its residues alone
     sqrt2 = FieldDescriptor.extension([-2, 0, 1])
     t = sqrt2.generator()
     pts = [(1, k * t + k, k * t + k + 1) for k in range(4)]
-    degrees = []
-    real = verify.evaluation_matrix
+    widths = []
+    real = linalg._eliminate
 
-    def counted(points, degree, field=None):
-        degrees.append(degree)
-        return real(points, degree, field)
+    def counted(field, rows):
+        rows = list(rows)
+        widths.append(len(rows[0]))
+        return real(field, rows)
 
-    monkeypatch.setattr(verify, "evaluation_matrix", counted)
+    monkeypatch.setattr(linalg, "_eliminate", counted)
     assert hilbert_table(pts, 5) == (1, 2, 3, 4, 4, 4)
-    assert degrees == [1, 2]
+    # C(k+2, 2) columns in degree k: degrees 1 and 2 only
+    assert widths == [math.comb(3, 2), math.comb(4, 2)]
+
+
+def test_exact_degree_zero_rows_are_field_elements(monkeypatch):
+    # with no residue map every rank over Q(sqrt2) is eliminated exactly,
+    # the degree-0 rank included, whose rows hold the field's one
+    sqrt2 = FieldDescriptor.extension([-2, 0, 1])
+    t = sqrt2.generator()
+    pts = [(1, k * t + k, k * t + k + 1) for k in range(4)]
+    monkeypatch.setattr(linalg, "_residue_maps",
+                        lambda field: (linalg.PRIME, ()))
+    assert hilbert_function(pts, 0) == 1
+    assert hilbert_function(pts, 1) == 2
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (2, 5), (3, 3), (2, 6)])
@@ -778,7 +792,7 @@ def test_degree_minimality_d1_vacuous():
 def test_interpolation_invariant_under_transform():
     cage = random_cage(5, 3, 2)
     g = Matrix(Q, [[1, 1, 0], [0, 2, 1], [1, 0, 1]])
-    moved = cage.transform(g)
+    moved = moved_cage(cage, g)
     a = verify_supra_interpolation(cage)
     b = verify_supra_interpolation(moved)
     assert [(c.name, c.passed, c.details) for c in a.checks] \
