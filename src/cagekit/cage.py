@@ -149,13 +149,15 @@ def _prove_off_hyperplane(field: FieldDescriptor, forms, keys, failures):
     multiple of the node vector, so the value is taken at the key.
 
     Over Q every value is computed exactly, an integer product on the rows
-    validate() prepared, and a nonzero rational is a unit.  Over Q[t]/(m)
-    the residues of the forms are taken once and those of a key once per
-    node, each coefficient converted mod p once (linalg._mod_p) and then
-    evaluated at every root.  A value whose residue is nonzero at every
-    residue map of the field is nonzero in every factor of Q[t]/(m), hence a
-    unit: every factor owns a root of m mod p and the map at that root
-    factors through it, as the linalg module docstring proves.  Only the
+    validate() prepared, and a nonzero rational is a unit; validate() calls
+    it over Q only after its sweep has failed, as its docstring proves.
+    Over Q[t]/(m) the residues of the forms are taken once and those of a
+    key once per node, each coefficient converted mod p once
+    (linalg._mod_p) and then evaluated at every root.  A value whose
+    residue is nonzero at every residue map of the field is nonzero in
+    every factor of Q[t]/(m), hence a unit: every factor owns a root of
+    m mod p and the map at that root factors through it, as the linalg
+    module docstring proves.  Only the
     other values are computed exactly: a zero one is an incidence failure,
     and a nonzero one is inverted once failures holds nothing at all, which
     raises ReducibleModulusError on a zero divisor as FieldDescriptor
@@ -285,6 +287,15 @@ class Cage:
         pivots and canonical_point the node's last nonzero entry, so a cage
         that passes is valid in every factor, with the images of the same
         nodes.  Every failure reported holds in every factor alike.
+
+        Over Q a sweep with no failure already proves incidence, so the
+        test runs only after a failure, to list the incidences.  Suppose
+        node I lay on L_{j,k} with k != I_j, and let I' be I with k in
+        place of I_j.  Node I lies on every form of I', so I' is either
+        degenerate or has node I as its node, and the sweep reports a
+        degenerate tuple or a coincident node either way.  Every nonzero
+        rational is a unit.  Over Q[t]/(m) the test always runs, since a
+        nonzero value there may still be a zero divisor.
         """
         if self._report is not None:
             return self._report
@@ -322,7 +333,8 @@ class Cage:
                     continue
                 seen[key] = index
         keys = {index: key for key, index in seen.items()}
-        _prove_off_hyperplane(field, forms, keys, failures)
+        if failures or field.kind != "rationals":
+            _prove_off_hyperplane(field, forms, keys, failures)
         report = ValidationReport(not failures, len(seen), tuple(failures))
         self._report = report
         if report.valid:

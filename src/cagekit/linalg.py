@@ -62,8 +62,9 @@ declines.
 
 Full ranks are certified from residues modulo a prime.  A residue map sends
 each p-integral element (every coefficient's denominator prime to p) to
-F_p.  Over Q there is one, reduction modulo PRIME = 2^31 - 1, which
-_pivots_mod applies to integer rows directly.  Over Q[t]/(m) the modulus
+F_p.  Over Q there is one, reduction modulo PRIME = 2^24 - 17 = 16777199,
+which _pivots_mod applies to integer rows directly; PRIME is small enough
+that residue arithmetic fits a 64-bit word.  Over Q[t]/(m) the modulus
 gets, once, the first prime p <= PRIME, scanning down through at most
 SPLIT_SCAN primes, at which every coefficient of m is p-integral and m mod
 p divides x^p - x: then m mod p is squarefree and splits into deg m
@@ -104,18 +105,25 @@ verify.hilbert_table pairs the rank mod p, a lower bound, with an upper
 bound to prove rank-deficient ranks over Q.
 
 Every elimination mod p runs in _pivots_mod on packed rows: each row is one
-nonnegative int of B-bit slots, one per column, with B a multiple of 8 and
-B >= 2 bitlen(p) + bitlen(rows + 1).  A row update is one multiply-add of
-whole ints, r + (p - f) * tail, and the eliminated column leaves with a
-shift by B; only a pivot row has its slots reduced mod p, once.  Each
-update adds at most (p - 1)^2 to a slot and a row takes at most one update
-per pivot, so no slot reaches 2^B, no carry crosses a slot, and the slots
-stay congruent to the entries of elimination over F_p.  The pivots are the
-ones that elimination picks, as _pivots_mod's docstring proves.
+nonnegative int of 64-bit slots, one per column, packed and unpacked
+through array("Q"), so every slot is one machine word.  A row update is one
+multiply-add of whole ints, r + (p - f) * tail, and the eliminated column
+leaves with a shift by 64; only a pivot row has its slots reduced mod p,
+once.  Each update adds at most (p - 1)^2 to a slot and a row takes at most
+one update per pivot, so at most m = min(rows, cols) updates, and every
+slot stays below p + m (p - 1)^2 < (m + 1) p^2 <= 2^64 whenever
+2 bitlen(p) + bitlen(m + 1) <= 64.  At PRIME, of 24 bits, that holds for
+m <= 65534; past the bound _pivots_mod raises ValueError, and _rank falls
+back to exact elimination as it does when p divides a denominator.  So no
+carry crosses a slot, and the slots stay congruent to the entries of
+elimination over F_p.  The pivots are the ones that elimination picks, as
+_pivots_mod's docstring proves.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -322,9 +330,15 @@ def _divided(field: FieldDescriptor, values: Sequence, lead) -> list:
     return [field.coerce(x) for x in values]
 
 
-PRIME = 2 ** 31 - 1
+PRIME = 2 ** 24 - 17
 SPLIT_SCAN = 200        # primes an extension modulus may try before declining
 _SPLITS: dict = {}      # min_poly -> _split_prime(min_poly)
+_MASK = (1 << 64) - 1   # the lowest slot of a packed row
+# array("Q") is native-endian; packed ints are read little-endian, so a
+# big-endian host swaps each word
+_SWAP = sys.byteorder == "big"
+if array("Q").itemsize != 8:
+    raise ImportError("cagekit.linalg needs 8-byte array('Q') items")
 
 
 def _mod_p(e: FieldElement, p: int) -> list[int]:
@@ -346,64 +360,69 @@ def _pivots_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
     """Pivot row indices of Gaussian elimination over F_p, p prime: each
     column takes the first live row, in input order, whose entry there is
     nonzero mod p, and the pivot rows leave the live rows in the order
-    picked.
+    picked.  Raises ValueError when 2 bitlen(p) + bitlen(m + 1) > 64, with
+    m = min(len(rows), cols).
 
-    Each live row is one nonnegative int of fixed B-bit slots, slot 0
-    holding the current column, with B a multiple of 8 and
-    B >= 2 bitlen(p) + bitlen(len(rows) + 1).  A row's slots are congruent
-    mod p to its entries in elimination over F_p.  Rows enter with every
-    slot reduced below p.  The leading entry of a row r is (r & mask) % p.
-    A pivot row is reduced slot by slot once, when it is picked.  Every
-    other row r takes f = its leading entry over the pivot's, mod p, and
-    becomes (r >> B) + (p - f) * tail, tail being the reduced pivot row
-    without its leading slot, or r >> B when f = 0: the shift drops the
-    eliminated column, and adding p - f times a slot is subtracting f
-    times it mod p.  No carry crosses a slot.  Every slot is nonnegative,
-    and an update adds at most (p - 1)^2 to it, since p - f and every
-    reduced slot are below p.  A row is updated at most once per pivot, so
-    at most min(len(rows), cols) times, and every slot stays below
-    p + len(rows) (p - 1)^2 < (len(rows) + 1) p^2 <= 2^B.  Hence the int
-    operations act slot by slot and pick the same pivots as elimination on
-    lists of residues.
+    Each live row is one nonnegative int of 64-bit slots, slot 0 holding
+    the current column.  A row's slots are congruent mod p to its entries
+    in elimination over F_p.  Rows enter with every slot reduced below p.
+    The leading entry of a row r is (r & mask) % p.  A pivot row is reduced
+    slot by slot once, when it is picked.  Every other row r takes f = its
+    leading entry over the pivot's, mod p, and becomes
+    (r >> 64) + (p - f) * tail, tail being the reduced pivot row without
+    its leading slot, or r >> 64 when f = 0: the shift drops the eliminated
+    column, and adding p - f times a slot is subtracting f times it mod p.
+    No carry crosses a slot.  Every slot is nonnegative, and an update adds
+    at most (p - 1)^2 to it, since p - f and every reduced slot are below
+    p.  A row is updated at most once per pivot, so at most m times, and
+    every slot stays below p + m (p - 1)^2 < (m + 1) p^2 <= 2^64, as
+    p < 2^bitlen(p) and m + 1 < 2^bitlen(m + 1).  Hence the int operations
+    act slot by slot and pick the same pivots as elimination on lists of
+    residues.
     """
     width = len(rows[0]) if rows else 0
-    size = (2 * p.bit_length() + (len(rows) + 1).bit_length() + 7) // 8
-    bits, mask = 8 * size, (1 << 8 * size) - 1
-    live = [(i, _pack(row, size, p)) for i, row in enumerate(rows)]
+    if 2 * p.bit_length() + (min(len(rows), width) + 1).bit_length() > 64:
+        raise ValueError("_pivots_mod: 2 bitlen(p) + bitlen(m + 1) exceeds "
+                         "64 bits, m = min(rows, cols)")
+    live = [(i, _pack(row, p)) for i, row in enumerate(rows)]
     pivots = []
     # each pass eliminates the leading column and drops it from every row
     for col in range(width):
         if not live:
             break
-        leads = [(r & mask) % p for _, r in live]
+        leads = [(r & _MASK) % p for _, r in live]
         hit = next((k for k, lead in enumerate(leads) if lead), None)
         if hit is None:
-            live = [(i, r >> bits) for i, r in live]
+            live = [(i, r >> 64) for i, r in live]
             continue
         index, pivot = live.pop(hit)
         inv = pow(leads.pop(hit), -1, p)
-        tail = _pack(_slots(pivot >> bits, width - col - 1, size), size, p)
+        tail = _pack(_slots(pivot >> 64, width - col - 1), p)
         rest = []
         for (i, r), lead in zip(live, leads):
             f = lead * inv % p
-            rest.append((i, (r >> bits) + (p - f) * tail if f else r >> bits))
+            rest.append((i, (r >> 64) + (p - f) * tail if f else r >> 64))
         live = rest
         pivots.append(index)
     return pivots
 
 
-def _pack(values: Sequence[int], size: int, p: int) -> int:
-    """The residues mod p of values as one int of size-byte slots, the
-    first value in the lowest slot."""
-    return int.from_bytes(b"".join((x % p).to_bytes(size, "little")
-                                   for x in values), "little")
+def _pack(values: Sequence[int], p: int) -> int:
+    """The residues mod p of values as one int of 64-bit slots, the first
+    value in the lowest slot."""
+    words = array("Q", [x % p for x in values])
+    if _SWAP:
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
 
 
-def _slots(packed: int, count: int, size: int) -> list[int]:
-    """The count size-byte slots of a packed row, lowest first."""
-    data = packed.to_bytes(count * size, "little")
-    return [int.from_bytes(data[k:k + size], "little")
-            for k in range(0, len(data), size)]
+def _slots(packed: int, count: int) -> array:
+    """The count 64-bit slots of a packed row, lowest first."""
+    words = array("Q")
+    words.frombytes(packed.to_bytes(8 * count, "little"))
+    if _SWAP:
+        words.byteswap()
+    return words
 
 
 def _residue_maps(field: FieldDescriptor):

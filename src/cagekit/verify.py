@@ -249,7 +249,9 @@ def _rank_and_kernel(pts, rows, ideal, k: int):
     """The rank of the degree-k evaluation matrix of primitive integer
     points, given as its rows, and an integer basis of its kernel (None
     when not known), given such a basis of the degree-(k-1) kernel or None,
-    by the bounds in hilbert_table's docstring."""
+    by the bounds in hilbert_table's docstring.  _pivots_mod declines only
+    when both rows and columns exceed 65534 at PRIME, a matrix of over
+    4 * 10^9 entries, so its ValueError is not caught here."""
     nv = len(pts[0])
     cols = len(rows[0])
     r = len(_pivots_mod(rows, PRIME))

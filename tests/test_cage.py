@@ -420,6 +420,25 @@ def test_validation_takes_one_kernel_per_line(monkeypatch):
         assert counts == {"kernel": d ** (n - 1), "evaluate": 0}
 
 
+def test_incidence_test_runs_over_q_only_after_a_failure(monkeypatch):
+    # over Q a clean sweep implies incidence; an invalid cage and a cage
+    # over Q(sqrt 2) still take the test
+    calls = []
+    real = cage_module._prove_off_hyperplane
+    monkeypatch.setattr(cage_module, "_prove_off_hyperplane",
+                        lambda *args: calls.append(args) or real(*args))
+    assert Cage(Q, random_cage(7, 3, 2).groups).validate().valid
+    assert len(calls) == 0
+    twice = Cage(Q, [[LinearForm(Q, [1, -3]), LinearForm(Q, [2, -6])]])
+    assert not twice.validate().valid
+    assert len(calls) == 1
+    t = SQRT2.generator()
+    grid = Cage(SQRT2, [[LinearForm(SQRT2, [1, -1]),
+                         LinearForm(SQRT2, [1, -t])]])
+    assert grid.validate().valid
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("field", [Q, SQRT2], ids=["Q", "Q(sqrt 2)"])
 def test_validation_on_the_projective_line(field):
     # n = 1: the line is all of P^1, and the form (a, b) has the node (b, -a)

@@ -167,7 +167,7 @@ def test_modular_rank_matches_exact_elimination():
 
 def test_modular_rank_falls_back_on_the_prime(monkeypatch):
     p = linalg.PRIME
-    assert p == 2 ** 31 - 1
+    assert p == 2 ** 24 - 17
     # entries that vanish mod p, or whose denominator p divides
     assert rank(Matrix(Q, [[p]])) == 1
     assert rank(Matrix(Q, [[1, 0], [0, p]])) == 2
@@ -294,6 +294,35 @@ def test_packed_pivots_survive_worst_case_slot_growth(p):
         assert linalg._pivots_mod(m, p) == expected
 
 
+def test_packed_pivots_beyond_the_word_bound():
+    # 2 bitlen(p) + bitlen(min(rows, cols) + 1) must stay within 64 bits:
+    # at p = 2^31 - 1 a 2x2 matrix fits exactly and a 3x3 one does not
+    p = 2 ** 31 - 1
+    assert linalg._pivots_mod([[1, 2], [3, 4]], p) == [0, 1]
+    with pytest.raises(ValueError, match="64"):
+        linalg._pivots_mod([[1, 2, 3], [4, 5, 6], [7, 8, 10]], p)
+
+
+def test_packed_pivots_survive_slot_growth_at_the_word_bound():
+    # 2 bitlen(p) + bitlen(15) = 64, so 14 pivots are the most the bound
+    # admits at this p; every slot of the copies grows by (p - 1)^2 at each
+    # pivot whose tail reaches it
+    p = 2 ** 30 - 35
+    m = slot_growth_rows(p, 14, 14, 10)
+    assert linalg._pivots_mod(m, p) == oracles.pivots_mod(m, p) \
+        == list(range(14))
+
+
+def test_rank_beyond_the_word_bound_takes_the_exact_path(monkeypatch):
+    # past the bound _pivots_mod declines and rank eliminates exactly
+    monkeypatch.setattr(linalg, "PRIME", 2 ** 31 - 1)
+    m = Matrix(Q, [[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    exact = len(linalg._rref(m)[1])
+    calls = counted_eliminations(monkeypatch)
+    assert rank(m) == exact == 3
+    assert len(calls) == 1
+
+
 SPLIT_FIELDS = {
     "Q(sqrt2)": FieldDescriptor.extension([-2, 0, 1]),
     "Q(i)": FieldDescriptor.extension([1, 0, 1]),
@@ -368,7 +397,7 @@ def test_reducible_modulus_rank_is_certified_only_in_every_factor():
 
 
 def test_exhausted_prime_scan_takes_the_exact_path(monkeypatch):
-    # x^2 + 1 has no root mod 2^31 - 1, which is 3 mod 4
+    # x^2 + 1 has no root mod 2^24 - 17, which is 3 mod 4
     monkeypatch.setattr(linalg, "SPLIT_SCAN", 1)
     monkeypatch.setattr(linalg, "_SPLITS", {})
     gauss = FieldDescriptor.extension([1, 0, 1])
