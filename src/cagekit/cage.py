@@ -144,9 +144,10 @@ def _prove_off_hyperplane(field: FieldDescriptor, forms, keys, failures):
 
     forms are the forms validate() prepared, by color, and keys its node
     keys, by index; verify.cayley_bacharach_pair passes its two line
-    families and their intersection points the same way.  A form vanishes
-    at a node exactly when it vanishes at the node's key, a nonzero
-    multiple of the node vector, so the value is taken at the key.
+    families and their intersection points the same way, over Q[t]/(m)
+    only.  A form vanishes at a node exactly when it vanishes at the node's
+    key, a nonzero multiple of the node vector, so the value is taken at
+    the key.
 
     Over Q every value is computed exactly, an integer product on the rows
     validate() prepared, and a nonzero rational is a unit; validate() calls

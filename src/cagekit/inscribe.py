@@ -255,7 +255,7 @@ def transport_tangent(tangent: TangentSubspace, g: Matrix,
     src = tangent.node.point
     if g.rows != len(src) or g.cols != len(src):
         raise ShapeError("transport needs a square matrix of ambient size")
-    big_q = g.matvec(src)
+    big_q = [field.coerce(dot(row, src)) for row in g.entries]
     new_chart = chart_of(image_node)
     qc = big_q[new_chart]
     if qc.is_zero():
@@ -263,7 +263,7 @@ def transport_tangent(tangent: TangentSubspace, g: Matrix,
     new_basis = []
     for v in tangent.basis:
         lift = list(v[:tangent.chart]) + [field.zero()] + list(v[tangent.chart:])
-        w = g.matvec(lift)
+        w = [field.coerce(dot(row, lift)) for row in g.entries]
         wc = w[new_chart]
         local = [w[i] * qc - big_q[i] * wc
                  for i in range(len(src)) if i != new_chart]

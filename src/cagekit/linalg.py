@@ -68,7 +68,8 @@ that residue arithmetic fits a 64-bit word.  Over Q[t]/(m) the modulus
 gets, once, the first prime p <= PRIME, scanning down through at most
 SPLIT_SCAN primes, at which every coefficient of m is p-integral and m mod
 p divides x^p - x: then m mod p is squarefree and splits into deg m
-distinct linear factors.  Each root r of m mod p, found by
+distinct linear factors.  The scan tests primality by trial division, which
+for p < 2^24 needs no divisor past 2^12.  Each root r of m mod p, found by
 Cantor-Zassenhaus splitting, gives the map c_0 + c_1 t + ... to
 c_0 + c_1 r + ... mod p.  When the scan finds no prime, every rank over
 that field is exact.
@@ -126,7 +127,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence
 
 from .errors import ShapeError
@@ -152,29 +153,6 @@ class Matrix:
         self.rows = len(rows)
         self.cols = width
         self.entries = rows
-
-    @classmethod
-    def identity(cls, field: FieldDescriptor, n: int) -> "Matrix":
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)]
-                           for i in range(n)])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field,
-                      [[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)])
-
-    def matvec(self, v: Sequence[FieldElement]) -> Vector:
-        if len(v) != self.cols:
-            raise ShapeError(f"matvec: {self.cols} columns vs {len(v)} entries")
-        out = []
-        for row in self.entries:
-            acc = self.field.zero()
-            for a, x in zip(row, v):
-                if not a.is_zero() and not (isinstance(x, FieldElement) and x.is_zero()):
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -454,26 +432,10 @@ def _split_prime(min_poly) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: deterministic below 3215031751."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division: a composite n has a factor q with 2 <= q <= isqrt(n).
+    _split_prime tests only n <= PRIME < 2^24, so the loop stops below
+    4096."""
+    return n > 1 and all(n % q for q in range(2, isqrt(n) + 1))
 
 
 # -- polynomials over F_p: int lists low to high, no trailing zeros ---------
@@ -666,9 +628,10 @@ def invert(matrix: Matrix) -> Matrix:
     if matrix.cols != n:
         raise ShapeError("invert: matrix is not square")
     field = matrix.field
-    ident = Matrix.identity(field, n)
-    augmented = Matrix(field, [list(r) + list(i)
-                               for r, i in zip(matrix.entries, ident.entries)])
+    one, zero = field.one(), field.zero()
+    augmented = Matrix(field, [list(r) + [one if i == j else zero
+                                          for j in range(n)]
+                               for i, r in enumerate(matrix.entries)])
     rows, pivots = _rref(augmented)
     if len(pivots) < n or any(p >= n for p in pivots):
         raise ValueError("singular matrix")

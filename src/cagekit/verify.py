@@ -587,12 +587,13 @@ def cayley_bacharach_pair(field: FieldDescriptor,
     (i', j') lies on a_i only when i = i': otherwise it lies on a_i and
     b_j', whose one common point is (i, j'), and (i, j') and (i', j') would
     coincide.  Likewise for b_j.  So no value a_i(i', j') with i != i' or
-    b_j(i', j') with j != j' is zero, and cage._prove_off_hyperplane, run
-    on the two line families as on the colors of a cage, finds no
-    incidence failure.  Over Q it proves each value a unit by an exact
-    product.  Over Q[t]/(m) the values must be units, or m reducible can
-    make one zero in one factor of Q[t]/(m); it proves them units from
-    residues or by inversion, or raises ReducibleModulusError, at every k.
+    b_j(i', j') with j != j' is zero.  Over Q every nonzero value is a
+    unit, so nothing is left to prove.  Over Q[t]/(m) the values must be
+    units, or m reducible can make one zero in one factor of Q[t]/(m):
+    cage._prove_off_hyperplane, run on the two line families as on the
+    colors of a cage, finds no incidence failure and proves every value a
+    unit from residues or by inversion, or raises ReducibleModulusError, at
+    every k.
 
     Lower bound.  With that incidence, the Lemma in
     verify_supra_interpolation's docstring runs on the pair as on a cage
@@ -612,8 +613,10 @@ def cayley_bacharach_pair(field: FieldDescriptor,
     socle = d + e - 3
     points = transversal_points(field, lines_a, lines_b)
     keys = dict(zip(points, _distinct_points(points.values(), field)[0]))
-    _prove_off_hyperplane(field, [[line.coeffs for line in lines]
-                                  for lines in (lines_a, lines_b)], keys, [])
+    if field.kind != "rationals":
+        _prove_off_hyperplane(field, [[line.coeffs for line in lines]
+                                      for lines in (lines_a, lines_b)],
+                              keys, [])
     lhs, rhs, _ = _cayley_bacharach(keys, partition, k, socle,
                                     "intersection grid", field)
     return VerificationReport(

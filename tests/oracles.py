@@ -57,6 +57,20 @@ def kernel(rows):
     return basis
 
 
+def identity(n):
+    """The rows of the n x n identity matrix, as ints."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def transpose(rows):
+    return [list(column) for column in zip(*rows)]
+
+
+def matvec(rows, vector):
+    """The product of a matrix, given by its rows, and a column vector."""
+    return [sum(a * x for a, x in zip(row, vector)) for row in rows]
+
+
 def det(rows):
     """Permutation expansion; only for the tiny matrices tests use."""
     n = len(rows)
@@ -280,6 +294,19 @@ def pivots_mod(rows, p):
         live = rest
         pivots.append(index)
     return pivots
+
+
+def primes_between(low, high):
+    """The primes n with low <= n <= high, by a sieve of Eratosthenes on
+    that window: every multiple m >= q^2 of each q <= sqrt(high) is
+    crossed off."""
+    flags = bytearray([1]) * (high - low + 1)
+    q = 2
+    while q * q <= high:
+        start = max(q * q, -(-low // q) * q)
+        flags[start - low::q] = bytes(len(range(start, high + 1, q)))
+        q += 1
+    return [n for n, flag in enumerate(flags, low) if flag and n > 1]
 
 
 def reduction_rows(modulus):

@@ -40,7 +40,7 @@ def unit_square_eval(degree=2):
 
 
 def test_rank_identity():
-    assert rank(Matrix.identity(Q, 3)) == 3
+    assert rank(Matrix(Q, oracles.identity(3))) == 3
 
 
 def test_rank_zero_matrix():
@@ -55,7 +55,7 @@ def test_rank_node_evaluation_matrix():
 
 
 def test_kernel_identity_empty():
-    basis = kernel_basis(Matrix.identity(Q, 4))
+    basis = kernel_basis(Matrix(Q, oracles.identity(4)))
     assert basis.dim == 0 and basis.ambient_dim == 4
 
 
@@ -97,7 +97,7 @@ def test_kernel_vectors_annihilate():
         basis = kernel_basis(m)
         assert basis.dim + rank(m) == m.cols
         for v in basis.vectors:
-            assert all(e.is_zero() for e in m.matvec(v))
+            assert all(e.is_zero() for e in oracles.matvec(m.entries, v))
 
 
 def test_kernel_self_check_raises_on_a_wrong_row(monkeypatch):
@@ -157,7 +157,7 @@ def test_modular_rank_matches_exact_elimination():
                 m = random_rational_matrix(rng, rows, cols, deficiency)
                 exact = len(linalg._rref(m)[1])
                 assert rank(m) == exact
-                assert rank(m.transpose()) == exact
+                assert rank(Matrix(Q, oracles.transpose(m.entries))) == exact
                 pivots = linalg._pivots_mod(integral_rows(m), linalg.PRIME)
                 assert len(pivots) == exact
                 assert pivots == exact_pivot_rows(m)
@@ -183,8 +183,9 @@ def test_modular_rank_falls_back_on_the_prime(monkeypatch):
     # then comes from exact elimination
     sqrt2 = FieldDescriptor.extension([-2, 0, 1])
     calls = counted_eliminations(monkeypatch)
-    assert residue_ranks(sqrt2, Matrix.identity(sqrt2, 2).entries) == [2, 2]
-    assert linalg._rank(sqrt2, Matrix.identity(sqrt2, 2).entries) == 2
+    unit_rows = Matrix(sqrt2, oracles.identity(2)).entries
+    assert residue_ranks(sqrt2, unit_rows) == [2, 2]
+    assert linalg._rank(sqrt2, unit_rows) == 2
     assert not calls
     q, _ = linalg._residue_maps(sqrt2)
     inverse_q = [[sqrt2.element([0, Fraction(1, q)])]]
@@ -367,6 +368,35 @@ def test_split_prime_rank_matches_exact_elimination(name):
         assert rank(m) == exact
 
 
+def test_trial_division_matches_a_sieve():
+    # on 0..20000, and on the window the split-prime scan walks down from
+    # PRIME through its SPLIT_SCAN-th prime
+    assert ([n for n in range(20001) if linalg._is_prime(n)]
+            == oracles.primes_between(0, 20000))
+    scanned = oracles.primes_between(linalg.PRIME - 8000,
+                                     linalg.PRIME)[-linalg.SPLIT_SCAN:]
+    assert len(scanned) == linalg.SPLIT_SCAN and scanned[-1] == linalg.PRIME
+    assert ([n for n in range(scanned[0], linalg.PRIME + 1)
+             if linalg._is_prime(n)] == scanned)
+
+
+@pytest.mark.parametrize("name, prime, count", [
+    ("Q(theta,i)", 16776961, 8), ("Q(omega,cbrt3)", 16777027, 6),
+    ("Q(sqrt2)", 16777199, 2)])
+def test_split_prime_of_each_demo_modulus(name, prime, count):
+    # the demo fields' primes and roots; each root is a distinct zero of
+    # the modulus mod p, returned with its powers
+    min_poly = SPLIT_FIELDS[name].min_poly
+    p, roots = linalg._split_prime(min_poly)
+    assert (p, len(roots)) == (prime, count)
+    assert len({powers[1] for powers in roots}) == count
+    for powers in roots:
+        r = powers[1]
+        assert list(powers) == [pow(r, k, p) for k in range(len(powers))]
+        assert sum(c.numerator * pow(c.denominator, -1, p) * pow(r, k, p)
+                   for k, c in enumerate(min_poly)) % p == 0
+
+
 def test_rank_drop_at_one_root_takes_the_exact_path(monkeypatch):
     field = SPLIT_FIELDS["Q(theta,i)"]
     p, roots = linalg._residue_maps(field)
@@ -402,7 +432,7 @@ def test_exhausted_prime_scan_takes_the_exact_path(monkeypatch):
     monkeypatch.setattr(linalg, "_SPLITS", {})
     gauss = FieldDescriptor.extension([1, 0, 1])
     assert linalg._residue_maps(gauss) == (linalg.PRIME, ())
-    m = Matrix.identity(gauss, 3)
+    m = Matrix(gauss, oracles.identity(3))
     assert residue_ranks(gauss, m.entries) == []
     calls = counted_eliminations(monkeypatch)
     assert rank(m) == 3
@@ -639,7 +669,7 @@ def test_in_span_shape_error():
 
 
 def test_solve_identity():
-    sol = solve(Matrix.identity(Q, 3), [3, -1, 7])
+    sol = solve(Matrix(Q, oracles.identity(3)), [3, -1, 7])
     assert [e.as_fraction() for e in sol] == [3, -1, 7]
 
 
@@ -689,7 +719,7 @@ def test_rank_transpose_200_random():
     rng = random.Random(41)
     for _ in range(200):
         m = Matrix(Q, random_matrix(rng))
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(Matrix(Q, oracles.transpose(m.entries)))
 
 
 def test_span_equal():

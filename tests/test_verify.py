@@ -940,6 +940,23 @@ def test_cayley_bacharach_pair_mixed_degrees():
         assert cayley_bacharach_pair(Q, lines_a, lines_b, part, k).passed
 
 
+def test_cayley_bacharach_pair_proves_units_only_off_q(monkeypatch):
+    # over Q transversal_points already rules out every incidence failure
+    # and nonzero values are units; over Q[t]/(m) each call proves units
+    calls = []
+    real = verify._prove_off_hyperplane
+    monkeypatch.setattr(verify, "_prove_off_hyperplane",
+                        lambda *args: calls.append(args) or real(*args))
+    for field in (Q, SPLIT):
+        lines_a = [LinearForm(field, [1, 0, -c]) for c in range(2)]
+        lines_b = [LinearForm(field, [0, 1, -c]) for c in range(3)]
+        keys = list(transversal_points(field, lines_a, lines_b))
+        for k in range(3):
+            assert cayley_bacharach_pair(field, lines_a, lines_b,
+                                         (keys[:4], keys[4:]), k).passed
+        assert len(calls) == (0 if field is Q else 3)
+
+
 def random_line_pair(rng, d, e):
     # integer lines, redrawn until every pair meets in one point and the
     # d * e points are distinct
@@ -1221,8 +1238,9 @@ def test_smoothness_proof_matches_node_jacobian_ranks():
                 "expected-rank": variety.s, "singular-nodes": []}
             for node in cage.nodes():
                 diff = inscribe.node_differentials(cage, node)
-                jac = Matrix(field, [diff.transpose().matvec(row)
-                                     for row in variety.rows])
+                jac = Matrix(field, [
+                    oracles.matvec(oracles.transpose(diff.entries), row)
+                    for row in variety.rows])
                 assert rank(jac) == variety.s
 
 
