@@ -105,6 +105,23 @@ returned, and anything else takes the pivots of exact elimination.
 verify.hilbert_table pairs the rank mod p, a lower bound, with an upper
 bound to prove rank-deficient ranks over Q.
 
+Where that upper bound is missing, the kernel is a certificate too.
+_kernel_mod takes the r pivot rows of _pivots_mod, which are independent
+over Q, eliminates them modulo q = 2^89 - 1, back-substitutes one vector
+per free column, and reconstructs each as integers over a running common
+denominator, with numerators and denominator below 2^44 (Wang 1981).  It
+returns the vectors only if every one vanishes on every row in exact
+integer arithmetic.  Each is nonzero at its own free column and zero at the
+others, so they are cols - r independent kernel vectors: the rank is at
+most r, which meets the lower bound, and they are a basis of the kernel.
+The modulus decides only whether vectors are found, never whether they
+hold, so q need not be prime: a pivot without an inverse mod q declines,
+as a failed check does, and the exact kernel runs instead.  q fits in three
+30-bit CPython digits, as a 61-bit modulus would, yet 2 (2^44 - 1)^2 < q
+lets the bound be 2^44 where a 61-bit modulus allows 2^30.  On the nodes
+of small random cages the primitive kernel vectors take at most a few tens
+of bits, where D times the RREF takes hundreds.
+
 Every elimination mod p runs in _pivots_mod on packed rows: each row is one
 nonnegative int of 64-bit slots, one per column, packed and unpacked
 through array("Q"), so every slot is one machine word.  A row update is one
@@ -128,6 +145,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ShapeError
@@ -383,6 +401,98 @@ def _pivots_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
         live = rest
         pivots.append(index)
     return pivots
+
+
+def _kernel_mod(rows: Sequence[Sequence[int]], picked: Sequence[int],
+                cols: int) -> Optional[list[list[int]]]:
+    """An integer basis of the kernel of integer rows with cols columns,
+    given the indices picked of rows independent over Q, such as the pivot
+    rows of _pivots_mod, or None: the vectors come from the picked rows
+    modulo q = 2^89 - 1, and are returned only if every one vanishes on
+    every row of rows in exact integer arithmetic.
+
+    Forward elimination of the picked rows mod q scales each pivot row to 1
+    at its pivot and updates only the columns past it.  Unless every picked
+    row gives a pivot, the answer is None.  The vector of a free column f
+    is 1 at f, 0 at the other free columns, and, by back-substitution from
+    the last pivot up, minus the pivot row's dot product with the entries
+    past its pivot at each pivot column; _reconstructed turns it into
+    integers or declines.
+
+    Each vector returned is d > 0 at its free column and 0 at the other
+    free columns, so they are independent, and the exact check puts them in
+    the kernel: there are cols - len(picked) of them, as many as the rank
+    of the picked rows allows, so they are a basis.  That holds whatever q
+    is and whatever the reconstruction found, so q need not be prime: a
+    pivot without an inverse mod q declines.
+    """
+    q = (1 << 89) - 1
+    live = [[x % q for x in rows[i]] for i in picked]
+    echelon = []        # (pivot column, the scaled pivot row past it)
+    for c in range(cols):
+        hit = next((k for k, row in enumerate(live) if row[c]), None)
+        if hit is None:
+            continue
+        row = live.pop(hit)
+        try:
+            inv = pow(row[c], -1, q)
+        except ValueError:          # gcd(row[c], q) > 1
+            return None
+        tail = [x * inv % q for x in row[c + 1:]]
+        for other in live:
+            f = other[c]
+            if f:
+                other[c + 1:] = [(a - f * b) % q
+                                 for a, b in zip(other[c + 1:], tail)]
+        echelon.append((c, tail))
+    if len(echelon) < len(picked):
+        return None
+    pivot_set = {c for c, _ in echelon}
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        x = [0] * cols
+        x[f] = 1
+        for pc, tail in reversed(echelon):
+            if pc < f:
+                x[pc] = -sum(map(mul, tail[:f - pc], x[pc + 1:f + 1])) % q
+        vec = _reconstructed(x, q)
+        if vec is None:
+            return None
+        basis.append(vec)
+    if any(sum(map(mul, row, vec)) for vec in basis for row in rows):
+        return None
+    return basis
+
+
+def _reconstructed(x: Sequence[int], q: int) -> Optional[list[int]]:
+    """d times x, lifted entry by entry to (-q/2, q/2), for the running
+    common denominator d of x read as fractions a/b mod q with |a| and b
+    below 2^44 (Wang 1981), or None when d reaches 2^44.
+
+    d starts at 1.  An entry e is taken as y = e * d mod q; if y lifted is
+    below 2^44 in size it is the numerator over d.  Otherwise extended
+    Euclid on (q, y), stopped at the first remainder below 2^44, gives
+    t * y = remainder mod q, and d becomes d * |t|, which is nonzero.  As
+    |a| and b are below 2^44, 2 |a| b < q and such a fraction is unique,
+    but the caller's exact check, not uniqueness, makes the result a proof.
+    """
+    bound = 1 << 44
+    d = 1
+    for e in x:
+        y = e * d % q
+        if y < bound or q - y < bound:
+            continue
+        r0, r1, t0, t1 = q, y, 0, 1
+        while r1 >= bound:
+            quo = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+        d *= abs(t1)
+        if d >= bound:
+            return None
+    half = q >> 1
+    return [y - q if y > half else y for y in (e * d % q for e in x)]
 
 
 def _pack(values: Sequence[int], p: int) -> int:

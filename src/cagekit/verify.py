@@ -29,8 +29,8 @@ from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix
 from .linalg import (PRIME, Matrix, SubspaceBasis, _integer_kernel,
-                     _pivots_mod, _prepared, _rank, _scalars, dot, in_span,
-                     kernel_basis, rank)
+                     _kernel_mod, _pivots_mod, _prepared, _rank, _scalars,
+                     dot, in_span, kernel_basis, rank)
 from .poly import HomogPoly, LinearForm, monomial_basis
 
 
@@ -212,9 +212,14 @@ def hilbert_table(points, k_max: int,
     bounds meet, the rank is proved.  The rows of K_k that are
     pivots mod p are then independent over Q, and there are dim I_k of
     them, so they are a basis of I_k for the next degree.  When the bounds
-    differ (I_{k-1} = 0 included), the exact integer kernel of E_k gives
-    the rank and a fresh basis.  Over an extension field each degree takes
-    its rank as hilbert_function does.
+    differ (I_{k-1} = 0 included), linalg._kernel_mod builds cols - r
+    integer vectors from the r pivot rows of E_k mod p, modulo 2^89 - 1,
+    and keeps them only if each vanishes on every row of E_k in exact
+    integer arithmetic.  They are independent members of I_k, so
+    dim I_k >= cols - r, the upper bound that meets the lower one, and they
+    are a basis of I_k for the next degree.  When it declines, the exact
+    integer kernel of E_k gives the rank and a fresh basis.  Over an
+    extension field each degree takes its rank as hilbert_function does.
 
     From the point count on the value stays put: scaling the degree-k0
     columns by powers of a linear form that vanishes at no point embeds the
@@ -249,12 +254,16 @@ def _rank_and_kernel(pts, rows, ideal, k: int):
     """The rank of the degree-k evaluation matrix of primitive integer
     points, given as its rows, and an integer basis of its kernel (None
     when not known), given such a basis of the degree-(k-1) kernel or None,
-    by the bounds in hilbert_table's docstring.  _pivots_mod declines only
-    when both rows and columns exceed 65534 at PRIME, a matrix of over
-    4 * 10^9 entries, so its ValueError is not caught here."""
+    by the bounds in hilbert_table's docstring.  Where the upper bound
+    falls short, the kernel is _kernel_mod's on the pivot rows mod PRIME,
+    checked on every row, and _integer_kernel's when that declines.
+    _pivots_mod declines only when both rows and columns exceed 65534 at
+    PRIME, a matrix of over 4 * 10^9 entries, so its ValueError is not
+    caught here."""
     nv = len(pts[0])
     cols = len(rows[0])
-    r = len(_pivots_mod(rows, PRIME))
+    picked = _pivots_mod(rows, PRIME)
+    r = len(picked)
     if r == cols:
         return r, ()
     if r == len(pts):
@@ -264,7 +273,9 @@ def _rank_and_kernel(pts, rows, ideal, k: int):
         kept = _pivots_mod(products, PRIME)
         if r + len(kept) == cols:
             return r, tuple(products[i] for i in kept)
-    kernel = _integer_kernel(rows, cols)
+    kernel = _kernel_mod(rows, picked, cols)
+    if kernel is None:
+        kernel = _integer_kernel(rows, cols)
     return cols - len(kernel), kernel
 
 

@@ -608,6 +608,55 @@ def integral_rows(matrix):
     return list(linalg._scaled_rows(matrix))
 
 
+# -- the checked kernel modulo 2^89 - 1 --------------------------------------
+
+M89 = 2 ** 89 - 1
+
+
+def span(vectors):
+    # the canonical basis of the span: the nonzero rows of the RREF
+    if not vectors:
+        return []
+    rows, pivots = oracles.rref(vectors)
+    return rows[:len(pivots)]
+
+
+def planted_rows(rng, rows, cols, rank):
+    # the last rows - rank rows are integer combinations of the others
+    base = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rank)]
+    out = base + [[sum(w * r[j] for w, r in zip(weights, base))
+                   for j in range(cols)]
+                  for weights in ([rng.randint(-3, 3) for _ in base]
+                                  for _ in range(rows - rank))]
+    rng.shuffle(out)
+    return out
+
+
+def modular_kernel(rows, cols):
+    return linalg._kernel_mod(rows, linalg._pivots_mod(rows, linalg.PRIME),
+                              cols)
+
+
+def test_modular_kernel_spans_the_integer_kernel():
+    rng = random.Random(97)
+    for rows, cols, rank_ in ((3, 5, 3), (5, 3, 2), (4, 4, 2), (6, 6, 3),
+                              (8, 10, 5), (12, 9, 5), (1, 3, 1), (2, 2, 0)):
+        for _ in range(5):
+            raw = planted_rows(rng, rows, cols, rank_)
+            kernel = modular_kernel(raw, cols)
+            exact = linalg._integer_kernel(raw, cols)
+            assert kernel is not None and len(kernel) == len(exact)
+            assert span(kernel) == span(exact)
+
+
+def test_modular_kernel_declines_rows_dependent_mod_its_modulus():
+    # independent over Q and mod PRIME, equal mod 2^89 - 1
+    rows = [[1, 0, 0], [1, M89, 0]]
+    assert linalg._pivots_mod(rows, linalg.PRIME) == [0, 1]
+    assert linalg._kernel_mod(rows, [0, 1], 3) is None
+    assert span(linalg._integer_kernel(rows, 3)) == [[0, 0, 1]]
+
+
 def free_columns(kernel):
     # a canonical kernel vector is zero past its free column
     return [max(i for i, x in enumerate(v) if x) for v in kernel]
@@ -627,9 +676,28 @@ if given is not None:
         assert integer_rref(m) == (rref[:len(pivots)], pivots)
         assert [list(v) for v in kernel_basis(m).vectors] == \
             oracles.kernel(raw)
+
+    INTEGER = st.one_of(st.integers(-20, 20),
+                        st.integers(-2, 2).map(lambda x: x * linalg.PRIME))
+
+    @given(st.integers(1, 7).flatmap(lambda cols: st.lists(
+        st.lists(INTEGER, min_size=cols, max_size=cols),
+        min_size=1, max_size=7)))
+    def test_modular_kernel_property(raw):
+        # when it answers, the span of the exact integer kernel; entries
+        # divisible by PRIME can hide a pivot, and then it must decline
+        kernel = modular_kernel(raw, len(raw[0]))
+        exact = linalg._integer_kernel(raw, len(raw[0]))
+        if kernel is not None:
+            assert len(kernel) == len(exact)
+            assert span(kernel) == span(exact)
 else:
     @pytest.mark.skip(reason="needs hypothesis")
     def test_integer_core_property():
+        pass
+
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_modular_kernel_property():
         pass
 
 

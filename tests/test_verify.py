@@ -224,7 +224,7 @@ def test_hilbert_table_matches_exact_ranks(n, d):
     # every certified degree, up to one past stabilization, against exact
     # elimination of the evaluation matrix; the exact ranks of the (3,3)
     # and (2,6) full grids take seconds, and their tables are checked
-    # against the grid series in test_full_grid_table_runs_one_exact_kernel
+    # against the grid series in test_full_grid_table_runs_no_exact_kernel
     rng = random.Random(100 * n + d)
     cage = random_cage(rng.randrange(10 ** 6), d, n)
     for points in node_sets(cage, rng, full=d ** n <= 25):
@@ -374,17 +374,20 @@ def test_exact_degree_zero_rows_are_field_elements(monkeypatch):
 
 
 @pytest.mark.parametrize("n, d", [(2, 3), (2, 5), (3, 3), (2, 6)])
-def test_full_grid_table_runs_one_exact_kernel(monkeypatch, n, d):
-    # the first rank-deficient degree, d, has no basis below to build on;
-    # every later degree is proved by the two modular bounds, so an exact
-    # fallback would show as a second elimination
+def test_full_grid_table_runs_no_exact_kernel(monkeypatch, n, d):
+    # the first rank-deficient degree, d, has no basis below to build on,
+    # and takes the checked kernel mod 2^89 - 1; every later degree is
+    # proved by the two modular bounds, so an exact fallback would show as
+    # an elimination
     cage = random_cage(300 + 10 * n + d, d, n)
+    nodes = cage.nodes()
     kernels, eliminations = [], []
-    real_kernel, real_core = verify._integer_kernel, linalg._fraction_free
+    real_kernel, real_core = verify._kernel_mod, linalg._fraction_free
 
-    def kernel(rows, cols):
-        kernels.append(len(rows))
-        return real_kernel(rows, cols)
+    def kernel(rows, picked, cols):
+        vectors = real_kernel(rows, picked, cols)
+        kernels.append(vectors is not None)
+        return vectors
 
     def core(rows):
         eliminations.append(len(rows))
@@ -392,14 +395,63 @@ def test_full_grid_table_runs_one_exact_kernel(monkeypatch, n, d):
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the integer path must not reach this")
-    monkeypatch.setattr(verify, "_integer_kernel", kernel)
+    monkeypatch.setattr(verify, "_kernel_mod", kernel)
     monkeypatch.setattr(linalg, "_fraction_free", core)
-    for name in ("kernel_basis", "evaluation_matrix", "rank"):
+    for name in ("_integer_kernel", "kernel_basis", "rank"):
         monkeypatch.setattr(verify, name, forbidden)
     k_max = n * (d - 1) + 1
-    assert hilbert_table(cage.nodes(), k_max) == tuple(
+    assert hilbert_table(nodes, k_max) == tuple(
         oracles.grid_hilbert(d, n, k) for k in range(k_max + 1))
-    assert len(kernels) == len(eliminations) == 1
+    assert kernels == [True] and eliminations == []
+
+
+def spy_kernels(monkeypatch):
+    # the answers of the checked kernel and the row counts of the exact one
+    answers, exact = [], []
+    real_mod, real_exact = verify._kernel_mod, verify._integer_kernel
+
+    def modular(rows, picked, cols):
+        vectors = real_mod(rows, picked, cols)
+        answers.append(vectors is not None)
+        return vectors
+
+    def integer(rows, cols):
+        exact.append(len(rows))
+        return real_exact(rows, cols)
+    monkeypatch.setattr(verify, "_kernel_mod", modular)
+    monkeypatch.setattr(verify, "_integer_kernel", integer)
+    return answers, exact
+
+
+def test_kernel_heights_past_the_reconstruction_bound_take_the_exact_kernel(
+        monkeypatch):
+    # four collinear points with coordinates near 2^50: the line through
+    # them has coefficients near 2^100, past the 2^44 bound, so degree 1
+    # takes the exact kernel once, and the line's products prove degree 2
+    rng = random.Random(37)
+    a, b = ([rng.randrange(2 ** 50, 2 ** 51) for _ in range(3)]
+            for _ in range(2))
+    points = [tuple(x + t * y for x, y in zip(a, b)) for t in range(4)]
+    answers, exact = spy_kernels(monkeypatch)
+    assert hilbert_table(points, 4, field=Q) == tuple(
+        oracles.hilbert(points, k) for k in range(5)) == (1, 2, 3, 4, 4)
+    assert answers == [False] and exact == [4]
+
+
+def test_altered_modular_kernel_vector_is_rejected(monkeypatch):
+    # a vector changed after reconstruction fails the exact row check, and
+    # the exact kernel gives the same table
+    nodes = random_cage(307, 3, 2).nodes()
+    table = hilbert_table(nodes, 5)
+    real = linalg._reconstructed
+
+    def altered(x, q):
+        vector = real(x, q)
+        return None if vector is None else [e + 1 for e in vector]
+    answers, exact = spy_kernels(monkeypatch)
+    monkeypatch.setattr(linalg, "_reconstructed", altered)
+    assert hilbert_table(nodes, 5) == table == (1, 3, 6, 8, 9, 9)
+    assert answers == [False] and exact == [9]
 
 
 # -- the integer path against evaluation_matrix and linalg -----------------
