@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 from .errors import CageValidationError, MustValidateError, ShapeError
 from .field import FieldDescriptor, FieldElement
-from .linalg import (Matrix, _divided, _mod_p, _prepared, _residue_maps,
-                     _scalars, dot, kernel_basis, primitive)
+from .linalg import (Matrix, _divided, _images, _prepared, _scalars, dot,
+                     kernel_basis, primitive)
 from .poly import HomogPoly, LinearForm, product_of_linear_forms
 
 Index = tuple[int, ...]
@@ -153,8 +153,8 @@ def _prove_off_hyperplane(field: FieldDescriptor, forms, keys, failures):
     validate() prepared, and a nonzero rational is a unit; validate() calls
     it over Q only after its sweep has failed, as its docstring proves.
     Over Q[t]/(m) the residues of the forms are taken once and those of a
-    key once per node, each coefficient converted mod p once
-    (linalg._mod_p) and then evaluated at every root.  A value whose
+    key once per node, by linalg._images, which converts each coefficient
+    mod p once and then evaluates it at every root.  A value whose
     residue is nonzero at every residue map of the field is nonzero in
     every factor of Q[t]/(m), hence a unit: every factor owns a root of
     m mod p and the map at that root factors through it, as the linalg
@@ -166,21 +166,19 @@ def _prove_off_hyperplane(field: FieldDescriptor, forms, keys, failures):
     residue map or p divides a denominator of the form or the key.
     """
     units = field.kind != "rationals"
-    p, roots = _residue_maps(field) if units else (0, ())
 
     def residues(vector):
-        """The vector's residues at every map; empty, proving nothing, when
-        there is no map or p divides a denominator."""
-        try:
-            coeffs = [_mod_p(x, p) for x in vector] if roots else []
-        except ValueError:
-            return []
-        return [[dot(c, powers) % p for c in coeffs] for powers in roots]
-    tests = [(j, k, form, residues(form)) for j, group in enumerate(forms)
+        """p and the vector's residues at every map; none, proving
+        nothing, over Q, or when there is no map or p divides a
+        denominator."""
+        p, images = _images(field, [vector]) if units else (0, [])
+        return p, [image[0] for image in images]
+    tests = [(j, k, form, residues(form)[1])
+             for j, group in enumerate(forms)
              for k, form in enumerate(group, start=1)]
     pending = []
     for index, key in keys.items():
-        point = residues(key)
+        p, point = residues(key)
         for j, k, form, image in tests:
             if k == index[j] or image and point and all(
                     dot(f, x) % p for f, x in zip(image, point)):

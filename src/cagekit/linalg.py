@@ -50,8 +50,9 @@ each row will do, and _divided turns D times an RREF entry back into a
 field element.  On prepared rows there is one rank entry, _rank, and one
 kernel entry that returns field elements, _kernel; rank and kernel_basis
 run them on the prepared rows of a Matrix, and verify and inscribe run
-them on rows they build themselves.  _integer_kernel is the kernel left as
-D times the canonical basis over Q, checked on the rows it started from.
+them on rows they build themselves.  _exact_kernel is the kernel left as
+D times the canonical basis, ints over Q and elements over Q[t]/(m),
+checked on the rows it started from.
 A point set enters as primitive integer vectors (gcd 1, last nonzero entry
 positive), the unique representative of each rational projective point,
 so equal points are equal vectors.  Scaling a point by lambda != 0
@@ -94,16 +95,15 @@ Every other outcome, p dividing a denominator included, falls back to
 exact elimination over the field itself, where a reducible modulus still
 surfaces as ReducibleModulusError, as FieldDescriptor promises.
 
-_rank is the one place that takes this proof and the one place that falls
-back.  Over Q it eliminates the integer rows mod PRIME.  Over Q[t]/(m) it
-eliminates their residues at every residue map, either by reducing each
-entry or from a function residues(reduce) that builds the residue rows
-itself, as verify does from monomials evaluated at the residues of points;
-then the exact rows need exist only when the residues fall short, and a
-function that builds them may stand in for them.  Full rank at every map is
-returned, and anything else takes the pivots of exact elimination.
-verify.hilbert_table pairs the rank mod p, a lower bound, with an upper
-bound to prove rank-deficient ranks over Q.
+_images is the one place that reduces: it gives p and, at every residue
+map, the images of prepared vectors as ints, over Q the integer vectors
+themselves and over Q[t]/(m) each coefficient converted mod p once and
+evaluated at every root; it gives no map when p divides a denominator.
+_rank eliminates the images of its rows and returns a full rank at every
+map, and anything else takes the pivots of exact elimination.  verify
+takes the images of points instead, evaluates monomials at them, and pairs
+the rank mod p, a lower bound, with an upper bound to prove rank-deficient
+ranks.
 
 Where that upper bound is missing, the kernel is a certificate too.
 _kernel_mod takes the r pivot rows of _pivots_mod, which are independent
@@ -328,7 +328,7 @@ def _divided(field: FieldDescriptor, values: Sequence, lead) -> list:
 
 PRIME = 2 ** 24 - 17
 SPLIT_SCAN = 200        # primes an extension modulus may try before declining
-_SPLITS: dict = {}      # min_poly -> _split_prime(min_poly)
+_SPLITS: dict = {}      # field -> _split_prime(field.min_poly)
 _MASK = (1 << 64) - 1   # the lowest slot of a packed row
 # array("Q") is native-endian; packed ints are read little-endian, so a
 # big-endian host swaps each word
@@ -345,11 +345,22 @@ def _mod_p(e: FieldElement, p: int) -> list[int]:
     return [x * inv % p for x in e._num]
 
 
-def _reducer(p: int, powers: tuple[int, ...]):
-    """The residue map sending t^k to powers[k] mod p."""
-    def reduce(e: FieldElement) -> int:
-        return dot(_mod_p(e, p), powers) % p
-    return reduce
+def _images(field: FieldDescriptor, vectors: Sequence[Sequence]):
+    """The prime p and, for each residue map of the field, the images of
+    _prepared vectors, as lists of ints: over Q the integer vectors
+    themselves at the one map mod PRIME, over Q[t]/(m) each coefficient
+    converted mod p once (_mod_p) and evaluated at every root, the ints 0
+    and 1 of _kernel_vectors included.  No map when the field has no split
+    prime or p divides a denominator."""
+    if field.kind == "rationals":
+        return PRIME, [vectors]
+    p, roots = _residue_maps(field)
+    try:
+        coeffs = [[_mod_p(field.coerce(e), p) for e in v] for v in vectors]
+    except ValueError:          # p divides a denominator
+        return p, []
+    return p, [[[dot(c, powers) % p for c in v] for v in coeffs]
+               for powers in roots]
 
 
 def _pivots_mod(rows: Sequence[Sequence[int]], p: int) -> list[int]:
@@ -517,9 +528,12 @@ def _residue_maps(field: FieldDescriptor):
     """The prime p of an extension field and, for each residue map, the
     residues of 1, t, ..., t^(degree-1); no maps when the scan finds no
     prime."""
-    if field.min_poly not in _SPLITS:
-        _SPLITS[field.min_poly] = _split_prime(field.min_poly)
-    return _SPLITS[field.min_poly]
+    # keyed by the descriptor, whose hash is stored, not by its modulus,
+    # whose Fractions would be hashed on every call
+    splits = _SPLITS.get(field)
+    if splits is None:
+        splits = _SPLITS[field] = _split_prime(field.min_poly)
+    return splits
 
 
 def _split_prime(min_poly) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -627,41 +641,24 @@ def rank(matrix: Matrix) -> int:
     return _rank(matrix.field, _scaled_rows(matrix))
 
 
-def _rank(field: FieldDescriptor, rows, residues=None) -> int:
+def _rank(field: FieldDescriptor, rows: Sequence[Sequence]) -> int:
     """Rank over the field of _prepared rows, full rank certified mod p.
 
-    Over Q the integer rows are eliminated mod PRIME.  Over Q[t]/(m) the
-    residues of the rows are eliminated at every residue map of the field:
-    residues(reduce) builds them, where reduce maps a field element to its
-    residue and entries need only be congruent mod p, and by default each
-    entry is reduced.  A rank mod p equal to min(rows, cols) at every map
-    is the rank, by the argument in the module docstring.  Otherwise, or
-    when the field has no split prime or p divides the denominator of an
-    element reduced, the rank is the number of pivots of _eliminate, so a
-    rank that drops at one root is never claimed full.  Over Q[t]/(m) with
-    residues given, rows may be a function that builds the rows, called
-    only then.
+    A rank mod p of the _images of the rows equal to min(rows, cols) at
+    every residue map is the rank, by the argument in the module
+    docstring.  Otherwise, or when there is no map, or past the slot bound
+    of _pivots_mod, the rank is the number of pivots of _eliminate, so a
+    rank that drops at one root is never claimed full.
     """
-    if field.kind == "rationals":
-        p, images = PRIME, [rows]
-    else:
-        p, roots = _residue_maps(field)
-        if residues is None:
-            def residues(reduce):
-                return [[reduce(e) for e in row] for row in rows]
-        images = (residues(_reducer(p, powers)) for powers in roots)
-    full = None
+    p, images = _images(field, rows)
+    full = min(len(rows), len(rows[0]) if rows else 0)
     try:
-        for image in images:
-            full = min(len(image), len(image[0]) if image else 0)
-            if len(_pivots_mod(image, p)) < full:
-                break
-        else:
-            if full is not None:
-                return full
-    except ValueError:          # no inverse: p divides a denominator
+        if images and all(len(_pivots_mod(image, p)) == full
+                          for image in images):
+            return full
+    except ValueError:          # past the slot bound
         pass
-    return len(_eliminate(field, rows() if callable(rows) else rows)[1])
+    return len(_eliminate(field, rows)[1])
 
 
 def kernel_basis(matrix: Matrix) -> SubspaceBasis:
@@ -686,11 +683,12 @@ def _kernel(field: FieldDescriptor, rows: Sequence[Sequence],
     return tuple(tuple(_divided(field, vec, lead)) for vec in basis)
 
 
-def _integer_kernel(rows: Sequence[Sequence[int]],
-                    cols: int) -> list[list[int]]:
-    """kernel_basis of integer rows with cols columns, left as integer
-    vectors: D times the canonical basis, checked against the rows."""
-    return _kernel_vectors(rows, *_fraction_free(list(rows)), cols)[0]
+def _exact_kernel(field: FieldDescriptor, rows: Sequence[Sequence],
+                  cols: int) -> list[list]:
+    """D times the canonical kernel basis of prepared rows with cols
+    columns, checked against the rows: ints over Q, elements over
+    Q[t]/(m), where D is 1."""
+    return _kernel_vectors(rows, *_eliminate(field, rows), cols)[0]
 
 
 def _kernel_vectors(rows, reduced, pivots: list[int], cols: int):

@@ -28,9 +28,9 @@ from .cage import (Cage, Node, NodeSelection, _point_key,
 from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix
-from .linalg import (PRIME, Matrix, SubspaceBasis, _integer_kernel,
-                     _kernel_mod, _pivots_mod, _prepared, _rank, _scalars,
-                     dot, in_span, kernel_basis, rank)
+from .linalg import (Matrix, SubspaceBasis, _exact_kernel, _images,
+                     _kernel_mod, _pivots_mod, _prepared, _scalars, dot,
+                     in_span, kernel_basis, rank)
 from .poly import HomogPoly, LinearForm, monomial_basis
 
 
@@ -132,19 +132,13 @@ def _degree_rows(points, one=1) -> Iterator[list[list]]:
 def _evaluation_rank(points, degree: int, field: FieldDescriptor) -> int:
     """Rank of the degree-k evaluation matrix of a point list, 0 when it is
     empty, given as _distinct_points or Cage._key_table gives it: over Q
-    primitive integer vectors.  That is linalg._rank of the
-    _evaluation_rows of the points over Q.  Over Q[t]/(m) the residue rows
-    are the _evaluation_rows of the residues of the points, and the exact
-    rows, of elements, are built only when their ranks fall short."""
+    primitive integer vectors.  That is _degree_rank of the
+    _evaluation_rows of the linalg._images of the points."""
     if not points:
         return 0
-    if field.kind == "rationals":
-        return _rank(field, _evaluation_rows(points, degree))
-    return _rank(
-        field,
-        lambda: _evaluation_rows(points, degree, field.one()),
-        lambda reduce: _evaluation_rows(
-            [[reduce(c) for c in pt] for pt in points], degree))
+    p, images = _images(field, points)
+    return _degree_rank(field, points, degree, p, [
+        _evaluation_rows(image, degree) for image in images])[0]
 
 
 def _distinct_points(points, field: Optional[FieldDescriptor]):
@@ -198,28 +192,37 @@ def hilbert_table(points, k_max: int,
 
     Each degree k is certified until the value reaches the point count.
     Write E_k for the degree-k evaluation matrix, with C(k+n, n) columns,
-    and I_k for its kernel over Q: the degree-k forms that vanish on the
-    points.  Over Q the table keeps an exact integer basis of I_{k-1} and
+    and I_k for its kernel: the degree-k forms that vanish on the points.
+    The table carries from one degree to the next the images, at every
+    residue map of linalg._images, of exact members g of I_{k-1}, and
     forms K_k, whose rows are the coefficient vectors of x_v * g for every
-    basis form g and every variable x_v.  Each such product vanishes on the
-    points, so the rows of K_k lie in I_k, and with ranks mod
-    p = linalg.PRIME as in linalg.rank,
+    such g and every variable x_v.  Each such product vanishes on the
+    points, so the rows of K_k lie in I_k, and the image of x_v * g is the
+    same shift of the image of g, so no field element is multiplied.  Over
+    Q, with ranks mod p = linalg.PRIME as in linalg.rank,
 
         rank_p(E_k) <= rank_Q(E_k) = cols - dim I_k <= cols - rank_p(K_k).
 
-    A rank mod p equal to min(rows, cols) needs no upper bound, as in
-    linalg.rank; at full column rank I_k = 0.  Otherwise, when the two
-    bounds meet, the rank is proved.  The rows of K_k that are
-    pivots mod p are then independent over Q, and there are dim I_k of
-    them, so they are a basis of I_k for the next degree.  When the bounds
-    differ (I_{k-1} = 0 included), linalg._kernel_mod builds cols - r
+    Over Q[t]/(m) the same holds at each root of m mod the split prime p,
+    with the rank and I_k taken in the factor of Q[t]/(m) that owns the
+    root, as the linalg module docstring argues: a minor nonzero at the
+    root is nonzero in that factor.  So when both bounds give r at every
+    root, the rank is r in every factor.
+
+    A rank mod p equal to min(rows, cols) at every map needs no upper
+    bound, as in linalg.rank; at full column rank I_k = 0.  Otherwise, when
+    the two bounds meet at every map, the rank is proved.  The rows of K_k
+    that are pivots at the first map are exact members of I_k, carried to
+    the next degree; over Q they are independent and there are dim I_k of
+    them, a basis of I_k.  When the bounds differ (I_{k-1} = 0 included),
+    the degree takes a kernel.  Over Q linalg._kernel_mod builds cols - r
     integer vectors from the r pivot rows of E_k mod p, modulo 2^89 - 1,
     and keeps them only if each vanishes on every row of E_k in exact
     integer arithmetic.  They are independent members of I_k, so
     dim I_k >= cols - r, the upper bound that meets the lower one, and they
-    are a basis of I_k for the next degree.  When it declines, the exact
-    integer kernel of E_k gives the rank and a fresh basis.  Over an
-    extension field each degree takes its rank as hilbert_function does.
+    are a basis of I_k.  When it declines, and over Q[t]/(m) always,
+    linalg._exact_kernel of E_k gives the rank and a basis of I_k, whose
+    images are carried unless p divides a denominator of the basis.
 
     From the point count on the value stays put: scaling the degree-k0
     columns by powers of a linear form that vanishes at no point embeds the
@@ -231,58 +234,65 @@ def hilbert_table(points, k_max: int,
     if k_max < 0:
         raise ValueError("degree must be nonnegative")
     pts, field = _distinct_points(points, field)
+    if not pts:
+        return (0,) * (k_max + 1)
     count = len(pts)
     values = []
-    ideal = ()          # integer basis of I_{k-1} over Q; None when not known
-    # over Q the degrees that take a rank, 0, 1, 2, ..., take the next rows
-    degree_rows = _degree_rows(pts)
+    ideal = None        # images of members of I_{k-1} at every map
+    # the degrees that take a rank, 0, 1, 2, ..., take the next rows at
+    # every map
+    p, images = _images(field, pts)
+    degree_rows = [_degree_rows(image) for image in images]
     for k in range(k_max + 1):
-        if count == 0 or values and values[-1] == count:
+        if values and values[-1] == count:
             values.append(count)
             continue
-        if field.kind == "rationals":
-            r, ideal = _rank_and_kernel(pts, next(degree_rows), ideal, k)
-        else:
-            r = _evaluation_rank(pts, k, field)
+        r, ideal = _degree_rank(field, pts, k, p,
+                                [next(rows) for rows in degree_rows], ideal)
         values.append(r)
         if r == count:
             _separating_form(field, pts)
     return tuple(values)
 
 
-def _rank_and_kernel(pts, rows, ideal, k: int):
-    """The rank of the degree-k evaluation matrix of primitive integer
-    points, given as its rows, and an integer basis of its kernel (None
-    when not known), given such a basis of the degree-(k-1) kernel or None,
-    by the bounds in hilbert_table's docstring.  Where the upper bound
-    falls short, the kernel is _kernel_mod's on the pivot rows mod PRIME,
-    checked on every row, and _integer_kernel's when that declines.
-    _pivots_mod declines only when both rows and columns exceed 65534 at
-    PRIME, a matrix of over 4 * 10^9 entries, so its ValueError is not
-    caught here."""
-    nv = len(pts[0])
-    cols = len(rows[0])
-    picked = _pivots_mod(rows, PRIME)
-    r = len(picked)
-    if r == cols:
-        return r, ()
-    if r == len(pts):
-        return r, None
-    if ideal:
-        products = _variable_multiples(ideal, k, nv)
-        kept = _pivots_mod(products, PRIME)
-        if r + len(kept) == cols:
-            return r, tuple(products[i] for i in kept)
-    kernel = _kernel_mod(rows, picked, cols)
+def _degree_rank(field: FieldDescriptor, points, k: int, p: int, images,
+                 ideal=None):
+    """The rank of the degree-k evaluation matrix E_k of points, given as
+    _distinct_points gives them, and the images at every map of exact
+    members of its kernel I_k, or None; images are those of E_k at every
+    residue map of linalg._images, mod p, and ideal those of members of
+    I_{k-1}, or None.  The bounds, and the kernel where they do not meet,
+    are those of hilbert_table's docstring.  _pivots_mod declines only
+    when both rows and columns exceed 65534 at p, a matrix of over
+    4 * 10^9 entries, so its ValueError is not caught here."""
+    nv = len(points[0])
+    cols = len(monomial_basis(k, nv))
+    picked = [_pivots_mod(image, p) for image in images]
+    r = len(picked[0]) if picked else None
+    if picked and all(len(pivots) == r for pivots in picked):
+        if r in (cols, len(points)):
+            return r, None
+        if ideal:
+            products = [_variable_multiples(forms, k, nv) for forms in ideal]
+            kept = [_pivots_mod(multiples, p) for multiples in products]
+            if all(r + len(pivots) == cols for pivots in kept):
+                return r, [[multiples[i] for i in kept[0]]
+                           for multiples in products]
+    kernel = None
+    if field.kind == "rationals":
+        rows = images[0]
+        kernel = _kernel_mod(rows, picked[0], cols)
+    else:
+        rows = _evaluation_rows(points, k, field.one())
     if kernel is None:
-        kernel = _integer_kernel(rows, cols)
-    return cols - len(kernel), kernel
+        kernel = _exact_kernel(field, rows, cols)
+    return cols - len(kernel), _images(field, kernel)[1]
 
 
 def _variable_multiples(forms, k: int, nv: int) -> list[list[int]]:
-    """Coefficient vectors in degree k of x_v * g, for each integer
-    coefficient vector g of a degree-(k-1) form in forms and each variable
-    x_v."""
+    """Coefficient vectors in degree k of x_v * g, for each coefficient
+    vector g of a degree-(k-1) form in forms, or its image at a residue
+    map, and each variable x_v: the entries of g, shifted."""
     position = {m: i for i, m in enumerate(monomial_basis(k, nv))}
     shifts = [[position[m[:v] + (m[v] + 1,) + m[v + 1:]]
                for m in monomial_basis(k - 1, nv)] for v in range(nv)]

@@ -205,8 +205,8 @@ def residue_ranks(field, rows):
     p, roots = linalg._residue_maps(field)
     try:
         return [len(linalg._pivots_mod(
-            [[linalg._reducer(p, powers)(e) for e in row] for row in rows],
-            p)) for powers in roots]
+            [[sum(c * r for c, r in zip(linalg._mod_p(e, p), powers)) % p
+              for e in row] for row in rows], p)) for powers in roots]
     except ValueError:
         return None
 
@@ -582,7 +582,7 @@ def test_integer_entry_points_match_the_oracles(monkeypatch):
         raise AssertionError("Q must not reach the residue maps")
 
     monkeypatch.setattr(linalg, "_residue_maps", forbidden)
-    monkeypatch.setattr(linalg, "_reducer", forbidden)
+    monkeypatch.setattr(linalg, "_mod_p", forbidden)
     p = linalg.PRIME
     rng = random.Random(59)
     for rows, cols, deficiency in ((3, 5, 0), (5, 3, 1), (4, 4, 2),
@@ -595,13 +595,13 @@ def test_integer_entry_points_match_the_oracles(monkeypatch):
         frac = [[Fraction(x) for x in r] for r in raw]
         assert linalg._rank(Q, raw) == oracles.rank(frac) \
             == rank(Matrix(Q, frac))
-        kernel = linalg._integer_kernel(raw, cols)
+        kernel = linalg._exact_kernel(Q, raw, cols)
         assert all(x == int(x) for v in kernel for x in v)
         assert [[Fraction(x, v[f]) for x in v] for v, f in zip(
             kernel, free_columns(kernel))] == oracles.kernel(frac)
     assert rank(Matrix(Q, [[Fraction(1, p), 1], [1, p]])) == 1
     assert linalg._rank(Q, []) == 0
-    assert linalg._integer_kernel([], 2) == [[1, 0], [0, 1]]
+    assert linalg._exact_kernel(Q, [], 2) == [[1, 0], [0, 1]]
 
 
 def integral_rows(matrix):
@@ -644,7 +644,7 @@ def test_modular_kernel_spans_the_integer_kernel():
         for _ in range(5):
             raw = planted_rows(rng, rows, cols, rank_)
             kernel = modular_kernel(raw, cols)
-            exact = linalg._integer_kernel(raw, cols)
+            exact = linalg._exact_kernel(Q, raw, cols)
             assert kernel is not None and len(kernel) == len(exact)
             assert span(kernel) == span(exact)
 
@@ -654,7 +654,7 @@ def test_modular_kernel_declines_rows_dependent_mod_its_modulus():
     rows = [[1, 0, 0], [1, M89, 0]]
     assert linalg._pivots_mod(rows, linalg.PRIME) == [0, 1]
     assert linalg._kernel_mod(rows, [0, 1], 3) is None
-    assert span(linalg._integer_kernel(rows, 3)) == [[0, 0, 1]]
+    assert span(linalg._exact_kernel(Q, rows, 3)) == [[0, 0, 1]]
 
 
 def free_columns(kernel):
@@ -687,7 +687,7 @@ if given is not None:
         # when it answers, the span of the exact integer kernel; entries
         # divisible by PRIME can hide a pivot, and then it must decline
         kernel = modular_kernel(raw, len(raw[0]))
-        exact = linalg._integer_kernel(raw, len(raw[0]))
+        exact = linalg._exact_kernel(Q, raw, len(raw[0]))
         if kernel is not None:
             assert len(kernel) == len(exact)
             assert span(kernel) == span(exact)

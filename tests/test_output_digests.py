@@ -15,16 +15,22 @@ an inscription at every node of a cage whose forms carry denominators and
 of a Q(sqrt 2) cage.  The random_cage pins cover the cages and attempt
 counts of fifty seeds per shape.  The node pins cover every node point:
 `cagekit nodes` for all nodes, and the JSON of the simplicial and
-supra-simplicial selections.
+supra-simplicial selections.  The hilbert_table pins cover rational point
+sets with denominators, node sets and subsets of random cages, and node
+sets and planted point sets over the fermat-conic and fermat-cubic-surface
+fields, so a change to the bounds, kernels or exact fallbacks of any
+table shows here.
 """
 
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from cagekit import cayley_bacharach_check, random_cage
+from cagekit import (FieldDescriptor, cayley_bacharach_check, hilbert_table,
+                     random_cage)
 from cagekit.cage import simplicial_indices, supra_simplicial_indices
 from cagekit.cli import main
 from cagekit.demos import build_demo
@@ -34,6 +40,7 @@ from cagekit.serialize import (cage_to_json, node_to_json, report_to_json,
                                tangent_to_json, variety_to_json)
 from test_inscribe import (random_fractional_tangent, random_sqrt2_cage,
                            with_denominators)
+from test_verify import node_sets, planted_points
 
 # (n, d) -> random_cage seed
 CAGES = {(2, 5): 205, (3, 3): 303}
@@ -117,12 +124,60 @@ SCALED_INSCRIPTION_DIGESTS = {
         "e13fe58a0fe0e2c4204280fe95210294e8c1171fc38bc8a03a2d769feaecafab",
 }
 
+# name -> digest of the hilbert_table of each point set of
+# hilbert_cases(name), each up to a degree past its stabilization
+HILBERT_TABLE_DIGESTS = {
+    "rationals":
+        "82bf9535ee43b0143f321c5fb006250bd98c918e890573dabec5580ecabc5b40",
+    "cages":
+        "9115eb26cae562370eb01bbfab064380c5fceef5c60962849011c7bfc5deb910",
+    "fermat-conic":
+        "0d161829ce23f44cc67f7e9a0935d96afba3605c5bc52a03b989c83f6262f649",
+    "fermat-cubic-surface":
+        "4bbf5376535f85b03b6d6521f5f2899f51b3afa368f7d4f506405b35e1a25fc9",
+}
+
 # (n, d) -> digest of [attempts, cage_to_json] for seeds 1..50
 RANDOM_CAGE_DIGESTS = {
     (2, 3): "9b6a6e9b4f0b74a4afd4fb13567047be0ad568572c4a0b42e2a3ce34bc6c0e0f",
     (3, 3): "581a05b200e7ede1f352ad2325ed656e9c69775cf97ffc2d886965c0d2e44d50",
     (2, 5): "ec843a70ff1acfae7ec26fd926f2b725d6d8186471c84b86df0a33a6b5bfec8e",
 }
+
+
+def hilbert_cases(name):
+    # (points, k_max, field): rational point sets with denominators, p
+    # among them; node sets and subsets of random cages; and node sets and
+    # planted point sets over the two demo fields
+    Q = FieldDescriptor.rationals()
+    if name == "rationals":
+        rng, p = random.Random(11), 2 ** 24 - 17
+        sets = [planted_points(rng, Q, count) for count in range(6)]
+        sets.append([(Fraction(a, p), Fraction(b, 3), Fraction(1))
+                     for a in range(3) for b in range(3)]
+                    + [(Fraction(5, p), Fraction(7), Fraction(1))])
+        sets.append([(Fraction(i * p), Fraction(j), Fraction(1))
+                     for i in range(3) for j in range(3)])
+        return [(points, len(points), Q) for points in sets]
+    if name == "cages":
+        out = []
+        for n, d, seed in ((2, 3, 211), (2, 4, 212), (3, 2, 213),
+                           (3, 3, 214), (2, 5, 215)):
+            cage = random_cage(seed, d, n)
+            out += [(points, n * (d - 1) + 1, Q)
+                    for points in node_sets(cage, random.Random(seed))]
+        return out
+    demo = build_demo(name).cage
+    field, rng = demo.field, random.Random(name)
+    cages = [demo] + ([random_cage(31, 3, 2, field)]
+                      if name == "fermat-conic" else [])
+    out = [(points, cage.n * (cage.d - 1) + 1, field) for cage in cages
+           for points in node_sets(cage, rng)]
+    out += [(points, len(points), field)
+            for points in (planted_points(rng, field, count)
+                           for count in range(4 if name == "fermat-conic"
+                                              else 1))]
+    return out
 
 
 def sha256(text):
@@ -211,6 +266,13 @@ def test_scaled_inscription_is_unchanged(name):
             variety_to_json(inscribe_with_tangent(cage, node, tangent)),
             [tangent_to_json(forced[i]) for i in sorted(forced)]])
     assert sha256(json.dumps(docs)) == SCALED_INSCRIPTION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(HILBERT_TABLE_DIGESTS))
+def test_hilbert_tables_are_unchanged(name):
+    tables = [hilbert_table(points, k_max, field=field)
+              for points, k_max, field in hilbert_cases(name)]
+    assert sha256(json.dumps(tables)) == HILBERT_TABLE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("n, d", sorted(RANDOM_CAGE_DIGESTS))

@@ -64,3 +64,23 @@ def test_no_unused_imports_in_package():
         found += [f"{path.name}:{line} {name}"
                   for name, line in imported.items() if name not in used]
     assert found == []
+
+
+def test_residue_maps_stay_inside_linalg():
+    # every residue image comes from linalg._images, so no other module
+    # reads the residue maps or reduces a field element mod p itself
+    sources = sorted(p for p in Path(cagekit.__file__).parent.glob("*.py")
+                     if p.name != "linalg.py")
+    assert sources
+    private = {"_residue_maps", "_reducer", "_mod_p"}
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = ({node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute)
+                     else {a.name for a in node.names}
+                     if isinstance(node, ast.ImportFrom) else set())
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in names & private]
+    assert found == []

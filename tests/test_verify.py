@@ -219,6 +219,29 @@ def node_sets(cage, rng, full=True):
     yield rng.sample(nodes, rng.randint(len(nodes) // 2, len(nodes) - 1))
 
 
+def planted_points(rng, field, count):
+    # distinct points of the plane over the field, in a random order: three
+    # to five on a line, three to five on the conic x z = y^2, and count
+    # random ones
+    def element():
+        return field.element([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                              for _ in range(field.degree)])
+
+    a, b = ([element() for _ in range(3)] for _ in range(2))
+    line = [[x + s * y for x, y in zip(a, b)]
+            for s in range(rng.randint(3, 5))]
+    conic = [[s * s, s, field.one()]
+             for s in [element() for _ in range(rng.randint(3, 5))]]
+    others = [[element() for _ in range(3)] for _ in range(count)]
+    points = {}
+    for pt in line + conic + others:
+        if any(pt):
+            points.setdefault(cage_module.canonical_point(pt), tuple(pt))
+    out = list(points.values())
+    rng.shuffle(out)
+    return out
+
+
 @pytest.mark.parametrize("n, d", [(2, 3), (2, 5), (3, 3), (2, 6)])
 def test_hilbert_table_matches_exact_ranks(n, d):
     # every certified degree, up to one past stabilization, against exact
@@ -243,17 +266,17 @@ def test_hilbert_table_without_the_modular_core(monkeypatch):
         for points in node_sets(cage, rng):
             cases.append((points, hilbert_table(points, n * (d - 1) + 1)))
     real, kernels = linalg._pivots_mod, []
-    real_kernel = verify._integer_kernel
+    real_kernel = verify._exact_kernel
 
     def short(rows, p):
         return real(rows, p)[:-1]
 
-    def kernel(rows, cols):
+    def kernel(field, rows, cols):
         kernels.append(len(rows))
-        return real_kernel(rows, cols)
+        return real_kernel(field, rows, cols)
     for module in (linalg, verify):
         monkeypatch.setattr(module, "_pivots_mod", short)
-    monkeypatch.setattr(verify, "_integer_kernel", kernel)
+    monkeypatch.setattr(verify, "_exact_kernel", kernel)
     for points, table in cases:
         del kernels[:]
         assert hilbert_table(points, len(table) - 1) == table
@@ -306,7 +329,7 @@ def test_hilbert_table_takes_the_exact_path_on_the_prime(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the integer path must not reach this")
     monkeypatch.setattr(linalg, "_fraction_free", counted)
-    monkeypatch.setattr(verify, "evaluation_matrix", forbidden)
+    monkeypatch.setattr(verify, "Matrix", forbidden)
     monkeypatch.setattr(linalg, "_rref", forbidden)
     assert verify._distinct_points(pts, Q)[0][-1] == (5, 7 * p, p)
     table = hilbert_table(pts, 5, field=Q)
@@ -335,15 +358,16 @@ def test_hilbert_table_over_an_extension_field_is_unchanged(monkeypatch):
 
     cage = build_demo("fermat-cubic-surface").cage
     supra = cage.nodes_for(supra_simplicial_indices(cage.d, cage.n))
-    monkeypatch.setattr(verify, "evaluation_matrix", forbidden)
+    monkeypatch.setattr(verify, "_evaluation_rows", forbidden)
     monkeypatch.setattr(linalg, "_eliminate", forbidden)
     assert hilbert_table(supra, 5, field=cage.field) == (1, 4, 10, 17, 17, 17)
 
 
 def test_short_residue_ranks_build_the_exact_matrix_lazily(monkeypatch):
     # four collinear points over Q(sqrt2): degrees 1 and 2 fall short of
-    # full rank at the residue maps and take an exact elimination, degree 3
-    # is full and certified by its residues alone
+    # full rank at the residue maps.  Degree 1 has no kernel below to build
+    # on and takes one exact elimination, the multiples of the line prove
+    # degree 2, and degree 3 is full and certified by its residues alone
     sqrt2 = FieldDescriptor.extension([-2, 0, 1])
     t = sqrt2.generator()
     pts = [(1, k * t + k, k * t + k + 1) for k in range(4)]
@@ -357,8 +381,93 @@ def test_short_residue_ranks_build_the_exact_matrix_lazily(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
     assert hilbert_table(pts, 5) == (1, 2, 3, 4, 4, 4)
-    # C(k+2, 2) columns in degree k: degrees 1 and 2 only
-    assert widths == [math.comb(3, 2), math.comb(4, 2)]
+    # C(k+2, 2) columns in degree k: degree 1 only
+    assert widths == [math.comb(3, 2)]
+
+
+def counted_gauss_jordan(monkeypatch):
+    # the widths of the exact eliminations over a number field
+    widths = []
+    real = linalg._gauss_jordan
+
+    def counted(rows):
+        widths.append(len(rows[0]))
+        return real(rows)
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted)
+    return widths
+
+
+@pytest.mark.parametrize("name", ["fermat-cubic-surface", "k3-quartic"])
+def test_demo_node_tables_take_one_exact_elimination(monkeypatch, name):
+    # the first rank-deficient degree, d, takes the one exact kernel; its
+    # multiples prove every later degree at every residue map, and the
+    # table is the complete-intersection count of the node set
+    cage = build_demo(name).cage
+    n, d = cage.n, cage.d
+    k_max = n * (d - 1) + 1
+    points = [nd.point for nd in cage.nodes()]
+    widths = counted_gauss_jordan(monkeypatch)
+    assert hilbert_table(points, k_max, field=cage.field) == \
+        verify._lemma_counts(cage_module.all_indices(d, n), n, k_max)
+    assert widths == [math.comb(d + n, n)]
+
+
+@pytest.mark.parametrize("min_poly", [[-2, 0, 1], [-2, 0, 0, 1]],
+                         ids=["Q(sqrt2)", "Q(cbrt2)"])
+def test_planted_number_field_tables_match_exact_ranks(min_poly):
+    # a line and a conic planted among random points: every degree up to
+    # one past stabilization against exact elimination over the field
+    field = FieldDescriptor.extension(min_poly)
+    rng = random.Random(str(min_poly))
+    for count in range(4):
+        points = planted_points(rng, field, count)
+        table = hilbert_table(points, len(points))
+        k_max = table.index(len(points)) + 1
+        assert table[:k_max + 1] == tuple(
+            len(linalg._gauss_jordan([list(row) for row in evaluation_matrix(
+                points, k).matrix.entries])[1]) for k in range(k_max + 1))
+
+
+def test_points_coinciding_in_one_factor_raise():
+    # Q[t]/(t^2 - 1) is Q x Q; the second point equals the first in the
+    # factor t = 1 only, so the residue ranks of degree 1 differ at the
+    # two roots, and the exact kernel meets the zero divisor (1 - t) / 2
+    t = SPLIT.generator()
+    one, zero = SPLIT.one(), SPLIT.zero()
+    points = [(zero, zero, one), ((1 - t) / 2, zero, one), (zero, one, one)]
+    for call in (hilbert_table, hilbert_function):
+        assert call(points, 0) in (1, (1,))
+        with pytest.raises(ReducibleModulusError):
+            call(points, 1)
+
+
+def test_kernel_with_the_prime_in_a_denominator_carries_no_basis(
+        monkeypatch):
+    # four points of the line x + y + q z = 0 over Q(sqrt2), with q its
+    # split prime, have distinct residues on the line x + y = 0 mod q.
+    # Degree 1 takes the exact kernel, the line scaled to (1/q, 1/q, 1),
+    # which has no residue; so degree 2 carries no basis and takes the
+    # exact kernel too, and degree 3 is full at every root
+    sqrt2 = FieldDescriptor.extension([-2, 0, 1])
+    q = linalg._residue_maps(sqrt2)[0]
+    points = [tuple(sqrt2.from_rational(c) for c in pt)
+              for pt in ((1, -1, 0), (2, -2 - q, 1), (3, -3 - 2 * q, 2),
+                         (1, -1 - 3 * q, 3))]
+    kernels = []
+    real = verify._exact_kernel
+
+    def kept(field, rows, cols):
+        kernels.append(real(field, rows, cols))
+        return kernels[-1]
+    monkeypatch.setattr(verify, "_exact_kernel", kept)
+    widths = counted_gauss_jordan(monkeypatch)
+    assert hilbert_table(points, 4) == (1, 2, 3, 4, 4) == tuple(
+        oracles.hilbert([[c.as_fraction() for c in pt] for pt in points], k)
+        for k in range(5))
+    assert widths == [3, 6]
+    assert [Fraction(1, q), Fraction(1, q), 1] in [
+        [sqrt2.coerce(c).as_fraction() for c in vec] for vec in kernels[0]]
+    assert linalg._images(sqrt2, kernels[0]) == (q, [])
 
 
 def test_exact_degree_zero_rows_are_field_elements(monkeypatch):
@@ -397,7 +506,7 @@ def test_full_grid_table_runs_no_exact_kernel(monkeypatch, n, d):
         raise AssertionError("the integer path must not reach this")
     monkeypatch.setattr(verify, "_kernel_mod", kernel)
     monkeypatch.setattr(linalg, "_fraction_free", core)
-    for name in ("_integer_kernel", "kernel_basis", "rank"):
+    for name in ("_exact_kernel", "kernel_basis", "rank"):
         monkeypatch.setattr(verify, name, forbidden)
     k_max = n * (d - 1) + 1
     assert hilbert_table(nodes, k_max) == tuple(
@@ -408,18 +517,18 @@ def test_full_grid_table_runs_no_exact_kernel(monkeypatch, n, d):
 def spy_kernels(monkeypatch):
     # the answers of the checked kernel and the row counts of the exact one
     answers, exact = [], []
-    real_mod, real_exact = verify._kernel_mod, verify._integer_kernel
+    real_mod, real_exact = verify._kernel_mod, verify._exact_kernel
 
     def modular(rows, picked, cols):
         vectors = real_mod(rows, picked, cols)
         answers.append(vectors is not None)
         return vectors
 
-    def integer(rows, cols):
+    def integer(field, rows, cols):
         exact.append(len(rows))
-        return real_exact(rows, cols)
+        return real_exact(field, rows, cols)
     monkeypatch.setattr(verify, "_kernel_mod", modular)
-    monkeypatch.setattr(verify, "_integer_kernel", integer)
+    monkeypatch.setattr(verify, "_exact_kernel", integer)
     return answers, exact
 
 
@@ -475,7 +584,7 @@ def matrix_path(points, k):
 def integer_path(points, k):
     pts, _ = verify._distinct_points(points, Q)
     rows = verify._evaluation_rows(pts, k)
-    kernel = verify._integer_kernel(rows, len(rows[0]))
+    kernel = verify._exact_kernel(Q, rows, len(rows[0]))
     return verify._evaluation_rank(pts, k, Q), normalized(kernel)
 
 
@@ -697,12 +806,12 @@ def test_supra_interpolation_takes_no_rank(monkeypatch, tmp_path, which):
         raise AssertionError("no node rank may be taken")
 
     with monkeypatch.context() as m:
-        for name in ("_evaluation_rank", "hilbert_table",
-                     "evaluation_matrix", "_rank", "rank", "_pivots_mod",
-                     "_integer_kernel", "kernel_basis", "in_span"):
+        for name in ("_evaluation_rank", "hilbert_table", "_degree_rank",
+                     "rank", "_pivots_mod", "_exact_kernel", "kernel_basis",
+                     "in_span"):
             m.setattr(verify, name, forbidden)
         for name in ("_rank", "rank", "_eliminate", "_rref", "_pivots_mod",
-                     "_integer_kernel", "_kernel", "kernel_basis",
+                     "_exact_kernel", "_kernel", "kernel_basis",
                      "_residue_maps"):
             m.setattr(linalg, name, forbidden)
         m.setattr(HomogPoly, "evaluate", forbidden)
@@ -1222,7 +1331,7 @@ def test_units_off_hyperplanes_from_residues_or_inversion(monkeypatch):
         fresh = type(demo)(demo.field, demo.groups)
         assert fresh.validate() == demo.validate()
     assert terms == []
-    monkeypatch.setattr(cage_module, "_residue_maps",
+    monkeypatch.setattr(linalg, "_residue_maps",
                         lambda field: (linalg.PRIME, ()))
     for again, before in [(type(c)(c.field, c.groups), c) for c in demos] + [
             (type(far)(sqrt2, far.groups), far)]:
@@ -1374,7 +1483,7 @@ def test_span_check_takes_one_rank_and_visits_no_node(monkeypatch):
             m.setattr(HomogPoly, "evaluate", forbidden)
             m.setattr(linalg, "solve", forbidden)
             m.setattr(linalg, "kernel_basis", forbidden)
-            m.setattr(verify, "evaluation_matrix", forbidden)
+            m.setattr(verify, "_degree_rank", forbidden)
             m.setattr(verify, "rank", counted)
             assert complete_intersection_span_check(inputs, cage) is True
             assert complete_intersection_span_check([], cage) is True
@@ -1421,7 +1530,7 @@ def test_counterexample_reads_ranks_not_kernels(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the counterexample needs no node rank")
     for module, name in ((verify, "kernel_basis"), (linalg, "kernel_basis"),
-                         (verify, "evaluation_matrix"), (linalg, "solve"),
+                         (verify, "Matrix"), (linalg, "solve"),
                          (verify, "_evaluation_rank")):
         monkeypatch.setattr(module, name, forbidden)
     assert report_to_json(independence_counterexample()) == expected
