@@ -106,24 +106,22 @@ def node_differentials(cage: Cage, node: Node) -> Matrix:
     L_{j,I_j} rank n, so their kernel is spanned by p.  A chart-local
     kernel vector lifted with a zero chart entry would lie in that kernel,
     which p[chart] = 1 rules out.  A Node that is not the cage's node at
-    its index raises ValueError.  The rows are those of _differential_rows,
-    each coefficient times its vector: (c_j / s_j)(s_j L) = c_j L, entry
-    for entry.
+    its index raises ValueError.  Row j is the table's pair multiplied
+    out, chart column dropped: (c_j / s_j)(s_j L) = c_j L, entry for entry.
     """
-    rows = _differential_rows(cage, node)
-    return Matrix(cage.field, [[c * a for a in vector] for c, vector in rows])
+    chart = chart_of(node)
+    return Matrix(cage.field, [[c * a for i, a in enumerate(vector)
+                                if i != chart]
+                               for c, vector in _differential_rows(cage, node)])
 
 
-def _differential_rows(cage: Cage, node: Node) -> list[tuple]:
-    """Row j of node_differentials as a coefficient and a vector whose
-    product it is, for every color j.
-
-    The cofactor table (Cage._node_cofactors) holds the pair
-    (c_j / s_j, s_j L_{j,I_j}), s_j the scale linalg._prepared gives the
-    whole form; the vector is the chart-local part of s_j L_{j,I_j},
-    A_j = s_j times the chart-local coefficients of L_{j,I_j}.  Over Q
-    that is ints and a Fraction, over Q[t]/(m), where s_j is 1, the
-    coefficients themselves and c_j.  Nothing is prepared here.  A Node
+def _differential_rows(cage: Cage, node: Node) -> tuple:
+    """The node's entry of the cofactor table, once the node is checked to
+    be the cage's node at its index: for every color j the pair
+    (c_j / s_j, A_j), A_j = s_j L_{j,I_j} the row linalg._prepared makes
+    of the whole form, s_j its scale, so that c_j L_{j,I_j} = (c_j / s_j)
+    A_j.  Over Q that is a Fraction and ints, over Q[t]/(m), where s_j is
+    1, c_j and the form's coefficients.  Nothing is prepared here.  A Node
     that is not the cage's node at its index raises ValueError.
     """
     try:
@@ -132,9 +130,7 @@ def _differential_rows(cage: Cage, node: Node) -> list[tuple]:
         on_cage = False
     if not on_cage:
         raise ValueError(f"point is not the cage's node {node.index}")
-    chart = chart_of(node)
-    return [(c, [a for i, a in enumerate(vector) if i != chart])
-            for c, vector in cage._node_cofactors()[node.index]]
+    return cage._node_cofactors()[node.index]
 
 
 def inscribe_with_tangent(cage: Cage, node: Node,
@@ -146,19 +142,21 @@ def inscribe_with_tangent(cage: Cage, node: Node,
     prescribed tangent subspace: the canonical kernel basis of the
     constraint matrix, whose row k is D_p v_k for tangent vector v_k, D_p
     being node_differentials.  Its column j is c_j (L_{j,I_j} . v_k), the
-    form's chart-local coefficients dotted with v_k, which
-    _differential_rows writes as (c_j / s_j)(A_j . v_k), s_j the scale of
-    the whole form.  Over Q the row is built from linalg._prepared of v_k,
-    a positive multiple of v_k, so each A_j . v_k is an int, and is then
-    scaled by the lcm of the denominators of its n entries.  Whichever
-    scale s_j is, the entries before that scaling are c_j (L_{j,I_j} . v_k)
-    times the scale of v_k.  Scaling a row by a nonzero rational
-    changes neither the kernel nor the RREF, so linalg._kernel of these
-    integer rows is the basis kernel_basis gives for the constraint matrix
-    over Q, entry for entry, and no field element is multiplied.  Over
-    Q[t]/(m) the row is c_j (L_{j,I_j} . v_k) in field elements.  A vector
-    without n entries raises ShapeError.  With no tangent vector there is
-    no row, and the basis is the identity: all n group products.
+    form's chart-local coefficients dotted with v_k, which the cofactor
+    table writes as (c_j / s_j)(A_j . v_k), s_j the scale of the whole form
+    and v_k lifted with a zero chart entry.  Over Q the node's n weights
+    c_j / s_j are scaled once by the lcm D of their denominators, which
+    makes each an int w_j, and v_k is replaced by linalg._prepared of it,
+    a positive multiple of v_k, so each A_j . v_k is an int.  Column j is
+    then w_j (A_j . v_k), an int, and the row is D times the scale of v_k
+    times D_p v_k, whichever scales s_j the table chose: they change only
+    that factor.  Scaling a row by a nonzero rational changes neither the
+    kernel nor the RREF, so linalg._kernel of these integer rows is the
+    basis kernel_basis gives for the constraint matrix over Q, entry for
+    entry, and no field element is multiplied.  Over Q[t]/(m) the row is
+    c_j (A_j . v_k) in field elements.  A vector without n entries raises
+    ShapeError.  With no tangent vector there is no row, and the basis is
+    the identity: all n group products.
     """
     if tangent.node.index != node.index:
         raise ValueError("tangent subspace is attached to a different node")
@@ -168,14 +166,16 @@ def inscribe_with_tangent(cage: Cage, node: Node,
     s = n - tangent.dim
     if s < 1:
         raise ValueError("full-dimensional tangent prescribes nothing")
-    diff = _differential_rows(cage, node)
+    cofactors = _differential_rows(cage, node)
+    _, weights = _prepared(field, [c for c, _ in cofactors])
     rows = []
     for v in tangent.basis:
         if len(v) != n:
             raise ShapeError(f"tangent vectors need {n} chart-local entries")
         _, v = _prepared(field, _scalars(field, v))
-        rows.append(_prepared(field, [c * dot(vector, v)
-                                      for c, vector in diff])[1])
+        v.insert(tangent.chart, 0)
+        rows.append([w * dot(vector, v)
+                     for w, (_, vector) in zip(weights, cofactors)])
     kernel = _kernel(field, rows, n)
     if len(kernel) != s:
         raise SingularNodeError(
@@ -197,50 +197,86 @@ def tangent_at_node(variety: LambdaMatrix, node: Node) -> TangentSubspace:
     rank.
 
     Row i of the chart-local Jacobian is sum_j lambda_ij c_j times the
-    chart-local coefficients of L_{j,I_j}, which _differential_rows writes
-    as sum_j (lambda_ij c_j / s_j) A_j, s_j the scale of the whole form.
-    Over Q the row is scaled by the lcm of the denominators of its n
-    coefficients lambda_ij c_j / s_j, which makes every coefficient, and so
-    every entry, an int.  The row is then the Jacobian row times one
-    nonzero rational, whichever scales s_j the table chose: they change
-    only that factor.  Scaling a row by a nonzero rational changes neither
-    the kernel nor the RREF, so linalg._kernel of these integer rows, D
-    times the canonical basis divided by D, is the basis kernel_basis gives
+    chart-local coefficients of L_{j,I_j}, which the cofactor table writes
+    as sum_j lambda_ij (c_j / s_j) A_j, chart column dropped, s_j the scale
+    of the whole form.  Over Q the node's n weights c_j / s_j are scaled
+    once by the lcm D of their denominators, which makes each an int w_j,
+    and lambda row i is replaced by linalg._prepared of it, r_i times the
+    row in ints.  Row i is then sum_j (r_i lambda_ij w_j) A_j, built by
+    integer multiply-adds: the Jacobian row times D r_i, whichever scales
+    s_j the table chose, as they change only that factor.  Scaling a row by
+    a nonzero rational changes neither the kernel nor the RREF, so
+    linalg._kernel of these integer rows is the basis kernel_basis gives
     for the Jacobian over Q, entry for entry, and no field element is
     multiplied.  Over Q[t]/(m) the rows are the same sums in field
-    elements.  A lambda row without n entries raises ShapeError.
+    elements.  A Node that is not the cage's node at its index raises
+    ValueError, and a lambda row without n entries ShapeError.
     """
     cage = variety.cage
-    field, n = cage.field, cage.n
-    diff = _differential_rows(cage, node)
-    zero = 0 if field.kind == "rationals" else field.zero()
+    cofactors = _differential_rows(cage, node)
+    if any(len(lams) != cage.n for lams in variety.rows):
+        raise ShapeError(f"lambda rows need {cage.n} entries")
+    return _forced_tangent(variety, _lambda_rows(variety), node, cofactors)
+
+
+def _lambda_rows(variety: LambdaMatrix) -> list:
+    """The lambda rows, each linalg._prepared: ints over Q, a positive
+    multiple of the row, elements over Q[t]/(m)."""
+    field = variety.cage.field
+    return [_prepared(field, _scalars(field, lams))[1]
+            for lams in variety.rows]
+
+
+def _forced_tangent(variety: LambdaMatrix, lambdas: Sequence[Sequence],
+                    node: Node, cofactors: Sequence[tuple]) -> TangentSubspace:
+    """tangent_at_node at a node of the variety's cage, from the prepared
+    lambda rows (_lambda_rows) and the node's cofactor pairs
+    (c_j / s_j, A_j); the node is not checked.  The rows are the integer
+    rows of tangent_at_node's docstring over Q, the field-element sums over
+    Q[t]/(m); a zero lambda row adds no row.  A kernel of dimension other
+    than n - s raises SingularNodeError.
+    """
+    field, n = variety.cage.field, variety.cage.n
+    chart = chart_of(node)
+    _, weights = _prepared(field, [c for c, _ in cofactors])
     rows = []
-    for lams in variety.rows:
-        if len(lams) != n:
-            raise ShapeError(f"lambda rows need {n} entries")
-        _, weights = _prepared(field, [lam * c for lam, (c, _) in
-                                       zip(_scalars(field, lams), diff)])
-        acc = [zero] * n
-        for w, (_, vector) in zip(weights, diff):
-            if w:
-                acc = [a + w * x for a, x in zip(acc, vector)]
-        rows.append(acc)
+    for lams in lambdas:
+        acc = None
+        for lam, w, (_, vector) in zip(lams, weights, cofactors):
+            if lam:
+                k = lam * w
+                acc = ([k * x for x in vector] if acc is None else
+                       [a + k * x for a, x in zip(acc, vector)])
+        if acc is not None:
+            rows.append(acc[:chart] + acc[chart + 1:])
     kernel = _kernel(field, rows, n)
     if n - len(kernel) != variety.s:
         raise SingularNodeError(
             f"variety is singular at node {node.index}")
-    return TangentSubspace(node, chart_of(node), kernel)
+    return TangentSubspace(node, chart, kernel)
 
 
 def propagate_tangents(cage: Cage, node: Node,
                        tangent: TangentSubspace) -> Mapping[tuple, TangentSubspace]:
     """Inscribe at one node, then read the forced tangent at every node.
 
-    Returns an index-keyed map over all nodes; the entry at the starting
-    node recovers the prescribed subspace.
+    Returns an index-keyed map over all nodes, in node order; the entry at
+    the starting node recovers the prescribed subspace.  The lambda rows
+    are prepared once, then the forced tangents are read in one pass over
+    the cage's node table and its cofactor table (Cage._node_cofactors).
+    Those nodes are the cage's by construction, so none is checked again.
+    Each node's n weights c_j / s_j are scaled once by the lcm of their
+    denominators, and every Jacobian row is an integer combination of the
+    table's integer vectors over Q, the Jacobian row times a nonzero
+    rational, as tangent_at_node's docstring shows.  That scaling changes
+    neither the kernel nor the RREF, so every entry is the basis
+    tangent_at_node gives, entry for entry.
     """
     variety = inscribe_with_tangent(cage, node, tangent)
-    return {q.index: tangent_at_node(variety, q) for q in cage.nodes()}
+    lambdas = _lambda_rows(variety)
+    cofactors = cage._node_cofactors()
+    return {index: _forced_tangent(variety, lambdas, q, cofactors[index])
+            for index, q in cage._node_table().items()}
 
 
 def transport_tangent(tangent: TangentSubspace, g: Matrix,

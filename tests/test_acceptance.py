@@ -217,7 +217,8 @@ def test_criterion_08_inscription(announce):
                                SubspaceBasis(n, tau.basis))
         forced = propagate_tangents(cage, node, tau)
         for q in cage.nodes():
-            # tangent_at_node inside propagate already certified rank s here
+            # propagation raises SingularNodeError unless the Jacobian at
+            # q has rank s, so every forced tangent here is certified
             ok = ok and forced[q.index].dim == dim
             redone = inscribe_with_tangent(cage, q, forced[q.index])
             ok = ok and redone.same_variety(variety)

@@ -624,6 +624,89 @@ def test_foreign_node_raises_also_for_a_zero_tangent():
         tangent_at_node(variety, foreign)
 
 
+def assert_propagation_reads_tangent_at_node(cage, node, tau):
+    # the one pass over the node table gives, in node order, the tangent
+    # tangent_at_node reads at every node, entry for entry
+    variety = inscribe_with_tangent(cage, node, tau)
+    forced = propagate_tangents(cage, node, tau)
+    assert list(forced) == [q.index for q in cage.nodes()]
+    assert forced == {q.index: tangent_at_node(variety, q)
+                      for q in cage.nodes()}
+    return variety, forced
+
+
+@pytest.mark.parametrize("n, d", [(2, 3), (3, 2), (2, 4), (2, 5), (4, 2),
+                                  (3, 3)])
+def test_propagation_matches_tangent_at_node_and_the_fraction_oracle(n, d):
+    # the shapes the benchmark inscribes, with integer forms and with forms
+    # that carry denominators, at every tangent dimension 0..n-1: each
+    # forced tangent is the Fraction oracle's kernel of lambda D_q, D_q
+    # built from oracles.cofactors at the oracle's own node
+    rng = random.Random(100 * n + d)
+    base = random_cage(900 + 10 * n + d, d, n)
+    for cage in (base, with_denominators(base)):
+        diffs = {q.index: oracle_differentials(cage, q.index)
+                 for q in cage.nodes()}
+        for dim in range(n):
+            node = rng.choice(cage.nodes())
+            tau = random_fractional_tangent(rng, node, dim)
+            variety, forced = assert_propagation_reads_tangent_at_node(
+                cage, node, tau)
+            lambdas = plain(variety.rows)
+            for q in cage.nodes():
+                assert plain(forced[q.index].basis) == \
+                    oracle_tangent(diffs[q.index], lambdas)
+
+
+@pytest.mark.parametrize("seed, d, n", [(75, 3, 2), (76, 2, 3), (77, 2, 2)])
+def test_propagation_over_sqrt2_matches_the_cofactor_oracle(seed, d, n):
+    # over Q(sqrt 2) the oracle's rows are field elements: lambda times
+    # oracles.cofactors times the chart-local forms, at the node's point,
+    # with the kernel kernel_basis gives
+    cage = random_sqrt2_cage(seed, d, n)
+    groups = [[form.coeffs for form in group] for group in cage.groups]
+    rng = random.Random(seed)
+    for dim in range(n):
+        node = rng.choice(cage.nodes())
+        tau = random_tangent(rng, node, dim)
+        variety, forced = assert_propagation_reads_tangent_at_node(
+            cage, node, tau)
+        for q in cage.nodes():
+            chart = chart_of(q)
+            diff = [[c * a for i, a in enumerate(groups[j][hit - 1])
+                     if i != chart] for j, (hit, c) in enumerate(
+                         zip(q.index, oracles.cofactors(groups, q.index,
+                                                        q.point)))]
+            jac = Matrix(cage.field, [oracles.matvec(
+                oracles.transpose(diff), lams) for lams in variety.rows])
+            assert forced[q.index].basis == kernel_basis(jac).vectors
+
+
+def test_propagation_checks_the_starting_node_only(monkeypatch):
+    # one pass: the inscription reads the starting node's checked rows,
+    # and the 27 forced tangents come from the cage's own tables
+    cage = random_cage(78, 3, 3)
+    node = cage.node((2, 1, 3))
+    tau = make_tangent(node, [(1, 0, 2)])
+    calls = []
+    real_rows = inscribe._differential_rows
+
+    def rows(cage, node):
+        calls.append(node.index)
+        return real_rows(cage, node)
+    monkeypatch.setattr(inscribe, "_differential_rows", rows)
+    forced = propagate_tangents(cage, node, tau)
+    assert len(forced) == 27
+    assert calls == [node.index]
+
+
+def test_zero_lambda_row_leaves_the_variety_singular():
+    cage = random_cage(79, 2, 2)
+    fake = LambdaMatrix(cage, coerced(((0, 0),)))
+    with pytest.raises(SingularNodeError):
+        tangent_at_node(fake, cage.node((1, 2)))
+
+
 # -- transport along projective maps ----------------------------------------
 
 
