@@ -48,9 +48,11 @@ def all_indices(d: int, n: int) -> tuple[Index, ...]:
 
 
 def _check_size(d: int, n: int) -> None:
-    """Raise ShapeError when max(d, 2)^n exceeds MAX_NODES, so a huge n is
-    refused for d = 1 too; the loop stops past the limit, before any huge
-    power is formed."""
+    """Raise ShapeError when d or n is below 1, or when max(d, 2)^n exceeds
+    MAX_NODES, so a huge n is refused for d = 1 too; the loop stops past
+    the limit, before any huge power is formed."""
+    if d < 1 or n < 1:
+        raise ShapeError(f"a cage needs d >= 1 and n >= 1, not d={d}, n={n}")
     count = 1
     for _ in range(n):
         count *= max(d, 2)

@@ -28,8 +28,8 @@ from .cage import (Cage, all_indices, axis_cage, random_cage,
 from .errors import CageKitError, SchemaError
 from .field import FieldDescriptor
 from .inscribe import inscribe_with_tangent, make_tangent, propagate_tangents
-from .verify import (SUITE_CHECKS, _lemma_counts, independence_counterexample,
-                     run_suite)
+from .verify import (DEFAULT_SUITE, SUITE_CHECKS, _lemma_counts,
+                     independence_counterexample, run_suite)
 from .viete import coefficient_cage
 
 
@@ -42,6 +42,8 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}",
                           f"malformed JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError(path, "JSON nested too deeply") from exc
 
 
 def _output(args):
@@ -88,9 +90,18 @@ def _parse_tangent_vectors(text: str):
     return vectors
 
 
-def _report_payload(report, args, started: float) -> dict:
+def _node_and_tangent(args):
+    """The validated --cage, its --node and the --tangent given there."""
+    cage = _validated_cage(args.cage)
+    node = cage.node(_parse_index(args.node))
+    return cage, node, make_tangent(node, _parse_tangent_vectors(args.tangent))
+
+
+def _emit_report(report, args, started: float) -> int:
+    """Write a verification report; the exit status is its verdict."""
     elapsed = None if args.no_timestamp else time.monotonic() - started
-    return ser.report_to_json(report, elapsed)
+    _emit_json(args, ser.report_to_json(report, elapsed))
+    return 0 if report.passed else 1
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -102,16 +113,12 @@ def _cmd_gen(args) -> int:
         field = (ser.field_from_json(_load_json(args.field))
                  if args.field else FieldDescriptor.rationals())
         cage = random_cage(args.seed, args.d, args.n, field)
-    elif args.kind == "axis":
-        if not args.points:
-            raise SchemaError("gen", "axis generation needs --points")
-        config = ser.configuration_from_json(_load_json(args.points))
-        cage = axis_cage(config.field, config.points)
     else:
         if not args.points:
-            raise SchemaError("gen", "viete generation needs --points")
+            raise SchemaError("gen", f"{args.kind} generation needs --points")
         config = ser.configuration_from_json(_load_json(args.points))
-        cage = coefficient_cage(config)
+        cage = (axis_cage(config.field, config.points) if args.kind == "axis"
+                else coefficient_cage(config))
     _emit_json(args, ser.cage_to_json(cage))
     return 0
 
@@ -143,9 +150,7 @@ def _cmd_verify(args) -> int:
     cage = _load_cage(args.cage)
     names = (SUITE_CHECKS if args.checks == "all"
              else tuple(c.strip() for c in args.checks.split(",") if c.strip()))
-    report = run_suite(cage, names)
-    _emit_json(args, _report_payload(report, args, started))
-    return 0 if report.passed else 1
+    return _emit_report(run_suite(cage, names), args, started)
 
 
 # a table entry is a count proved from validation and costs no rank; only
@@ -179,9 +184,7 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_inscribe(args) -> int:
-    cage = _validated_cage(args.cage)
-    node = cage.node(_parse_index(args.node))
-    tangent = make_tangent(node, _parse_tangent_vectors(args.tangent))
+    cage, node, tangent = _node_and_tangent(args)
     if args.s is not None and args.s != cage.n - tangent.dim:
         raise SchemaError("--s", f"tangent dimension {tangent.dim} gives "
                           f"codimension {cage.n - tangent.dim}, not {args.s}")
@@ -191,9 +194,7 @@ def _cmd_inscribe(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    cage = _validated_cage(args.cage)
-    node = cage.node(_parse_index(args.node))
-    tangent = make_tangent(node, _parse_tangent_vectors(args.tangent))
+    cage, node, tangent = _node_and_tangent(args)
     forced = propagate_tangents(cage, node, tangent)
     payload = {
         "schema": ser.SCHEMA,
@@ -209,9 +210,7 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_counterexample(args) -> int:
     started = time.monotonic()
-    report = independence_counterexample()
-    _emit_json(args, _report_payload(report, args, started))
-    return 0 if report.passed else 1
+    return _emit_report(independence_counterexample(), args, started)
 
 
 def _cmd_demo(args) -> int:
@@ -226,8 +225,7 @@ def _cmd_demo(args) -> int:
         report = demos_mod.run_demo(args.name)
     except KeyError as exc:
         raise SchemaError("demo", str(exc)) from exc
-    _emit_json(args, _report_payload(report, args, started))
-    return 0 if report.passed else 1
+    return _emit_report(report, args, started)
 
 
 # sample-grid streams its rows; this bounds its run time, not its memory
@@ -285,10 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "hyperplane cages.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, handler):
         p.add_argument("-o", "--output", help="write to a file instead of stdout")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit wall-clock fields for reproducible output")
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("gen", help="generate a cage as JSON")
     p.add_argument("--kind", choices=("random", "axis", "viete"),
@@ -298,26 +297,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="number of colors")
     p.add_argument("--field", help="field descriptor JSON for --kind random")
     p.add_argument("--points", help="configuration JSON for axis/viete")
-    add_common(p)
-    p.set_defaults(handler=_cmd_gen)
+    add_common(p, _cmd_gen)
 
     p = sub.add_parser("validate", help="run cage validation")
     p.add_argument("--cage", required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_validate)
+    add_common(p, _cmd_validate)
 
     p = sub.add_parser("nodes", help="list all nodes of a valid cage")
     p.add_argument("--cage", required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_nodes)
+    add_common(p, _cmd_nodes)
 
     p = sub.add_parser("verify", help="run verification checks on a cage")
     p.add_argument("--cage", required=True)
-    p.add_argument("--checks", default="validation,interpolation,minimality",
-                   help="comma list from: validation, interpolation, "
-                        "minimality, rigidity, fubini; or 'all'")
-    add_common(p)
-    p.set_defaults(handler=_cmd_verify)
+    p.add_argument("--checks", default=",".join(DEFAULT_SUITE),
+                   help=f"comma list from: {', '.join(SUITE_CHECKS)}; "
+                        "or 'all'")
+    add_common(p, _cmd_verify)
 
     p = sub.add_parser("hilbert", help="Hilbert function table of node sets")
     p.add_argument("--cage", required=True)
@@ -326,8 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"{MAX_HILBERT_DEGREE}")
     p.add_argument("--selection", choices=("all", "simplicial", "supra"),
                    default="all")
-    add_common(p)
-    p.set_defaults(handler=_cmd_hilbert)
+    add_common(p, _cmd_hilbert)
 
     p = sub.add_parser("inscribe",
                        help="inscribe a variety with a prescribed tangent")
@@ -338,27 +332,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chart-local vectors, e.g. '1,2' or '1,0,0;0,1,0'")
     p.add_argument("--s", type=int,
                    help="expected codimension; checked against the tangent")
-    add_common(p)
-    p.set_defaults(handler=_cmd_inscribe)
+    add_common(p, _cmd_inscribe)
 
     p = sub.add_parser("propagate",
                        help="forced tangents at every node of the cage")
     p.add_argument("--cage", required=True)
     p.add_argument("--node", required=True)
     p.add_argument("--tangent", required=True)
-    add_common(p)
-    p.set_defaults(handler=_cmd_propagate)
+    add_common(p, _cmd_propagate)
 
     p = sub.add_parser("counterexample",
                        help="node count alone does not control interpolation")
-    add_common(p)
-    p.set_defaults(handler=_cmd_counterexample)
+    add_common(p, _cmd_counterexample)
 
     p = sub.add_parser("demo", help="run a named demo end to end")
     p.add_argument("name", nargs="?", help="demo name")
     p.add_argument("--list", action="store_true", help="list demo names")
-    add_common(p)
-    p.set_defaults(handler=_cmd_demo)
+    add_common(p, _cmd_demo)
 
     p = sub.add_parser("sample-grid",
                        help="sample an inscribed variety on a grid as CSV "
@@ -370,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, required=True,
                    help="samples per axis; the cube of it may not "
                         f"exceed {MAX_GRID_POINTS} points")
-    add_common(p)
-    p.set_defaults(handler=_cmd_sample_grid)
+    add_common(p, _cmd_sample_grid)
 
     return parser
 

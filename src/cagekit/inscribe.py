@@ -70,8 +70,9 @@ class LambdaMatrix:
     """Row coefficients of pencil combinations cutting an inscribed variety.
 
     Each of the s rows gives one combination of the cage's n group products;
-    the rows are linearly independent and canonical (reduced echelon form),
-    and only their span is geometrically meaningful.
+    the rows are the canonical kernel basis of linalg.kernel_basis, one per
+    free column, 1 there and 0 at the other free columns, so they are
+    linearly independent, and only their span is geometrically meaningful.
     """
 
     cage: Cage
@@ -285,7 +286,9 @@ def transport_tangent(tangent: TangentSubspace, g: Matrix,
 
     image_node must be the image of tangent.node under g, already in
     canonical form.  Lifts each chart-local vector to the cone, applies g,
-    and rewrites in the image node's chart.
+    and rewrites in the image node's chart.  Raises ValueError when
+    image_node is not that image, or when g maps the tangent vectors to
+    dependent ones.
     """
     field = tangent.node.point[0].field
     src = tangent.node.point
@@ -296,6 +299,9 @@ def transport_tangent(tangent: TangentSubspace, g: Matrix,
     qc = big_q[new_chart]
     if qc.is_zero():
         raise ValueError("image point leaves the target chart")
+    if (len(image_node.point) != len(big_q)
+            or any(x != qc * y for x, y in zip(big_q, image_node.point))):
+        raise ValueError("image_node is not the image of the tangent's node")
     new_basis = []
     for v in tangent.basis:
         lift = list(v[:tangent.chart]) + [field.zero()] + list(v[tangent.chart:])
@@ -304,5 +310,8 @@ def transport_tangent(tangent: TangentSubspace, g: Matrix,
         local = [w[i] * qc - big_q[i] * wc
                  for i in range(len(src)) if i != new_chart]
         new_basis.append(tuple(local))
+    if new_basis and rank(Matrix(field, new_basis)) != len(new_basis):
+        raise ValueError("the map sends the tangent vectors to dependent "
+                         "ones")
     return TangentSubspace(image_node, new_chart, tuple(new_basis))
 

@@ -119,9 +119,11 @@ def field_from_json(obj, path: str = "$.field") -> FieldDescriptor:
                 "conjugation must be a list")
         conjugation = [parse_rational(c, f"{path}.conjugation[{i}]")
                        for i, c in enumerate(conj)]
+    label = obj.get("label", "")
+    _expect(isinstance(label, str), f"{path}.label", "label must be a string")
     try:
         return FieldDescriptor.extension(
-            min_poly, label=obj.get("label", ""), conjugation=conjugation)
+            min_poly, label=label, conjugation=conjugation)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
 

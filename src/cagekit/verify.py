@@ -23,15 +23,17 @@ from itertools import accumulate, islice
 from typing import Iterator, Optional, Sequence
 
 from .cage import (Cage, Node, NodeSelection, _point_key,
-                   _prove_off_hyperplane, all_indices, canonical_point,
-                   simplicial_indices, supra_simplicial_indices)
+                   _prove_off_hyperplane, all_indices, axis_cage,
+                   canonical_point, simplicial_indices,
+                   supra_simplicial_indices)
 from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix
 from .linalg import (Matrix, SubspaceBasis, _exact_kernel, _images,
                      _kernel_mod, _pivots_mod, _prepared, _scalars, dot,
-                     in_span, kernel_basis, rank)
-from .poly import HomogPoly, LinearForm, monomial_basis
+                     kernel_basis, rank)
+from .poly import (HomogPoly, LinearForm, monomial_basis,
+                   product_of_linear_forms)
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -731,7 +733,6 @@ def independence_counterexample() -> VerificationReport:
     nodes form a strictly larger family: the kernel jumps to dimension >= 3
     and contains a product of lines outside the group-product span.
     """
-    from .cage import axis_cage
     field = FieldDescriptor.rationals()
     grid = [(i, i) for i in range(4)]
     cage = axis_cage(field, grid)
@@ -754,28 +755,29 @@ def independence_counterexample() -> VerificationReport:
                LinearForm(field, [1, 0, -1]),
                LinearForm(field, [1, 0, -2]),
                LinearForm(field, [0, 1, 0])]
-    from .poly import product_of_linear_forms
     extra = product_of_linear_forms(factors)
     vanishes = all(extra.evaluate(cage.node(i).point).is_zero()
                    for i in deficient.indices)
     misses = all(not extra.evaluate(cage.node(i).point).is_zero()
                  for i in sorted(removed))
-    outside = not in_span(extra.coefficient_vector(), group_span(cage))
-    # the Lemma in verify_supra_interpolation's docstring bounds the
-    # degree-4 rank of the deficient nodes below by |Y_4|, every node but
-    # (3, 4).  The n group products, independent as that docstring proves,
-    # and the witness vanish on them, and the witness lies outside their
-    # span: once both hold, three independent quartics lie in the kernel,
-    # so the rank is at most cols - 3 and the bound is the rank
+    # validation puts every node on each group product, so every member of
+    # their span vanishes at the removed nodes too: missing them puts the
+    # witness outside the span.  The Lemma in verify_supra_interpolation's
+    # docstring bounds the degree-4 rank of the deficient nodes below by
+    # |Y_4|, every node but (3, 4).  The n group products, independent as
+    # that docstring proves, and the witness vanish on them, and the
+    # witness lies outside their span: once both hold, three independent
+    # quartics lie in the kernel, so the rank is at most cols - 3 and the
+    # bound is the rank
     deficient_dim = cols - _lemma_counts(deficient.indices, cage.n, 4)[4]
     checks.append(CheckResult(
         "deficient-kernel-dimension",
-        vanishes and outside and deficient_dim >= 3,
+        vanishes and misses and deficient_dim >= 3,
         {"kernel-dim": deficient_dim, "expected-at-least": 3}))
     checks.append(CheckResult(
         "witness-through-deficient-only", vanishes and misses, {}, extra))
     checks.append(CheckResult(
-        "witness-outside-group-span", outside, {}, extra))
+        "witness-outside-group-span", misses, {}, extra))
     # the deficient kernel is the quartics through the deficient nodes, so
     # vanishing there is membership
     checks.append(CheckResult(

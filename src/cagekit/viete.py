@@ -55,23 +55,17 @@ class Configuration:
 
 def elementary_symmetric(values: Sequence[FieldElement]
                          ) -> tuple[FieldElement, ...]:
-    """(e_1 .. e_n) of the given values, by expanding prod (x - z_j)."""
+    """(e_1 .. e_n) of the given values, by expanding prod (x + z_j)."""
     if not values:
         raise ValueError("need at least one value")
     field = values[0].field
-    # poly[k] is the coefficient of x^(len processed - k), updated per root
-    coeffs = [field.one()]
-    for z in values:
-        coeffs.append(field.zero())
-        for k in range(len(coeffs) - 1, 0, -1):
-            coeffs[k] = coeffs[k] - z * coeffs[k - 1]
-    # coeffs[k] = (-1)^k e_k
-    out = []
-    sign = -1
-    for k in range(1, len(coeffs)):
-        out.append(coeffs[k] if sign > 0 else -coeffs[k])
-        sign = -sign
-    return tuple(out)
+    # e[k] is e_k of the values processed so far; a new value z adds
+    # z * e_(k-1) to e_k, highest k first
+    e = [field.one()] + [field.zero()] * len(values)
+    for count, z in enumerate(values, 1):
+        for k in range(count, 0, -1):
+            e[k] = e[k] + z * e[k - 1]
+    return tuple(e[1:])
 
 
 def viete_image(point: Sequence[FieldElement]) -> tuple[FieldElement, ...]:

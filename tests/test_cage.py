@@ -285,6 +285,14 @@ def test_cage_shape_errors():
         Cage(Q, [[LinearForm(Q, [1, 0])], [LinearForm(Q, [0, 1])]])
 
 
+def test_random_cage_refuses_empty_shapes():
+    # d or n below 1 is a shape error, not a ZeroDivisionError from the
+    # attempt cap or a TypeError from a fractional one
+    for d, n in ((0, 2), (2, 0), (-1, 2), (2, -1), (0, 0)):
+        with pytest.raises(ShapeError, match="d >= 1 and n >= 1"):
+            random_cage(1, d, n)
+
+
 def test_cage_size_is_capped():
     # max(d, 2)^n above MAX_NODES is refused before sampling or validation,
     # d = 1 with a huge n included

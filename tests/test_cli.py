@@ -99,6 +99,14 @@ def test_gen_random_refuses_oversized_cages(capsys):
     assert str(MAX_NODES) in err
 
 
+@pytest.mark.parametrize("d, n", [(0, 2), (2, 0)])
+def test_gen_random_refuses_empty_shapes(capsys, d, n):
+    assert main(["gen", "--kind", "random", "--seed", "1", "--d", str(d),
+                 "--n", str(n)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "d >= 1 and n >= 1" in err
+
+
 def test_extension_degree_past_the_bound_exits_2(tmp_path, capsys):
     # a modulus of degree MAX_DEGREE + 1 is refused at its JSON path before
     # the split-prime scan, by validate and by gen --field alike
@@ -326,6 +334,16 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys):
     assert "malformed JSON" in err
     assert main(["validate", "--cage", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys):
+    # the parser's RecursionError is a RuntimeError, which would exit 3
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["validate", "--cage", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: JSON nested too deeply\n"
+    assert captured.out == ""
 
 
 def assert_internal_error(capsys, argv, message):

@@ -754,3 +754,18 @@ def test_transport_shape_and_chart_guards():
     # valid image and its chart collapses
     with pytest.raises(ValueError):
         transport_tangent(tau, swap, node)
+
+
+def test_transport_checks_the_image_node_and_the_pushed_rank():
+    cage = axis_cage(F, [(0, 0), (1, 2)])
+    node = cage.node((1, 1))
+    tau = make_tangent(node, [(1, 2)])
+    identity = Matrix(F, coerced(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+    assert transport_tangent(tau, identity, node) == tau
+    # the identity does not move node (1, 1) to node (2, 2)
+    with pytest.raises(ValueError, match="not the image"):
+        transport_tangent(tau, identity, cage.node((2, 2)))
+    # diag(0, 0, 1) fixes the node and sends (1, 2) to (0, 0)
+    collapse = Matrix(F, coerced(((0, 0, 0), (0, 0, 0), (0, 0, 1))))
+    with pytest.raises(ValueError, match="dependent"):
+        transport_tangent(tau, collapse, node)

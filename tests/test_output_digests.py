@@ -19,12 +19,15 @@ supra-simplicial selections.  The hilbert_table pins cover rational point
 sets with denominators, node sets and subsets of random cages, and node
 sets and planted point sets over the fermat-conic and fermat-cubic-surface
 fields, so a change to the bounds, kernels or exact fallbacks of any
-table shows here.
+table shows here.  The help pins cover the top-level and every
+subcommand's --help text, so a parser change that alters an option, a
+default or a help string shows here.
 """
 
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -62,6 +65,32 @@ COUNTEREXAMPLE_DIGEST = (
 CAYLEY_BACHARACH_DIGEST = (
     "8c7c38af7bec66c686d1102db739b13c84ded3f17b5e387e1d8d38feb739c3fd")
 
+
+# subcommand ("" for the top level) -> digest of its --help text at 80
+# columns, recorded with CPython 3.11
+HELP_DIGESTS = {
+    "": "8ea23147511ab2c5d2c64c82fa846560952eff35393afd42763e7cf37fdcefb8",
+    "gen":
+        "b68b23be97d523320c79df9b28cef4d22ca3091b33df88cf071f0c21d5a71cb9",
+    "validate":
+        "e2c0d1b2633ec90a859cfc72b6e52997cf36a43bb0d84fa210375570811b947a",
+    "nodes":
+        "49e0b53d38c8a99a5aa04c5d5d5070e0373fa21be5918ece39eab176b316ff66",
+    "verify":
+        "8ebc18756521b5b353bb899f3601dfd95ea3d6479fea87440e771845d8c5568f",
+    "hilbert":
+        "9783222561072eb2b0aa17dbdee4231b1f8ec8afd64328ae851ef8bafffe5507",
+    "inscribe":
+        "c3e253b4fc883c7b4ff5c9e12ef2c4ccf8378aad3ca8dd0eccd1320c8aedfe30",
+    "propagate":
+        "51ad4c5f1ee0f00375463caa822be6143d35a4a85777f637d371f10cdf186314",
+    "counterexample":
+        "cd8e93ffef46f0a725658129d7872f6c88c4557baf3d7a00a2f202a87c4ec1ef",
+    "demo":
+        "507977705e50f831f03046e5d88d6c607588ea8b1bd9232a12f491d485d8bf1c",
+    "sample-grid":
+        "6b876f7370a26d81ace9642390cb8f8b3c9c078755bdd71199e46256b6ab2b96",
+}
 
 # (n, d) -> random_cage seed, --node, --tangent
 INSCRIPTIONS = {(2, 5): (205, "2,3", "1,-2"),
@@ -200,6 +229,19 @@ def test_cli_output_is_unchanged(tmp_path, capsys, command, n, d):
         argv = ["verify", "--cage", str(path), "--checks", "all",
                 "--no-timestamp"]
     assert cli_digest(capsys, argv) == CLI_DIGESTS[command, n, d]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help differently across "
+                           "Python versions; the pins are for 3.11")
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_is_unchanged(monkeypatch, capsys, command):
+    # argparse wraps help to the terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert sha256(capsys.readouterr().out) == HELP_DIGESTS[command]
 
 
 def test_counterexample_output_is_unchanged(capsys):

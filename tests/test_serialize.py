@@ -134,6 +134,12 @@ def test_field_schema_errors():
         field_from_json({"kind": "extension", "min_poly": ["1", "0", "2"]})
     with pytest.raises(SchemaError):
         field_from_json(["rationals"])
+    # the label is echoed as subject.field in every report
+    for label in (5, [1, {"a": 2}], None):
+        with pytest.raises(SchemaError) as err:
+            field_from_json({"kind": "extension", "min_poly": ["-2", "0", "1"],
+                             "label": label})
+        assert err.value.path == "$.field.label"
     # the split-prime scan grows with the degree, so a modulus past
     # MAX_DEGREE is refused before any scan, at its own path
     top = ["1"] + ["0"] * (MAX_DEGREE - 1) + ["1"]

@@ -807,8 +807,7 @@ def test_supra_interpolation_takes_no_rank(monkeypatch, tmp_path, which):
 
     with monkeypatch.context() as m:
         for name in ("_evaluation_rank", "hilbert_table", "_degree_rank",
-                     "rank", "_pivots_mod", "_exact_kernel", "kernel_basis",
-                     "in_span"):
+                     "rank", "_pivots_mod", "_exact_kernel", "kernel_basis"):
             m.setattr(verify, name, forbidden)
         for name in ("_rank", "rank", "_eliminate", "_rref", "_pivots_mod",
                      "_exact_kernel", "_kernel", "kernel_basis",
