@@ -16,15 +16,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, prod
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import CageValidationError, MustValidateError, ShapeError
 from .field import FieldDescriptor, FieldElement
-from .linalg import (Matrix, _divided, _images, _prepared, _scalars, dot,
-                     kernel_basis, primitive)
+from .linalg import (Matrix, _divided, _images, _prepared, dot, kernel_basis,
+                     primitive)
 from .poly import HomogPoly, LinearForm, product_of_linear_forms
 
 Index = tuple[int, ...]
@@ -303,7 +302,7 @@ class Cage:
         field, n, d = self.field, self.n, self.d
 
         def scaled(vector):
-            return _prepared(field, _scalars(field, vector))[1]
+            return _prepared(field, vector)[1]
         forms = [[scaled(form.coeffs) for form in group]
                  for group in self.groups]
         failures: list[ValidationFailure] = []
@@ -353,9 +352,9 @@ class Cage:
         the key is an integer vector w with last nonzero entry w_c and
         p = w / w_c; a form L scaled by s takes the value (s L)(w) / (s w_c)
         there, so c_j / s_j = prod_{k != I_j} (s L_{j,k})(w) / (w_c^(d-1)
-        prod_k s_{j,k}): integer dots and one Fraction per node and color.
-        Over Q[t]/(m), where s_j is 1, the key is p itself, c_j is a product
-        of field dots, with no inverse, and the row is the form's
+        prod_k s_{j,k}): integer dots and one linalg._divided per node and
+        color.  Over Q[t]/(m), where s_j is 1, the key is p itself, c_j is
+        a product of field dots, with no inverse, and the row is the form's
         coefficients.  validate() does not build it, as the checks that
         visit no node never ask for it.
         """
@@ -364,8 +363,8 @@ class Cage:
             field, d = self.field, self.d
             rational = field.kind == "rationals"
             # (s, s L) for each form L, with s = 1 over Q[t]/(m)
-            forms = [[_prepared(field, _scalars(field, f.coeffs))
-                      for f in group] for group in self.groups]
+            forms = [[_prepared(field, f.coeffs) for f in group]
+                     for group in self.groups]
             totals = [prod(s for s, _ in group) for group in forms]
             one = 1 if rational else field.one()
             table = {}
@@ -378,7 +377,7 @@ class Cage:
                               enumerate(forms[j], start=1) if k != hit),
                              start=one)
                     if rational:
-                        c = Fraction(c, w_pow * totals[j])
+                        c = _divided(field, [c], w_pow * totals[j])[0]
                     rows.append((c, forms[j][hit - 1][1]))
                 table[index] = tuple(rows)
             self._cofactors = table

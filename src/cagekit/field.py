@@ -6,23 +6,23 @@ Elements are immutable; no operation ever falls back to floating point.  The
 modulus is not required to be irreducible up front: reducibility surfaces,
 exactly when it matters, as a ReducibleModulusError raised by inversion.
 
-Two representations.  A rational is a 1-tuple of Fraction, and its
-arithmetic is one Fraction operation.  An element of Q[t]/(m) is a tuple of
+One representation.  Every element, a rational included, is a tuple of
 integer numerators over one positive common denominator, in lowest terms
 (gcd(den, *num) == 1), the standard representation of number-field elements
-(Cohen 1993, section 4.2).  The pair is unique, so equal elements have equal
-pairs.  Its arithmetic runs on ints and pays one gcd per result, where
-Fraction coefficients pay one per coefficient operation: a product is an
-integer convolution reduced by integer rows over one denominator,
-conjugation is an integer linear map, and an inverse solves the integer
-multiplication matrix by linalg's fraction-free elimination.  Q stays on
-Fraction: the rational paths build elements from Fractions by the tens of
-thousands and do about one operation on each, so converting each to a
-numerator and a denominator would cost more than it saves.
+(Cohen 1993, section 4.2); a rational has one numerator.  The pair is
+unique, so equal elements have equal pairs.  Arithmetic runs on ints and
+pays one gcd per result, where Fraction coefficients pay one per
+coefficient operation: a product is an integer convolution reduced by
+integer rows over one denominator, conjugation is an integer linear map,
+and an inverse solves the integer multiplication matrix by linalg's
+fraction-free elimination.  Kernel vectors, node keys and integer literals
+arrive as ints, so an element is built from them with at most one gcd and
+no Fraction; the public Fraction coefficients are built only when read.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -32,21 +32,24 @@ from .errors import FieldMismatchError, NotInvertibleError, ReducibleModulusErro
 RationalLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
+# the numeric hash of Python's int, Fraction and float (sys.hash_info)
+_MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
-def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x) -> RationalLike:
+    """x as an int or a Fraction; a string is read as Fraction reads it."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not a rational value: {x!r}")
 
 
 def _integral(vectors) -> tuple[list[list[int]], int]:
-    """Fraction vectors as integer vectors over their least common
-    denominator D: the ints D*x, and D."""
+    """Vectors of ints and Fractions as integer vectors over their least
+    common denominator D: the ints D*x, and D.  One vector comes out in
+    lowest terms: a prime power dividing D exactly divides the
+    denominator of some entry, and not that entry's numerator."""
     den = lcm(*(x.denominator for vec in vectors for x in vec))
     return [[x.numerator * (den // x.denominator) for x in vec]
             for vec in vectors], den
@@ -93,7 +96,7 @@ class FieldDescriptor:
             self.min_poly = None
             self.conjugation = None
         else:
-            mp = tuple(_as_fraction(c) for c in min_poly)
+            mp = tuple(Fraction(_rational(c)) for c in min_poly)
             if len(mp) < 3:
                 raise ValueError("extension modulus must have degree >= 2")
             if mp[-1] != 1:
@@ -102,7 +105,7 @@ class FieldDescriptor:
             if conjugation is None:
                 self.conjugation = None
             else:
-                conj = tuple(_as_fraction(c) for c in conjugation)
+                conj = tuple(Fraction(_rational(c)) for c in conjugation)
                 if len(conj) != len(mp) - 1:
                     raise ValueError("conjugation vector has wrong length")
                 self.conjugation = conj
@@ -163,21 +166,18 @@ class FieldDescriptor:
     # element constructors
 
     def element(self, coeffs: Iterable[RationalLike]) -> "FieldElement":
-        vec = tuple(_as_fraction(c) for c in coeffs)
+        vec = [_rational(c) for c in coeffs]
         if len(vec) != self.degree:
             raise ValueError(
                 f"expected {self.degree} coefficients, got {len(vec)}")
-        if self.degree == 1:
-            return FieldElement(self, vec)
-        [num], den = _integral([vec])
-        return _integer_element(self, tuple(num), den)
+        return FieldElement(self, vec)
 
     def from_rational(self, value: RationalLike) -> "FieldElement":
-        v = _as_fraction(value)
-        if self.degree == 1:
-            return FieldElement(self, (v,))
-        return _integer_element(self, (v.numerator,) + (0,) * (
-            self.degree - 1), v.denominator)
+        # the ratio of an int, a bool included, is an int over 1
+        if not isinstance(value, (int, Fraction)):
+            value = _rational(value)
+        num, den = value.as_integer_ratio()
+        return _integer_element(self, (num,) + (0,) * (self.degree - 1), den)
 
     def zero(self) -> "FieldElement":
         return self.from_rational(0)
@@ -228,9 +228,9 @@ _new = object.__new__
 
 def _integer_element(field: FieldDescriptor, num: tuple[int, ...],
                      den: int) -> "FieldElement":
-    """The extension element num/den, for num and den already in lowest
-    terms with den > 0."""
-    e = _new(_Integral)
+    """The element num/den, for num and den already in lowest terms with
+    den > 0."""
+    e = _new(FieldElement)
     e.field = field
     e._num = num
     e._den = den
@@ -239,7 +239,7 @@ def _integer_element(field: FieldDescriptor, num: tuple[int, ...],
 
 def _lowest(field: FieldDescriptor, num: list[int],
             den: int) -> "FieldElement":
-    """The extension element num/den, for den > 0, put in lowest terms."""
+    """The element num/den, for den > 0, put in lowest terms."""
     g = gcd(den, *num)
     if g == 1:
         return _integer_element(field, tuple(num), den)
@@ -249,30 +249,29 @@ def _lowest(field: FieldDescriptor, num: list[int],
 class FieldElement:
     """Immutable element of a FieldDescriptor's field.
 
-    Over Q the value is coeffs, a 1-tuple of Fraction.  Over Q[t]/(m) the
-    descriptor and arithmetic build an _Integral: integer numerators _num
-    over the common denominator _den, in lowest terms with _den > 0, whose
-    coeffs, the public tuple of field.degree Fractions, is built when read.
-    FieldElement(field, coeffs) takes the Fraction coefficients in either
-    case.  Arithmetic with int and Fraction promotes automatically;
-    elements of distinct fields refuse to mix.
+    The value is integer numerators _num, field.degree of them, over the
+    common denominator _den, in lowest terms with _den > 0; coeffs, the
+    public tuple of Fractions, is built when read.  FieldElement(field,
+    coeffs) takes ints and Fractions.  Arithmetic with int and Fraction
+    promotes automatically; elements of distinct fields refuse to mix.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_num", "_den")
 
-    def __init__(self, field: FieldDescriptor, coeffs: tuple[Fraction, ...]):
+    def __init__(self, field: FieldDescriptor,
+                 coeffs: Sequence[RationalLike]):
+        [num], den = _integral([coeffs])
         self.field = field
-        self.coeffs = coeffs
+        self._num = tuple(num)
+        self._den = den
 
-    # the integer form of an extension element built by FieldElement(field,
-    # coeffs); an _Integral stores it in slots that shadow these
-    @property
-    def _num(self) -> tuple[int, ...]:
-        return tuple(_integral([self.coeffs])[0][0])
+    def __reduce__(self):
+        return _integer_element, (self.field, self._num, self._den)
 
     @property
-    def _den(self) -> int:
-        return _integral([self.coeffs])[1]
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -285,19 +284,15 @@ class FieldElement:
         return None
 
     def is_zero(self) -> bool:
-        if self.field.degree == 1:
-            return not self.coeffs[0]
         return not any(self._num)
 
     def is_rational(self) -> bool:
-        return self.field.degree == 1 or not any(self._num[1:])
+        return not any(self._num[1:])
 
     def as_fraction(self) -> Fraction:
         """The value as a Fraction; raises if it has a nonzero t-part."""
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        if self.field.degree == 1:
-            return self.coeffs[0]
         return Fraction(self._num[0], self._den)
 
     def __bool__(self):
@@ -308,8 +303,6 @@ class FieldElement:
         if o is None:
             return NotImplemented
         field = self.field
-        if field.degree == 1:
-            return FieldElement(field, (self.coeffs[0] + o.coeffs[0],))
         da, db = self._den, o._den
         if da == db:
             return _lowest(field, [x + y for x, y in zip(self._num, o._num)],
@@ -324,8 +317,6 @@ class FieldElement:
         if o is None:
             return NotImplemented
         field = self.field
-        if field.degree == 1:
-            return FieldElement(field, (self.coeffs[0] - o.coeffs[0],))
         da, db = self._den, o._den
         if da == db:
             return _lowest(field, [x - y for x, y in zip(self._num, o._num)],
@@ -340,8 +331,6 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        if self.field.degree == 1:
-            return FieldElement(self.field, (-self.coeffs[0],))
         return _integer_element(self.field, tuple(-x for x in self._num),
                                 self._den)
 
@@ -352,7 +341,9 @@ class FieldElement:
         field = self.field
         m = field.degree
         if m == 1:
-            return FieldElement(field, (self.coeffs[0] * o.coeffs[0],))
+            x, den = self._num[0] * o._num[0], self._den * o._den
+            g = gcd(x, den)
+            return _integer_element(field, (x // g,), den // g)
         # the convolution of the numerators, then t^(m+k) replaced by its
         # reduction row over D: (D*low + sum_k conv[m+k]*R[k]) / (den*den'*D)
         right = [(j, y) for j, y in enumerate(o._num) if y]
@@ -379,9 +370,6 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise NotInvertibleError("division by zero")
-        m = self.field.degree
-        if m == 1:
-            return FieldElement(self.field, (1 / self.coeffs[0],))
         num = self._num
         if not any(num[1:]):
             # a nonzero rational is a unit whatever the modulus
@@ -394,6 +382,7 @@ class FieldElement:
         # when gcd(num, m) is nontrivial, and m - rank A is its degree: the
         # kernel of multiplication by num is the multiples of m / gcd.
         from .linalg import _fraction_free
+        m = self.field.degree
         rows, scale = self.field._int_reduction()
         col, cols = list(num), []
         for _ in range(m):
@@ -462,29 +451,33 @@ class FieldElement:
 
     def __eq__(self, other):
         # rational values compare by value, also across fields, so that
-        # equality stays transitive through int and Fraction
-        field = self.field
+        # equality stays transitive through int and Fraction; their
+        # numerator and denominator are in lowest terms too
         if isinstance(other, FieldElement):
-            if other.field is field or other.field == field:
-                if field.degree == 1:
-                    return self.coeffs[0] == other.coeffs[0]
+            if other.field is self.field or other.field == self.field:
                 return self._den == other._den and self._num == other._num
             if not other.is_rational():
                 return False
-            other = other.as_fraction()
-        elif not isinstance(other, (int, Fraction)):
+            num, den = other._num[0], other._den
+        elif isinstance(other, (int, Fraction)):
+            num, den = other.as_integer_ratio()
+        else:
             return NotImplemented
-        elif field.degree == 1:
-            return self.coeffs[0] == other
-        return self.is_rational() and self.as_fraction() == other
+        return (self._num[0] == num and self._den == den
+                and not any(self._num[1:]))
 
     def __hash__(self):
-        # a rational value equals its Fraction, so it must hash like one
-        if self.field.degree == 1:
-            return hash(self.coeffs[0])
-        if any(self._num[1:]):
-            return hash((self.field, self._num, self._den))
-        return hash(Fraction(self._num[0], self._den))
+        # a rational value equals its int and its Fraction, so it hashes by
+        # Python's numeric hash of num/den, as they do
+        num, den = self._num, self._den
+        if any(num[1:]):
+            return hash((self.field, num, den))
+        # (an int's hash is its residue mod _MODULUS, signed, so num times
+        # the inverse of den hashes as num/den does)
+        try:
+            return hash(num[0] * pow(den, -1, _MODULUS))
+        except ValueError:          # _MODULUS divides den
+            return _INF if num[0] > 0 else -_INF
 
     def __repr__(self):
         if self.is_rational():
@@ -501,17 +494,3 @@ class FieldElement:
                 parts.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
         return " + ".join(parts) if parts else "0"
 
-
-class _Integral(FieldElement):
-    """An element of Q[t]/(m) held as integer numerators over one
-    denominator; its Fraction coefficients are built when read."""
-
-    __slots__ = ("_num", "_den")
-
-    def __reduce__(self):
-        return _integer_element, (self.field, self._num, self._den)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        den = self._den
-        return tuple(Fraction(x, den) for x in self._num)

@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 from .cage import Cage, Node
 from .errors import ShapeError, SingularNodeError
 from .field import FieldElement
-from .linalg import (Matrix, SubspaceBasis, _kernel, _prepared, _scalars, dot,
-                     rank, span_equal)
+from .linalg import (Matrix, SubspaceBasis, _kernel, _prepared, dot, rank,
+                     span_equal)
 from .poly import HomogPoly
 
 Vector = tuple[FieldElement, ...]
@@ -121,7 +121,7 @@ def _differential_rows(cage: Cage, node: Node) -> tuple:
     be the cage's node at its index: for every color j the pair
     (c_j / s_j, A_j), A_j = s_j L_{j,I_j} the row linalg._prepared makes
     of the whole form, s_j its scale, so that c_j L_{j,I_j} = (c_j / s_j)
-    A_j.  Over Q that is a Fraction and ints, over Q[t]/(m), where s_j is
+    A_j.  Over Q that is an element and ints, over Q[t]/(m), where s_j is
     1, c_j and the form's coefficients.  Nothing is prepared here.  A Node
     that is not the cage's node at its index raises ValueError.
     """
@@ -173,7 +173,7 @@ def inscribe_with_tangent(cage: Cage, node: Node,
     for v in tangent.basis:
         if len(v) != n:
             raise ShapeError(f"tangent vectors need {n} chart-local entries")
-        _, v = _prepared(field, _scalars(field, v))
+        _, v = _prepared(field, v)
         v.insert(tangent.chart, 0)
         rows.append([w * dot(vector, v)
                      for w, (_, vector) in zip(weights, cofactors)])
@@ -224,8 +224,7 @@ def _lambda_rows(variety: LambdaMatrix) -> list:
     """The lambda rows, each linalg._prepared: ints over Q, a positive
     multiple of the row, elements over Q[t]/(m)."""
     field = variety.cage.field
-    return [_prepared(field, _scalars(field, lams))[1]
-            for lams in variety.rows]
+    return [_prepared(field, lams)[1] for lams in variety.rows]
 
 
 def _forced_tangent(variety: LambdaMatrix, lambdas: Sequence[Sequence],

@@ -40,19 +40,19 @@ Callers build kernel vectors, solutions and inverses on the ints and
 divide by D only where they return field elements; kernel_basis checks
 M v = 0 against the scaled rows on ints.
 
-Every row enters the elimination through one preparation: _scalars reads
-a vector of field elements as Fractions over Q and leaves it as elements
-over Q[t]/(m), and _prepared turns such values into a row and its scale,
-over Q the lcm s of the denominators and the ints s times each value, over
-Q[t]/(m) the values and 1.  Scaling a row by a nonzero rational changes
-neither the rank nor the kernel nor the RREF, so any integer multiple of
-each row will do, and _divided turns D times an RREF entry back into a
-field element.  On prepared rows there is one rank entry, _rank, and one
-kernel entry that returns field elements, _kernel; rank and kernel_basis
-run them on the prepared rows of a Matrix, and verify and inscribe run
-them on rows they build themselves.  _exact_kernel is the kernel left as
-D times the canonical basis, ints over Q and elements over Q[t]/(m),
-checked on the rows it started from.
+Every row enters the elimination through one preparation: _prepared
+turns a vector of field elements into a row and its scale, over Q the lcm
+s of the elements' denominators and the ints s times each element, read
+off their integer numerators and denominators, over Q[t]/(m) the elements
+and 1.  Scaling a row by a nonzero rational changes neither the rank nor
+the kernel nor the RREF, so any integer multiple of each row will do, and
+_divided turns D times an RREF entry back into a field element, over Q
+with one gcd per entry.  On prepared rows there is one rank entry, _rank,
+and one kernel entry that returns field elements, _kernel; rank and
+kernel_basis run them on the prepared rows of a Matrix, and verify and
+inscribe run them on rows they build themselves.  _exact_kernel is the
+kernel left as D times the canonical basis, ints over Q and elements over
+Q[t]/(m), checked on the rows it started from.
 A point set enters as primitive integer vectors (gcd 1, last nonzero entry
 positive), the unique representative of each rational projective point,
 so equal points are equal vectors.  Scaling a point by lambda != 0
@@ -143,13 +143,12 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import ShapeError
-from .field import FieldDescriptor, FieldElement
+from .field import FieldDescriptor, FieldElement, _integer_element
 
 Vector = tuple[FieldElement, ...]
 
@@ -196,23 +195,19 @@ class SubspaceBasis:
         return len(self.vectors)
 
 
-def _scalars(field: FieldDescriptor, vector: Sequence[FieldElement]) -> list:
-    """The entries as _prepared takes them: Fractions over Q, the elements
-    over Q[t]/(m)."""
-    if field.kind == "rationals":
-        return [e.coeffs[0] for e in vector]
-    return list(vector)
-
-
-def _prepared(field: FieldDescriptor, values: Sequence) -> tuple:
+def _prepared(field: FieldDescriptor,
+              vector: Sequence[FieldElement]) -> tuple:
     """A row for the elimination and its scale s: over Q, s is the lcm of
-    the denominators of the rationals and the row is s times each of them,
+    the denominators of the elements and the row is s times each of them,
     as ints, which changes neither the kernel nor the RREF; over Q[t]/(m)
-    the row is the elements themselves and s is 1."""
-    if field.kind == "rationals":
-        scale = lcm(*(x.denominator for x in values))
-        return scale, [x.numerator * (scale // x.denominator) for x in values]
-    return 1, values
+    the row is a list of the elements themselves and s is 1."""
+    if field.kind != "rationals":
+        return 1, list(vector)
+    scale = 1
+    for e in vector:
+        if e._den != 1:
+            scale = lcm(scale, e._den)
+    return scale, [e._num[0] * (scale // e._den) for e in vector]
 
 
 def primitive(ints: Sequence[int]) -> tuple[int, ...]:
@@ -239,8 +234,7 @@ def dot(row: Sequence, vector: Sequence):
 def _scaled_rows(matrix: Matrix) -> tuple:
     """The rows the elimination works on, each row _prepared."""
     field = matrix.field
-    return tuple(_prepared(field, _scalars(field, row))[1]
-                 for row in matrix.entries)
+    return tuple(_prepared(field, row)[1] for row in matrix.entries)
 
 
 def _rref(matrix: Matrix):
@@ -319,11 +313,19 @@ def _lead(rows: list[list], pivots: list[int]):
 
 
 def _divided(field: FieldDescriptor, values: Sequence, lead) -> list:
-    """values / lead as field elements, for values scaled by lead: Fractions
-    over Q, the values themselves over Q[t]/(m), where lead is always one."""
-    if field.kind == "rationals":
-        return [FieldElement(field, (Fraction(x, lead),)) for x in values]
-    return [field.coerce(x) for x in values]
+    """values / lead as field elements, for values scaled by lead: over Q
+    ints over a nonzero int, each element put in lowest terms with one gcd
+    and the sign on its numerator; over Q[t]/(m), where lead is always
+    one, the values themselves."""
+    if field.kind != "rationals":
+        return [field.coerce(x) for x in values]
+    if lead < 0:
+        values, lead = [-x for x in values], -lead
+    out = []
+    for x in values:
+        g = gcd(x, lead)
+        out.append(_integer_element(field, (x // g,), lead // g))
+    return out
 
 
 PRIME = 2 ** 24 - 17

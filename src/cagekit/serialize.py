@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from .cage import Cage, Node
 from .errors import ReducibleModulusError, SchemaError
-from .field import FieldDescriptor, FieldElement
+from .field import FieldDescriptor, FieldElement, RationalLike
 from .inscribe import LambdaMatrix, TangentSubspace
 from .linalg import Matrix, rank
 from .poly import HomogPoly, LinearForm
@@ -52,6 +53,11 @@ def parse_rational(text: Any, path: str) -> Fraction:
     """A rational literal as Fraction accepts it ("p/q", "p", decimal,
     exponent), with the exponent bounded; any other input raises
     SchemaError at `path`, a JSON path or an option name."""
+    return Fraction(_literal(text, path))
+
+
+def _literal(text: Any, path: str) -> RationalLike:
+    """parse_rational's value, as an int for an integer literal."""
     _expect(isinstance(text, str), path, "scalar must be a string")
     integer = _INTEGER.match(text) is not None
     exponent = None if integer else _EXPONENT.search(text)
@@ -61,7 +67,7 @@ def parse_rational(text: Any, path: str) -> Fraction:
                 and int(digits or "0") <= MAX_EXPONENT, path,
                 f"exponent of {text[:40]!r} exceeds {MAX_EXPONENT}")
     try:
-        return Fraction(int(text)) if integer else Fraction(text)
+        return int(text) if integer else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(path, f"bad rational literal {text[:40]!r}") \
             from exc
@@ -69,21 +75,32 @@ def parse_rational(text: Any, path: str) -> Fraction:
 
 # -- scalars -----------------------------------------------------------------
 
+def _ratio_text(x: int, den: int) -> str:
+    """str(Fraction(x, den)), "p" or "p/q", for den > 0 and gcd 1."""
+    return str(x) if den == 1 else f"{x}/{den}"
+
+
 def scalar_to_json(x: FieldElement):
+    # a rational's numerator and denominator are in lowest terms, a
+    # coefficient of an extension element may share a factor with den
     if x.field.kind == "rationals":
-        return str(x.coeffs[0])
-    return [str(c) for c in x.coeffs]
+        return _ratio_text(x._num[0], x._den)
+    texts = []
+    for c in x._num:
+        g = gcd(c, x._den)
+        texts.append(_ratio_text(c // g, x._den // g))
+    return texts
 
 
 def scalar_from_json(field: FieldDescriptor, obj, path: str = "$"
                      ) -> FieldElement:
     if field.kind == "rationals":
-        return field.from_rational(parse_rational(obj, path))
+        return field.from_rational(_literal(obj, path))
     _expect(isinstance(obj, list), path,
             "extension scalar must be a coefficient list")
     _expect(len(obj) == field.degree, path,
             f"expected {field.degree} coefficients, got {len(obj)}")
-    return field.element([parse_rational(c, f"{path}[{i}]")
+    return field.element([_literal(c, f"{path}[{i}]")
                           for i, c in enumerate(obj)])
 
 

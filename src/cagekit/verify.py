@@ -30,8 +30,8 @@ from .errors import ShapeError
 from .field import FieldDescriptor, FieldElement
 from .inscribe import LambdaMatrix
 from .linalg import (Matrix, SubspaceBasis, _exact_kernel, _images,
-                     _kernel_mod, _pivots_mod, _prepared, _scalars, dot,
-                     kernel_basis, rank)
+                     _kernel_mod, _pivots_mod, _prepared, dot, kernel_basis,
+                     rank)
 from .poly import (HomogPoly, LinearForm, monomial_basis,
                    product_of_linear_forms)
 
@@ -155,8 +155,8 @@ def _distinct_points(points, field: Optional[FieldDescriptor]):
     if not raw:
         return [], field
     field = _infer_field(raw, field)
-    pts = [_point_key(field, _prepared(field, _scalars(
-        field, [field.coerce(c) for c in p]))[1]) for p in raw]
+    pts = [_point_key(field, _prepared(
+        field, [field.coerce(c) for c in p])[1]) for p in raw]
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points in Hilbert function input")
     return pts, field
@@ -799,8 +799,18 @@ def run_suite(cage: Cage, checks: Sequence[str] = DEFAULT_SUITE
     "fubini" is opt-in, so that the reports of the default suite keep
     their checks.  A cage that fails validation short-circuits to a single
     failed check: none of the node-level statements are meaningful without
-    the node set.
+    the node set.  An empty list, a name not in SUITE_CHECKS and a name
+    given twice raise ValueError before validation, so that a report
+    always runs each check it names once, and never runs none.
     """
+    checks = tuple(checks)
+    if not checks:
+        raise ValueError("no check named")
+    for i, name in enumerate(checks):
+        if name not in SUITE_CHECKS:
+            raise ValueError(f"unknown check {name!r}")
+        if name in checks[:i]:
+            raise ValueError(f"check {name!r} named twice")
     gate = cage.validate()
     if not gate.valid:
         return VerificationReport(cage.summary(), (CheckResult(
@@ -820,8 +830,6 @@ def run_suite(cage: Cage, checks: Sequence[str] = DEFAULT_SUITE
             out.extend(verify_degree_minimality(cage).checks)
         elif name == "rigidity":
             out.extend(verify_simplicial_rigidity(cage).checks)
-        elif name == "fubini":
-            out.extend(fubini_slice_check(cage).checks)
         else:
-            raise ValueError(f"unknown check {name!r}")
+            out.extend(fubini_slice_check(cage).checks)
     return VerificationReport(cage.summary(), tuple(out))

@@ -75,6 +75,31 @@ def test_gen_random_then_validate_and_verify(tmp_path):
     assert "elapsed_s" not in report
 
 
+@pytest.mark.parametrize("checks", [" , ", "validation,validation",
+                                    "validation,bogus"],
+                         ids=["empty", "repeated", "unknown"])
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+def test_verify_refuses_empty_repeated_and_unknown_checks(
+        tmp_path, capsys, checks, valid):
+    # a report that runs no check, or one twice, proves nothing, and an
+    # unknown name is refused before validation, so an invalid cage (one
+    # form copied into the second color) exits 2 as a valid one does
+    cage_path = tmp_path / "cage.json"
+    assert main(["gen", "--kind", "random", "--seed", "4", "--d", "3",
+                 "--n", "2", "-o", str(cage_path)]) == 0
+    if not valid:
+        blob = json.loads(cage_path.read_text())
+        blob["groups"][1][0] = blob["groups"][0][0]
+        cage_path.write_text(json.dumps(blob))
+        assert main(["validate", "--cage", str(cage_path)]) == 1
+    out = tmp_path / "report.json"
+    assert main(["verify", "--cage", str(cage_path), "--checks", checks,
+                 "--no-timestamp", "-o", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_gen_random_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["gen", "--kind", "random", "--seed", "7", "--d", "2", "--n", "3"]

@@ -255,26 +255,80 @@ def random_element(rng, field):
     return field.element(coeffs)
 
 
-@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.label)
+# a denominator the numeric hash cannot invert, and a value whose hash
+# computes to -1, which Python's hash turns into -2
+HASH_EDGES = [Fraction(3, 2 ** 61 - 1), Fraction(-(2 ** 61 + 1), 2), -1]
+
+
+def random_rational(rng):
+    """A random int or Fraction: zero, small, or of many digits."""
+    shape = rng.random()
+    if shape < 0.1:
+        return 0
+    if shape < 0.3:
+        return rng.randint(-50, 50)
+    if shape < 0.7:
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 40))
+    return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 20))
+
+
+def rational_elements(rng, x):
+    """x as an element of Q, built each way the package builds one:
+    from_rational, element, coerce, FieldElement and linalg._divided of a
+    multiple over a negative lead."""
+    x = Fraction(x)
+    k = rng.randint(1, 9)
+    return [Q.from_rational(x), Q.element([x]), Q.coerce(x),
+            FieldElement(Q, (x,)),
+            linalg._divided(Q, [-k * x.numerator], -k * x.denominator)[0]]
+
+
+def rational_results(rng):
+    """(element, [Fraction]) pairs: every operation on elements of Q built
+    each way, with what Fraction arithmetic gives."""
+    x, y = random_rational(rng), random_rational(rng)
+    results = []
+    for a, b in zip(rational_elements(rng, x), rational_elements(rng, y)):
+        results += [(a, [x]), (b, [y]), (a + b, [x + y]), (a - b, [x - y]),
+                    (-a, [-x]), (a * b, [x * y]),
+                    (a * 3 + Fraction(1, 2), [3 * x + Fraction(1, 2)])]
+        if y:
+            results.append((a / b, [Fraction(x) / y]))
+        if x:
+            results.append((a.inverse(), [1 / Fraction(x)]))
+    return results
+
+
+@pytest.mark.parametrize("field", [Q] + KERNEL_FIELDS,
+                         ids=lambda f: f.label)
 def test_integer_kernels_match_the_fraction_oracle(field):
-    # + - * conjugate inverse on integer numerators over one denominator
-    # give the Fraction oracle's coefficients, in lowest terms
+    # + - * / conjugate inverse on integer numerators over one denominator
+    # give the Fraction oracle's coefficients, in lowest terms; over Q the
+    # oracle is Fraction arithmetic, and an element is equal to, and
+    # hashes like, its int or Fraction, survives pickling, and equals the
+    # same rational in an extension
     rng = random.Random(field.degree)
     modulus = field.min_poly
-    for _ in range(40):
-        a, b = random_element(rng, field), random_element(rng, field)
-        x, y = list(a.coeffs), list(b.coeffs)
-        mixed = [3 * p for p in x]
-        mixed[0] += Fraction(1, 2)
-        results = [(a + b, [p + q for p, q in zip(x, y)]),
-                   (a - b, [p - q for p, q in zip(x, y)]),
-                   (-a, [-p for p in x]),
-                   (a * 3 + Fraction(1, 2), mixed),
-                   (a * b, oracles.reduced_product(x, y, modulus)),
-                   (a.conjugate(),
-                    oracles.conjugate(x, field.conjugation, modulus))]
-        if not a.is_zero():
-            results.append((a.inverse(), oracles.inverse(x, modulus)[1]))
+    for trial in range(40):
+        if field == Q:
+            results = rational_results(rng)
+            if trial < len(HASH_EDGES):
+                results += [(e, [e.as_fraction()]) for e in
+                            rational_elements(rng, HASH_EDGES[trial])]
+        else:
+            a, b = random_element(rng, field), random_element(rng, field)
+            x, y = list(a.coeffs), list(b.coeffs)
+            mixed = [3 * p for p in x]
+            mixed[0] += Fraction(1, 2)
+            results = [(a + b, [p + q for p, q in zip(x, y)]),
+                       (a - b, [p - q for p, q in zip(x, y)]),
+                       (-a, [-p for p in x]),
+                       (a * 3 + Fraction(1, 2), mixed),
+                       (a * b, oracles.reduced_product(x, y, modulus)),
+                       (a.conjugate(),
+                        oracles.conjugate(x, field.conjugation, modulus))]
+            if not a.is_zero():
+                results.append((a.inverse(), oracles.inverse(x, modulus)[1]))
         for got, expect in results:
             assert list(got.coeffs) == expect
             assert got._den > 0 and gcd(got._den, *got._num) == 1
@@ -284,6 +338,18 @@ def test_integer_kernels_match_the_fraction_oracle(field):
                 assert built == got and got == built
                 assert hash(built) == hash(got)
                 assert built * 1 == got and list(built.coeffs) == expect
+            if field != Q:
+                continue
+            [value] = expect
+            assert got.coeffs == (value,)
+            assert got == value and value == got and got != value + 1
+            assert (got == value.numerator) == (value.denominator == 1)
+            assert hash(got) == hash(value)
+            assert got == SQRT2.from_rational(value) == got
+            assert got != SQRT2.generator() and SQRT2.generator() != got
+            back = pickle.loads(pickle.dumps(got))
+            assert back == got and back.field == Q
+            assert (back._num, back._den) == (got._num, got._den)
 
 
 def test_rational_values_hash_like_their_fraction_in_every_field():

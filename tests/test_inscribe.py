@@ -287,7 +287,7 @@ def test_differential_rows_prepare_nothing(monkeypatch):
 
     monkeypatch.setattr(inscribe, "_differential_rows", rows)
     for module in (inscribe, linalg, cage_module):
-        for name in ("_prepared", "_scalars"):
+        for name in ("_prepared",):
             monkeypatch.setattr(module, name,
                                 guarded(name, getattr(linalg, name)))
     for cage in cages:

@@ -66,6 +66,25 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def test_no_fraction_built_on_the_element_path():
+    # every element, a rational included, is built from integer numerators
+    # over one denominator, so elimination, validation, inscription and
+    # the rank path construct no Fraction
+    package = Path(cagekit.__file__).parent
+    found = []
+    for name in ("linalg.py", "cage.py", "inscribe.py", "verify.py"):
+        tree = ast.parse((package / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = (func.id if isinstance(func, ast.Name) else
+                          func.attr if isinstance(func, ast.Attribute)
+                          else None)
+                if called == "Fraction":
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_residue_maps_stay_inside_linalg():
     # every residue image comes from linalg._images, so no other module
     # reads the residue maps or reduces a field element mod p itself

@@ -744,8 +744,7 @@ def test_node_ranks_read_validation_keys(monkeypatch, n, d):
     simp = simplicial_indices(d, n)
     keys = cage._key_table()
     assert [keys[i] for i in supra.indices] == [
-        linalg.primitive(
-            linalg._prepared(Q, linalg._scalars(Q, nd.point))[1])
+        linalg.primitive(linalg._prepared(Q, nd.point)[1])
         for nd in cage.nodes_for(supra)]
 
     def forbidden(*args, **kwargs):
@@ -1629,6 +1628,24 @@ def test_run_suite_takes_no_node_rank(monkeypatch):
 def test_run_suite_unknown_check():
     with pytest.raises(ValueError):
         run_suite(unit_square(), ("no-such-check",))
+
+
+@pytest.mark.parametrize("checks", [(), ("validation", "validation"),
+                                    ("rigidity", "minimality", "rigidity"),
+                                    ("validation", "bogus")],
+                         ids=["empty", "repeated", "repeated-later",
+                              "unknown"])
+def test_run_suite_refuses_names_before_validation(checks):
+    # an empty list, a repeated name and an unknown name are refused before
+    # the validation gate, on a valid and on an invalid cage alike
+    from cagekit import Cage
+    bad = Cage(Q, [[LinearForm(Q, [1, 0, 0]), LinearForm(Q, [1, 0, 0])],
+                   [LinearForm(Q, [0, 1, 0]), LinearForm(Q, [0, 1, -1])]])
+    for cage in (unit_square(), bad):
+        with pytest.raises(ValueError):
+            run_suite(cage, checks)
+    assert bad._report is None
+    assert not run_suite(bad, ("validation", "rigidity")).passed
 
 
 def test_suite_reports_failures_for_broken_cage():
