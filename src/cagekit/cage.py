@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -204,7 +204,8 @@ class Cage:
     """
 
     __slots__ = ("field", "groups", "n", "d", "attempts",
-                 "_report", "_keys", "_nodes", "_group_polys", "_cofactors")
+                 "_report", "_keys", "_nodes", "_group_polys",
+                 "_differentials")
 
     def __init__(self, field: FieldDescriptor,
                  groups: Sequence[Sequence[LinearForm]],
@@ -233,7 +234,7 @@ class Cage:
         self._keys = None
         self._nodes = None
         self._group_polys = {}
-        self._cofactors = None
+        self._differentials = None
 
     # -- validation and node access -------------------------------------
 
@@ -266,8 +267,8 @@ class Cage:
         projective point among integer vectors; over Q[t]/(m)
         canonical_point.  A key seen before is reported as a coincident
         node.  A valid cage keeps the keys and nothing else: nodes() and
-        _node_cofactors derive the points and cofactors from them when first
-        asked.
+        _node_differentials derive the points and the node differentials
+        from them when first asked.
 
         Incidence is one unit test per value.  The forms indexing a node
         need none: kernel_basis has checked that the first n-1 vanish on the
@@ -341,47 +342,60 @@ class Cage:
             self._keys = keys
         return report
 
-    def _node_cofactors(self) -> dict[Index, tuple[tuple, ...]]:
-        """Node index -> the rows of its differential: for each color j the
-        pair (c_j / s_j, s_j L_{j,I_j}), c_j being the product of L_{j,k}(p)
-        over k != I_j at the node p with index I, and s_j L_{j,I_j} the
-        row linalg._prepared makes of the form, s_j its scale.
+    def _node_differentials(self) -> dict[Index, tuple]:
+        """Node index -> (D, rows): a positive D and the n chart-local rows
+        of D D_p, D_p the differential of the n group products at the node
+        p with index I, whose row j is c_j L_{j,I_j} with its chart column
+        dropped, c_j the product of L_{j,k}(p) over k != I_j.  The chart is
+        the position of the key's last nonzero entry, p's trailing 1.
 
         The table is built for every node on the first call, from the keys
-        validate() kept, and every node shares the prepared rows.  Over Q
-        the key is an integer vector w with last nonzero entry w_c and
-        p = w / w_c; a form L scaled by s takes the value (s L)(w) / (s w_c)
-        there, so c_j / s_j = prod_{k != I_j} (s L_{j,k})(w) / (w_c^(d-1)
-        prod_k s_{j,k}): integer dots and one linalg._divided per node and
-        color.  Over Q[t]/(m), where s_j is 1, the key is p itself, c_j is
-        a product of field dots, with no inverse, and the row is the form's
-        coefficients.  validate() does not build it, as the checks that
-        visit no node never ask for it.
+        validate() kept.  Over Q every form L_{j,k} is scaled by
+        linalg._prepared to the integer row A_{j,k} = s_{j,k} L_{j,k}, and
+        the key is an integer vector w with last nonzero entry w_c > 0 and
+        p = w / w_c.  So L_{j,k}(p) = A_{j,k}(w) / (s_{j,k} w_c), and with
+        C_j the product of the integer dots A_{j,k}(w) over k != I_j and
+        S_j the product of the s_{j,k} over all k,
+        c_j L_{j,I_j} = C_j A_{j,I_j} / (w_c^(d-1) S_j).  Taking
+        D = w_c^(d-1) T, T the lcm of the S_j, row j is
+        C_j (T / S_j) A_{j,I_j}: ints, with no gcd and no division.  Over
+        Q[t]/(m) the key is p itself, D is 1 and row j is c_j L_{j,I_j} in
+        field elements, c_j a product of field dots, with no inverse.
+
+        inscribe builds its rows on the table as it is: the products of the
+        rows with one linalg._prepared tangent vector, or their combination
+        by one prepared lambda row.  Each is the same row built on D_p times
+        D and the prepared vector's scale, a nonzero rational, which keeps
+        its kernel and its RREF; so linalg._kernel of those rows gives the
+        basis kernel_basis gives for the rows built on D_p, entry for entry,
+        and only node_differentials divides by D.  validate() does not
+        build the table, as the checks that visit no node never ask for it.
         """
         self._require_valid()
-        if self._cofactors is None:
+        if self._differentials is None:
             field, d = self.field, self.d
             rational = field.kind == "rationals"
-            # (s, s L) for each form L, with s = 1 over Q[t]/(m)
+            # (s, A) for each form, with s = 1 and A = L over Q[t]/(m)
             forms = [[_prepared(field, f.coeffs) for f in group]
                      for group in self.groups]
             totals = [prod(s for s, _ in group) for group in forms]
+            scale = lcm(*totals)
             one = 1 if rational else field.one()
             table = {}
             for index, key in self._keys.items():
-                if rational:
-                    w_pow = next(x for x in reversed(key) if x) ** (d - 1)
+                chart = max(i for i, x in enumerate(key) if x)
+                lead = key[chart] ** (d - 1) * scale if rational else 1
                 rows = []
                 for j, hit in enumerate(index):
                     c = prod((dot(f, key) for k, (_, f) in
                               enumerate(forms[j], start=1) if k != hit),
-                             start=one)
-                    if rational:
-                        c = _divided(field, [c], w_pow * totals[j])[0]
-                    rows.append((c, forms[j][hit - 1][1]))
-                table[index] = tuple(rows)
-            self._cofactors = table
-        return self._cofactors
+                             start=scale // totals[j] if rational else one)
+                    rows.append(tuple(c * a for i, a in
+                                      enumerate(forms[j][hit - 1][1])
+                                      if i != chart))
+                table[index] = (lead, tuple(rows))
+            self._differentials = table
+        return self._differentials
 
     def _require_valid(self):
         if self._report is None:

@@ -285,12 +285,13 @@ def _fraction_free(rows: list[list[int]]):
 
 def _gauss_jordan(rows: list[list[FieldElement]]):
     """Gauss-Jordan elimination over a field, normalizing each pivot row:
-    the pivot rows of the RREF and the pivot columns."""
+    the pivot rows of the RREF and the pivot columns.  Entries are tested
+    by truth value, since a row may hold the int 0 that dot returns when
+    it skips every term."""
     pivots: list[int] = []
     r = 0
     for col in range(len(rows[0]) if rows else 0):
-        hit = next((i for i in range(r, len(rows))
-                    if not rows[i][col].is_zero()), None)
+        hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if hit is None:
             continue
         rows[r], rows[hit] = rows[hit], rows[r]
@@ -298,7 +299,7 @@ def _gauss_jordan(rows: list[list[FieldElement]]):
         rows[r] = pivot_row = [inv * e for e in rows[r]]
         for i, row in enumerate(rows):
             f = row[col]
-            if i != r and not f.is_zero():
+            if i != r and f:
                 rows[i] = [e - f * p for e, p in zip(row, pivot_row)]
         pivots.append(col)
         r += 1

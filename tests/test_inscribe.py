@@ -143,19 +143,31 @@ def test_node_differentials_match_expanded_jacobian():
 
 
 def assert_cofactor_table_matches_the_oracle(cage, groups, point_of):
-    # every node's rows (c_j / s_j, s_j L_{j,I_j}) multiply out to the
-    # oracle's cofactor c_j times the form's coefficients, at the point
-    # point_of gives the node; each form's row is built once and shared
-    table = cage._node_cofactors()
-    assert sorted(table) == [node.index for node in cage.nodes()]
-    shared = {}
+    # node_differentials is the oracle's cofactor c_j times the chart-local
+    # coefficients of L_{j,I_j}, at the point point_of gives the node; the
+    # table it divides holds, per node, a positive D, an int over Q and 1
+    # over Q[t]/(m), and n rows of n entries, ints over Q
+    table = cage._node_differentials()
+    assert list(table) == [node.index for node in cage.nodes()]
+    rational = cage.field.kind == "rationals"
     for node in cage.nodes():
-        expected = oracles.cofactors(groups, node.index, point_of(node))
-        for j, (hit, (c, vector), c_j) in enumerate(
-                zip(node.index, table[node.index], expected)):
-            assert [c * a for a in vector] == [c_j * x
-                                               for x in groups[j][hit - 1]]
-            assert shared.setdefault((j, hit), vector) is vector
+        lead, rows = table[node.index]
+        if rational:
+            assert type(lead) is int and lead > 0
+            assert all(type(x) is int for row in rows for x in row)
+        else:
+            assert lead == 1
+            assert all(isinstance(x, FieldElement)
+                       for row in rows for x in row)
+        assert len(rows) == cage.n
+        assert all(len(row) == cage.n for row in rows)
+        point = point_of(node)
+        chart = max(i for i, x in enumerate(point) if x)
+        expected = oracles.cofactors(groups, node.index, point)
+        assert node_differentials(cage, node).entries == tuple(
+            tuple(c_j * x for i, x in enumerate(groups[j][hit - 1])
+                  if i != chart)
+            for j, (hit, c_j) in enumerate(zip(node.index, expected)))
 
 
 def assert_cofactor_table_matches_the_oracle_over_q(cage):
@@ -194,11 +206,13 @@ def with_denominators(base):
 @pytest.mark.parametrize("seed, d, n", [(61, 3, 2), (62, 2, 3), (63, 4, 2)])
 def test_cofactor_table_scales_back_forms_with_denominators(seed, d, n):
     # validation scales each form by the lcm of its denominators; the
-    # table divides those scales back out
+    # table keeps those scales in D, by one factor for the whole cage
     base = random_cage(seed, d, n)
     cage = with_denominators(base)
     assert_cofactor_table_matches_the_oracle_over_q(cage)
-    assert cage._node_cofactors() != base._node_cofactors()
+    table, base_table = cage._node_differentials(), base._node_differentials()
+    ratios = {Fraction(table[i][0], base_table[i][0]) for i in table}
+    assert len(ratios) == 1 and ratios.pop() > 1
 
 
 def random_sqrt2_cage(seed, d, n):
@@ -222,15 +236,15 @@ def random_sqrt2_cage(seed, d, n):
 ], ids=["fermat-conic", "fermat-cubic-surface", "sqrt2-1-2", "sqrt2-3-2",
         "sqrt2-2-3", "sqrt2-4-1"])
 def test_cofactor_table_matches_the_oracle_over_number_fields(cage):
-    # at the demo cages' nodes w_c^(d-1) is 1 or -1, its own inverse; the
-    # random cages' nodes exercise the inverse
+    # over Q[t]/(m) the key is the node's point and the rows are c_j
+    # L_{j,I_j} in field elements, some of them irrational
     cage = cage()
     groups = [[form.coeffs for form in group] for group in cage.groups]
     assert_cofactor_table_matches_the_oracle(cage, groups,
                                              lambda node: node.point)
-    table = cage._node_cofactors()
-    assert cage.d == 1 or any(not c.is_rational()
-                              for row in table.values() for c, _ in row)
+    table = cage._node_differentials()
+    assert any(not x.is_rational() for _, rows in table.values()
+               for row in rows for x in row)
 
 
 def test_cofactor_table_is_built_only_when_a_node_is_visited():
@@ -238,13 +252,13 @@ def test_cofactor_table_is_built_only_when_a_node_is_visited():
     report = run_suite(cage, ("validation", "interpolation", "minimality",
                               "rigidity"))
     assert report.passed
-    assert cage._cofactors is None
+    assert cage._differentials is None
     node_differentials(cage, cage.node((1, 2, 3)))
-    assert len(cage._cofactors) == 27
+    assert len(cage._differentials) == 27
 
 
 def test_inscription_evaluates_no_form(monkeypatch):
-    # the cofactor table is the one place node values come from
+    # the differential table is the one place node values come from
     cages = [random_cage(65, 3, 3), build_demo("fermat-cubic-surface").cage]
 
     def refuse(self, point):
@@ -262,13 +276,13 @@ def test_inscription_evaluates_no_form(monkeypatch):
 
 def test_differential_rows_prepare_nothing(monkeypatch):
     # with the table built, every node's rows are read from it: inside
-    # _differential_rows no form is prepared or converted, and the rows
-    # and tangents come out as before
+    # _differential_rows no form is prepared and no value divided, and the
+    # rows and tangents come out as before
     cages = [with_denominators(random_cage(61, 3, 2)),
              random_sqrt2_cage(73, 2, 3),
              build_demo("fermat-cubic-surface").cage]
     for cage in cages:
-        cage._node_cofactors()
+        cage._node_differentials()
     inside = []
     real_rows = inscribe._differential_rows
 
@@ -287,7 +301,7 @@ def test_differential_rows_prepare_nothing(monkeypatch):
 
     monkeypatch.setattr(inscribe, "_differential_rows", rows)
     for module in (inscribe, linalg, cage_module):
-        for name in ("_prepared",):
+        for name in ("_prepared", "_divided"):
             monkeypatch.setattr(module, name,
                                 guarded(name, getattr(linalg, name)))
     for cage in cages:
@@ -342,7 +356,7 @@ def test_inscribe_unit_square_slope_two():
     assert variety.s == 1
     assert variety.rows == coerced(((-2, 1),))
     documented = LambdaMatrix(cage, coerced(((2, -1),)))
-    assert variety.same_variety(documented)
+    assert span_equal(variety.row_span(), documented.row_span())
 
 
 def test_inscribe_diagonal_is_reducible_conic():
@@ -406,7 +420,7 @@ def test_inscribe_ignores_tangent_basis_rescale():
     a = inscribe_with_tangent(cage, node, make_tangent(node, [(1, 2)]))
     b = inscribe_with_tangent(cage, node, make_tangent(node, [(2, 4)]))
     assert a.rows == b.rows
-    assert a.same_variety(b)
+    assert span_equal(a.row_span(), b.row_span())
 
 
 # -- reading tangents back -------------------------------------------------
@@ -453,7 +467,7 @@ def test_propagate_forces_the_same_variety_everywhere():
                           SubspaceBasis(cage.n, tau.basis))
         for q in cage.nodes():
             redone = inscribe_with_tangent(cage, q, forced[q.index])
-            assert redone.same_variety(variety)
+            assert span_equal(redone.row_span(), variety.row_span())
             assert redone.rows == variety.rows
 
 
@@ -580,7 +594,7 @@ def test_inscription_over_q_multiplies_no_field_element(monkeypatch):
         node = cage.nodes()[5]
         rng = random.Random(cage.n)
         cases.append((cage, node, random_tangent(rng, node, 1)))
-        cage._node_cofactors()
+        cage._node_differentials()
     calls = []
 
     def counted(name, original):
@@ -608,6 +622,28 @@ def test_inscription_over_q_multiplies_no_field_element(monkeypatch):
         if cage.field.kind == "rationals":
             assert calls == []
     assert set(calls) == {"mul"}
+
+
+def test_propagation_over_q_divides_nothing(monkeypatch):
+    # over Q the differential table holds ints, so once the node points
+    # exist, neither the table, the inscription nor the forced tangents
+    # call linalg._divided from cage or inscribe; only linalg's kernels
+    # divide, on the way out
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return linalg._divided(*args)
+    for cage in (random_cage(80, 3, 3),
+                 with_denominators(random_cage(81, 3, 2))):
+        node = cage.nodes()[-1]
+        tangent = make_tangent(node, [[1] + [0] * (cage.n - 1)])
+        with monkeypatch.context() as patched:
+            for module in (cage_module, inscribe):
+                patched.setattr(module, "_divided", counted, raising=False)
+            forced = propagate_tangents(cage, node, tangent)
+        assert len(forced) == cage.d ** cage.n
+        assert calls == []
 
 
 def test_foreign_node_raises_also_for_a_zero_tangent():

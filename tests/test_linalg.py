@@ -117,6 +117,24 @@ def test_kernel_self_check_raises_on_a_wrong_row(monkeypatch):
             kernel_basis(m)
 
 
+@pytest.mark.parametrize("rows", [
+    [[0, "t"], ["t", 1]],
+    [["t", 1, 0], [0, 0, "t"]],
+    [[0, "t", 1], [0, 0, "t"], [0, 0, 0]],
+], ids=["int-zero-above-the-pivot", "int-zero-below-the-pivot",
+        "int-zero-columns"])
+def test_field_elimination_takes_int_zero_entries(rows):
+    # over Q[t]/(m) dot returns the int 0 when it skips every term, so rows
+    # built from dots mix the int 0 with elements; the elimination tests
+    # entries by truth value and gives the kernel of the coerced matrix
+    sqrt2 = FieldDescriptor.extension([-2, 0, 1])
+    t = sqrt2.generator()
+    rows = [[t if x == "t" else x for x in row] for row in rows]
+    assert any(type(x) is int for row in rows for x in row)
+    expected = kernel_basis(Matrix(sqrt2, rows)).vectors
+    assert linalg._kernel(sqrt2, rows, len(rows[0])) == expected
+
+
 def random_rational_matrix(rng, rows, cols, deficiency=0):
     # rank at most min(rows, cols) - deficiency: the last rows are random
     # rational combinations of the others
