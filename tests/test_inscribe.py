@@ -142,11 +142,13 @@ def test_node_differentials_match_expanded_jacobian():
             assert node_differentials(cage, node).entries == expected
 
 
-def assert_cofactor_table_matches_the_oracle(cage, groups, point_of):
+def assert_differential_table_matches_the_oracle(cage, groups, point_of):
     # node_differentials is the oracle's cofactor c_j times the chart-local
     # coefficients of L_{j,I_j}, at the point point_of gives the node; the
-    # table it divides holds, per node, a positive D, an int over Q and 1
-    # over Q[t]/(m), and n rows of n entries, ints over Q
+    # differential table it divides (Cage._node_differentials) holds, per
+    # node, a positive D, an int over Q and 1 over Q[t]/(m), and n rows of
+    # n entries, ints over Q.  The test_cofactor_table_* ids below predate
+    # the differential table and are kept so their history stays comparable
     table = cage._node_differentials()
     assert list(table) == [node.index for node in cage.nodes()]
     rational = cage.field.kind == "rationals"
@@ -170,7 +172,7 @@ def assert_cofactor_table_matches_the_oracle(cage, groups, point_of):
             for j, (hit, c_j) in enumerate(zip(node.index, expected)))
 
 
-def assert_cofactor_table_matches_the_oracle_over_q(cage):
+def assert_differential_table_matches_the_oracle_over_q(cage):
     # over plain Fractions, at the oracle's own canonical node
     groups = [[[c.as_fraction() for c in form.coeffs] for form in group]
               for group in cage.groups]
@@ -179,7 +181,7 @@ def assert_cofactor_table_matches_the_oracle_over_q(cage):
         point = oracles.canonical_node(groups, node.index)
         assert [x.as_fraction() for x in node.point] == point
         return point
-    assert_cofactor_table_matches_the_oracle(cage, groups, point_of)
+    assert_differential_table_matches_the_oracle(cage, groups, point_of)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -187,7 +189,7 @@ def test_cofactor_table_matches_the_oracle_over_q(n):
     # d = 1 has one node, whose cofactors are the empty product 1
     for d in range(1, 6):
         cage = random_cage(600 + 10 * n + d, d, n)
-        assert_cofactor_table_matches_the_oracle_over_q(cage)
+        assert_differential_table_matches_the_oracle_over_q(cage)
 
 
 def with_denominators(base):
@@ -209,7 +211,7 @@ def test_cofactor_table_scales_back_forms_with_denominators(seed, d, n):
     # table keeps those scales in D, by one factor for the whole cage
     base = random_cage(seed, d, n)
     cage = with_denominators(base)
-    assert_cofactor_table_matches_the_oracle_over_q(cage)
+    assert_differential_table_matches_the_oracle_over_q(cage)
     table, base_table = cage._node_differentials(), base._node_differentials()
     ratios = {Fraction(table[i][0], base_table[i][0]) for i in table}
     assert len(ratios) == 1 and ratios.pop() > 1
@@ -240,8 +242,8 @@ def test_cofactor_table_matches_the_oracle_over_number_fields(cage):
     # L_{j,I_j} in field elements, some of them irrational
     cage = cage()
     groups = [[form.coeffs for form in group] for group in cage.groups]
-    assert_cofactor_table_matches_the_oracle(cage, groups,
-                                             lambda node: node.point)
+    assert_differential_table_matches_the_oracle(cage, groups,
+                                                 lambda node: node.point)
     table = cage._node_differentials()
     assert any(not x.is_rational() for _, rows in table.values()
                for row in rows for x in row)
@@ -276,8 +278,8 @@ def test_inscription_evaluates_no_form(monkeypatch):
 
 def test_differential_rows_prepare_nothing(monkeypatch):
     # with the table built, every node's rows are read from it: inside
-    # _differential_rows no form is prepared and no value divided, and the
-    # rows and tangents come out as before
+    # _differential_rows no form is prepared, and the rows and tangents
+    # come out as before
     cages = [with_denominators(random_cage(61, 3, 2)),
              random_sqrt2_cage(73, 2, 3),
              build_demo("fermat-cubic-surface").cage]
@@ -301,7 +303,7 @@ def test_differential_rows_prepare_nothing(monkeypatch):
 
     monkeypatch.setattr(inscribe, "_differential_rows", rows)
     for module in (inscribe, linalg, cage_module):
-        for name in ("_prepared", "_divided"):
+        for name in ("_prepared",):
             monkeypatch.setattr(module, name,
                                 guarded(name, getattr(linalg, name)))
     for cage in cages:
