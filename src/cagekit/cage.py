@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 from .errors import CageValidationError, MustValidateError, ShapeError
 from .field import FieldDescriptor, FieldElement
-from .linalg import (Matrix, _divided, _images, _prepared, dot, kernel_basis,
-                     primitive)
+from .linalg import (Matrix, _chart, _divided, _images, _prepared, dot,
+                     kernel_basis, primitive)
 from .poly import HomogPoly, LinearForm, product_of_linear_forms
 
 Index = tuple[int, ...]
@@ -117,15 +117,9 @@ class ValidationReport:
 
 
 def canonical_point(vector: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """Scale a nonzero vector so its last nonzero coordinate becomes 1."""
-    last = None
-    for i in range(len(vector) - 1, -1, -1):
-        if not vector[i].is_zero():
-            last = i
-            break
-    if last is None:
-        raise ValueError("zero vector has no projective normalization")
-    inv = vector[last].inverse()
+    """Scale a nonzero vector so that its entry at its chart
+    (linalg._chart, its last nonzero entry) becomes 1."""
+    inv = vector[_chart(vector)].inverse()
     return tuple(inv * v for v in vector)
 
 
@@ -204,8 +198,7 @@ class Cage:
     """
 
     __slots__ = ("field", "groups", "n", "d", "attempts",
-                 "_report", "_keys", "_nodes", "_group_polys",
-                 "_differentials")
+                 "_report", "_keys", "_nodes", "_differentials")
 
     def __init__(self, field: FieldDescriptor,
                  groups: Sequence[Sequence[LinearForm]],
@@ -233,7 +226,6 @@ class Cage:
         self._report = None
         self._keys = None
         self._nodes = None
-        self._group_polys = {}
         self._differentials = None
 
     # -- validation and node access -------------------------------------
@@ -347,20 +339,22 @@ class Cage:
         of D D_p, D_p the differential of the n group products at the node
         p with index I, whose row j is c_j L_{j,I_j} with its chart column
         dropped, c_j the product of L_{j,k}(p) over k != I_j.  The chart is
-        the position of the key's last nonzero entry, p's trailing 1.
+        linalg._chart of the key, the position of p's trailing 1.
 
         The table is built for every node on the first call, from the keys
-        validate() kept.  Over Q every form L_{j,k} is scaled by
-        linalg._prepared to the integer row A_{j,k} = s_{j,k} L_{j,k}, and
-        the key is an integer vector w with last nonzero entry w_c > 0 and
-        p = w / w_c.  So L_{j,k}(p) = A_{j,k}(w) / (s_{j,k} w_c), and with
-        C_j the product of the integer dots A_{j,k}(w) over k != I_j and
-        S_j the product of the s_{j,k} over all k,
-        c_j L_{j,I_j} = C_j A_{j,I_j} / (w_c^(d-1) S_j).  Taking
-        D = w_c^(d-1) T, T the lcm of the S_j, row j is
-        C_j (T / S_j) A_{j,I_j}: ints, with no gcd and no division.  Over
-        Q[t]/(m) the key is p itself, D is 1 and row j is c_j L_{j,I_j} in
-        field elements, c_j a product of field dots, with no inverse.
+        validate() kept.  Every form L_{j,k} is scaled by linalg._prepared
+        to the row A_{j,k} = s_{j,k} L_{j,k}, and the key is a vector w
+        with w_c, its entry at the chart c, nonzero and p = w / w_c.  So
+        L_{j,k}(p) = A_{j,k}(w) / (s_{j,k} w_c), and with C_j the product
+        of the dots A_{j,k}(w) over k != I_j and S_j the product of the
+        s_{j,k} over all k, c_j L_{j,I_j} = C_j A_{j,I_j} / (w_c^(d-1) S_j).
+        Taking D = w_c^(d-1) T, T the lcm of the S_j, row j is
+        C_j (T / S_j) A_{j,I_j}, with no gcd and no division.  Over Q the
+        rows A_{j,k} and the key are integer vectors, w_c > 0, and the
+        rows are ints.  Over Q[t]/(m) every scale s_{j,k} is 1, A_{j,k} is
+        L_{j,k} and the key is p itself, so w_c, T and D are 1 and row j
+        is c_j L_{j,I_j} in field elements, c_j a product of field dots,
+        with no inverse.
 
         inscribe builds its rows on the table as it is: the products of the
         rows with one linalg._prepared tangent vector, or their combination
@@ -374,22 +368,19 @@ class Cage:
         self._require_valid()
         if self._differentials is None:
             field, d = self.field, self.d
-            rational = field.kind == "rationals"
-            # (s, A) for each form, with s = 1 and A = L over Q[t]/(m)
             forms = [[_prepared(field, f.coeffs) for f in group]
                      for group in self.groups]
             totals = [prod(s for s, _ in group) for group in forms]
             scale = lcm(*totals)
-            one = 1 if rational else field.one()
             table = {}
             for index, key in self._keys.items():
-                chart = max(i for i, x in enumerate(key) if x)
-                lead = key[chart] ** (d - 1) * scale if rational else 1
+                chart = _chart(key)
+                lead = key[chart] ** (d - 1) * scale
                 rows = []
                 for j, hit in enumerate(index):
                     c = prod((dot(f, key) for k, (_, f) in
                               enumerate(forms[j], start=1) if k != hit),
-                             start=scale // totals[j] if rational else one)
+                             start=scale // totals[j])
                     rows.append(tuple(c * a for i, a in
                                       enumerate(forms[j][hit - 1][1])
                                       if i != chart))
@@ -405,15 +396,15 @@ class Cage:
 
     def _node_table(self) -> dict[Index, Node]:
         """Node index -> Node, built from the keys on the first call: a
-        point is its key divided by the key's last nonzero entry
-        (linalg._divided), which over Q[t]/(m) is one: the key is the
-        point."""
+        point is its key divided by the key's entry at its chart
+        (linalg._chart, linalg._divided), which over Q[t]/(m) is one: the
+        key is the point."""
         self._require_valid()
         if self._nodes is None:
             field, nodes = self.field, {}
             for index, key in self._keys.items():
-                last = next(x for x in reversed(key) if x)
-                nodes[index] = Node(index, tuple(_divided(field, key, last)))
+                nodes[index] = Node(index, tuple(
+                    _divided(field, key, key[_chart(key)])))
             self._nodes = nodes
         return self._nodes
 
@@ -444,10 +435,7 @@ class Cage:
         """Product of the color's d hyperplane forms (colors counted from 0)."""
         if not 0 <= color < self.n:
             raise ShapeError(f"no color {color}")
-        if color not in self._group_polys:
-            self._group_polys[color] = product_of_linear_forms(
-                self.groups[color])
-        return self._group_polys[color]
+        return product_of_linear_forms(self.groups[color])
 
     def group_polynomials(self) -> tuple[HomogPoly, ...]:
         return tuple(self.group_polynomial(j) for j in range(self.n))

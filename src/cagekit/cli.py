@@ -49,7 +49,11 @@ def _load_json(path: str):
 def _output(args):
     """The -o file opened for writing, or stdout, which stays open."""
     if getattr(args, "output", None):
-        return open(args.output, "w", encoding="utf-8")
+        try:
+            return open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            raise SchemaError(args.output,
+                              f"cannot write file: {exc}") from exc
     return contextlib.nullcontext(sys.stdout)
 
 
@@ -232,6 +236,15 @@ def _cmd_demo(args) -> int:
 MAX_GRID_POINTS = 64 ** 3
 
 
+def _decimal(value: Fraction) -> str:
+    """The repr of the float nearest value, inf or -inf past the float
+    range."""
+    try:
+        return repr(float(value))
+    except OverflowError:
+        return "inf" if value > 0 else "-inf"
+
+
 def _cmd_sample_grid(args) -> int:
     variety = ser.variety_from_json(_load_json(args.variety))
     cage = variety.cage
@@ -269,8 +282,7 @@ def _cmd_sample_grid(args) -> int:
                     acc += v * v
                 value = acc
             # decimal rendering below is the only non-exact step
-            out.write(f"{float(x)!r},{float(y)!r},{float(z)!r},"
-                      f"{float(value)!r}\n")
+            out.write(",".join(map(_decimal, (x, y, z, value))) + "\n")
     return 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Number
 from typing import Iterable, Sequence, Union
 
 from .errors import FieldMismatchError, NotInvertibleError, ReducibleModulusError
@@ -166,11 +167,7 @@ class FieldDescriptor:
     # element constructors
 
     def element(self, coeffs: Iterable[RationalLike]) -> "FieldElement":
-        vec = [_rational(c) for c in coeffs]
-        if len(vec) != self.degree:
-            raise ValueError(
-                f"expected {self.degree} coefficients, got {len(vec)}")
-        return FieldElement(self, vec)
+        return FieldElement(self, [_rational(c) for c in coeffs])
 
     def from_rational(self, value: RationalLike) -> "FieldElement":
         # the ratio of an int, a bool included, is an int over 1
@@ -252,14 +249,18 @@ class FieldElement:
     The value is integer numerators _num, field.degree of them, over the
     common denominator _den, in lowest terms with _den > 0; coeffs, the
     public tuple of Fractions, is built when read.  FieldElement(field,
-    coeffs) takes ints and Fractions.  Arithmetic with int and Fraction
-    promotes automatically; elements of distinct fields refuse to mix.
+    coeffs) takes field.degree ints and Fractions.  Arithmetic with int and
+    Fraction promotes automatically; elements of distinct fields refuse to
+    mix.
     """
 
     __slots__ = ("field", "_num", "_den")
 
     def __init__(self, field: FieldDescriptor,
                  coeffs: Sequence[RationalLike]):
+        if len(coeffs) != field.degree:
+            raise ValueError(
+                f"expected {field.degree} coefficients, got {len(coeffs)}")
         [num], den = _integral([coeffs])
         self.field = field
         self._num = tuple(num)
@@ -452,7 +453,9 @@ class FieldElement:
     def __eq__(self, other):
         # rational values compare by value, also across fields, so that
         # equality stays transitive through int and Fraction; their
-        # numerator and denominator are in lowest terms too
+        # numerator and denominator are in lowest terms too.  Any other
+        # number (float, complex, Decimal) is compared as the value's
+        # Fraction compares, the same whichever operand Python asks first
         if isinstance(other, FieldElement):
             if other.field is self.field or other.field == self.field:
                 return self._den == other._den and self._num == other._num
@@ -461,6 +464,9 @@ class FieldElement:
             num, den = other._num[0], other._den
         elif isinstance(other, (int, Fraction)):
             num, den = other.as_integer_ratio()
+        elif isinstance(other, Number):
+            return (not any(self._num[1:])
+                    and Fraction(self._num[0], self._den) == other)
         else:
             return NotImplemented
         return (self._num[0] == num and self._den == den

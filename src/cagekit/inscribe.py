@@ -19,29 +19,32 @@ from typing import Mapping, Sequence
 from .cage import Cage, Node
 from .errors import ShapeError, SingularNodeError
 from .field import FieldElement
-from .linalg import (Matrix, SubspaceBasis, _divided, _kernel, _prepared, dot,
-                     rank)
+from .linalg import (Matrix, SubspaceBasis, _chart, _divided, _kernel,
+                     _prepared, dot, rank)
 from .poly import HomogPoly
 
 Vector = tuple[FieldElement, ...]
 
 
 def chart_of(node: Node) -> int:
-    """Chart index of a canonical point: position of its trailing 1."""
-    for i in range(len(node.point) - 1, -1, -1):
-        if not node.point[i].is_zero():
-            return i
-    raise ValueError("node has a zero point")
+    """Chart index of a node: linalg._chart of its point, the position of
+    its trailing 1.  A zero point raises ValueError."""
+    return _chart(node.point)
 
 
 @dataclass(frozen=True)
 class TangentSubspace:
     """A linear subspace of the tangent space at a node, in chart-local
-    coordinates (all coordinates except the chart one, in order)."""
+    coordinates (all coordinates except the chart one, in order).  The
+    chart is the node's, chart_of(node), so it cannot disagree with the
+    node."""
 
     node: Node
-    chart: int
     basis: tuple[Vector, ...]
+
+    @property
+    def chart(self) -> int:
+        return chart_of(self.node)
 
     @property
     def dim(self) -> int:
@@ -62,7 +65,7 @@ def make_tangent(node: Node, vectors: Sequence[Sequence]) -> TangentSubspace:
             raise ShapeError(f"tangent vectors need {n} chart-local entries")
     if vecs and rank(Matrix(field, vecs)) != len(vecs):
         raise ValueError("tangent vectors are linearly dependent")
-    return TangentSubspace(node, chart_of(node), vecs)
+    return TangentSubspace(node, vecs)
 
 
 @dataclass(frozen=True)
@@ -116,11 +119,7 @@ def _differential_rows(cage: Cage, node: Node) -> tuple:
     prepared here.  A Node that is not the cage's node at its index raises
     ValueError.
     """
-    try:
-        on_cage = cage.node(node.index) == node
-    except KeyError:
-        on_cage = False
-    if not on_cage:
+    if cage._node_table().get(tuple(node.index)) != node:
         raise ValueError(f"point is not the cage's node {node.index}")
     return cage._node_differentials()[node.index]
 
@@ -136,14 +135,13 @@ def inscribe_with_tangent(cage: Cage, node: Node,
     being node_differentials.  Row k is the rows of the cage's table
     (Cage._node_differentials) dotted with linalg._prepared of v_k, ints
     over Q and field elements over Q[t]/(m), with the kernel the table's
-    docstring proves.  A vector without n entries raises ShapeError.  With
-    no tangent vector there is no row, and the basis is the identity: all
-    n group products.
+    docstring proves.  A tangent attached to a Node other than node, or a
+    node that is not the cage's node at its index, raises ValueError, and
+    a vector without n entries ShapeError.  With no tangent vector there
+    is no row, and the basis is the identity: all n group products.
     """
-    if tangent.node.index != node.index:
+    if tangent.node != node:
         raise ValueError("tangent subspace is attached to a different node")
-    if tangent.chart != chart_of(node):
-        raise ValueError("tangent chart differs from the node's chart")
     field, n = cage.field, cage.n
     s = n - tangent.dim
     if s < 1:
@@ -214,7 +212,7 @@ def _forced_tangent(variety: LambdaMatrix, lambdas: Sequence[Sequence],
     if n - len(kernel) != variety.s:
         raise SingularNodeError(
             f"variety is singular at node {node.index}")
-    return TangentSubspace(node, chart_of(node), kernel)
+    return TangentSubspace(node, kernel)
 
 
 def propagate_tangents(cage: Cage, node: Node,
@@ -258,9 +256,9 @@ def transport_tangent(tangent: TangentSubspace, g: Matrix,
     if (len(image_node.point) != len(big_q)
             or any(x != qc * y for x, y in zip(big_q, image_node.point))):
         raise ValueError("image_node is not the image of the tangent's node")
-    new_basis = []
+    chart, new_basis = tangent.chart, []
     for v in tangent.basis:
-        lift = list(v[:tangent.chart]) + [field.zero()] + list(v[tangent.chart:])
+        lift = list(v[:chart]) + [field.zero()] + list(v[chart:])
         w = [field.coerce(dot(row, lift)) for row in g.entries]
         wc = w[new_chart]
         local = [w[i] * qc - big_q[i] * wc
@@ -269,5 +267,5 @@ def transport_tangent(tangent: TangentSubspace, g: Matrix,
     if new_basis and rank(Matrix(field, new_basis)) != len(new_basis):
         raise ValueError("the map sends the tangent vectors to dependent "
                          "ones")
-    return TangentSubspace(image_node, new_chart, tuple(new_basis))
+    return TangentSubspace(image_node, tuple(new_basis))
 

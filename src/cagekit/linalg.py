@@ -210,14 +210,22 @@ def _prepared(field: FieldDescriptor,
     return scale, [e._num[0] * (scale // e._den) for e in vector]
 
 
+def _chart(vector: Sequence) -> int:
+    """The chart of a projective point: the position of the last nonzero
+    entry of a vector of ints or field elements, the entry its canonical
+    representative sets to 1."""
+    for i in range(len(vector) - 1, -1, -1):
+        if vector[i]:
+            return i
+    raise ValueError("zero vector has no projective normalization")
+
+
 def primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """The primitive multiple of a nonzero integer vector: gcd 1 and last
     nonzero entry positive, the same for all its nonzero rational
     multiples."""
     g = gcd(*ints)
-    if not g:
-        raise ValueError("zero vector has no projective normalization")
-    if next(x for x in reversed(ints) if x) < 0:
+    if ints[_chart(ints)] < 0:
         g = -g
     return tuple(x // g for x in ints)
 

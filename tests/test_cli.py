@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface, in process and as a script."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -454,6 +455,48 @@ def test_demo_certification_exits_3(monkeypatch, capsys):
         "frozen demo data failed its check: omega^2 + omega + 1 = 0")
 
 
+@pytest.mark.parametrize("target", ["missing-dir/out.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_output_is_a_usage_error(tmp_path, square_cage,
+                                            cube_config, capsys, target):
+    # every subcommand takes -o; a path it cannot write exits 2, the code
+    # of an input error, not 1, the code of a failed check
+    cube = tmp_path / "cube.json"
+    curve = tmp_path / "curve.json"
+    assert main(["gen", "--kind", "axis", "--points", cube_config,
+                 "-o", str(cube)]) == 0
+    assert main(["inscribe", "--cage", str(cube), "--node", "1,1,1",
+                 "--tangent", "1,2,3", "-o", str(curve)]) == 0
+    commands = {
+        "gen": ["--kind", "random", "--seed", "1", "--d", "2", "--n", "2"],
+        "validate": ["--cage", square_cage],
+        "nodes": ["--cage", square_cage],
+        "verify": ["--cage", square_cage],
+        "hilbert": ["--cage", square_cage, "--max-k", "2"],
+        "inscribe": ["--cage", square_cage, "--node", "1,1",
+                     "--tangent", "1,2"],
+        "propagate": ["--cage", square_cage, "--node", "1,1",
+                      "--tangent", "1,2"],
+        "counterexample": [],
+        "demo": ["--list"],
+        "sample-grid": ["--variety", str(curve), "--box", "0", "1", "0", "1",
+                        "0", "1", "--resolution", "2"],
+    }
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(commands) == set(sub.choices)
+    path = tmp_path / target
+    capsys.readouterr()
+    for command, argv in commands.items():
+        assert main([command, *argv, "-o", str(path)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {path}: cannot write file: "), command
+    assert not (tmp_path / "missing-dir").exists()
+
+
 # -- grid sampling ----------------------------------------------------------------------
 
 
@@ -481,6 +524,29 @@ def test_sample_grid_csv(tmp_path, cube_config):
     assert main(["sample-grid", "--variety", str(variety_path),
                  "--box", "0", "1", "2", "3", "4", "5",
                  "--resolution", "1", "-o", str(tmp_path / "junk.csv")]) == 2
+
+
+def test_sample_grid_prints_inf_past_the_float_range(tmp_path, cube_config):
+    # a coordinate past the float range, or a value that overflows once
+    # squared, is printed as the float's own inf; every row is complete
+    cage_path = tmp_path / "cube.json"
+    assert main(["gen", "--kind", "axis", "--points", cube_config,
+                 "-o", str(cage_path)]) == 0
+    for name, node, tangent in (("curve", "1,1,1", "1,2,3"),
+                                ("surface", "1,2,1", "1,2,3;0,1,-1")):
+        variety_path = tmp_path / f"{name}.json"
+        assert main(["inscribe", "--cage", str(cage_path), "--node", node,
+                     "--tangent", tangent, "-o", str(variety_path)]) == 0
+        for high, x in (("1e400", "inf"), ("1e300", "1e+300")):
+            code, text = run(tmp_path, "sample-grid", "--variety",
+                             str(variety_path), "--box", "0", high,
+                             "0", "1", "0", "1", "--resolution", "2")
+            assert code == 0
+            rows = [row.split(",") for row in text.splitlines()]
+            assert rows[0] == ["x", "y", "z", "value"] and len(rows) == 1 + 8
+            assert all(len(row) == 4 for row in rows)
+            assert [row[0] for row in rows[1:]] == ["0.0"] * 4 + [x] * 4
+            assert all(row[3] in ("inf", "-inf") for row in rows[5:])
 
 
 SAMPLED_ROWS = {

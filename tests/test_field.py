@@ -1,7 +1,9 @@
 """Scalar arithmetic: rationals and simple extensions Q[t]/(m)."""
 
+import itertools
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -149,6 +151,42 @@ def test_equality_is_transitive_across_fields():
         Q.one() + SQRT2.one()
     with pytest.raises(FieldMismatchError):
         Q.one() * SQRT2.one()
+
+
+@pytest.mark.parametrize("number", [1.0, 1 + 0j, Decimal(1)],
+                         ids=["float", "complex", "Decimal"])
+def test_equality_with_other_numbers_ignores_the_order(number):
+    # a rational value compares with any number as its Fraction does, so a
+    # set's size is the same for every insertion order
+    for order in itertools.permutations([1, Q.one(), number, SQRT2.one()]):
+        assert len(set(order)) == 1, order
+    assert Q.one() == number and number == Q.one()
+    assert SQRT2.generator() != number and number != SQRT2.generator()
+    assert SQRT2.generator() != 1.4142135623730951
+
+
+def test_equality_with_floats_follows_the_fraction():
+    half = Q.from_rational(Fraction(1, 2))
+    assert half == 0.5 and 0.5 == half and hash(half) == hash(0.5)
+    assert SQRT2.from_rational(Fraction(1, 2)) == 0.5
+    assert half != 0.1 and Q.from_rational(Fraction(1, 10)) != 0.1
+    for special in [float("nan"), float("inf"), float("-inf"),
+                    complex("nan"), Decimal("NaN"), Decimal("Infinity")]:
+        for x in (Q.zero(), Q.one(), half, SQRT2.generator()):
+            assert x != special and special != x
+            assert not x == special and not special == x
+
+
+@pytest.mark.parametrize("field, coeffs", [
+    (Q, (1, 2)), (Q, ()), (SQRT2, (1,)), (SQRT2, (1, 0, 0))],
+    ids=["Q-two", "Q-none", "sqrt2-one", "sqrt2-three"])
+def test_elements_need_one_coefficient_per_degree(field, coeffs):
+    message = (f"expected {field.degree} coefficients, "
+               f"got {len(coeffs)}")
+    with pytest.raises(ValueError, match=message):
+        FieldElement(field, coeffs)
+    with pytest.raises(ValueError, match=message):
+        field.element(coeffs)
 
 
 def test_conjugation_involution_and_homomorphism():

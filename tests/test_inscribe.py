@@ -1,6 +1,7 @@
 """Tangent-prescribed inscription and reading forced tangents back off."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -392,12 +393,31 @@ def test_inscribe_mismatched_attachments():
     tau = make_tangent(node, [(1, 2)])
     with pytest.raises(ValueError):
         inscribe_with_tangent(cage, cage.node((2, 2)), tau)
-    skewed = TangentSubspace(node, 0, tau.basis)
-    with pytest.raises(ValueError):
-        inscribe_with_tangent(cage, node, skewed)
+    # the right index and chart, at another node's point
+    foreign = Node(node.index, cage.node((2, 2)).point)
+    with pytest.raises(ValueError, match="different node"):
+        inscribe_with_tangent(cage, node, make_tangent(foreign, [(1, 2)]))
     full = make_tangent(node, [(1, 0), (0, 1)])
     with pytest.raises(ValueError):
         inscribe_with_tangent(cage, node, full)
+
+
+def test_tangents_attached_to_a_foreign_point_are_refused():
+    # node (1, 1) of this cage carrying the point of node (2, 2): the index
+    # and the chart agree with the cage's node, the point does not
+    cage = random_cage(3, 2, 2)
+    node, other = cage.node((1, 1)), cage.node((2, 2))
+    foreign = Node(node.index, other.point)
+    assert chart_of(foreign) == chart_of(node) and foreign != node
+    tangent = make_tangent(foreign, [(1, 2)])
+    for start in (node, foreign):
+        with pytest.raises(ValueError):
+            inscribe_with_tangent(cage, start, tangent)
+        with pytest.raises(ValueError):
+            propagate_tangents(cage, start, tangent)
+    # the chart is read off the node, not stored beside it
+    assert [f.name for f in fields(TangentSubspace)] == ["node", "basis"]
+    assert tangent.chart == chart_of(node)
 
 
 def test_inscribe_codimension_matches_tangent():
@@ -487,7 +507,7 @@ def test_inscribe_rejects_tangent_vectors_of_the_wrong_length():
     cage = random_cage(5, 3, 3)
     node = cage.node((1, 2, 3))
     for vector in ((1, 2), (1, 2, 3, 4)):
-        tangent = TangentSubspace(node, chart_of(node), coerced((vector,)))
+        tangent = TangentSubspace(node, coerced((vector,)))
         with pytest.raises(ShapeError, match="need 3 chart-local entries"):
             inscribe_with_tangent(cage, node, tangent)
 

@@ -54,6 +54,25 @@ def test_rank_node_evaluation_matrix():
     assert oracles.rank(frac_entries(m)) == 4
 
 
+def test_chart_is_the_last_nonzero_entry():
+    sqrt2 = FieldDescriptor.extension([-2, 0, 1])
+    t = sqrt2.generator()
+    assert linalg._chart([3]) == 0
+    assert linalg._chart((1, -2, 0)) == 1
+    assert linalg._chart((0, 0, -5)) == 2
+    assert linalg._chart([Q.one(), Q.zero(), Q.from_rational(-1)]) == 2
+    assert linalg._chart((t, sqrt2.zero())) == 0
+    # t has a zero rational part and is not zero; t - t is zero
+    assert linalg._chart((sqrt2.one(), t, t - t)) == 1
+    for zero in ((), (0, 0), (Q.zero(), Q.zero()), (sqrt2.zero(),)):
+        with pytest.raises(ValueError, match="zero vector"):
+            linalg._chart(zero)
+    # primitive keeps the entry at the chart positive
+    assert linalg.primitive((2, -4, 0)) == (-1, 2, 0)
+    with pytest.raises(ValueError, match="zero vector"):
+        linalg.primitive((0, 0, 0))
+
+
 def test_kernel_identity_empty():
     basis = kernel_basis(Matrix(Q, oracles.identity(4)))
     assert basis.dim == 0 and basis.ambient_dim == 4
